@@ -6,7 +6,8 @@ from .errors import (
     SmdpsynthError, LtlSyntaxError, UnknownToken, CapacityExceeded, EmptyCycle,
     UnknownState, ActionNotEnabled, ConfigError, AlphabetMismatch,
     UntrackedPair, UntrackedTriple, MomentUndefined, EmptyWinningCandidate,
-    NoAllowedAction, NonfiniteRisk, PolicyLeavesW, DomainGap,
+    NoAllowedAction, NonfiniteRisk, EmptyPredictiveRow, PolicyLeavesW,
+    DomainGap,
 )
 from .ltl import (
     Formula, TRUE, FALSE, atom, lnot, land, lor, implies, nxt, until,
@@ -15,7 +16,7 @@ from .ltl import (
 from .tableau import ltl_to_cba
 from .automata import (
     OmegaAutomaton, Dkcba, lasso_accepted_cba, lasso_accepted_kcba,
-    determinize_kcba, is_sink_set,
+    determinize_kcba,
 )
 from .smdp import (
     Smdp, Path, Exponential, Empirical, GridConfig, GRID_ACTIONS,
@@ -33,12 +34,12 @@ from .bayes import (
     dwell_entropy, risk_of,
 )
 from .winning import (
-    LearnerConfig, LearnerResult, WinningLearner, init_learner,
-    run_algorithm1, q_update, boundary, softmax_policy, ind_k,
+    LearnerConfig, LearnerResult, WinningLearner, run_algorithm1, boundary,
+    softmax_policy, ind_k,
 )
 from .reach import (
     RewardDiscountSpec, QLearnSchedule, TransientQ, reward, discount,
-    qlearn_transient, extract_pi_tr, transient_to_json,
+    qlearn_transient, extract_pi_tr,
 )
 from .risk import (
     RiskModel, RiskQ, build_risk_model, risk_model_from_product,

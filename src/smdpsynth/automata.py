@@ -119,9 +119,10 @@ def _check_lasso(aut, stem, cycle):
 def lasso_accepted_cba(aut: OmegaAutomaton, stem, cycle) -> bool:
     """Co-Buchi acceptance of stem.cycle^omega.
 
-    Builds the finite run graph over (state, position-in-lasso) nodes and
+    Walks the finite run graph over (state, position-in-lasso) nodes and
     rejects iff some reachable cycle of it passes through an accepting state:
-    such a loop is a run visiting that state infinitely often.
+    such a loop is a run visiting that state infinitely often. The search
+    stops at the first cyclic component holding an accepting state.
     """
     _check_lasso(aut, stem, cycle)
     word = list(stem) + list(cycle)
@@ -130,81 +131,55 @@ def lasso_accepted_cba(aut: OmegaAutomaton, stem, cycle) -> bool:
     delta = aut.delta
     acc = aut.accepting
 
-    # node id = x * L + pos
-    start = aut.initial * L
-    n_nodes = aut.n_states * L
-    seen = bytearray(n_nodes)
-    seen[start] = 1
-    stack = [start]
-    order = []
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        x, pos = divmod(node, L)
-        npos = pos + 1 if pos + 1 < L else wrap
-        for y in delta[x][word[pos]]:
-            nxt = y * L + npos
-            if not seen[nxt]:
-                seen[nxt] = 1
-                stack.append(nxt)
-
-    # Tarjan SCC over the reachable subgraph; reject on any accepting state
-    # inside a nontrivial SCC (or on an accepting self-loop).
-    index = {}
-    low = {}
-    onstack = {}
-    scc_stack = []
-    counter = [0]
+    start = aut.initial * L          # node id = x * L + pos
 
     def succs(node):
         x, pos = divmod(node, L)
         npos = pos + 1 if pos + 1 < L else wrap
         return [y * L + npos for y in delta[x][word[pos]]]
 
-    for root in order:
-        if root in index:
-            continue
-        work = [(root, iter(succs(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        scc_stack.append(root)
-        onstack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    scc_stack.append(nxt)
-                    onstack[nxt] = True
-                    work.append((nxt, iter(succs(nxt))))
-                    advanced = True
-                    break
-                if onstack.get(nxt):
-                    if index[nxt] < low[node]:
-                        low[node] = index[nxt]
-            if advanced:
-                continue
+    return not any(node // L in acc
+                   for comp in cyclic_sccs(start, succs) for node in comp)
+
+
+def cyclic_sccs(root, succs):
+    """Strongly connected components that contain a cycle, lazily.
+
+    Iterative Tarjan over the graph reachable from `root`, where `succs`
+    maps a node to its successors. A component is yielded, as a list of
+    nodes, once it is complete, and only if it has more than one node or a
+    self-loop; callers may stop early.
+    """
+    index = {root: 0}
+    low = {root: 0}
+    stack = [root]
+    on_stack = {root}
+    work = [(root, iter(succs(root)))]
+    while work:
+        node, it = work[-1]
+        for nxt in it:
+            if nxt not in index:
+                index[nxt] = low[nxt] = len(index)
+                stack.append(nxt)
+                on_stack.add(nxt)
+                work.append((nxt, iter(succs(nxt))))
+                break
+            if nxt in on_stack and index[nxt] < low[node]:
+                low[node] = index[nxt]
+        else:
             work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
+            if work and low[node] < low[work[-1][0]]:
+                low[work[-1][0]] = low[node]
             if low[node] == index[node]:
                 comp = []
                 while True:
-                    m = scc_stack.pop()
-                    onstack[m] = False
+                    m = stack.pop()
+                    on_stack.discard(m)
                     comp.append(m)
                     if m == node:
                         break
-                nontrivial = len(comp) > 1 or node in succs(node)
-                if nontrivial:
-                    for m in comp:
-                        if m // L in acc:
-                            return False
-    return True
+                if len(comp) > 1 or node in succs(node):
+                    yield comp
 
 
 def lasso_accepted_kcba(aut: OmegaAutomaton, K: int, stem, cycle) -> bool:
@@ -373,14 +348,3 @@ def determinize_kcba(aut: OmegaAutomaton, K: int, state_budget: int = 10 ** 6) -
     if sink is not None:
         delta[sink] = [sink] * nl
     return Dkcba(aut.ap, K, delta, 0, sink, profiles)
-
-
-def is_sink_set(aut: OmegaAutomaton, states) -> bool:
-    """True if every transition out of `states` stays inside `states`."""
-    inside = set(states)
-    for x in inside:
-        for succs in aut.delta[x]:
-            for y in succs:
-                if y not in inside:
-                    return False
-    return True

@@ -19,34 +19,25 @@ GAMMA_PRIOR = (2.0, 1.0)
 
 
 class ObservationStore:
-    """Log of (s, a, s', tau) tuples, grouped by the (s, a) pair.
+    """Observations of (s, a, s', tau), aggregated per (s, a) pair.
 
-    Aggregates (successor counts, dwell sums) are maintained incrementally;
-    a whole pair's data can be dropped in O(1), which is how the learner
-    keeps observations restricted to its current winning-pair estimate.
-    Raw tuples are retained unless keep_tuples=False (aggregate queries
-    work either way).
+    Only aggregates are kept: successor counts and per-successor dwell
+    counts and sums, maintained incrementally. A whole pair's data can be
+    dropped in O(1), which is how the learner keeps observations restricted
+    to its current winning-pair estimate.
     """
 
-    def __init__(self, keep_tuples=True):
-        self._by_pair = {}            # (s, a) -> {"tuples", "succ", "dwell"}
-        self._keep = bool(keep_tuples)
+    def __init__(self):
+        self._by_pair = {}            # (s, a) -> {"succ", "dwell"}
         self._n = 0
-
-    def _bucket(self, s, a):
-        b = self._by_pair.get((s, a))
-        if b is None:
-            b = {"tuples": [], "succ": {}, "dwell": {}}
-            self._by_pair[(s, a)] = b
-        return b
 
     def append(self, s, a, s2, tau):
         tau = float(tau)
         if tau < 0:
             raise ValueError(f"negative dwell time {tau}")
-        b = self._bucket(s, a)
-        if self._keep:
-            b["tuples"].append((s2, tau))
+        b = self._by_pair.get((s, a))
+        if b is None:
+            b = self._by_pair[(s, a)] = {"succ": {}, "dwell": {}}
         b["succ"][s2] = b["succ"].get(s2, 0) + 1
         agg = b["dwell"].setdefault(s2, [0, 0.0])
         agg[0] += 1
@@ -62,25 +53,12 @@ class ObservationStore:
     def __len__(self):
         return self._n
 
-    def __iter__(self):
-        """Tuples grouped by pair, insertion-ordered within each pair."""
-        if not self._keep:
-            raise RuntimeError("store was created with keep_tuples=False")
-        for (s, a), b in self._by_pair.items():
-            for s2, tau in b["tuples"]:
-                yield (s, a, s2, tau)
-
     def pairs(self):
         return set(self._by_pair)
 
     def successor_counts(self, s, a):
         b = self._by_pair.get((s, a))
         return dict(b["succ"]) if b else {}
-
-    def distinct_successors(self, s, a):
-        """Observed support size, floored at 1 for use as a count estimate."""
-        b = self._by_pair.get((s, a))
-        return max(1, len(b["succ"])) if b else 1
 
     def dwell_stats(self, s, a, s2):
         b = self._by_pair.get((s, a))
@@ -221,9 +199,6 @@ class DwellPredictive:
     def survival_quantile(self, q):
         """inf { t : Pr(tau > t) < q } for q in (0, 1]."""
         return float(self.scale * (q ** (-1.0 / self.shape) - 1.0))
-
-    def sample(self, rng):
-        return float(self.scale * rng.pareto(self.shape))
 
 
 def predictive_dwell(post: GammaPosterior, s, a, s2) -> DwellPredictive:

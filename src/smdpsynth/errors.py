@@ -65,6 +65,10 @@ class NonfiniteRisk(SmdpsynthError):
     """A risk value came out non-finite."""
 
 
+class EmptyPredictiveRow(SmdpsynthError):
+    """A winning pair's predictive row has no mass inside the region."""
+
+
 class PolicyLeavesW(SmdpsynthError):
     """Policy evaluation found a transition leaving the safe region."""
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .automata import Dkcba
 from .errors import ActionNotEnabled, AlphabetMismatch, UnknownState
-from .smdp import Smdp
+from .smdp import Smdp, sample_step
 
 
 class ProductSmdp:
@@ -78,6 +78,13 @@ class ProductSmdp:
             raise ActionNotEnabled(f"action {a!r} not enabled in product state {i}")
         return row
 
+    def lift(self, i, s2):
+        """Product successor of state i when the model moves to s2: the
+        automaton reads the label of s2. None if that pair was never
+        reached (a successor no transition of i can produce)."""
+        f2 = self.d.step(self.states[i][1], self.m.letter_of(s2))
+        return self.index.get((s2, f2))
+
     def dwell_of(self, i, a, j):
         s, _ = self.states[i]
         s2, _ = self.states[j]
@@ -110,14 +117,13 @@ def build_product(m: Smdp, d: Dkcba) -> ProductSmdp:
 def sample_product_step(p: ProductSmdp, i, a, rng):
     """Draw one product transition; returns (j, tau, model_successor).
 
-    Sampling-only access: this is the simulator interface the learner sees,
-    which never reads the transition table directly.
+    A model step drawn by `sample_step`, lifted through the automaton. This
+    is the simulator interface the learner sees, which never reads the
+    transition table directly.
     """
-    succs, probs = p.trans_row(i, a)
-    k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    j = succs[min(k, len(succs) - 1)]
-    tau = p.dwell_of(i, a, j).sample(rng)
-    return j, tau, p.states[j][0]
+    p.check_state(i)
+    s2, tau = sample_step(p.m, p.states[i][0], a, rng)
+    return p.lift(i, s2), tau, s2
 
 
 def exact_winning_region(p: ProductSmdp):

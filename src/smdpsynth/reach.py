@@ -76,10 +76,6 @@ class TransientQ:
     cauchy_tail: float           # max |delta Q| over the last 10% of updates
     deltas: list = field(repr=False, default_factory=list)
 
-    def value(self, i):
-        row = [v for (j, _a), v in self.q.items() if j == i]
-        return max(row) if row else 0.0
-
 
 def _greedy(q, p, i):
     best, best_v = None, None
@@ -164,13 +160,3 @@ def extract_pi_tr(p: ProductSmdp, w, tq: TransientQ) -> dict:
     w = frozenset(w)
     return {i: _greedy(tq.q, p, i)
             for i in range(p.n_states) if i not in w}
-
-
-def transient_to_json(p: ProductSmdp, w, tq: TransientQ) -> dict:
-    """Policy and greedy-value tables keyed by product state id."""
-    pi = extract_pi_tr(p, w, tq)
-    return {
-        "policy": {str(i): a for i, a in sorted(pi.items())},
-        "values": {str(i): max(tq.q[(i, a)] for a in p.enabled(i))
-                   for i in sorted(pi)},
-    }

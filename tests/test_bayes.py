@@ -83,12 +83,6 @@ def test_negative_dwell_rejected():
         store.append(0, "a", 1, -0.5)
 
 
-def test_distinct_successors_floor():
-    store = store_of((0, "a", 1, 1.0), (0, "a", 1, 1.0), (0, "a", 2, 1.0))
-    assert store.distinct_successors(0, "a") == 2
-    assert store.distinct_successors(5, "z") == 1
-
-
 def test_predictive_rows_are_distributions():
     rng = np.random.default_rng(9)
     store = ObservationStore()
@@ -160,14 +154,6 @@ def test_lomax_survival():
     assert d.survival(0.0) == 1.0
     assert d.survival(5.0) == pytest.approx(2.0 ** -4)
     assert d.survival_quantile(1.0) == 0.0
-
-
-def test_lomax_sampling_matches_mean():
-    d = DwellPredictive(shape=4.0, scale=5.0)
-    rng = np.random.default_rng(77)
-    draws = np.array([d.sample(rng) for _ in range(200_000)])
-    assert np.all(draws >= 0)
-    assert abs(draws.mean() - 5 / 3) < 0.02
 
 
 # entropies

@@ -4,6 +4,7 @@ determinism, sample-path export."""
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ def test_paths_stay_winning_after_entry(small_run):
 
 
 # ----------------------------------------------------------- determinism
+
+def test_demo07_bundle_is_pinned(tmp_path):
+    """demos/07_full_experiment.py's config, rerun: the committed bundle
+    hashes and the whole summary (output location aside) come back."""
+    committed = json.loads((Path(__file__).resolve().parents[1] / "results"
+                            / "demo07" / "summary.json").read_text())
+    cfg = desk_config(learn_episodes=4000, reach_episodes=64_000, paths=25,
+                      horizon=60, repetitions=2, seed=7,
+                      out_dir=str(tmp_path))
+    art = run_experiment(cfg)
+    summary = json.loads(Path(art.files["summary.json"]).read_text())
+    assert summary["artifacts"] == committed["artifacts"]
+    del summary["config"]["out_dir"], committed["config"]["out_dir"]
+    assert summary == committed
+
 
 def test_same_seed_same_bytes(tmp_path):
     cfg = desk_config(out_dir=str(tmp_path / "a"), learn_episodes=1500,

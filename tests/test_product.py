@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from smdpsynth import (
-    AlphabetMismatch, Exponential, OmegaAutomaton, Smdp, determinize_kcba,
-    ltl_to_cba, parse_ltl,
+    AlphabetMismatch, Exponential, OmegaAutomaton, Smdp, build_pipeline,
+    desk_config, determinize_kcba, ltl_to_cba, parse_ltl,
 )
 from smdpsynth.product import (
     build_product, exact_max_reach_probability, exact_winning_region,
-    policy_reach_probability,
+    policy_reach_probability, sample_product_step,
 )
 
 from conftest import grid4_model, grid4_product, m1_model, m1_product
@@ -86,6 +86,33 @@ def test_product_dwell_inherited():
     (succs, _) = p.trans_row(p.initial, "b")
     d = p.dwell_of(p.initial, "b", succs[0])
     assert d.kind == "exponential" and d.rate == 2.0
+
+
+def test_lift_matches_product_rows():
+    p = grid4_product(K=5)
+    for (i, a), (succs, _) in p._rows.items():
+        for j in succs:
+            assert p.lift(i, p.states[j][0]) == j
+
+
+def reference_sample(p, i, a, rng):
+    """Cumulative sum of the product row on every draw, then the dwell of
+    the drawn transition: the sampler's reference semantics."""
+    succs, probs = p.trans_row(i, a)
+    k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    j = succs[min(k, len(succs) - 1)]
+    return j, p.dwell_of(i, a, j).sample(rng), p.states[j][0]
+
+
+def test_sampler_matches_cumsum_reference():
+    p = build_pipeline(desk_config())[1]
+    for seed in (0, 1, 97):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i in range(p.n_states):
+            for a in p.enabled(i):
+                for _ in range(4):
+                    assert sample_product_step(p, i, a, rng) \
+                        == reference_sample(p, i, a, ref)
 
 
 def test_build_deterministic():

@@ -8,7 +8,7 @@ from smdpsynth import (
 from smdpsynth.product import build_product
 from smdpsynth.reach import (
     QLearnSchedule, RewardDiscountSpec, TransientQ, discount, extract_pi_tr,
-    qlearn_transient, reward, transient_to_json,
+    qlearn_transient, reward,
 )
 
 from conftest import grid4_product, risky3_product
@@ -162,17 +162,3 @@ def test_learning_is_deterministic_per_seed():
     t2 = qlearn_transient(p, w, SPEC, sched)
     assert t1.q == t2.q
     assert t1.updates == t2.updates
-
-
-def test_transient_json_schema():
-    p = risky3_product()
-    w, _ = exact_winning_region(p)
-    tq = qlearn_transient(p, w, SPEC,
-                          QLearnSchedule(episodes=500, step_cap=20, seed=4))
-    doc = transient_to_json(p, w, tq)
-    assert set(doc) == {"policy", "values"}
-    for i in range(p.n_states):
-        if i not in w:
-            assert doc["policy"][str(i)] in p.enabled(i)
-            assert doc["values"][str(i)] == max(tq.q[(i, a)]
-                                                for a in p.enabled(i))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from smdpsynth import (
-    DomainGap, Exponential, LearnerConfig, MeanPlusSigma, MomentUndefined,
-    NonfiniteRisk, ObservationStore, PolicyLeavesW, Quantile, Smdp,
-    exact_winning_region, run_algorithm1, update_posteriors,
+    DomainGap, EmptyPredictiveRow, Exponential, LearnerConfig, MeanPlusSigma,
+    MomentUndefined, NoAllowedAction, NonfiniteRisk, ObservationStore,
+    PolicyLeavesW, Quantile, Smdp, SmdpsynthError, exact_winning_region,
+    run_algorithm1, update_posteriors,
 )
+from smdpsynth.bayes import DirichletPosterior, GammaPosterior
 from smdpsynth.product import build_product
 from smdpsynth.risk import (
     RiskModel, RiskQ, build_risk_model, combine_policy, evaluate_policy_risk,
@@ -190,8 +192,28 @@ def test_build_rejects_fully_escaping_pair():
     w_p = [(i0, "x"), (safe_pid, "x")]
     tpost, dpost = update_posteriors(
         store, w_p, pool=lambda pair: (p.states[pair[0]][0], pair[1]))
-    with pytest.raises(ValueError, match="no predictive mass"):
+    with pytest.raises(EmptyPredictiveRow, match="no predictive mass"):
         build_risk_model(p, {i0}, [(i0, "x")], tpost, dpost)
+
+
+def test_build_errors_are_typed():
+    """A hand-built posterior whose only candidate lifts outside W, and a
+    winning state without a winning pair: both raise package errors, which
+    the CLI reports as `error:` with exit status 2."""
+    p = risky3_product()
+    i0 = p.initial
+    safe_pid = next(i for i, (s, _f) in enumerate(p.states) if s == 1)
+    tpost = DirichletPosterior({(0, "x"): ((2,), np.array([3.0])),
+                                (1, "x"): ((1,), np.array([3.0]))})
+    dpost = GammaPosterior({(0, "x", 2): (3.0, 1.0), (1, "x", 1): (3.0, 1.0)})
+    with pytest.raises(EmptyPredictiveRow) as err:
+        build_risk_model(p, {i0, safe_pid}, [(i0, "x")], tpost, dpost)
+    assert isinstance(err.value, SmdpsynthError)
+    assert str(err.value) == \
+        f"pair ({i0},x) has no predictive mass inside the region"
+    with pytest.raises(NoAllowedAction,
+                       match=f"winning state {i0} has no winning pair"):
+        build_risk_model(p, {i0, safe_pid}, [(safe_pid, "x")], tpost, dpost)
 
 
 def test_build_surfaces_undefined_moments():

@@ -3,8 +3,8 @@ import pytest
 
 from smdpsynth import (
     EmptyWinningCandidate, Exponential, LearnerConfig, NoAllowedAction, Smdp,
-    boundary, determinize_kcba, exact_winning_region, ind_k, init_learner,
-    ltl_to_cba, parse_ltl, q_update, run_algorithm1, softmax_policy,
+    WinningLearner, boundary, determinize_kcba, exact_winning_region, ind_k,
+    ltl_to_cba, parse_ltl, run_algorithm1, softmax_policy,
 )
 from smdpsynth.product import build_product
 
@@ -80,50 +80,69 @@ def test_softmax_no_actions():
         softmax_policy([], [], 1.0, 0.05)
 
 
-# --- q update ----------------------------------------------------------------
+# --- q update ------------------------------------------------------------------
+# The learner's exit update, on m1: the doomed state's lone pair exits W into
+# the accepting sink, whose value is pinned at -1.
 
-def q0():
-    return {(0, "a"): 0.0, (0, "b"): 0.0, (1, "a"): -1.0}
+def exit_learner(alpha=0.5, gamma_acc=0.99):
+    p = m1_product()
+    learner = WinningLearner(p, LearnerConfig(alpha=alpha, gamma_acc=gamma_acc,
+                                              step_cap=10, seed=0))
+    return p, learner, doomed_m1_state(p), next(iter(p.accepting))
 
 
 def test_q_update_fixed_point():
-    q2, w, w_p, _ = q_update(q0(), (0, "a", 0), 0.0, 0.5)
-    assert q2[(0, "a")] == 0.0
-    assert (0, "a") in w_p and 0 in w
+    """Pairs whose observed successors stay inside W^k are never updated."""
+    p, learner, _, _ = exit_learner()
+    for _ in range(50):
+        learner.run_episode()
+    i0 = p.initial
+    assert learner.q[(i0, "a")] == 0.0
+    assert (i0, "a") in learner.w_p and i0 in learner.w
 
 
 def test_q_update_exit_drops_pair():
-    q2, w, w_p, _ = q_update(q0(), (0, "b", 1), 0.0, 0.5)
-    assert q2[(0, "b")] == pytest.approx(-0.5)
-    assert (0, "b") not in w_p
-    assert (0, "a") in w_p and 0 in w
+    p, learner, mid, acc = exit_learner(alpha=0.5)
+    learner._exit_update(mid, "a", acc)
+    assert learner.q[(mid, "a")] == pytest.approx(0.5 * (-0.01 - 1.0))
+    assert (mid, "a") not in learner.w_p and mid not in learner.w
+    assert (p.initial, "a") in learner.w_p and p.initial in learner.w
 
 
 def test_q_update_geometric_to_minus_one():
-    q = q0()
     alpha = 0.3
+    _, learner, mid, acc = exit_learner(alpha=alpha)
+    target = -1.0 - 0.01      # exit penalty plus the sink value
     for n in range(1, 6):
-        q, _, _, _ = q_update(q, (0, "b", 1), 0.0, alpha)
-        assert q[(0, "b")] == pytest.approx(-(1 - (1 - alpha) ** n))
+        learner._exit_update(mid, "a", acc)
+        assert learner.q[(mid, "a")] == pytest.approx(
+            target * (1 - (1 - alpha) ** n))
     for _ in range(200):
-        q, _, _, _ = q_update(q, (0, "b", 1), 0.0, alpha)
-    assert q[(0, "b")] == pytest.approx(-1.0, abs=1e-6)
+        learner._exit_update(mid, "a", acc)
+    assert learner.q[(mid, "a")] == -1.0
 
 
 def test_q_update_clips_at_minus_one():
-    q2, _, _, _ = q_update(q0(), (0, "b", 1), -1.0, 1.0)
-    assert q2[(0, "b")] == -1.0
+    _, learner, mid, acc = exit_learner(alpha=1.0, gamma_acc=0.5)
+    learner._exit_update(mid, "a", acc)
+    assert learner.q[(mid, "a")] == -1.0
 
 
 def test_q_update_bad_alpha():
-    with pytest.raises(ValueError):
-        q_update(q0(), (0, "a", 0), 0.0, 0.0)
+    for alpha in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            exit_learner(alpha=alpha)
 
 
 def test_q_update_boundary_refresh():
-    support = {(0, "b"): {1}, (0, "a"): {0}}
-    _, _, _, dw = q_update(q0(), (0, "a", 0), 0.0, 0.5, support=support)
-    assert dw == frozenset({0})
+    p, learner, mid, acc = exit_learner()
+    i0 = p.initial
+    observe(learner, i0, "a", 0, i0)
+    observe(learner, i0, "b", 1, mid)
+    assert set(learner._dw) == set()
+    learner._exit_update(mid, "a", acc)
+    assert set(learner._dw) == boundary(set(learner.w), set(learner.w_p),
+                                        learner._obs_succ) == {i0}
 
 
 # --- boundary ----------------------------------------------------------------
@@ -156,7 +175,7 @@ def test_boundary_ignores_pairs_outside_w():
 
 def test_init_excludes_exactly_accepting():
     p = m1_product()
-    learner = init_learner(p, LearnerConfig(seed=0))
+    learner = WinningLearner(p, LearnerConfig(seed=0))
     assert set(learner.w) == set(range(p.n_states)) - p.accepting
     assert set(learner.q.values()) <= {-1.0, 0.0}
     for (i, a), v in learner.q.items():
@@ -166,7 +185,7 @@ def test_init_excludes_exactly_accepting():
 
 def test_init_no_accepting_keeps_everything():
     p = build_product(relabeled_m1([0, 0]), c_monitor())
-    learner = init_learner(p, LearnerConfig(seed=0))
+    learner = WinningLearner(p, LearnerConfig(seed=0))
     assert set(learner.w) == set(range(p.n_states))
 
 
@@ -178,7 +197,7 @@ def test_init_all_accepting_raises():
     p = build_product(relabeled_m1([0, 0]), always_bad)
     assert p.accepting == frozenset(range(p.n_states))
     with pytest.raises(EmptyWinningCandidate):
-        init_learner(p, LearnerConfig(seed=0))
+        WinningLearner(p, LearnerConfig(seed=0))
 
 
 # --- exploration policies on a live learner -------------------------------------
@@ -190,7 +209,7 @@ def observe(learner, i, a, model_s2, pid2, tau=1.0):
 
 def test_pi_ent_prefers_unseen():
     p = m1_product()
-    learner = init_learner(p, LearnerConfig(seed=0))
+    learner = WinningLearner(p, LearnerConfig(seed=0))
     i0 = p.initial
     for _ in range(20):
         observe(learner, i0, "a", 0, i0)
@@ -208,7 +227,7 @@ def doomed_m1_state(p):
 
 def test_pi_wperp_prefers_outgoing_mass():
     p = m1_product()
-    learner = init_learner(p, LearnerConfig(seed=0))
+    learner = WinningLearner(p, LearnerConfig(seed=0))
     i0 = p.initial
     mid = doomed_m1_state(p)
     learner.q[(mid, "a")] = -0.5
@@ -222,7 +241,7 @@ def test_pi_wperp_prefers_outgoing_mass():
 
 def test_pi_wperp_no_data_uniform():
     p = m1_product()
-    learner = init_learner(p, LearnerConfig(seed=0, epsilon=0.0))
+    learner = WinningLearner(p, LearnerConfig(seed=0, epsilon=0.0))
     dist = learner.pi_wperp(p.initial)
     assert dist["a"] == pytest.approx(0.5)
     assert dist["b"] == pytest.approx(0.5)
@@ -230,7 +249,7 @@ def test_pi_wperp_no_data_uniform():
 
 def test_pi_ex_dispatches_on_boundary():
     p = m1_product()
-    learner = init_learner(p, LearnerConfig(seed=0))
+    learner = WinningLearner(p, LearnerConfig(seed=0))
     i0 = p.initial
     mid = doomed_m1_state(p)
     observe(learner, i0, "a", 0, i0)
@@ -247,7 +266,7 @@ def test_pi_ex_dispatches_on_boundary():
 
 def test_pi_ex_outside_region_raises():
     p = m1_product()
-    learner = init_learner(p, LearnerConfig(seed=0))
+    learner = WinningLearner(p, LearnerConfig(seed=0))
     with pytest.raises(NoAllowedAction):
         learner.pi_ex(next(iter(p.accepting)))
 
@@ -320,6 +339,25 @@ def test_grid4_reaches_full_agreement():
     assert set(res.store.pairs()) <= set(res.w_p)
 
 
+def test_grid4_incremental_sets_match_reference():
+    """debug_checks re-derives W^k, W_p^k and the boundary every episode."""
+    p = grid4_product(5)
+    cfg = LearnerConfig(seed=7, episode_budget=300, step_cap=60,
+                        debug_checks=True)
+    res = run_algorithm1(p, cfg)
+    assert res.episodes == 300 and res.monotone_violations == 0
+    assert len(res.w_p) < sum(len(p.enabled(i)) for i in range(p.n_states)
+                              if i not in p.accepting)
+
+
+def test_consistency_check_flags_boundary_drift():
+    p, learner, _, _ = exit_learner()
+    learner._check_consistency()
+    learner._dw.add(p.initial)
+    with pytest.raises(AssertionError, match="boundary"):
+        learner._check_consistency()
+
+
 def test_runs_are_deterministic_per_seed():
     p = m1_product()
     cfg = LearnerConfig(alpha=0.2, episode_budget=60, step_cap=20, seed=11)
@@ -352,7 +390,7 @@ def test_ind_k_values():
 def test_policies_stay_valid_during_learning():
     p = grid4_product(5)
     cfg = LearnerConfig(seed=13, episode_budget=300, step_cap=40)
-    learner = init_learner(p, cfg)
+    learner = WinningLearner(p, cfg)
     for _ in range(300):
         learner.run_episode()
     rng = np.random.default_rng(0)
