@@ -6,8 +6,8 @@ from .errors import (
     SmdpsynthError, LtlSyntaxError, UnknownToken, CapacityExceeded, EmptyCycle,
     UnknownState, ActionNotEnabled, ConfigError, AlphabetMismatch,
     UntrackedPair, UntrackedTriple, MomentUndefined, EmptyWinningCandidate,
-    NoAllowedAction, NonfiniteRisk, EmptyPredictiveRow, PolicyLeavesW,
-    DomainGap,
+    NoAllowedAction, NonfiniteRisk, EmptyPredictiveRow, InvalidRiskModel,
+    NotConverged, PolicyLeavesW, DomainGap,
 )
 from .ltl import (
     Formula, TRUE, FALSE, atom, lnot, land, lor, implies, nxt, until,

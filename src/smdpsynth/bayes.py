@@ -24,12 +24,15 @@ class ObservationStore:
     Only aggregates are kept: successor counts and per-successor dwell
     counts and sums, maintained incrementally. A whole pair's data can be
     dropped in O(1), which is how the learner keeps observations restricted
-    to its current winning-pair estimate.
+    to its current winning-pair estimate. The pairs appended to or dropped
+    since the last `take_touched` call are recorded, so posteriors built
+    from the store can be refreshed row by row.
     """
 
     def __init__(self):
         self._by_pair = {}            # (s, a) -> {"succ", "dwell"}
         self._n = 0
+        self._touched = set()
 
     def append(self, s, a, s2, tau):
         tau = float(tau)
@@ -43,15 +46,26 @@ class ObservationStore:
         agg[0] += 1
         agg[1] += tau
         self._n += 1
+        self._touched.add((s, a))
 
     def drop_pair(self, s, a):
         """Forget every observation of the pair."""
         b = self._by_pair.pop((s, a), None)
         if b is not None:
             self._n -= sum(b["succ"].values())
+        self._touched.add((s, a))
+
+    def take_touched(self):
+        """Pairs appended to or dropped since the last call; clears the
+        record."""
+        touched, self._touched = self._touched, set()
+        return touched
 
     def __len__(self):
         return self._n
+
+    def __contains__(self, pair):
+        return pair in self._by_pair
 
     def pairs(self):
         return set(self._by_pair)
@@ -157,6 +171,32 @@ def update_posteriors(store: ObservationStore, pairs, support=None,
             n, total = dwell[key].get(s2, (0, 0.0))
             gamma_table[(key[0], key[1], s2)] = (a0 + n, b0 + total)
     return DirichletPosterior(dir_table), GammaPosterior(gamma_table)
+
+
+def splice_posteriors(tpost: DirichletPosterior, dpost: GammaPosterior,
+                      fresh, keys, live):
+    """Replace the rows `keys` of (tpost, dpost), in place, by their rows in
+    `fresh`, an update_posteriors result over the data of those rows.
+
+    A key that `fresh` lacks has no data left: it keeps the empty-candidate
+    row a full rebuild gives it while it is in `live` (its pool still has a
+    member), and is dropped otherwise. The other rows stay as they are.
+    """
+    ftable, gtable = fresh[0]._table, fresh[1]._table
+    for key in keys:
+        old = tpost._table.pop(key, None)
+        if old is not None:
+            for s2 in old[0]:
+                del dpost._table[(key[0], key[1], s2)]
+        row = ftable.get(key)
+        if row is None:
+            if key in live:
+                tpost._table[key] = ((), np.array([], dtype=float))
+            continue
+        tpost._table[key] = row
+        for s2 in row[0]:
+            triple = (key[0], key[1], s2)
+            dpost._table[triple] = gtable[triple]
 
 
 def predictive_transition(post: DirichletPosterior, s, a) -> np.ndarray:

@@ -69,6 +69,21 @@ class EmptyPredictiveRow(SmdpsynthError):
     """A winning pair's predictive row has no mass inside the region."""
 
 
+class InvalidRiskModel(SmdpsynthError, ValueError):
+    """A risk model's discount, actions or rows are malformed."""
+
+
+class NotConverged(SmdpsynthError):
+    """An iterative solver hit its sweep cap before its stopping rule held.
+    Carries the solver's name and the last sup-norm residual."""
+
+    def __init__(self, solver, residual, sweeps):
+        super().__init__(f"{solver} did not converge in {sweeps} sweeps "
+                         f"(last residual {residual:.3g})")
+        self.solver = solver
+        self.residual = residual
+
+
 class PolicyLeavesW(SmdpsynthError):
     """Policy evaluation found a transition leaving the safe region."""
 

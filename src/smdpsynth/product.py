@@ -8,8 +8,13 @@ from collections import deque
 import numpy as np
 
 from .automata import Dkcba
-from .errors import ActionNotEnabled, AlphabetMismatch, UnknownState
+from .errors import (
+    ActionNotEnabled, AlphabetMismatch, NotConverged, UnknownState,
+)
 from .smdp import Smdp, sample_step
+
+# sweeps after which max-reach value iteration gives up with NotConverged
+MAX_SWEEPS = 100_000
 
 
 class ProductSmdp:
@@ -177,7 +182,8 @@ def exact_max_reach_probability(p: ProductSmdp, target) -> np.ndarray:
     """max_pi Pr(reach target from each state), by value iteration.
 
     Target states are pinned at 1; iteration stops when the sup-norm
-    residual drops below 1e-12.
+    residual drops below 1e-12, and raises NotConverged after MAX_SWEEPS
+    sweeps.
     """
     target = set(target)
     for i in target:
@@ -191,7 +197,7 @@ def exact_max_reach_probability(p: ProductSmdp, target) -> np.ndarray:
     for i, a, succs, probs in rows:
         by_state.setdefault(i, []).append((list(succs), probs))
 
-    while True:
+    for _ in range(MAX_SWEEPS):
         residual = 0.0
         for i, options in by_state.items():
             best = max(float(probs @ v[succs]) for succs, probs in options)
@@ -199,6 +205,7 @@ def exact_max_reach_probability(p: ProductSmdp, target) -> np.ndarray:
             v[i] = best
         if residual < 1e-12:
             return v
+    raise NotConverged("max-reach value iteration", residual, MAX_SWEEPS)
 
 
 def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:

@@ -19,10 +19,13 @@ import numpy as np
 from .bayes import MeanPlusSigma, predictive_dwell, predictive_successors, \
     predictive_transition, risk_of
 from .errors import (
-    DomainGap, EmptyPredictiveRow, NoAllowedAction, NonfiniteRisk,
-    PolicyLeavesW,
+    DomainGap, EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction,
+    NonfiniteRisk, NotConverged, PolicyLeavesW,
 )
 from .product import ProductSmdp
+
+# sweeps after which risk value iteration gives up with NotConverged
+MAX_SWEEPS = 100_000
 
 
 @dataclass
@@ -37,16 +40,17 @@ class RiskModel:
 
     def __post_init__(self):
         if not 0 <= self.gamma_r < 1:
-            raise ValueError(f"gamma_r must be in [0,1), got {self.gamma_r}")
+            raise InvalidRiskModel(
+                f"gamma_r must be in [0,1), got {self.gamma_r}")
         for i, acts in self.allowed.items():
             if not acts:
-                raise ValueError(f"state {i} has no allowed action")
+                raise InvalidRiskModel(f"state {i} has no allowed action")
         for (i, a), (succs, probs) in self.trans.items():
             if abs(sum(probs) - 1.0) > 1e-9:
-                raise ValueError(f"row ({i},{a}) does not sum to one")
+                raise InvalidRiskModel(f"row ({i},{a}) does not sum to one")
             for j in succs:
                 if j not in self.allowed:
-                    raise ValueError(
+                    raise InvalidRiskModel(
                         f"row ({i},{a}) leaves the winning region")
 
 
@@ -153,7 +157,8 @@ class RiskQ:
 
 def risk_value_iteration(rm: RiskModel, tol=1e-9) -> RiskQ:
     """Iterate Q(s,a) = sum_j T(j|s,a) (risk(s,a,j) + g_r min_a' Q(j,a'))
-    to a sup-norm residual below tol."""
+    to a sup-norm residual below tol; raises NotConverged after MAX_SWEEPS
+    sweeps."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     for key, r in rm.risks.items():
@@ -162,7 +167,7 @@ def risk_value_iteration(rm: RiskModel, tol=1e-9) -> RiskQ:
     q = {pair: 0.0 for pair in rm.trans}
     best = {i: 0.0 for i in rm.allowed}
     residuals = []
-    while True:
+    for _ in range(MAX_SWEEPS):
         residual = 0.0
         for (i, a), (succs, probs) in rm.trans.items():
             v = 0.0
@@ -176,6 +181,7 @@ def risk_value_iteration(rm: RiskModel, tol=1e-9) -> RiskQ:
         if residual < tol:
             return RiskQ(q=q, residual=residual, iterations=len(residuals),
                          residuals=residuals)
+    raise NotConverged("risk value iteration", residual, MAX_SWEEPS)
 
 
 def extract_pi_win(rm: RiskModel, rq: RiskQ) -> dict:

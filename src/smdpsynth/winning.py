@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bayes import (
-    ObservationStore, dwell_entropy, predictive_successors,
-    predictive_transition, transition_entropy, update_posteriors,
+    DirichletPosterior, GammaPosterior, ObservationStore, dwell_entropy,
+    predictive_successors, predictive_transition, splice_posteriors,
+    transition_entropy, update_posteriors,
 )
 from .errors import EmptyWinningCandidate, NoAllowedAction, UntrackedPair
 from .product import ProductSmdp, sample_product_step
@@ -41,12 +42,19 @@ class _IndexedSet:
             self._items.append(x)
 
     def discard(self, x):
+        """Remove x by moving the last item into its slot; returns the
+        moved item, or None when nothing moved."""
         i = self._pos.pop(x, None)
         if i is not None:
             last = self._items.pop()
             if last != x:
                 self._items[i] = last
                 self._pos[last] = i
+                return last
+        return None
+
+    def index(self, x):
+        return self._pos[x]
 
     def choice(self, rng):
         return self._items[int(rng.integers(len(self._items)))]
@@ -150,6 +158,11 @@ class WinningLearner:
     are never read. Observations are stored per product pair (and dropped
     with the pair when it leaves W_p^k) but pooled per model pair for the
     posterior, since product copies of a model state share its dynamics.
+
+    A refresh re-folds only the dirty pools: those whose data changed, and
+    the pool of a pair that a removal moved within W_p^k. A pool sums its
+    dwell times in W_p^k order, so the move changes that pool's sums in
+    the last bit even though its data did not change.
     """
 
     def __init__(self, p: ProductSmdp, cfg: LearnerConfig, oracle_w_p=None):
@@ -190,10 +203,19 @@ class WinningLearner:
         # starts draw from here so coverage is targeted, not accidental
         self._under = _IndexedSet(self.w_p) if cfg.min_tries > 0 \
             else _IndexedSet()
-        self.tpost = None
-        self.dpost = None
-        # exploration scores are cached until the posterior or the region
-        # estimate changes; _gen stamps every cache entry
+        # per pool (model pair): its number of W_p^k members and the members
+        # holding data; the pools in _dirty are re-folded on refresh
+        self._pool_size = {}
+        for pair in self.w_p:
+            key = self._pool(pair)
+            self._pool_size[key] = self._pool_size.get(key, 0) + 1
+        self._holders = {}
+        self._dirty = set(self._pool_size)
+        self.tpost = DirichletPosterior({})
+        self.dpost = GammaPosterior({})
+        # entropy scores are cached per model pair until its posterior row
+        # changes; out scores also depend on W^k, so _gen stamps them and
+        # moves on every refresh and every removal
         self._gen = 0
         self._ent_cache = {}
         self._out_cache = {}
@@ -234,7 +256,13 @@ class WinningLearner:
     def _remove_pair(self, pair):
         """Pair's Q fell below zero: leaves W_p, maybe drags its state out."""
         self._gen += 1
-        self.w_p.discard(pair)
+        moved = self.w_p.discard(pair)
+        key = self._pool(pair)
+        self._pool_size[key] -= 1
+        self._dirty.add(key)
+        # the swap-delete reordered the moved pair within its pool
+        if moved is not None and moved in self.store:
+            self._dirty.add(self._pool(moved))
         self._under.discard(pair)
         self._drop_out_pair(pair)
         self.store.drop_pair(*pair)
@@ -252,11 +280,34 @@ class WinningLearner:
             if pair in self.w_p:
                 self._add_out_pair(pair)
 
+    def _pool(self, pair):
+        return self.p.states[pair[0]][0], pair[1]
+
     def _refresh_posteriors(self):
-        self.tpost, self.dpost = update_posteriors(
-            self.store, list(self.w_p),
-            pool=lambda pair: (self.p.states[pair[0]][0], pair[1]))
+        """Re-fold the dirty pools from their data-bearing members, in
+        W_p^k order, and splice the rows into the posteriors: the same
+        posteriors a full rebuild over W_p^k gives, bit for bit."""
+        for pair in self.store.take_touched():
+            key = self._pool(pair)
+            self._dirty.add(key)
+            holders = self._holders.setdefault(key, set())
+            if pair in self.store:
+                holders.add(pair)
+            else:
+                holders.discard(pair)
+        keys = sorted(self._dirty)
+        self._dirty.clear()
+        fold = [pair for key in keys
+                for pair in sorted(self._holders.get(key, ()),
+                                   key=self.w_p.index)]
+        fresh = update_posteriors(self.store, fold, pool=self._pool)
+        live = {key for key in keys if self._pool_size[key]}
+        splice_posteriors(self.tpost, self.dpost, fresh, keys, live)
+        for key in keys:
+            self._ent_cache.pop(key, None)
         self._gen += 1
+        if self.cfg.debug_checks:
+            self._check_posteriors()
 
     # --- exploration policies ------------------------------------------------
 
@@ -269,8 +320,8 @@ class WinningLearner:
     def _ent_score(self, s, a):
         """Posterior entropy of a model pair; huge bonus when unexplored."""
         hit = self._ent_cache.get((s, a))
-        if hit is not None and hit[0] == self._gen:
-            return hit[1]
+        if hit is not None:
+            return hit
         try:
             h = transition_entropy(self.tpost, s, a)
             cands = predictive_successors(self.tpost, s, a)
@@ -278,7 +329,7 @@ class WinningLearner:
                      for c in cands) / len(cands)
         except UntrackedPair:
             h = UNSEEN_SCORE
-        self._ent_cache[(s, a)] = (self._gen, h)
+        self._ent_cache[(s, a)] = h
         return h
 
     def _out_score(self, i, a):
@@ -416,6 +467,19 @@ class WinningLearner:
             raise AssertionError("boundary out of sync with observations")
         if not self.store.pairs() <= w_p:
             raise AssertionError("retained data outside W_p")
+
+    def _check_posteriors(self):
+        """Compare the spliced posteriors with a full rebuild over W_p^k:
+        the same rows, candidates, concentrations and Gamma parameters.
+        Raises AssertionError explicitly, so the check also runs under
+        `python -O`."""
+        tref, dref = update_posteriors(self.store, list(self.w_p),
+                                       pool=self._pool)
+        if self.tpost.to_json_dict() != tref.to_json_dict():
+            raise AssertionError("transition posterior differs from a full "
+                                 "rebuild")
+        if self.dpost.to_json_dict() != dref.to_json_dict():
+            raise AssertionError("dwell posterior differs from a full rebuild")
 
     def run(self):
         while self.episodes < self.cfg.episode_budget:

@@ -83,6 +83,19 @@ def test_negative_dwell_rejected():
         store.append(0, "a", 1, -0.5)
 
 
+def test_store_hands_over_touched_pairs():
+    store = ObservationStore()
+    store.append(0, "a", 1, 0.5)
+    store.append(0, "a", 2, 0.5)
+    store.append(1, "b", 1, 0.5)
+    assert store.take_touched() == {(0, "a"), (1, "b")}
+    assert store.take_touched() == set()
+    store.drop_pair(0, "a")
+    store.drop_pair(3, "a")
+    assert store.take_touched() == {(0, "a"), (3, "a")}
+    assert (0, "a") not in store and (1, "b") in store
+
+
 def test_predictive_rows_are_distributions():
     rng = np.random.default_rng(9)
     store = ObservationStore()

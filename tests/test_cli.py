@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import smdpsynth.product
 from smdpsynth import desk_config
 from smdpsynth.cli import main
 
@@ -71,6 +72,15 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     path.write_text(json.dumps({"formula": "G !c", "episodes": 3}))
     assert main(["run", str(path)]) == 2
     assert "unknown config fields" in capsys.readouterr().err
+
+
+def test_unconverged_solver_returns_error_code(tmp_path, capsys,
+                                              monkeypatch):
+    cfg_file = _small_config_file(tmp_path)
+    monkeypatch.setattr(smdpsynth.product, "MAX_SWEEPS", 1)
+    assert main(["oracle", cfg_file, "--out", str(tmp_path / "o")]) == 2
+    assert "error: max-reach value iteration did not converge" \
+        in capsys.readouterr().err
 
 
 def test_check_battery_passes(capsys):

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import smdpsynth.product
 from smdpsynth import (
-    AlphabetMismatch, Exponential, OmegaAutomaton, Smdp, build_pipeline,
-    desk_config, determinize_kcba, ltl_to_cba, parse_ltl,
+    AlphabetMismatch, Exponential, NotConverged, OmegaAutomaton, Smdp,
+    build_pipeline, desk_config, determinize_kcba, ltl_to_cba, parse_ltl,
 )
 from smdpsynth.product import (
     build_product, exact_max_reach_probability, exact_winning_region,
@@ -209,6 +210,16 @@ def test_reach_probability_on_target_is_one():
     v = exact_max_reach_probability(p, w)
     assert all(v[i] == 1.0 for i in w)
     assert np.all(v >= 0.0) and np.all(v <= 1.0)
+
+
+def test_reach_probability_sweep_cap(monkeypatch):
+    p = grid4_product(K=5)
+    w, _ = exact_winning_region(p)
+    monkeypatch.setattr(smdpsynth.product, "MAX_SWEEPS", 1)
+    with pytest.raises(NotConverged, match="max-reach") as err:
+        exact_max_reach_probability(p, w)
+    assert err.value.solver == "max-reach value iteration"
+    assert err.value.residual >= 1e-12
 
 
 def test_reach_probability_one_step_closed_form():

@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+import smdpsynth.risk
 from smdpsynth import (
-    DomainGap, EmptyPredictiveRow, Exponential, LearnerConfig, MeanPlusSigma,
-    MomentUndefined, NoAllowedAction, NonfiniteRisk, ObservationStore,
-    PolicyLeavesW, Quantile, Smdp, SmdpsynthError, exact_winning_region,
-    run_algorithm1, update_posteriors,
+    DomainGap, EmptyPredictiveRow, Exponential, InvalidRiskModel,
+    LearnerConfig, MeanPlusSigma, MomentUndefined, NoAllowedAction,
+    NonfiniteRisk, NotConverged, ObservationStore, PolicyLeavesW, Quantile,
+    Smdp, SmdpsynthError, exact_winning_region, run_algorithm1,
+    update_posteriors,
 )
 from smdpsynth.bayes import DirichletPosterior, GammaPosterior
 from smdpsynth.product import build_product
@@ -58,6 +60,20 @@ def test_risk_model_validation():
                   allowed={0: ("a",)}, gamma_r=0.9)
 
 
+def test_risk_model_validation_errors_are_typed():
+    bad = [dict(trans={}, risks={}, allowed={0: ("a",)}, gamma_r=1.0),
+           dict(trans={}, risks={}, allowed={0: ()}),
+           dict(trans={(0, "a"): ((0,), (0.5,))}, risks={},
+                allowed={0: ("a",)}),
+           dict(trans={(0, "a"): ((7,), (1.0,))}, risks={},
+                allowed={0: ("a",)})]
+    for kwargs in bad:
+        with pytest.raises(InvalidRiskModel) as err:
+            RiskModel(**kwargs)
+        assert isinstance(err.value, SmdpsynthError)
+        assert isinstance(err.value, ValueError)
+
+
 # --- value iteration --------------------------------------------------------
 
 def test_vi_self_loop_geometric():
@@ -65,6 +81,13 @@ def test_vi_self_loop_geometric():
     assert rq.q[(0, "a")] == pytest.approx(10.0, abs=2e-8)
     assert rq.residual < 1e-9
     assert rq.iterations == len(rq.residuals) >= 1
+
+
+def test_vi_sweep_cap(monkeypatch):
+    monkeypatch.setattr(smdpsynth.risk, "MAX_SWEEPS", 1)
+    with pytest.raises(NotConverged, match="risk value iteration") as err:
+        risk_value_iteration(loop1())
+    assert err.value.residual == 1.0
 
 
 def test_vi_two_arms_and_greedy():

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from smdpsynth import (
     EmptyWinningCandidate, Exponential, LearnerConfig, NoAllowedAction, Smdp,
-    WinningLearner, boundary, determinize_kcba, exact_winning_region, ind_k,
-    ltl_to_cba, parse_ltl, run_algorithm1, softmax_policy,
+    WinningLearner, boundary, build_pipeline, determinize_kcba,
+    exact_winning_region, ind_k, ltl_to_cba, paper_config, parse_ltl,
+    run_algorithm1, softmax_policy,
 )
 from smdpsynth.product import build_product
 
@@ -348,6 +351,50 @@ def test_grid4_incremental_sets_match_reference():
     assert res.episodes == 300 and res.monotone_violations == 0
     assert len(res.w_p) < sum(len(p.enabled(i)) for i in range(p.n_states)
                               if i not in p.accepting)
+
+
+def test_paper_preset_refreshes_match_full_rebuild():
+    """debug_checks compares every incremental refresh with a full rebuild;
+    the paper preset has about 224 product copies per model pair."""
+    cfg = paper_config()
+    _, p = build_pipeline(cfg)
+    lc = dataclasses.replace(cfg.learner_config(5), episode_budget=40,
+                             debug_checks=True)
+    res = run_algorithm1(p, lc)
+    assert res.episodes == 40 and res.monotone_violations == 0
+    assert len(res.store) > 0
+
+
+def test_refresh_refolds_pool_reordered_by_removal():
+    """Removing a pair moves the last W_p pair into its slot. The moved
+    pair's pool gained no data, but it now sums its dwell times in another
+    order, so it must be re-folded to match a full rebuild."""
+    p = grid4_product(5)
+    learner = WinningLearner(p, LearnerConfig(seed=0, debug_checks=True))
+    pool = learner._pool
+    items = list(learner.w_p)
+    last = items[-1]
+    first, second = [x for x in items[:-1] if pool(x) == pool(last)][:2]
+    victim = next(x for x in items[:items.index(first)]
+                  if pool(x) != pool(last))
+    s, a = pool(last)
+    s2 = next(c for c in range(p.m.n_states) if p.lift(last[0], c) is not None
+              and all(p.lift(i, c) is not None for i, _ in (first, second)))
+    # 0.1 + 0.1 + 1.1 and 1.1 + 0.1 + 0.1 differ in the last bit, and so
+    # do the Gamma rates 1 + each
+    for (i, _), tau in ((first, 0.1), (second, 0.1), (last, 1.1)):
+        observe(learner, i, a, s2, p.lift(i, s2), tau)
+    learner._refresh_posteriors()
+    before = learner.dpost.params(s, a, s2)
+    assert before == (5.0, 1.0 + (0.1 + 0.1 + 1.1))
+
+    learner.q[victim] = -0.5
+    learner._remove_pair(victim)
+    assert learner.w_p.index(last) < learner.w_p.index(first)
+    learner._refresh_posteriors()
+    after = learner.dpost.params(s, a, s2)
+    assert after == (5.0, 1.0 + (1.1 + 0.1 + 0.1))
+    assert after != before
 
 
 def test_consistency_check_flags_boundary_drift():
