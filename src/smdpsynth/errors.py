@@ -70,7 +70,8 @@ class EmptyPredictiveRow(SmdpsynthError):
 
 
 class InvalidRiskModel(SmdpsynthError, ValueError):
-    """A risk model's discount, actions or rows are malformed."""
+    """A risk model's discount, actions or rows are malformed, or a risk
+    solver got a discount or tolerance out of range."""
 
 
 class NotConverged(SmdpsynthError):

@@ -181,9 +181,11 @@ def exact_winning_region(p: ProductSmdp):
 def exact_max_reach_probability(p: ProductSmdp, target) -> np.ndarray:
     """max_pi Pr(reach target from each state), by value iteration.
 
-    Target states are pinned at 1; iteration stops when the sup-norm
-    residual drops below 1e-12, and raises NotConverged after MAX_SWEEPS
-    sweeps.
+    Target states are pinned at 1. Each sweep is a Jacobi update: every
+    non-target row is evaluated against the previous sweep's values, then
+    each state takes the maximum over its rows. Iteration stops when the
+    sup-norm residual drops below 1e-12, and raises NotConverged after
+    MAX_SWEEPS sweeps.
     """
     target = set(target)
     for i in target:
@@ -191,21 +193,49 @@ def exact_max_reach_probability(p: ProductSmdp, target) -> np.ndarray:
     v = np.zeros(p.n_states)
     for i in target:
         v[i] = 1.0
-    rows = [(i, a, succs, np.asarray(probs))
-            for (i, a), (succs, probs) in p._rows.items() if i not in target]
     by_state = {}
-    for i, a, succs, probs in rows:
-        by_state.setdefault(i, []).append((list(succs), probs))
+    for (i, a), row in p._rows.items():
+        if i not in target:
+            by_state.setdefault(i, []).append(row)
+    states = np.fromiter(by_state, dtype=np.intp, count=len(by_state))
+    rows = [row for options in by_state.values() for row in options]
+    starts = np.cumsum([0] + [len(o) for o in by_state.values()])[:-1]
+    succ, prob = _pack_rows([s for s, _ in rows], [pr for _, pr in rows])
 
     for _ in range(MAX_SWEEPS):
-        residual = 0.0
-        for i, options in by_state.items():
-            best = max(float(probs @ v[succs]) for succs, probs in options)
-            residual = max(residual, abs(best - v[i]))
-            v[i] = best
+        vals = np.zeros(len(rows))
+        for k in range(len(succ)):
+            vals += prob[k] * v[succ[k]]
+        best = np.maximum.reduceat(vals, starts)
+        residual = float(np.max(np.abs(best - v[states]), initial=0.0))
+        v[states] = best
         if residual < 1e-12:
             return v
     raise NotConverged("max-reach value iteration", residual, MAX_SWEEPS)
+
+
+def _pack_rows(succs, *values):
+    """Column-major padded arrays for rows of varying length.
+
+    `succs` holds one sequence of successor indices per row; each of
+    `values` holds one equal-length sequence of floats per row
+    (probabilities, risks). Returns one array of shape (width, n_rows) for
+    each, width being the longest row, so a sweep accumulates column k of
+    every row at once, in the same left-to-right order as a loop over the
+    row. Padding is index 0 with value 0.0: with the probability among
+    `values`, a padded entry adds exactly 0.0 to its row's sum.
+    """
+    n = len(succs)
+    lens = np.fromiter(map(len, succs), dtype=np.intp, count=n)
+    width = int(lens.max(initial=0))
+    col = np.repeat(np.arange(n), lens)
+    pos = np.arange(col.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    packed = []
+    for seqs, dtype in [(succs, np.intp)] + [(vs, float) for vs in values]:
+        arr = np.zeros((width, n), dtype=dtype)
+        arr[pos, col] = [x for seq in seqs for x in seq]
+        packed.append(arr)
+    return packed
 
 
 def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
@@ -224,14 +254,18 @@ def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
         a = policy[i] if hasattr(policy, "__getitem__") else policy(i)
         succ_of[i] = p.trans_row(i, a)
 
+    # backward search from the target over the policy's predecessor lists
+    preds = {}
+    for i, (succs, _) in succ_of.items():
+        for j in succs:
+            preds.setdefault(j, []).append(i)
     can = set(target)
-    changed = True
-    while changed:
-        changed = False
-        for i, (succs, probs) in succ_of.items():
-            if i not in can and any(j in can for j in succs):
+    stack = list(target)
+    while stack:
+        for i in preds.get(stack.pop(), ()):
+            if i not in can:
                 can.add(i)
-                changed = True
+                stack.append(i)
 
     unknown = sorted(can - target)
     pos = {i: k for k, i in enumerate(unknown)}

@@ -22,7 +22,7 @@ from .errors import (
     DomainGap, EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction,
     NonfiniteRisk, NotConverged, PolicyLeavesW,
 )
-from .product import ProductSmdp
+from .product import ProductSmdp, _pack_rows
 
 # sweeps after which risk value iteration gives up with NotConverged
 MAX_SWEEPS = 100_000
@@ -112,7 +112,8 @@ def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
     def row(i, a):
         succs, probs = p.trans_row(i, a)
         if any(j not in w for j in succs):
-            raise ValueError(f"pair ({i},{a}) leaves the winning region")
+            raise InvalidRiskModel(
+                f"pair ({i},{a}) leaves the winning region")
         return tuple(succs), tuple(probs)
 
     return _assemble(p, w, w_p, row, risk_fn, gamma_r, {})
@@ -158,29 +159,43 @@ class RiskQ:
 def risk_value_iteration(rm: RiskModel, tol=1e-9) -> RiskQ:
     """Iterate Q(s,a) = sum_j T(j|s,a) (risk(s,a,j) + g_r min_a' Q(j,a'))
     to a sup-norm residual below tol; raises NotConverged after MAX_SWEEPS
-    sweeps."""
+    sweeps.
+
+    Each sweep updates every pair from the previous sweep's state minima
+    (Jacobi), as array operations over the packed rows.
+    """
     if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise InvalidRiskModel(f"tol must be positive, got {tol}")
     for key, r in rm.risks.items():
         if not math.isfinite(r):
             raise NonfiniteRisk(f"risk of {key} is {r!r}")
-    q = {pair: 0.0 for pair in rm.trans}
-    best = {i: 0.0 for i in rm.allowed}
+    pairs = list(rm.trans)
+    state_of = {i: k for k, i in enumerate(rm.allowed)}
+    pair_of = {pair: k for k, pair in enumerate(pairs)}
+    # pairs regrouped by state in allowed order, for the per-state minimum
+    order = np.array([pair_of[(i, a)] for i, acts in rm.allowed.items()
+                      for a in acts], dtype=np.intp)
+    starts = np.cumsum([0] + [len(acts) for acts in rm.allowed.values()])[:-1]
+    rows = list(rm.trans.values())
+    succ, prob, risk = _pack_rows(
+        [[state_of[j] for j in succs] for succs, _ in rows],
+        [probs for _, probs in rows],
+        [[rm.risks[(i, a, j)] for j in succs]
+         for (i, a), (succs, _) in zip(pairs, rows)])
+    q = np.zeros(len(pairs))
+    best = np.zeros(len(state_of))
     residuals = []
     for _ in range(MAX_SWEEPS):
-        residual = 0.0
-        for (i, a), (succs, probs) in rm.trans.items():
-            v = 0.0
-            for j, pr in zip(succs, probs):
-                v += pr * (rm.risks[(i, a, j)] + rm.gamma_r * best[j])
-            residual = max(residual, abs(v - q[(i, a)]))
-            q[(i, a)] = v
-        for i, acts in rm.allowed.items():
-            best[i] = min(q[(i, a)] for a in acts)
+        new = np.zeros(len(pairs))
+        for k in range(len(succ)):
+            new += prob[k] * (risk[k] + rm.gamma_r * best[succ[k]])
+        residual = float(np.max(np.abs(new - q), initial=0.0))
+        q = new
+        best = np.minimum.reduceat(q[order], starts)
         residuals.append(residual)
         if residual < tol:
-            return RiskQ(q=q, residual=residual, iterations=len(residuals),
-                         residuals=residuals)
+            return RiskQ(q=dict(zip(pairs, q.tolist())), residual=residual,
+                         iterations=len(residuals), residuals=residuals)
     raise NotConverged("risk value iteration", residual, MAX_SWEEPS)
 
 
@@ -219,7 +234,7 @@ def evaluate_policy_risk(p: ProductSmdp, pi, risk, gamma_r) -> dict:
     chosen action has successor mass outside the policy's domain.
     """
     if not 0 <= gamma_r < 1:
-        raise ValueError(f"gamma_r must be in [0,1), got {gamma_r}")
+        raise InvalidRiskModel(f"gamma_r must be in [0,1), got {gamma_r}")
     states = sorted(pi)
     idx = {i: k for k, i in enumerate(states)}
     n = len(states)

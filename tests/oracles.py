@@ -306,3 +306,47 @@ def risk_value_of_policy(rows, policy, gamma, states):
             A[idx[s], idx[y]] -= gamma * p
     sol = np.linalg.solve(A, b)
     return {s: sol[idx[s]] for s in states}
+
+
+# --- scalar value iterations ---------------------------------------------------
+
+def risk_value_iteration_scalar(rm, tol=1e-9):
+    """Risk VI as one scalar loop per pair: the reference the library's
+    array sweeps must match bit for bit. Returns (q, residuals)."""
+    q = {pair: 0.0 for pair in rm.trans}
+    best = {i: 0.0 for i in rm.allowed}
+    residuals = []
+    while not residuals or residuals[-1] >= tol:
+        residual = 0.0
+        for (i, a), (succs, probs) in rm.trans.items():
+            v = 0.0
+            for j, pr in zip(succs, probs):
+                v += pr * (rm.risks[(i, a, j)] + rm.gamma_r * best[j])
+            residual = max(residual, abs(v - q[(i, a)]))
+            q[(i, a)] = v
+        for i, acts in rm.allowed.items():
+            best[i] = min(q[(i, a)] for a in acts)
+        residuals.append(residual)
+    return q, residuals
+
+
+def max_reach_gauss_seidel(p, target):
+    """max_pi Pr(reach target) by in-place (Gauss-Seidel) value iteration
+    over the product's rows, one state at a time, to a residual below
+    1e-12."""
+    target = set(target)
+    v = np.zeros(p.n_states)
+    for i in target:
+        v[i] = 1.0
+    by_state = {}
+    for (i, a), (succs, probs) in p._rows.items():
+        if i not in target:
+            by_state.setdefault(i, []).append((list(succs), np.asarray(probs)))
+    residual = 1.0
+    while residual >= 1e-12:
+        residual = 0.0
+        for i, options in by_state.items():
+            best = max(float(probs @ v[succs]) for succs, probs in options)
+            residual = max(residual, abs(best - v[i]))
+            v[i] = best
+    return v

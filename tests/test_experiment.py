@@ -12,9 +12,12 @@ import pytest
 from smdpsynth import (
     ConfigError, ExperimentConfig, MeanPlusSigma, ObservationStore, Quantile,
     build_pipeline, config_fingerprint, desk_config, exact_winning_region,
-    export_sample_paths, paper_config, parse_functional, run_experiment,
-    top_up_observations,
+    export_sample_paths, oracle_reference, paper_config, parse_functional,
+    run_experiment, top_up_observations,
 )
+from smdpsynth.experiment import true_risk_fn
+from smdpsynth.product import policy_reach_probability
+from smdpsynth.risk import risk_model_from_product, risk_value_iteration
 
 from conftest import grid4_product
 
@@ -79,6 +82,27 @@ def test_paper_preset_scales_up():
     cfg = paper_config()
     assert cfg.k == 20
     assert cfg.scenario["grid"]["width"] == 5
+
+
+def test_paper_preset_oracle():
+    """The paper preset's exact solvers: region sizes, reach probability
+    and risk VI convergence, and the greedy transient policy attaining the
+    optimal reach probability."""
+    cfg = paper_config()
+    p = build_pipeline(cfg)[1]
+    functional = parse_functional(cfg.functional)
+    oracle = oracle_reference(p, functional, cfg.gamma_r)
+    w = oracle["w"]
+    assert (len(w), len(oracle["w_p"])) == (2423, 6554)
+    assert oracle["v_opt"][p.initial] == 1.0
+    rm = risk_model_from_product(p, w, oracle["w_p"],
+                                 true_risk_fn(p, functional), cfg.gamma_r)
+    rq = risk_value_iteration(rm)
+    assert rq.iterations == 270 and rq.residual < 1e-9
+    assert rq.residual == oracle["vi_residual"]
+    v = policy_reach_probability(p, oracle["pi_tr"], w)
+    transient = [i for i in range(p.n_states) if i not in w]
+    assert np.max(np.abs(v[transient] - oracle["v_opt"][transient])) <= 1e-6
 
 
 # ------------------------------------------------------------- artifacts

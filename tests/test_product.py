@@ -13,7 +13,9 @@ from smdpsynth.product import (
     policy_reach_probability, sample_product_step,
 )
 
-from conftest import grid4_model, grid4_product, m1_model, m1_product
+from conftest import (
+    grid4_model, grid4_product, m1_model, m1_product, trivial_monitor,
+)
 
 
 def safety_monitor(ap=("c",), K=0):
@@ -248,6 +250,68 @@ def test_reach_probability_matches_policy_enumeration():
     assert np.allclose(v, ref, atol=1e-9)
 
 
+def random_product(rng, n=6, actions=("x", "y")):
+    """Random model against the never-accepting monitor: each state enables
+    a prefix of `actions`, each row has one to three successors."""
+    trans, dwell = {}, {}
+    for s in range(n):
+        for a in actions[:int(rng.integers(1, len(actions) + 1))]:
+            k = int(rng.integers(1, 4))
+            succs = [int(t) for t in rng.choice(n, size=k, replace=False)]
+            trans[(s, a)] = list(zip(succs, rng.dirichlet(np.ones(k))))
+            for t in succs:
+                dwell[(s, a, t)] = Exponential(1.0)
+    m = Smdp(n, actions, trans, dwell, 0, ("c",), [0] * n)
+    return build_product(m, trivial_monitor())
+
+
+def test_max_reach_matches_gauss_seidel_reference_on_grid4():
+    from oracles import max_reach_gauss_seidel
+    p = grid4_product(K=5)
+    w, _ = exact_winning_region(p)
+    for target in (w, set(sorted(w)[:10])):
+        ref = max_reach_gauss_seidel(p, target)
+        assert np.array_equal(exact_max_reach_probability(p, target), ref)
+
+
+def test_max_reach_on_random_products():
+    """Jacobi sweeps against the Gauss-Seidel reference and the exact value
+    of policy enumeration. Both solvers stop on a sup-norm residual below
+    1e-12, which bounds the last sweep's change, not the distance to the
+    fixed point: on slowly mixing rows each ends up to about 1e-9 away."""
+    from oracles import max_reach_by_policy_enumeration, max_reach_gauss_seidel
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        p = random_product(rng)
+        size = min(p.n_states, int(rng.integers(1, 3)))
+        target = {int(t) for t in rng.choice(p.n_states, size=size,
+                                             replace=False)}
+        v = exact_max_reach_probability(p, target)
+        ref = max_reach_gauss_seidel(p, target)
+        exact = max_reach_by_policy_enumeration(
+            as_trans_dict(p), {i: p.enabled(i) for i in range(p.n_states)},
+            target, p.n_states)
+        assert np.allclose(v, ref, rtol=0, atol=1e-9)
+        assert np.allclose(v, exact, rtol=0, atol=1e-9)
+
+
+def test_max_reach_edge_targets():
+    from oracles import max_reach_gauss_seidel
+    p = grid4_product(K=5)
+    every = set(range(p.n_states))
+    assert np.array_equal(exact_max_reach_probability(p, every),
+                          np.ones(p.n_states))
+    assert np.array_equal(exact_max_reach_probability(p, set()),
+                          np.zeros(p.n_states))
+    # m1: nothing returns to the initial state once it leaves
+    p = m1_product()
+    v = exact_max_reach_probability(p, {p.initial})
+    expected = np.zeros(p.n_states)
+    expected[p.initial] = 1.0
+    assert np.array_equal(v, expected)
+    assert np.array_equal(v, max_reach_gauss_seidel(p, {p.initial}))
+
+
 def test_reach_probability_monotone_in_target():
     p = grid4_product(K=5)
     w, _ = exact_winning_region(p)
@@ -267,6 +331,30 @@ def test_policy_reach_matches_oracle():
         ref = reach_probability_under_policy(as_trans_dict(p), policy, target,
                                              p.n_states)
         assert np.allclose(v, ref, atol=1e-12)
+
+
+def test_policy_reach_bitwise_on_grid4():
+    """The backward search finds the same states as the oracle's, so the
+    linear system and its solve are the same to the bit."""
+    from oracles import reach_probability_under_policy
+    p = grid4_product(K=5)
+    w, _ = exact_winning_region(p)
+    rng = np.random.default_rng(4)
+    v_opt = exact_max_reach_probability(p, w)
+    greedy = {}
+    for i in range(p.n_states):
+        acts = p.enabled(i)
+        vals = [float(np.dot(p.trans_row(i, a)[1],
+                             v_opt[list(p.trans_row(i, a)[0])]))
+                for a in acts]
+        greedy[i] = acts[int(np.argmax(vals))]
+    uniform = {i: p.enabled(i)[int(rng.integers(len(p.enabled(i))))]
+               for i in range(p.n_states)}
+    for policy in (greedy, uniform):
+        v = policy_reach_probability(p, policy, w)
+        ref = reach_probability_under_policy(as_trans_dict(p), policy, w,
+                                             p.n_states)
+        assert np.array_equal(v, ref)
 
 
 def test_policy_reach_never_beats_optimum():

@@ -8,8 +8,8 @@ from smdpsynth import (
     DomainGap, EmptyPredictiveRow, Exponential, InvalidRiskModel,
     LearnerConfig, MeanPlusSigma, MomentUndefined, NoAllowedAction,
     NonfiniteRisk, NotConverged, ObservationStore, PolicyLeavesW, Quantile,
-    Smdp, SmdpsynthError, exact_winning_region, run_algorithm1,
-    update_posteriors,
+    Smdp, SmdpsynthError, build_pipeline, desk_config, exact_winning_region,
+    run_algorithm1, top_up_observations, update_posteriors,
 )
 from smdpsynth.bayes import DirichletPosterior, GammaPosterior
 from smdpsynth.product import build_product
@@ -165,6 +165,71 @@ def test_vi_rejects_nonfinite_risk():
         risk_value_iteration(rm)
     with pytest.raises(ValueError):
         risk_value_iteration(loop1(), tol=0.0)
+
+
+def assert_matches_scalar_reference(rm):
+    from oracles import risk_value_iteration_scalar
+    rq = risk_value_iteration(rm)
+    q, residuals = risk_value_iteration_scalar(rm)
+    assert list(rq.q.items()) == list(q.items())
+    assert all(type(v) is float for v in rq.q.values())
+    assert rq.residuals == residuals
+    assert rq.iterations == len(residuals)
+    assert rq.residual == residuals[-1]
+    return rq
+
+
+def test_vi_bitwise_on_hand_built_models():
+    assert_matches_scalar_reference(loop1())
+    assert_matches_scalar_reference(two_arms())
+    assert_matches_scalar_reference(random_risk_model(
+        np.random.default_rng(5)))
+    # pairs listed out of state order, mixed row lengths and a state with
+    # one action: the per-state minimum must regroup them
+    interleaved = RiskModel(
+        trans={(1, "y"): ((0, 2), (0.25, 0.75)), (0, "x"): ((1,), (1.0,)),
+               (2, "x"): ((2, 0, 1), (0.5, 0.125, 0.375)),
+               (1, "x"): ((1,), (1.0,))},
+        risks={(1, "y", 0): 0.3, (1, "y", 2): 1.7, (0, "x", 1): 0.1,
+               (2, "x", 2): 0.9, (2, "x", 0): 2.5, (2, "x", 1): 0.0,
+               (1, "x", 1): 1.1},
+        allowed={2: ("x",), 0: ("x",), 1: ("x", "y")}, gamma_r=0.95)
+    assert_matches_scalar_reference(interleaved)
+
+
+def test_vi_bitwise_on_desk_models():
+    """The desk oracle's model and one built from learned posteriors (a
+    short learner run topped up on the exact region)."""
+    cfg = desk_config()
+    p = build_pipeline(cfg)[1]
+    w, w_p = exact_winning_region(p)
+    rm = risk_model_from_product(p, w, w_p, true_risk(p), gamma_r=0.9)
+    assert assert_matches_scalar_reference(rm).iterations == 191
+
+    res = run_algorithm1(p, LearnerConfig(episode_budget=50, step_cap=50,
+                                          seed=1))
+    top_up_observations(p, w_p, res.store, len(res.store) + 200,
+                        np.random.default_rng(2))
+    tpost, dpost = update_posteriors(
+        res.store, sorted(w_p),
+        pool=lambda pair: (p.states[pair[0]][0], pair[1]))
+    assert_matches_scalar_reference(build_risk_model(p, w, w_p, tpost, dpost))
+
+
+def test_risk_errors_are_typed():
+    p = risky3_product()
+    w, w_p = exact_winning_region(p)
+    # both of the initial state's actions can reach the c-labeled state
+    leaving = {(p.initial, "x"), (p.initial, "y")}
+    with pytest.raises(InvalidRiskModel, match="leaves the winning region"):
+        risk_model_from_product(p, w | {p.initial}, w_p | leaving,
+                                lambda i, a, j: 1.0)
+    with pytest.raises(InvalidRiskModel, match="tol must be positive"):
+        risk_value_iteration(loop1(), tol=0.0)
+    with pytest.raises(InvalidRiskModel, match=r"gamma_r must be in \[0,1\)"):
+        evaluate_policy_risk(p, {}, lambda i, a, j: 1.0, 1.0)
+    for err_type in (SmdpsynthError, ValueError):
+        assert issubclass(InvalidRiskModel, err_type)
 
 
 # --- building the model from posteriors -----------------------------------------
