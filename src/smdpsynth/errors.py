@@ -74,6 +74,11 @@ class InvalidRiskModel(SmdpsynthError, ValueError):
     solver got a discount or tolerance out of range."""
 
 
+class InvalidDistribution(SmdpsynthError, ValueError):
+    """Weights to draw from have a NaN, infinite or negative entry, or no
+    mass."""
+
+
 class NotConverged(SmdpsynthError):
     """An iterative solver hit its sweep cap before its stopping rule held.
     Carries the solver's name and the last sup-norm residual."""

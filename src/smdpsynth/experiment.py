@@ -288,20 +288,25 @@ def export_sample_paths(p, policy, n, horizon, rng) -> list:
     policy; JSONL-ready records, header first."""
     records = [{"record": "header", "paths": n, "horizon": horizon,
                 "initial": p.initial}]
+    pick = policy.__getitem__ if hasattr(policy, "__getitem__") else policy
+    m = p.m
+    # per model state: its name and its label list
+    state_names = m.names
+    state_labels = [m.labels_of(s) for s in range(m.n_states)]
     for _ in range(n):
         i = p.initial
         s = p.states[i][0]
-        states, names = [i], [p.m.names[s]]
-        labels = [list(p.m.labels_of(s))]
+        states, names = [i], [state_names[s]]
+        labels = [list(state_labels[s])]
         actions, dwells = [], []
         for _ in range(horizon):
-            a = policy[i] if hasattr(policy, "__getitem__") else policy(i)
+            a = pick(i)
             j, tau, s2 = sample_product_step(p, i, a, rng)
             actions.append(a)
             dwells.append(float(tau))
             states.append(j)
-            names.append(p.m.names[s2])
-            labels.append(list(p.m.labels_of(s2)))
+            names.append(state_names[s2])
+            labels.append(list(state_labels[s2]))
             i = j
         records.append({"record": "path", "states": states, "names": names,
                         "labels": labels, "actions": actions,

@@ -11,7 +11,7 @@ from .automata import Dkcba
 from .errors import (
     ActionNotEnabled, AlphabetMismatch, NotConverged, UnknownState,
 )
-from .smdp import Smdp, sample_step
+from .smdp import Smdp, _draw_step
 
 # sweeps after which max-reach value iteration gives up with NotConverged
 MAX_SWEEPS = 100_000
@@ -57,6 +57,8 @@ class ProductSmdp:
                         states.append(key)
                         queue.append(key)
                     pids.append(nid)
+                # successors in model-row order: sample_product_step
+                # indexes this row with the model's draw
                 rows[(pid, a)] = (tuple(pids), probs)
 
         self.states = tuple(states)
@@ -122,13 +124,15 @@ def build_product(m: Smdp, d: Dkcba) -> ProductSmdp:
 def sample_product_step(p: ProductSmdp, i, a, rng):
     """Draw one product transition; returns (j, tau, model_successor).
 
-    A model step drawn by `sample_step`, lifted through the automaton. This
+    The model's draw (`sample_step`'s, with the same random draws) picks
+    position k of the model row; the product row lists its successors in
+    the model row's order, so its k-th entry is the lifted successor. This
     is the simulator interface the learner sees, which never reads the
     transition table directly.
     """
     p.check_state(i)
-    s2, tau = sample_step(p.m, p.states[i][0], a, rng)
-    return p.lift(i, s2), tau, s2
+    k, s2, tau = _draw_step(p.m, p.states[i][0], a, rng)
+    return p._rows[(i, a)][0][k], tau, s2
 
 
 def exact_winning_region(p: ProductSmdp):

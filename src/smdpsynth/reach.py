@@ -99,16 +99,24 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
     """
     w = frozenset(w)
     rng = np.random.default_rng(schedule.seed)
-    transient = [i for i in range(p.n_states) if i not in w]
-    q = {}
+    states = range(p.n_states)
+    # per-state lookups, hoisted out of the update loop; the values of a
+    # transient state's actions live in one list, in enabled order, so the
+    # greedy choice and the bootstrap maximum are single list scans
+    enabled = [p.enabled(i) for i in states]
+    in_w = [i in w for i in states]
+    ends = [in_w[i] or i in p.accepting for i in states]
+    rewards = [reward(p, i, spec) for i in states]
+    discounts = [discount(p, i, spec) for i in states]
+    transient = [i for i in states if not in_w[i]]
+    values = [None] * p.n_states
     for i in transient:
-        pinned = i in p.accepting
-        for a in p.enabled(i):
-            q[(i, a)] = spec.r_n if pinned else 0.0
+        values[i] = [spec.r_n if i in p.accepting else 0.0] * len(enabled[i])
     starts = [i for i in transient if i not in p.accepting]
     visits = {}
     deltas = []
     c = schedule.visit_offset
+    epsilon = schedule.epsilon
     episodes = 0
     if starts:
         action_cursor = {i: 0 for i in starts}
@@ -116,35 +124,35 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
             episodes += 1
             i = starts[k % len(starts)]
             cur = action_cursor[i]
-            acts = p.enabled(i)
-            forced = acts[cur % len(acts)]
+            b = cur % len(enabled[i])
             action_cursor[i] = cur + 1
-            for _ in range(schedule.step_cap):
-                if forced is not None:
-                    a = forced
-                    forced = None
-                elif rng.random() < schedule.epsilon:
-                    acts = p.enabled(i)
-                    a = acts[int(rng.integers(len(acts)))]
-                else:
-                    a = _greedy(q, p, i)
+            for step in range(schedule.step_cap):
+                vals = values[i]
+                # the first step takes the forced action b
+                if step:
+                    if rng.random() < epsilon:
+                        b = int(rng.integers(len(vals)))
+                    else:
+                        b = vals.index(max(vals))
+                a = enabled[i][b]
                 j, _tau, _s2 = sample_product_step(p, i, a, rng)
-                if j in w:
+                if in_w[j]:
                     target = 0.0
                 else:
-                    target = reward(p, j, spec) + discount(p, j, spec) \
-                        * max(q[(j, b)] for b in p.enabled(j))
-                n = visits.get((i, a), 0)
-                visits[(i, a)] = n + 1
+                    target = rewards[j] + discounts[j] * max(values[j])
+                key = (i, a)
+                n = visits.get(key, 0)
+                visits[key] = n + 1
                 alpha = c / (c + n)
-                old = q[(i, a)]
+                old = vals[b]
                 new = (1 - alpha) * old + alpha * target
-                q[(i, a)] = new
+                vals[b] = new
                 deltas.append(abs(new - old))
-                if j in w or j in p.accepting:
+                if ends[j]:
                     break
                 i = j
 
+    q = {(i, a): v for i in transient for a, v in zip(enabled[i], values[i])}
     tail = deltas[-max(1, len(deltas) // 10):] if deltas else [0.0]
     return TransientQ(q=q, visits=visits, episodes=episodes,
                       updates=len(deltas), cauchy_tail=max(tail),

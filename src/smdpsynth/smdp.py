@@ -6,6 +6,7 @@ transitions and feed only estimation and risk computations downstream.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,8 +139,12 @@ class Smdp:
                     raise ValueError(f"missing dwell for ({s},{a},{s2})")
                 self.dwell[(s, a, s2)] = d
 
-        self._cum = {key: np.cumsum(probs)
-                     for key, (_, probs) in self._rows.items()}
+        # one draw row per pair: cumulative probabilities (the np.cumsum
+        # values, as Python floats), successors and their dwell objects
+        self._draw = {
+            (s, a): (np.cumsum(probs).tolist(), succs,
+                     tuple(self.dwell[(s, a, s2)] for s2 in succs))
+            for (s, a), (succs, probs) in self._rows.items()}
 
     def check_state(self, s):
         if not 0 <= s < self.n_states:
@@ -168,12 +173,28 @@ def enabled_actions(m: Smdp, s) -> tuple:
     return m._enabled[s]
 
 
+def _draw_step(m: Smdp, s, a, rng):
+    """Draw one transition of (s, a): returns (k, s', tau), k being the
+    position of s' in the row.
+
+    One `rng.random()` picks the successor by inverse CDF (the first
+    cumulative probability above it, clamped to the last successor), then
+    the dwell distribution of the drawn transition samples tau.
+    """
+    row = m._draw.get((s, a))
+    if row is None:
+        m.check_state(s)
+        raise ActionNotEnabled(f"action {a!r} not enabled in state {s}")
+    cum, succs, dwells = row
+    k = bisect_right(cum, rng.random())
+    if k >= len(succs):
+        k = len(succs) - 1
+    return k, succs[k], dwells[k].sample(rng)
+
+
 def sample_step(m: Smdp, s, a, rng):
     """Draw s' ~ T(.|s,a), then tau ~ D(.|s,a,s'); deterministic under a seed."""
-    succs, _ = m.trans_row(s, a)
-    i = int(np.searchsorted(m._cum[(s, a)], rng.random(), side="right"))
-    s2 = succs[min(i, len(succs) - 1)]
-    tau = m.dwell[(s, a, s2)].sample(rng)
+    _, s2, tau = _draw_step(m, s, a, rng)
     return s2, tau
 
 

@@ -328,16 +328,15 @@ def _simplify(aut, ap):
 
     succs_all = [sorted({y for succs in aut.delta[x] for y in succs}) for x in range(n)]
 
-    reachable = {aut.initial}
-    frontier = [aut.initial]
-    while frontier:
-        x = frontier.pop()
-        for y in succs_all[x]:
-            if y not in reachable:
-                reachable.add(y)
-                frontier.append(y)
+    # one walk of the reachable graph: Tarjan asks for the successors of
+    # every node it reaches, so that request also collects `reachable`
+    reachable = set()
 
-    on_cycle = {x for comp in cyclic_sccs(aut.initial, succs_all.__getitem__)
+    def succs_of(x):
+        reachable.add(x)
+        return succs_all[x]
+
+    on_cycle = {x for comp in cyclic_sccs(aut.initial, succs_of)
                 for x in comp}
     acc = aut.accepting & on_cycle
 

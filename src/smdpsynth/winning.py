@@ -11,8 +11,11 @@ periodically from the retained data.
 
 from __future__ import annotations
 
+import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,7 +24,10 @@ from .bayes import (
     predictive_successors, predictive_transition, splice_posteriors,
     transition_entropy, update_posteriors,
 )
-from .errors import EmptyWinningCandidate, NoAllowedAction, UntrackedPair
+from .errors import (
+    EmptyWinningCandidate, InvalidDistribution, NoAllowedAction,
+    UntrackedPair,
+)
 from .product import ProductSmdp, sample_product_step
 
 # softmax score handed to pairs with no data yet; dwarfs any real entropy
@@ -106,13 +112,53 @@ def softmax_policy(actions, scores, temperature, epsilon):
     """(1-eps) * softmax(score/T) + eps * uniform, numerically stable."""
     if not actions:
         raise NoAllowedAction("no allowed action to choose from")
-    z = np.asarray(scores, dtype=float) / temperature
-    z -= z.max()
-    w = np.exp(z)
-    w /= w.sum()
-    u = 1.0 / len(actions)
-    return {a: float((1 - epsilon) * wi + epsilon * u)
-            for a, wi in zip(actions, w)}
+    return dict(zip(actions, _softmax_probs(scores, temperature, epsilon)))
+
+
+# The three functions below give bit for bit the values of the NumPy array
+# expressions in their docstrings, on Python floats, which is several times
+# faster on vectors of a few actions: elementwise divisions, subtractions,
+# products and running sums are single IEEE operations either way, and
+# NumPy still computes the exponentials.
+
+def _np_sum(xs):
+    """`np.sum(xs)` for float64 entries: NumPy's pairwise summation adds
+    runs of fewer than eight entries left to right."""
+    if len(xs) >= 8:
+        return float(np.sum(xs))
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _softmax_probs(scores, temperature, epsilon):
+    """The probability vector behind `softmax_policy`, as a list: with
+    `z = scores / T - max(scores / T)` and `w = exp(z) / sum(exp(z))`,
+    `(1 - eps) * w + eps * (1 / n)`. The maximum of scores / T is
+    max(scores) / T, since rounding a division by T > 0 keeps the order."""
+    top = max(scores) / temperature
+    w = np.exp(np.array([x / temperature - top for x in scores])).tolist()
+    total = _np_sum(w)
+    keep, mix = 1 - epsilon, epsilon * (1.0 / len(w))
+    return [keep * (x / total) + mix for x in w]
+
+
+def _draw_index(probs, rng):
+    """Index drawn from the weights `probs` with one `rng.random()`.
+
+    The same arithmetic and the same draw as
+    `rng.choice(len(probs), p=probs / probs.sum())`: normalize, cumulative
+    sum, divide by its last entry, then the first entry above the uniform
+    draw. Like `choice`, refuses weights that are not a distribution.
+    """
+    total = _np_sum(probs)
+    if not (0.0 < total < math.inf and min(probs) >= 0.0):
+        raise InvalidDistribution(
+            f"weights {probs} are not a probability distribution")
+    cdf = list(accumulate([x / total for x in probs]))
+    last = cdf[-1]
+    return bisect_right([c / last for c in cdf], rng.random())
 
 
 def boundary(w, w_p, support):
@@ -351,32 +397,42 @@ class WinningLearner:
         self._out_cache[(i, a)] = (self._gen, out)
         return out
 
+    def _policy(self, i, outward):
+        """Allowed actions at i and their softmax probabilities, scored by
+        predictive mass leaving W^k (outward) or by posterior entropy: the
+        one computation behind the exploration policies and the draw."""
+        acts = self._allowed(i)
+        if outward:
+            scores = [self._out_score(i, a) for a in acts]
+        else:
+            s = self.p.states[i][0]
+            scores = [self._ent_score(s, a) for a in acts]
+        return acts, _softmax_probs(scores, self.cfg.temperature,
+                                    self.cfg.epsilon)
+
+    def _explore(self, i):
+        """`_policy` of pi_ex: outward on the boundary, entropy inside."""
+        if i not in self.w:
+            raise NoAllowedAction(f"state {i} is outside the candidate region")
+        return self._policy(i, i in self._dw)
+
     def pi_ent(self, i):
         """Prefer pairs whose posterior is still uncertain."""
-        acts = self._allowed(i)
-        s = self.p.states[i][0]
-        scores = [self._ent_score(s, a) for a in acts]
-        return softmax_policy(acts, scores, self.cfg.temperature,
-                              self.cfg.epsilon)
+        return dict(zip(*self._policy(i, False)))
 
     def pi_wperp(self, i):
         """Prefer pairs with high predictive mass leaving W^k."""
-        acts = self._allowed(i)
-        scores = [self._out_score(i, a) for a in acts]
-        return softmax_policy(acts, scores, self.cfg.temperature,
-                              self.cfg.epsilon)
+        return dict(zip(*self._policy(i, True)))
 
     def pi_ex(self, i):
         """Boundary states probe outward; interior states chase entropy."""
-        if i not in self.w:
-            raise NoAllowedAction(f"state {i} is outside the candidate region")
-        return self.pi_wperp(i) if i in self._dw else self.pi_ent(i)
+        return dict(zip(*self._explore(i)))
 
     def _sample_action(self, i):
-        dist = self.pi_ex(i)
-        acts = list(dist)
-        probs = np.array([dist[a] for a in acts])
-        return acts[int(self.rng.choice(len(acts), p=probs / probs.sum()))]
+        acts, probs = self._explore(i)
+        if self.cfg.debug_checks:
+            self._check_action_probs(i, acts, probs)
+        return acts[_draw_index(probs, self.rng)]
 
     # --- episode loop --------------------------------------------------------
 
@@ -467,6 +523,15 @@ class WinningLearner:
             raise AssertionError("boundary out of sync with observations")
         if not self.store.pairs() <= w_p:
             raise AssertionError("retained data outside W_p")
+
+    def _check_action_probs(self, i, acts, probs):
+        """Compare the drawn action's probability vector with pi_ex's dict,
+        exactly; draws nothing. Raises AssertionError explicitly, so the
+        check also runs under `python -O`."""
+        dist = self.pi_ex(i)
+        if list(dist) != acts or list(dist.values()) != probs:
+            raise AssertionError(f"action draw at state {i} differs from "
+                                 "pi_ex")
 
     def _check_posteriors(self):
         """Compare the spliced posteriors with a full rebuild over W_p^k:

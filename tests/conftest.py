@@ -137,3 +137,45 @@ def cycle4_product():
     from smdpsynth.product import build_product
 
     return build_product(cycle4_model(), trivial_monitor())
+
+
+def random_product(rng, n=6, actions=("x", "y"), c_prob=0.0):
+    """Random model: each state enables a prefix of `actions`, each row has
+    one to three successors. With c_prob = 0, against the never-accepting
+    monitor; otherwise each state is labeled c with that probability and
+    the monitor is the K=0 one of "G !c"."""
+    from smdpsynth import (
+        Exponential, Smdp, determinize_kcba, ltl_to_cba, parse_ltl,
+    )
+    from smdpsynth.product import build_product
+
+    trans, dwell = {}, {}
+    for s in range(n):
+        for a in actions[:int(rng.integers(1, len(actions) + 1))]:
+            k = int(rng.integers(1, 4))
+            succs = [int(t) for t in rng.choice(n, size=k, replace=False)]
+            trans[(s, a)] = list(zip(succs, rng.dirichlet(np.ones(k))))
+            for t in succs:
+                dwell[(s, a, t)] = Exponential(1.0)
+    if c_prob == 0.0:
+        labels, d = [0] * n, trivial_monitor()
+    else:
+        labels = [int(rng.random() < c_prob) for _ in range(n)]
+        d = determinize_kcba(ltl_to_cba(parse_ltl("G !c"), ap=("c",)), 0)
+    m = Smdp(n, actions, trans, dwell, 0, ("c",), labels)
+    return build_product(m, d)
+
+
+class FixedRng:
+    """Stand-in generator whose uniform draw is fixed, to put a draw
+    exactly on, or just beside, a cumulative probability. Exponential
+    draws return their scale."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+    def exponential(self, scale):
+        return scale

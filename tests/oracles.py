@@ -350,3 +350,113 @@ def max_reach_gauss_seidel(p, target):
             residual = max(residual, abs(best - v[i]))
             v[i] = best
     return v
+
+
+# --- simulator draws -----------------------------------------------------------
+
+def sample_step_reference(m, s, a, rng):
+    """One model transition drawn from a fresh cumulative sum of the row,
+    then the dwell of the drawn transition. Returns (s', tau)."""
+    succs, probs = m.trans_row(s, a)
+    k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    s2 = succs[min(k, len(succs) - 1)]
+    return s2, m.dwell[(s, a, s2)].sample(rng)
+
+
+def sample_product_step_reference(p, i, a, rng):
+    """One product transition drawn from a fresh cumulative sum of the
+    product row on every call, then the dwell of the drawn transition:
+    the sampler's reference semantics. Returns (j, tau, model successor)."""
+    succs, probs = p.trans_row(i, a)
+    k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    j = succs[min(k, len(succs) - 1)]
+    return j, p.dwell_of(i, a, j).sample(rng), p.states[j][0]
+
+
+def softmax_policy_reference(actions, scores, temperature, epsilon):
+    """(1-eps) * softmax(score/T) + eps * uniform, one Python float per
+    action: the exploration policy's reference arithmetic."""
+    z = np.asarray(scores, dtype=float) / temperature
+    z -= z.max()
+    w = np.exp(z)
+    w /= w.sum()
+    u = 1.0 / len(actions)
+    return {a: float((1 - epsilon) * wi + epsilon * u)
+            for a, wi in zip(actions, w)}
+
+
+def choice_action_reference(dist, rng):
+    """Index of the action drawn from an action -> probability dict by
+    `Generator.choice`: the learner's reference action draw."""
+    probs = np.array(list(dist.values()))
+    return int(rng.choice(len(probs), p=probs / probs.sum()))
+
+
+# --- transient Q-learning ------------------------------------------------------
+
+def qlearn_transient_reference(p, w, spec, schedule):
+    """Transient Q-learning as one loop that looks every state property up
+    on every step, sampling with `sample_product_step_reference`: the
+    reference the library's loop must match bit for bit. Returns
+    (q, visits, deltas)."""
+    w = frozenset(w)
+
+    def reward(i):
+        return (1 - spec.gamma_acc) * spec.r_n if i in p.accepting else 0.0
+
+    def discount(i):
+        return spec.gamma_acc if i in p.accepting else spec.gamma
+
+    def greedy(i):
+        best, best_v = None, None
+        for a in p.enabled(i):
+            v = q[(i, a)]
+            if best_v is None or v > best_v:
+                best, best_v = a, v
+        return best
+
+    rng = np.random.default_rng(schedule.seed)
+    transient = [i for i in range(p.n_states) if i not in w]
+    q = {}
+    for i in transient:
+        pinned = i in p.accepting
+        for a in p.enabled(i):
+            q[(i, a)] = spec.r_n if pinned else 0.0
+    starts = [i for i in transient if i not in p.accepting]
+    visits = {}
+    deltas = []
+    c = schedule.visit_offset
+    if starts:
+        action_cursor = {i: 0 for i in starts}
+        for k in range(schedule.episodes):
+            i = starts[k % len(starts)]
+            cur = action_cursor[i]
+            acts = p.enabled(i)
+            forced = acts[cur % len(acts)]
+            action_cursor[i] = cur + 1
+            for _ in range(schedule.step_cap):
+                if forced is not None:
+                    a = forced
+                    forced = None
+                elif rng.random() < schedule.epsilon:
+                    acts = p.enabled(i)
+                    a = acts[int(rng.integers(len(acts)))]
+                else:
+                    a = greedy(i)
+                j, _tau, _s2 = sample_product_step_reference(p, i, a, rng)
+                if j in w:
+                    target = 0.0
+                else:
+                    target = reward(j) + discount(j) \
+                        * max(q[(j, b)] for b in p.enabled(j))
+                n = visits.get((i, a), 0)
+                visits[(i, a)] = n + 1
+                alpha = c / (c + n)
+                old = q[(i, a)]
+                new = (1 - alpha) * old + alpha * target
+                q[(i, a)] = new
+                deltas.append(abs(new - old))
+                if j in w or j in p.accepting:
+                    break
+                i = j
+    return q, visits, deltas

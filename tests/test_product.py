@@ -5,8 +5,9 @@ import pytest
 
 import smdpsynth.product
 from smdpsynth import (
-    AlphabetMismatch, Exponential, NotConverged, OmegaAutomaton, Smdp,
-    build_pipeline, desk_config, determinize_kcba, ltl_to_cba, parse_ltl,
+    ActionNotEnabled, AlphabetMismatch, Exponential, NotConverged,
+    OmegaAutomaton, Smdp, UnknownState, build_pipeline, desk_config,
+    determinize_kcba, ltl_to_cba, paper_config, parse_ltl,
 )
 from smdpsynth.product import (
     build_product, exact_max_reach_probability, exact_winning_region,
@@ -14,7 +15,7 @@ from smdpsynth.product import (
 )
 
 from conftest import (
-    grid4_model, grid4_product, m1_model, m1_product, trivial_monitor,
+    grid4_model, grid4_product, m1_model, m1_product, random_product,
 )
 
 
@@ -98,24 +99,49 @@ def test_lift_matches_product_rows():
             assert p.lift(i, p.states[j][0]) == j
 
 
-def reference_sample(p, i, a, rng):
-    """Cumulative sum of the product row on every draw, then the dwell of
-    the drawn transition: the sampler's reference semantics."""
-    succs, probs = p.trans_row(i, a)
-    k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    j = succs[min(k, len(succs) - 1)]
-    return j, p.dwell_of(i, a, j).sample(rng), p.states[j][0]
+def assert_sampler_matches_reference(p, pairs, seed, draws):
+    """The same transitions, dwells and generator state after every draw."""
+    from oracles import sample_product_step_reference
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for i, a in pairs:
+        for _ in range(draws):
+            assert sample_product_step(p, i, a, rng) \
+                == sample_product_step_reference(p, i, a, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sampler_matches_cumsum_reference():
     p = build_pipeline(desk_config())[1]
     for seed in (0, 1, 97):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for i in range(p.n_states):
-            for a in p.enabled(i):
-                for _ in range(4):
-                    assert sample_product_step(p, i, a, rng) \
-                        == reference_sample(p, i, a, ref)
+        assert_sampler_matches_reference(p, sorted(p._rows), seed, 4)
+
+
+def test_sampler_matches_cumsum_reference_on_paper_pairs():
+    p = build_pipeline(paper_config())[1]
+    keys = sorted(p._rows)
+    rng = np.random.default_rng(5)
+    pairs = [keys[int(k)] for k in rng.choice(len(keys), size=3000,
+                                               replace=False)]
+    assert_sampler_matches_reference(p, pairs, 97, 3)
+
+
+def test_sampler_matches_reference_on_random_products():
+    """Rows of one to three successors with arbitrary probabilities, where
+    a draw can land on any position of the row."""
+    for seed in range(20):
+        p = random_product(np.random.default_rng(seed))
+        assert_sampler_matches_reference(p, sorted(p._rows), seed, 20)
+
+
+def test_sampler_errors():
+    p = grid4_product(K=5)
+    rng = np.random.default_rng(0)
+    with pytest.raises(UnknownState):
+        sample_product_step(p, p.n_states, "UL", rng)
+    with pytest.raises(ActionNotEnabled):
+        sample_product_step(p, p.initial, "nope", rng)
+    assert rng.bit_generator.state == np.random.default_rng(0) \
+        .bit_generator.state
 
 
 def test_build_deterministic():
@@ -248,21 +274,6 @@ def test_reach_probability_matches_policy_enumeration():
     ref = max_reach_by_policy_enumeration(as_trans_dict(p), allowed, {2},
                                           p.n_states)
     assert np.allclose(v, ref, atol=1e-9)
-
-
-def random_product(rng, n=6, actions=("x", "y")):
-    """Random model against the never-accepting monitor: each state enables
-    a prefix of `actions`, each row has one to three successors."""
-    trans, dwell = {}, {}
-    for s in range(n):
-        for a in actions[:int(rng.integers(1, len(actions) + 1))]:
-            k = int(rng.integers(1, 4))
-            succs = [int(t) for t in rng.choice(n, size=k, replace=False)]
-            trans[(s, a)] = list(zip(succs, rng.dirichlet(np.ones(k))))
-            for t in succs:
-                dwell[(s, a, t)] = Exponential(1.0)
-    m = Smdp(n, actions, trans, dwell, 0, ("c",), [0] * n)
-    return build_product(m, trivial_monitor())
 
 
 def test_max_reach_matches_gauss_seidel_reference_on_grid4():

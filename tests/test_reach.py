@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from smdpsynth import (
-    Exponential, Smdp, determinize_kcba, exact_max_reach_probability,
-    exact_winning_region, ltl_to_cba, parse_ltl, policy_reach_probability,
+    Exponential, Smdp, build_pipeline, desk_config, determinize_kcba,
+    exact_max_reach_probability, exact_winning_region, ltl_to_cba, parse_ltl,
+    policy_reach_probability,
 )
 from smdpsynth.product import build_product
 from smdpsynth.reach import (
@@ -11,7 +12,7 @@ from smdpsynth.reach import (
     qlearn_transient, reward,
 )
 
-from conftest import grid4_product, risky3_product
+from conftest import grid4_product, random_product, risky3_product
 
 
 SPEC = RewardDiscountSpec()
@@ -162,3 +163,37 @@ def test_learning_is_deterministic_per_seed():
     t2 = qlearn_transient(p, w, SPEC, sched)
     assert t1.q == t2.q
     assert t1.updates == t2.updates
+
+
+def assert_matches_reference_loop(p, w, schedule):
+    """q, visits, deltas, updates and cauchy_tail bit for bit."""
+    from oracles import qlearn_transient_reference
+    tq = qlearn_transient(p, w, SPEC, schedule)
+    q, visits, deltas = qlearn_transient_reference(p, w, SPEC, schedule)
+    assert deltas, "the schedule should make updates"
+    assert {k: v.hex() for k, v in tq.q.items()} \
+        == {k: v.hex() for k, v in q.items()}
+    assert tq.visits == visits
+    assert [d.hex() for d in tq.deltas] == [d.hex() for d in deltas]
+    assert tq.updates == len(deltas)
+    assert tq.cauchy_tail.hex() == max(deltas[-max(1, len(deltas) // 10):]) \
+        .hex()
+
+
+def test_qlearn_matches_reference_loop_on_desk():
+    cfg = desk_config()
+    p = build_pipeline(cfg)[1]
+    w, _ = exact_winning_region(p)
+    assert_matches_reference_loop(p, w, cfg.schedule(97))
+
+
+def test_qlearn_matches_reference_loop_on_random_products():
+    checked = 0
+    for seed in range(20):
+        p = random_product(np.random.default_rng(seed), c_prob=0.3)
+        w, _ = exact_winning_region(p)
+        if set(range(p.n_states)) - w - p.accepting:    # a start exists
+            assert_matches_reference_loop(
+                p, w, QLearnSchedule(episodes=300, step_cap=30, seed=seed))
+            checked += 1
+    assert checked >= 5

@@ -145,6 +145,48 @@ def test_sample_step_seed_determinism():
     assert seq1 == seq2
 
 
+def test_sample_step_matches_cumsum_reference():
+    """The same successors, dwells and generator state after every draw,
+    on rows of one to four successors and both dwell kinds."""
+    from oracles import sample_step_reference
+    gen = np.random.default_rng(4)
+    trans, dwell = {}, {}
+    for s in range(5):
+        for a in ("x", "y"):
+            k = int(gen.integers(1, 5))
+            succs = [int(t) for t in gen.choice(5, size=k, replace=False)]
+            trans[(s, a)] = list(zip(succs, gen.dirichlet(np.ones(k))))
+            for t in succs:
+                dwell[(s, a, t)] = Exponential(float(gen.uniform(0.5, 5))) \
+                    if gen.random() < 0.5 else Empirical(gen.uniform(0, 3, 4))
+    m = Smdp(5, ("x", "y"), trans, dwell, 0, ("c",), [0] * 5)
+    for model in (m, build_gridworld()):
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        for (s, a) in sorted(model._rows):
+            for _ in range(25):
+                assert sample_step(model, s, a, rng) \
+                    == sample_step_reference(model, s, a, ref)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_sample_step_clamps_past_last_cumulative():
+    """A row may sum to 1 - 1e-10; a draw above its last cumulative
+    probability takes the last successor."""
+    from conftest import FixedRng
+    trans = {(0, "a"): [(0, 0.5), (1, 0.5 - 1e-10)], (1, "a"): [(1, 1.0)]}
+    dwell = {(0, "a", 0): Exponential(1.0), (0, "a", 1): Exponential(4.0),
+             (1, "a", 1): Exponential(1.0)}
+    m = Smdp(2, ("a",), trans, dwell, 0, ("c",), [0, 0])
+    assert sample_step(m, 0, "a", FixedRng(1.0 - 2 ** -53)) == (1, 0.25)
+    assert sample_step(m, 0, "a", FixedRng(0.5)) == (1, 0.25)
+    assert sample_step(m, 0, "a", FixedRng(0.25)) == (0, 1.0)
+
+
+def test_sample_step_unknown_state():
+    with pytest.raises(UnknownState):
+        sample_step(two_state(), 2, "a", np.random.default_rng(0))
+
+
 # simulate
 
 def test_simulate_zero_horizon():

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from smdpsynth import (
-    EmptyWinningCandidate, Exponential, LearnerConfig, NoAllowedAction, Smdp,
-    WinningLearner, boundary, build_pipeline, determinize_kcba,
-    exact_winning_region, ind_k, ltl_to_cba, paper_config, parse_ltl,
-    run_algorithm1, softmax_policy,
+    EmptyWinningCandidate, Exponential, InvalidDistribution, LearnerConfig,
+    NoAllowedAction, Smdp, WinningLearner, boundary, build_pipeline,
+    determinize_kcba, exact_winning_region, ind_k, ltl_to_cba, paper_config,
+    parse_ltl, run_algorithm1, softmax_policy,
 )
 from smdpsynth.product import build_product
+from smdpsynth.winning import (
+    UNSEEN_SCORE, _draw_index, _np_sum, _softmax_probs,
+)
 
-from conftest import grid4_product, m1_model, m1_product
+from conftest import FixedRng, grid4_product, m1_model, m1_product
 
 
 def c_monitor(K=0):
@@ -81,6 +84,115 @@ def test_softmax_is_distribution_with_mixing():
 def test_softmax_no_actions():
     with pytest.raises(NoAllowedAction):
         softmax_policy([], [], 1.0, 0.05)
+
+
+# --- action draw ---------------------------------------------------------------
+# The draw must consume the generator exactly as the Generator.choice draw
+# it replaced, or every seeded run (and the demo07 bundle) changes.
+
+def random_scores(rng, k):
+    """Score vectors of the shapes the learner produces: ties, unexplored
+    pairs mixed with small entropies, out-mass probabilities, wide
+    spreads."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return [float(rng.uniform(-2, 2))] * k
+    if kind == 1:
+        return [UNSEEN_SCORE if rng.random() < 0.5
+                else float(rng.uniform(-3, 0.5)) for _ in range(k)]
+    if kind == 2:
+        return [float(x) for x in np.round(rng.uniform(0, 1, size=k), 1)]
+    return [float(x) for x in rng.normal(size=k) * 10]
+
+
+def test_np_sum_matches_numpy_bitwise():
+    rng = np.random.default_rng(2)
+    for _ in range(20_000):
+        n = int(rng.integers(1, 13))
+        xs = rng.random(n) * 10.0 ** rng.integers(-8, 4, size=n)
+        assert _np_sum(xs.tolist()).hex() == float(xs.sum()).hex()
+
+
+def test_action_draw_matches_choice_reference():
+    from oracles import choice_action_reference, softmax_policy_reference
+    gen = np.random.default_rng(7)
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(400):
+            k = int(gen.integers(1, 5))
+            acts = list("abcd"[:k])
+            scores = random_scores(gen, k)
+            temperature = float(gen.uniform(0.05, 5))
+            epsilon = (0.0, 0.05, float(gen.random()))[int(gen.integers(3))]
+            dist = softmax_policy_reference(acts, scores, temperature,
+                                            epsilon)
+            assert softmax_policy(acts, scores, temperature, epsilon) == dist
+            probs = _softmax_probs(scores, temperature, epsilon)
+            assert probs == list(dist.values())
+            assert _draw_index(probs, rng) == choice_action_reference(dist,
+                                                                      ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_action_draw_on_cumulative_boundaries():
+    """A uniform draw exactly on a cumulative probability, or one ulp to
+    either side, picks the index `Generator.choice` would: the same
+    cumulative values, bit for bit, searched from the right."""
+    gen = np.random.default_rng(11)
+    for _ in range(300):
+        k = int(gen.integers(1, 5))
+        probs = _softmax_probs(random_scores(gen, k),
+                               float(gen.uniform(0.05, 5)),
+                               (0.0, 0.05)[int(gen.integers(2))])
+        p = np.array(probs) / np.array(probs).sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        for c in cdf[:-1]:
+            for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)):
+                assert _draw_index(probs, FixedRng(float(u))) \
+                    == int(cdf.searchsorted(u, side="right"))
+
+
+def test_learner_action_draw_matches_choice_reference():
+    from oracles import choice_action_reference
+    p = grid4_product(5)
+    learner = WinningLearner(p, LearnerConfig(seed=13, step_cap=40))
+    for _ in range(200):
+        learner.run_episode()
+    assert len(learner._dw) and len(learner._dw) < len(learner.w)
+    learner.rng = np.random.default_rng(3)
+    ref = np.random.default_rng(3)
+    for i in sorted(learner.w) * 5:
+        a = learner._sample_action(i)
+        dist = learner.pi_ex(i)
+        assert a == list(dist)[choice_action_reference(dist, ref)]
+        assert learner.rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("weights", [[0.5, float("nan")],
+                                     [float("inf"), 1.0],
+                                     [0.6, -0.1, 0.5], [0.0, 0.0]])
+def test_action_draw_rejects_invalid_weights(weights):
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidDistribution):
+        _draw_index(weights, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0) \
+        .bit_generator.state
+    probs = np.array(weights)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        rng.choice(len(probs), p=probs / probs.sum())
+    assert issubclass(InvalidDistribution, ValueError)
+
+
+def test_nan_entropy_score_raises_instead_of_drawing(monkeypatch):
+    p = grid4_product(5)
+    learner = WinningLearner(p, LearnerConfig(seed=0))
+    i = next(i for i in learner.w if i not in learner._dw)
+    monkeypatch.setattr(learner, "_ent_score", lambda s, a: float("nan"))
+    state = learner.rng.bit_generator.state
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        learner._sample_action(i)
+    assert learner.rng.bit_generator.state == state
 
 
 # --- q update ------------------------------------------------------------------
@@ -452,3 +564,22 @@ def test_policies_stay_valid_during_learning():
             acts = sorted(dist, key=score)
             probs = [dist[a] for a in acts]
             assert all(x <= y + 1e-12 for x, y in zip(probs, probs[1:]))
+
+
+def test_debug_checks_compare_action_draw_without_drawing(monkeypatch):
+    p = grid4_product(5)
+    cfg = LearnerConfig(seed=13, episode_budget=150, step_cap=40)
+    plain = run_algorithm1(p, cfg)
+    checked = run_algorithm1(p, dataclasses.replace(cfg, debug_checks=True))
+    assert checked.q == plain.q
+    assert [row["steps"] for row in checked.progress] \
+        == [row["steps"] for row in plain.progress]
+
+    learner = WinningLearner(p, dataclasses.replace(cfg, debug_checks=True))
+    exact = learner.pi_ex
+    monkeypatch.setattr(learner, "pi_ex", lambda i: {
+        a: float(np.nextafter(v, 2.0)) for a, v in exact(i).items()})
+    state = learner.rng.bit_generator.state
+    with pytest.raises(AssertionError, match="pi_ex"):
+        learner._sample_action(p.initial)
+    assert learner.rng.bit_generator.state == state
