@@ -139,47 +139,59 @@ def lasso_accepted_cba(aut: OmegaAutomaton, stem, cycle) -> bool:
         return [y * L + npos for y in delta[x][word[pos]]]
 
     return not any(node // L in acc
-                   for comp in cyclic_sccs(start, succs) for node in comp)
+                   for comp in sccs([start], succs) if is_cyclic(comp, succs)
+                   for node in comp)
 
 
-def cyclic_sccs(root, succs):
-    """Strongly connected components that contain a cycle, lazily.
+def sccs(roots, succs):
+    """Strongly connected components, sinks first, lazily.
 
-    Iterative Tarjan over the graph reachable from `root`, where `succs`
-    maps a node to its successors. A component is yielded, as a list of
-    nodes, once it is complete, and only if it has more than one node or a
-    self-loop; callers may stop early.
+    Iterative Tarjan over the graph reachable from `roots`, where `succs`
+    maps a node to its successors. Each component is yielded, as a list of
+    nodes, once it is complete; every edge leaving it points into a
+    component yielded before it. Callers may stop early.
     """
-    index = {root: 0}
-    low = {root: 0}
-    stack = [root]
-    on_stack = {root}
-    work = [(root, iter(succs(root)))]
-    while work:
-        node, it = work[-1]
-        for nxt in it:
-            if nxt not in index:
-                index[nxt] = low[nxt] = len(index)
-                stack.append(nxt)
-                on_stack.add(nxt)
-                work.append((nxt, iter(succs(nxt))))
-                break
-            if nxt in on_stack and index[nxt] < low[node]:
-                low[node] = index[nxt]
-        else:
-            work.pop()
-            if work and low[node] < low[work[-1][0]]:
-                low[work[-1][0]] = low[node]
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    m = stack.pop()
-                    on_stack.discard(m)
-                    comp.append(m)
-                    if m == node:
-                        break
-                if len(comp) > 1 or node in succs(node):
+    index = {}
+    low = {}
+    stack = []
+    on_stack = set()
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succs(root)))]
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succs(nxt))))
+                    break
+                if nxt in on_stack and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        m = stack.pop()
+                        on_stack.discard(m)
+                        comp.append(m)
+                        if m == node:
+                            break
                     yield comp
+
+
+def is_cyclic(comp, succs):
+    """Whether a component holds a cycle: more than one node, or a
+    self-loop."""
+    return len(comp) > 1 or comp[0] in succs(comp[0])
 
 
 def lasso_accepted_kcba(aut: OmegaAutomaton, K: int, stem, cycle) -> bool:

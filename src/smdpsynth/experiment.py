@@ -88,7 +88,9 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "results"
     workers: int = 0                 # 0 = one process per repetition, capped
-    oracle_cap: int = 50_000         # largest product granted exact references
+    # largest product granted exact references; their solves are sparse
+    # (rows × successors), so the cap bounds oracle run time
+    oracle_cap: int = 50_000
 
     def __post_init__(self):
         if self.functional is None:

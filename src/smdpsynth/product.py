@@ -7,7 +7,7 @@ from collections import deque
 
 import numpy as np
 
-from .automata import Dkcba
+from .automata import Dkcba, sccs
 from .errors import (
     ActionNotEnabled, AlphabetMismatch, NotConverged, UnknownState,
 )
@@ -245,8 +245,13 @@ def _pack_rows(succs, *values):
 def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
     """Pr(reach target from each state) under a fixed positional policy.
 
-    Solved exactly as a linear system on the states that can reach the
-    target under the policy; everything else gets 0.
+    The unknowns are the non-target states that can reach the target under
+    the policy (one backward search over its predecessor lists); every
+    other state gets 0 and target states 1. Their system
+    v_i = sum_{j in target} P(j|i) + sum_{j unknown} P(j|i) v_j is solved
+    exactly by `_solve_by_components`, over the policy's rows, one strongly
+    connected component at a time: memory grows with rows × successors plus
+    the square of the largest component, never with n².
     """
     target = set(target)
     for i in target:
@@ -273,21 +278,63 @@ def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
 
     unknown = sorted(can - target)
     pos = {i: k for k, i in enumerate(unknown)}
-    n = len(unknown)
-    mat = np.eye(n)
-    rhs = np.zeros(n)
+    succs, coefs, const = [], [], []
     for i in unknown:
-        succs, probs = succ_of[i]
-        for j, pr in zip(succs, probs):
+        row_succ, row_coef, c = [], [], 0.0
+        for j, pr in zip(*succ_of[i]):
             if j in target:
-                rhs[pos[i]] += pr
+                c += pr
             elif j in pos:
-                mat[pos[i], pos[j]] -= pr
-    sol = np.linalg.solve(mat, rhs) if n else np.zeros(0)
+                row_succ.append(pos[j])
+                row_coef.append(pr)
+        succs.append(row_succ)
+        coefs.append(row_coef)
+        const.append(c)
 
     v = np.zeros(p.n_states)
     for i in target:
         v[i] = 1.0
-    for i, k in pos.items():
-        v[i] = float(sol[k])
+    v[unknown] = _solve_by_components(succs, coefs, const)
+    return v
+
+
+def _solve_by_components(succs, coefs, const) -> list:
+    """Solve v_i = const[i] + sum_k coefs[i][k] v_{succs[i][k]} exactly;
+    returns v as a list of floats.
+
+    The system is given by its sparse rows: unknown i depends on the
+    unknowns listed in succs[i] with the matching coefficients. It is
+    solved one strongly connected component of that dependency graph at a
+    time, sinks first, so every unknown a component refers to outside
+    itself is already known. A single unknown is the closed form
+    (const_i + sum_{j != i} a_ij v_j) / (1 - a_ii); a larger component
+    gets a dense k×k solve. Memory is O(rows × successors + k²) for the
+    largest component k. The system must be nonsingular on every
+    component (a discounted or target-reaching policy system is).
+    """
+    v = [0.0] * len(const)
+    for comp in sccs(range(len(const)), succs.__getitem__):
+        if len(comp) == 1:
+            i = comp[0]
+            rhs, diag = const[i], 0.0
+            for j, a in zip(succs[i], coefs[i]):
+                if j == i:
+                    diag += a
+                else:
+                    rhs += a * v[j]
+            v[i] = rhs / (1.0 - diag)
+            continue
+        local = {i: k for k, i in enumerate(comp)}
+        mat = np.eye(len(comp))
+        rhs = np.array([const[i] for i in comp])
+        for i in comp:
+            row = local[i]
+            for j, a in zip(succs[i], coefs[i]):
+                k = local.get(j)
+                if k is None:
+                    rhs[row] += a * v[j]
+                else:
+                    mat[row, k] -= a
+        for i, x in zip(comp, np.linalg.solve(mat, rhs).tolist()):
+            v[i] = x
     return v

@@ -22,7 +22,7 @@ from .errors import (
     DomainGap, EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction,
     NonfiniteRisk, NotConverged, PolicyLeavesW,
 )
-from .product import ProductSmdp, _pack_rows
+from .product import ProductSmdp, _pack_rows, _solve_by_components
 
 # sweeps after which risk value iteration gives up with NotConverged
 MAX_SWEEPS = 100_000
@@ -229,24 +229,29 @@ def combine_policy(p: ProductSmdp, w, pi_win, pi_tr) -> dict:
 def evaluate_policy_risk(p: ProductSmdp, pi, risk, gamma_r) -> dict:
     """Exact discounted risk of a region-preserving policy, per state.
 
-    `risk` is a callable (i, a, j) -> value on product ids. Solves the
-    linear policy-evaluation system directly; raises PolicyLeavesW if any
-    chosen action has successor mass outside the policy's domain.
+    `risk` is a callable (i, a, j) -> value on product ids. The system
+    v_i = sum_j P(j|i) risk(i, pi_i, j) + gamma_r sum_j P(j|i) v_j over the
+    policy's states is solved exactly by `_solve_by_components`, one
+    strongly connected component of the policy's graph at a time: memory
+    grows with rows × successors plus the square of the largest component,
+    never with n². Raises PolicyLeavesW if any chosen action has successor
+    mass outside the policy's domain.
     """
     if not 0 <= gamma_r < 1:
         raise InvalidRiskModel(f"gamma_r must be in [0,1), got {gamma_r}")
     states = sorted(pi)
     idx = {i: k for k, i in enumerate(states)}
-    n = len(states)
-    a_mat = np.eye(n)
-    b = np.zeros(n)
+    succs, coefs, const = [], [], []
     for i in states:
-        succs, probs = p.trans_row(i, pi[i])
-        for j, pr in zip(succs, probs):
+        row_succ, row_coef, c = [], [], 0.0
+        for j, pr in zip(*p.trans_row(i, pi[i])):
             if j not in idx:
                 raise PolicyLeavesW(
                     f"action {pi[i]} at state {i} reaches {j} outside W")
-            b[idx[i]] += pr * risk(i, pi[i], j)
-            a_mat[idx[i], idx[j]] -= gamma_r * pr
-    v = np.linalg.solve(a_mat, b)
-    return {i: float(v[idx[i]]) for i in states}
+            c += pr * risk(i, pi[i], j)
+            row_succ.append(idx[j])
+            row_coef.append(gamma_r * pr)
+        succs.append(row_succ)
+        coefs.append(row_coef)
+        const.append(c)
+    return dict(zip(states, _solve_by_components(succs, coefs, const)))

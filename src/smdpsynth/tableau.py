@@ -321,7 +321,7 @@ def _simplify(aut, ap):
     states with identical (acceptance, successor row) signatures until a
     fixpoint, then renumber in breadth-first order.
     """
-    from .automata import OmegaAutomaton, cyclic_sccs
+    from .automata import OmegaAutomaton, is_cyclic, sccs
 
     n = aut.n_states
     nl = aut.n_letters
@@ -336,8 +336,8 @@ def _simplify(aut, ap):
         reachable.add(x)
         return succs_all[x]
 
-    on_cycle = {x for comp in cyclic_sccs(aut.initial, succs_of)
-                for x in comp}
+    on_cycle = {x for comp in sccs([aut.initial], succs_of)
+                if is_cyclic(comp, succs_of) for x in comp}
     acc = aut.accepting & on_cycle
 
     # backward closure of acc over the reachable graph

@@ -166,6 +166,26 @@ def random_product(rng, n=6, actions=("x", "y"), c_prob=0.0):
     return build_product(m, d)
 
 
+class ChainSystem:
+    """A chain of n states under one action: state i stays with
+    probability q and moves on to i + 1 otherwise; the last state
+    absorbs. Supplies the part of the product interface the fixed-policy
+    solves read."""
+
+    def __init__(self, n, q):
+        self.n_states = n
+        self.q = q
+
+    def check_state(self, i):
+        if not 0 <= i < self.n_states:
+            raise IndexError(i)
+
+    def trans_row(self, i, a):
+        if i == self.n_states - 1:
+            return (i,), (1.0,)
+        return (i, i + 1), (self.q, 1.0 - self.q)
+
+
 class FixedRng:
     """Stand-in generator whose uniform draw is fixed, to put a draw
     exactly on, or just beside, a cumulative probability. Exponential

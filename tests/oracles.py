@@ -206,6 +206,57 @@ def kcba_accepts_by_run_enumeration(aut, K, stem, cycle):
     return True
 
 
+# --- graph components -----------------------------------------------------------
+
+def cyclic_sccs_reference(root, succs):
+    """The single-root Tarjan that `automata.sccs` generalized: yields the
+    components that hold a cycle, in completion order, as lists in pop
+    order. The reference the lasso check's and `_simplify`'s filtered
+    component streams must reproduce."""
+    index = {root: 0}
+    low = {root: 0}
+    stack = [root]
+    on_stack = {root}
+    work = [(root, iter(succs(root)))]
+    while work:
+        node, it = work[-1]
+        for nxt in it:
+            if nxt not in index:
+                index[nxt] = low[nxt] = len(index)
+                stack.append(nxt)
+                on_stack.add(nxt)
+                work.append((nxt, iter(succs(nxt))))
+                break
+            if nxt in on_stack and index[nxt] < low[node]:
+                low[node] = index[nxt]
+        else:
+            work.pop()
+            if work and low[node] < low[work[-1][0]]:
+                low[work[-1][0]] = low[node]
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    m = stack.pop()
+                    on_stack.discard(m)
+                    comp.append(m)
+                    if m == node:
+                        break
+                if len(comp) > 1 or node in succs(node):
+                    yield comp
+
+
+def reachable_from(x, succs):
+    """Every node reachable from x, x included."""
+    seen = {x}
+    stack = [x]
+    while stack:
+        for y in succs(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 # --- exact planning oracles ---------------------------------------------------
 
 def enumerate_positional_policies(allowed):

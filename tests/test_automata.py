@@ -10,9 +10,13 @@ from smdpsynth import (
     lasso_accepted_cba,
     lasso_accepted_kcba,
 )
+from smdpsynth.automata import is_cyclic, sccs
 
 from conftest import random_cba
-from oracles import all_lassos, cba_accepts_by_run_enumeration, kcba_accepts_by_run_enumeration
+from oracles import (
+    all_lassos, cba_accepts_by_run_enumeration, cyclic_sccs_reference,
+    kcba_accepts_by_run_enumeration, reachable_from,
+)
 
 
 def test_lasso_accepted_cba_b1(b1):
@@ -173,3 +177,56 @@ def test_json_round_trip(b1):
 
 def test_json_field_order_stable(b1):
     assert list(b1.to_json_dict()) == ["states", "alphabet", "ap", "transitions", "initial", "accepting"]
+
+
+def random_graph(rng):
+    """Random directed graph on 1..12 nodes as successor lists, with
+    self-loops and a density drawn per graph."""
+    n = int(rng.integers(1, 13))
+    density = rng.uniform(0.05, 0.4)
+    return [[y for y in range(n) if rng.random() < density]
+            for _ in range(n)]
+
+
+def test_sccs_on_random_graphs():
+    """Every node in exactly one component, components are the classes of
+    mutual reachability, every edge stays in its component or points into
+    one yielded earlier, and the cyclic ones are the old single-root
+    stream, order included."""
+    rng = np.random.default_rng(6)
+    sizes = set()
+    for _ in range(400):
+        adj = random_graph(rng)
+        n = len(adj)
+        succs = adj.__getitem__
+        roots = [int(x) for x in rng.permutation(n)]
+        comps = list(sccs(roots, succs))
+        order = {x: k for k, comp in enumerate(comps) for x in comp}
+        assert sorted(x for comp in comps for x in comp) == list(range(n))
+        reach = [reachable_from(x, succs) for x in range(n)]
+        for comp in comps:
+            sizes.add(len(comp))
+            for x in comp:
+                assert set(comp) == {y for y in reach[x] if x in reach[y]}
+        for x in range(n):
+            assert all(order[y] <= order[x] for y in adj[x])
+        for root in range(n):
+            got = [comp for comp in sccs([root], succs)
+                   if is_cyclic(comp, succs)]
+            assert got == list(cyclic_sccs_reference(root, succs))
+            assert {x for comp in sccs([root], succs) for x in comp} \
+                == reach[root]
+    assert max(sizes) >= 5
+
+
+def test_sccs_stops_early():
+    """A consumer that stops after the first component leaves later roots
+    unvisited."""
+    asked = []
+
+    def succs(x):
+        asked.append(x)
+        return [x + 1] if x < 1000 else []
+
+    assert next(sccs([0, 5000], succs)) == [1000]
+    assert asked == list(range(1001))
