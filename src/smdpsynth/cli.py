@@ -113,6 +113,13 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _expect(ok, what):
+    """Fail a check with an explicit raise, so the battery also tests
+    under `python -O`, which strips `assert` statements."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _check_monitor_structure():
     ap = ("a", "b", "c")
     aut = ltl_to_cba(parse_ltl("G F a & G F b & G !c"), ap=ap)
@@ -120,11 +127,15 @@ def _check_monitor_structure():
         d = determinize_kcba(aut, k)
         n_letters = 2 ** len(ap)
         for row in d.delta:
-            assert len(row) == n_letters
-            assert all(0 <= t < d.n_states for t in row)
-        assert d.sink is not None
-        assert d.accepting == frozenset([d.sink])
-        assert all(d.delta[d.sink][s] == d.sink for s in range(n_letters))
+            _expect(len(row) == n_letters,
+                    f"K={k}: a row has {len(row)} letters, not {n_letters}")
+            _expect(all(0 <= t < d.n_states for t in row),
+                    f"K={k}: a transition leaves the state range")
+        _expect(d.sink is not None, f"K={k}: no sink")
+        _expect(d.accepting == frozenset([d.sink]),
+                f"K={k}: accepting set is not the sink")
+        _expect(all(d.delta[d.sink][s] == d.sink for s in range(n_letters)),
+                f"K={k}: the sink is not absorbing")
 
 
 def _check_lasso_agreement():
@@ -155,7 +166,8 @@ def _check_lasso_agreement():
                             state = d.step(state, s)
                             if state in d.accepting:
                                 safe = False
-                    assert safe == lasso_accepted_kcba(aut, k, stem, cycle)
+                    _expect(safe == lasso_accepted_kcba(aut, k, stem, cycle),
+                            f"monitor and lasso disagree on {stem}{cycle}")
 
 
 def _check_learner_exact():
@@ -171,7 +183,8 @@ def _check_learner_exact():
     res = run_algorithm1(p, LearnerConfig(episode_budget=300, step_cap=20,
                                           patience=30, min_tries=5, seed=0))
     w, w_p = exact_winning_region(p)
-    assert res.w == w and res.w_p == w_p and res.monotone_violations == 0
+    _expect(res.w == w and res.w_p == w_p, "learned region is not exact")
+    _expect(res.monotone_violations == 0, "learned region grew")
 
 
 def _check_risk_closed_form():
@@ -179,8 +192,9 @@ def _check_risk_closed_form():
                    risks={(0, "a", 0): 1.0}, allowed={0: ("a",)},
                    gamma_r=0.9)
     rq = risk_value_iteration(rm, tol=1e-12)
-    assert abs(rq.q[(0, "a")] - 10.0) < 1e-9
-    assert extract_pi_win(rm, rq) == {0: "a"}
+    _expect(abs(rq.q[(0, "a")] - 10.0) < 1e-9,
+            f"Q = {rq.q[(0, 'a')]!r}, not 10")
+    _expect(extract_pi_win(rm, rq) == {0: "a"}, "greedy policy is not a")
 
 
 def _check_experiment_smoke():
@@ -192,9 +206,10 @@ def _check_experiment_smoke():
                           out_dir=tmp)
         art = run_experiment(cfg)
         agg = art.summary["aggregate"]
-        assert agg["monotone_violations"] == 0
-        assert agg["w_exact_frac"] == 1.0
-        assert all(os.path.exists(path) for path in art.files.values())
+        _expect(agg["monotone_violations"] == 0, "learned region grew")
+        _expect(agg["w_exact_frac"] == 1.0, "learned region is not exact")
+        _expect(all(os.path.exists(path) for path in art.files.values()),
+                "bundle file missing")
 
 
 def _cmd_check() -> int:

@@ -34,8 +34,8 @@ from .bayes import MeanPlusSigma, Quantile, risk_of, update_posteriors
 from .errors import ConfigError
 from .ltl import parse_ltl
 from .product import (
-    build_product, exact_max_reach_probability, exact_winning_region,
-    policy_reach_probability, sample_product_step,
+    _best_actions, build_product, exact_max_reach_probability,
+    exact_winning_region, policy_reach_probability, sample_product_step,
 )
 from .reach import (
     QLearnSchedule, RewardDiscountSpec, extract_pi_tr, qlearn_transient,
@@ -173,30 +173,41 @@ def build_pipeline(cfg: ExperimentConfig):
 
 
 def true_risk_fn(p, functional):
-    """The risk functional evaluated on the model's actual dwells."""
+    """The risk functional evaluated on the model's actual dwells, as a
+    callable (i, a, j) on product ids. The risk of a transition depends
+    only on the dwell of its model triple (s, a, s'), so it is computed
+    once per triple and then looked up."""
+    states, dwell = p.states, p.m.dwell
+    risks = {}
+
     def fn(i, a, j):
-        return risk_of(p.dwell_of(i, a, j), functional)
+        key = (states[i][0], a, states[j][0])
+        r = risks.get(key)
+        if r is None:
+            r = risks[key] = risk_of(dwell[key], functional)
+        return r
     return fn
 
 
 def oracle_reference(p, functional, gamma_r) -> dict:
     """Exact winning structure, best reach probabilities, the optimal
     combined policy with its exact risk values, and per-state sets of
-    optimal actions (ties included) for agreement scoring."""
+    optimal actions (ties included) for agreement scoring.
+
+    Outside W the optimal actions are those within 1e-9 of the best
+    one-step reach value, taken for every transient state at once from
+    one array pass over their rows (`product._best_actions`); the
+    transient policy picks the first of them in the model's action order.
+    Inside W they are the risk-VI actions within a relative 1e-8 of the
+    minimum. Every risk is computed once per model triple."""
     w, w_p = exact_winning_region(p)
     v_opt = exact_max_reach_probability(p, w)
     pi_tr = {}
     optimal = {}
-    for i in range(p.n_states):
-        if i in w:
-            continue
-        vals = []
-        for a in p.enabled(i):
-            succs, probs = p.trans_row(i, a)
-            vals.append((a, float(np.dot(probs, v_opt[list(succs)]))))
-        best = max(v for _, v in vals)
-        pi_tr[i] = next(a for a, v in vals if v >= best - 1e-9)
-        optimal[i] = frozenset(a for a, v in vals if v >= best - 1e-9)
+    transient = [i for i in range(p.n_states) if i not in w]
+    for i, acts in zip(transient, _best_actions(p, transient, v_opt, 1e-9)):
+        pi_tr[i] = acts[0]
+        optimal[i] = frozenset(acts)
     risk = true_risk_fn(p, functional)
     rm = risk_model_from_product(p, w, w_p, risk, gamma_r=gamma_r)
     rq = risk_value_iteration(rm)

@@ -4,6 +4,7 @@ oracles for the winning region and maximal reachability probabilities."""
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain, compress
 
 import numpy as np
 
@@ -141,45 +142,70 @@ def exact_winning_region(p: ProductSmdp):
     Returns (W, W_p): the states from which the accepting set is avoidable
     with probability one, and the state-action pairs whose whole successor
     support stays inside W. Exact; used as the reference the learner is
-    measured against.
+    measured against. The product's rows are packed into flat arrays on
+    every call and handed to `_safety_fixpoint`, accepting states dead
+    from the start. A product row never lists a successor twice: model
+    rows refuse duplicates, and two distinct model successors lift to two
+    distinct product states.
     """
-    alive = [True] * p.n_states
-    for i in p.accepting:
-        alive[i] = False
-
-    preds = {}
-    bad_count = {}
-    good_actions = [0] * p.n_states
-    for (i, a), (succs, _) in p._rows.items():
-        bad = sum(1 for j in set(succs) if not alive[j])
-        bad_count[(i, a)] = bad
-        if bad == 0:
-            good_actions[i] += 1
-        for j in set(succs):
-            preds.setdefault(j, []).append((i, a))
-
-    # accepting states were dead before the counts were taken, so only
-    # states flipping dead now need to cascade
-    dead = deque()
-    for i in range(p.n_states):
-        if alive[i] and good_actions[i] == 0:
-            alive[i] = False
-            dead.append(i)
-
-    while dead:
-        j = dead.popleft()
-        for (i, a) in preds.get(j, ()):
-            bad_count[(i, a)] += 1
-            if bad_count[(i, a)] == 1:
-                good_actions[i] -= 1
-                if good_actions[i] == 0 and alive[i]:
-                    alive[i] = False
-                    dead.append(i)
-
-    w = frozenset(i for i in range(p.n_states) if alive[i])
-    w_p = frozenset((i, a) for (i, a), (succs, _) in p._rows.items()
-                    if alive[i] and all(alive[j] for j in succs))
+    pairs = list(p._rows)
+    succs = [succ for succ, _ in p._rows.values()]
+    row_ptr = np.zeros(len(succs) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, succs), dtype=np.intp, count=len(succs)),
+              out=row_ptr[1:])
+    succ = np.fromiter(chain.from_iterable(succs), dtype=np.intp,
+                       count=int(row_ptr[-1]))
+    owner = np.fromiter((i for i, _ in pairs), dtype=np.intp,
+                        count=len(pairs))
+    dead = np.zeros(p.n_states, dtype=bool)
+    dead[np.fromiter(p.accepting, dtype=np.intp)] = True
+    alive, safe = _safety_fixpoint(owner, row_ptr, succ, dead)
+    w = frozenset(np.flatnonzero(alive).tolist())
+    w_p = frozenset(compress(pairs, safe.tolist()))
     return w, w_p
+
+
+def _safety_fixpoint(owner, row_ptr, succ, dead):
+    """Greatest stay-safe fixpoint over a support given as flat CSR arrays.
+
+    Pair k belongs to state `owner[k]` and may move to the states
+    `succ[row_ptr[k]:row_ptr[k + 1]]`, none of them listed twice. `dead`
+    marks the states lost from the start, one entry per state. A state
+    survives while it has a safe pair: one whose successors all survive.
+    Returns (alive, safe), boolean masks over the states and the pairs.
+
+    The initial counts of dead successors per pair and of safe pairs per
+    state come from `bincount`, the predecessor lists from one stable
+    argsort of the successors. The worklist cascade then touches each
+    (dying state, predecessor pair) edge once, so the cost is
+    O(pairs + successors) however deep the cascade runs.
+    """
+    n_states, n_pairs = len(dead), len(owner)
+    edge_pair = np.repeat(np.arange(n_pairs), np.diff(row_ptr))
+    bad = np.bincount(edge_pair[dead[succ]], minlength=n_pairs)
+    good = np.bincount(owner[bad == 0], minlength=n_states)
+    pred = edge_pair[np.argsort(succ, kind="stable")].tolist()
+    pred_ptr = np.zeros(n_states + 1, dtype=np.intp)
+    np.cumsum(np.bincount(succ, minlength=n_states), out=pred_ptr[1:])
+    pred_ptr = pred_ptr.tolist()
+
+    # the states dead from the start are in the counts already; only the
+    # states dying now cascade
+    dying = ~dead & (good == 0)
+    alive = (~dead & ~dying).tolist()
+    bad, good, owner_of = bad.tolist(), good.tolist(), owner.tolist()
+    queue = np.flatnonzero(dying).tolist()
+    for j in queue:          # grows while it is read: a FIFO worklist
+        for k in pred[pred_ptr[j]:pred_ptr[j + 1]]:
+            bad[k] += 1
+            if bad[k] == 1:
+                i = owner_of[k]
+                good[i] -= 1
+                if good[i] == 0 and alive[i]:
+                    alive[i] = False
+                    queue.append(i)
+    alive = np.array(alive, dtype=bool)
+    return alive, alive[owner] & (np.array(bad, dtype=np.intp) == 0)
 
 
 def exact_max_reach_probability(p: ProductSmdp, target) -> np.ndarray:
@@ -197,25 +223,63 @@ def exact_max_reach_probability(p: ProductSmdp, target) -> np.ndarray:
     v = np.zeros(p.n_states)
     for i in target:
         v[i] = 1.0
-    by_state = {}
-    for (i, a), row in p._rows.items():
-        if i not in target:
-            by_state.setdefault(i, []).append(row)
-    states = np.fromiter(by_state, dtype=np.intp, count=len(by_state))
-    rows = [row for options in by_state.values() for row in options]
-    starts = np.cumsum([0] + [len(o) for o in by_state.values()])[:-1]
-    succ, prob = _pack_rows([s for s, _ in rows], [pr for _, pr in rows])
+    states = [i for i in range(p.n_states) if i not in target]
+    _, succ, prob, group = _state_rows(p, states)
+    states = np.array(states, dtype=np.intp)
 
     for _ in range(MAX_SWEEPS):
-        vals = np.zeros(len(rows))
-        for k in range(len(succ)):
-            vals += prob[k] * v[succ[k]]
-        best = np.maximum.reduceat(vals, starts)
+        best = _row_values(succ, prob, v)[group].max(axis=0)
         residual = float(np.max(np.abs(best - v[states]), initial=0.0))
         v[states] = best
         if residual < 1e-12:
             return v
     raise NotConverged("max-reach value iteration", residual, MAX_SWEEPS)
+
+
+def _best_actions(p: ProductSmdp, states, v, tol) -> list:
+    """Per state of `states`, its enabled actions whose row value
+    sum_j P(j|i,a) v_j is at least the state's best value minus `tol`, in
+    the model's action order. The values of all the rows come from one
+    column-major pass, as in `exact_max_reach_probability`."""
+    acts, succ, prob, group = _state_rows(p, states)
+    vals = _row_values(succ, prob, v)
+    best = vals[group].max(axis=0)
+    keep = iter((vals[:-1] >= np.repeat(best - tol, list(map(len, acts))))
+                .tolist())
+    return [[a for a in row_acts if next(keep)] for row_acts in acts]
+
+
+def _state_rows(p: ProductSmdp, states):
+    """The rows of every enabled action of `states`, packed for sweeps.
+
+    Returns (acts, succ, prob, group): each state's enabled actions in the
+    model's order; `_pack_rows`' successor and probability arrays over
+    those rows, one state's rows after another; and the (width,
+    len(states)) positions of each state's rows among them, padded with
+    the number of rows, the trailing slot of `_row_values`.
+    """
+    enabled, of = p.m._enabled, p.states
+    acts = [enabled[of[i][0]] for i in states]
+    rows = [p._rows[(i, a)] for i, row_acts in zip(states, acts)
+            for a in row_acts]
+    succ, prob = _pack_rows([s for s, _ in rows], [pr for _, pr in rows])
+    lens = np.fromiter(map(len, acts), dtype=np.intp, count=len(acts))
+    group = _pad(lens, np.arange(len(rows)), len(rows), np.intp)
+    return acts, succ, prob, group
+
+
+def _row_values(succ, prob, v) -> np.ndarray:
+    """sum_j P(j|row) v_j of every packed row, accumulated column by
+    column, followed by one -inf: the slot that `_state_rows`' padding
+    points at, so a per-state maximum over `vals[group]` never picks it.
+    The maximum is exact, so it equals `np.maximum.reduceat` over the
+    rows bit for bit."""
+    vals = np.zeros(succ.shape[1] + 1)
+    vals[-1] = -np.inf
+    rows = vals[:-1]
+    for k in range(len(succ)):
+        rows += prob[k] * v[succ[k]]
+    return vals
 
 
 def _pack_rows(succs, *values):
@@ -224,22 +288,29 @@ def _pack_rows(succs, *values):
     `succs` holds one sequence of successor indices per row; each of
     `values` holds one equal-length sequence of floats per row
     (probabilities, risks). Returns one array of shape (width, n_rows) for
-    each, width being the longest row, so a sweep accumulates column k of
+    each, as `_pad` lays them out, so a sweep accumulates column k of
     every row at once, in the same left-to-right order as a loop over the
     row. Padding is index 0 with value 0.0: with the probability among
     `values`, a padded entry adds exactly 0.0 to its row's sum.
     """
-    n = len(succs)
-    lens = np.fromiter(map(len, succs), dtype=np.intp, count=n)
-    width = int(lens.max(initial=0))
+    lens = np.fromiter(map(len, succs), dtype=np.intp, count=len(succs))
+    packed = [_pad(lens, [x for seq in succs for x in seq], 0, np.intp)]
+    for vs in values:
+        packed.append(_pad(lens, [x for seq in vs for x in seq], 0.0, float))
+    return packed
+
+
+def _pad(lens, flat, fill, dtype) -> np.ndarray:
+    """Consecutive rows of `flat`, of lengths `lens`, as the columns of a
+    (width, len(lens)) array padded with `fill`. The width is the longest
+    row, and at least 1, so a reduction over axis 0 is defined even when
+    there are no rows."""
+    n = len(lens)
     col = np.repeat(np.arange(n), lens)
     pos = np.arange(col.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    packed = []
-    for seqs, dtype in [(succs, np.intp)] + [(vs, float) for vs in values]:
-        arr = np.zeros((width, n), dtype=dtype)
-        arr[pos, col] = [x for seq in seqs for x in seq]
-        packed.append(arr)
-    return packed
+    arr = np.full((int(lens.max(initial=1)), n), fill, dtype=dtype)
+    arr[pos, col] = flat
+    return arr
 
 
 def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     DomainGap, EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction,
     NonfiniteRisk, NotConverged, PolicyLeavesW,
 )
-from .product import ProductSmdp, _pack_rows, _solve_by_components
+from .product import ProductSmdp, _pack_rows, _pad, _solve_by_components
 
 # sweeps after which risk value iteration gives up with NotConverged
 MAX_SWEEPS = 100_000
@@ -162,7 +162,9 @@ def risk_value_iteration(rm: RiskModel, tol=1e-9) -> RiskQ:
     sweeps.
 
     Each sweep updates every pair from the previous sweep's state minima
-    (Jacobi), as array operations over the packed rows.
+    (Jacobi), as array operations over the packed rows; the minima come
+    from a (width, states) array of each state's pairs padded with +inf,
+    exact like any minimum.
     """
     if tol <= 0:
         raise InvalidRiskModel(f"tol must be positive, got {tol}")
@@ -172,10 +174,13 @@ def risk_value_iteration(rm: RiskModel, tol=1e-9) -> RiskQ:
     pairs = list(rm.trans)
     state_of = {i: k for k, i in enumerate(rm.allowed)}
     pair_of = {pair: k for k, pair in enumerate(pairs)}
-    # pairs regrouped by state in allowed order, for the per-state minimum
-    order = np.array([pair_of[(i, a)] for i, acts in rm.allowed.items()
-                      for a in acts], dtype=np.intp)
-    starts = np.cumsum([0] + [len(acts) for acts in rm.allowed.values()])[:-1]
+    # each state's pairs in allowed order, padded with the +inf slot after
+    # the last pair, for the per-state minimum
+    group = _pad(np.fromiter(map(len, rm.allowed.values()), dtype=np.intp,
+                             count=len(rm.allowed)),
+                 [pair_of[(i, a)] for i, acts in rm.allowed.items()
+                  for a in acts], len(pairs), np.intp)
+    q_inf = np.full(len(pairs) + 1, np.inf)
     rows = list(rm.trans.values())
     succ, prob, risk = _pack_rows(
         [[state_of[j] for j in succs] for succs, _ in rows],
@@ -191,7 +196,8 @@ def risk_value_iteration(rm: RiskModel, tol=1e-9) -> RiskQ:
             new += prob[k] * (risk[k] + rm.gamma_r * best[succ[k]])
         residual = float(np.max(np.abs(new - q), initial=0.0))
         q = new
-        best = np.minimum.reduceat(q[order], starts)
+        q_inf[:-1] = q
+        best = q_inf[group].min(axis=0)
         residuals.append(residual)
         if residual < tol:
             return RiskQ(q=dict(zip(pairs, q.tolist())), residual=residual,

@@ -265,6 +265,11 @@ class WinningLearner:
         self._gen = 0
         self._ent_cache = {}
         self._out_cache = {}
+        # pi_ex's (acts, probs) per (state, outward), for the _gen in
+        # _draw_gen only; outward is in the key because an observation can
+        # move a state onto the boundary without moving _gen
+        self._draw_cache = {}
+        self._draw_gen = None
         self._refresh_posteriors()
 
         self.episodes = 0
@@ -429,7 +434,14 @@ class WinningLearner:
         return dict(zip(*self._explore(i)))
 
     def _sample_action(self, i):
-        acts, probs = self._explore(i)
+        if self._draw_gen != self._gen:
+            self._draw_cache.clear()
+            self._draw_gen = self._gen
+        key = (i, i in self._dw)
+        hit = self._draw_cache.get(key)
+        if hit is None:
+            hit = self._draw_cache[key] = self._explore(i)
+        acts, probs = hit
         if self.cfg.debug_checks:
             self._check_action_probs(i, acts, probs)
         return acts[_draw_index(probs, self.rng)]

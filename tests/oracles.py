@@ -7,6 +7,7 @@ outside.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -401,6 +402,69 @@ def max_reach_gauss_seidel(p, target):
             residual = max(residual, abs(best - v[i]))
             v[i] = best
     return v
+
+
+# --- exact oracle references ---------------------------------------------------
+
+def exact_winning_region_reference(p):
+    """Greatest stay-safe fixpoint by a worklist cascade over dict
+    predecessor lists, counting each pair's distinct dead successors:
+    the reference the library's array fixpoint must match. Returns
+    (W, W_p)."""
+    alive = [True] * p.n_states
+    for i in p.accepting:
+        alive[i] = False
+
+    preds = {}
+    bad_count = {}
+    good_actions = [0] * p.n_states
+    for (i, a), (succs, _) in p._rows.items():
+        bad = sum(1 for j in set(succs) if not alive[j])
+        bad_count[(i, a)] = bad
+        if bad == 0:
+            good_actions[i] += 1
+        for j in set(succs):
+            preds.setdefault(j, []).append((i, a))
+
+    dead = deque()
+    for i in range(p.n_states):
+        if alive[i] and good_actions[i] == 0:
+            alive[i] = False
+            dead.append(i)
+
+    while dead:
+        j = dead.popleft()
+        for (i, a) in preds.get(j, ()):
+            bad_count[(i, a)] += 1
+            if bad_count[(i, a)] == 1:
+                good_actions[i] -= 1
+                if good_actions[i] == 0 and alive[i]:
+                    alive[i] = False
+                    dead.append(i)
+
+    w = frozenset(i for i in range(p.n_states) if alive[i])
+    w_p = frozenset((i, a) for (i, a), (succs, _) in p._rows.items()
+                    if alive[i] and all(alive[j] for j in succs))
+    return w, w_p
+
+
+def greedy_transient_reference(p, w, v_opt, tol=1e-9):
+    """Per state outside w, the row values sum_j P(j|i,a) v_opt[j] by one
+    `np.dot` per row, and the actions within tol of the best, in enabled
+    order. Returns {state: [(action, value), ...]} and
+    {state: [near-best actions]}."""
+    values, best_actions = {}, {}
+    for i in range(p.n_states):
+        if i in w:
+            continue
+        vals = []
+        for a in p.enabled(i):
+            succs, probs = p.trans_row(i, a)
+            vals.append((a, float(np.dot(probs, v_opt[list(succs)]))))
+        best = max(v for _, v in vals)
+        values[i] = vals
+        best_actions[i] = [a for a, v in vals if v >= best - tol]
+    return values, best_actions
 
 
 # --- simulator draws -----------------------------------------------------------

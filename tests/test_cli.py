@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,3 +91,42 @@ def test_check_battery_passes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert sum(ln.startswith("ok") for ln in lines) == 5
     assert not any(ln.startswith("FAIL") for ln in lines)
+
+
+# doubles the risk handed to the closed-form check, whose Q must then come
+# out 20 instead of 10
+BROKEN_RISK_CHECK = """
+import sys
+import smdpsynth.cli as cli
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real = cli.RiskModel
+
+
+def doubled(**kw):
+    kw["risks"] = {key: 2 * r for key, r in kw["risks"].items()}
+    return real(**kw)
+
+
+cli.RiskModel = doubled
+sys.exit(cli.main(["check"]))
+"""
+
+
+def test_check_battery_fails_under_optimize_flag():
+    """`python -O` strips assert statements; the battery must still fail
+    a check whose input is broken."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [x for x in [env.get("PYTHONPATH")] if x])
+    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_RISK_CHECK],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    fails = [ln for ln in lines if ln.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL risk closed form: AssertionError")
+    assert sum(ln.startswith("ok") for ln in lines) == 4

@@ -169,6 +169,63 @@ def test_learner_action_draw_matches_choice_reference():
         assert learner.rng.bit_generator.state == ref.bit_generator.state
 
 
+class CountingLearner(WinningLearner):
+    """Records every drawn action and counts the exploration policies
+    actually computed."""
+
+    def __init__(self, *args, **kwargs):
+        self.draws, self.computed = [], 0
+        super().__init__(*args, **kwargs)
+
+    def _explore(self, i):
+        self.computed += 1
+        return super()._explore(i)
+
+    def _sample_action(self, i):
+        a = super()._sample_action(i)
+        self.draws.append((i, a))
+        return a
+
+
+class UnmemoizedLearner(CountingLearner):
+    """Recomputes the exploration policy on every draw."""
+
+    def _sample_action(self, i):
+        self._draw_cache.clear()
+        return super()._sample_action(i)
+
+
+def test_action_draw_memo_skips_recomputation_bit_identically():
+    p = grid4_product(5)
+    cfg = LearnerConfig(seed=21, step_cap=60, posterior_period=1)
+    memo, fresh = CountingLearner(p, cfg), UnmemoizedLearner(p, cfg)
+    for learner in (memo, fresh):
+        for _ in range(1000):
+            learner.run_episode()
+    assert memo.draws == fresh.draws
+    assert memo.q == fresh.q
+    assert memo.rng.bit_generator.state == fresh.rng.bit_generator.state
+    assert fresh.computed == len(fresh.draws)
+    skipped = len(memo.draws) - memo.computed
+    assert 0.4 * len(memo.draws) < skipped < len(memo.draws)
+    # an observation can put a state on the boundary without a refresh or
+    # a removal; the memo keys on that flag
+    learner = CountingLearner(p, cfg)
+    i = next(i for i in learner.w if i not in learner._dw)
+    learner._sample_action(i)
+    learner._add_out_pair((i, learner._allowed(i)[0]))
+    assert i in learner._dw
+    learner._sample_action(i)
+    assert learner.computed == 2
+    assert learner._draw_cache[(i, True)] == learner._policy(i, True)
+
+    # debug_checks recompute pi_ex beside every draw, memoized or not
+    checked = CountingLearner(p, dataclasses.replace(cfg, debug_checks=True))
+    for _ in range(300):
+        checked.run_episode()
+    assert checked.draws == memo.draws[:len(checked.draws)]
+
+
 @pytest.mark.parametrize("weights", [[0.5, float("nan")],
                                      [float("inf"), 1.0],
                                      [0.6, -0.1, 0.5], [0.0, 0.0]])
