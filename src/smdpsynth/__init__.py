@@ -7,7 +7,8 @@ from .errors import (
     UnknownState, ActionNotEnabled, ConfigError, AlphabetMismatch,
     UntrackedPair, UntrackedTriple, MomentUndefined, EmptyWinningCandidate,
     NoAllowedAction, NonfiniteRisk, EmptyPredictiveRow, InvalidRiskModel,
-    InvalidDistribution, NotConverged, PolicyLeavesW, DomainGap,
+    InvalidObservation, InvalidDistribution, NotConverged, PolicyLeavesW,
+    DomainGap,
 )
 from .ltl import (
     Formula, TRUE, FALSE, atom, lnot, land, lor, implies, nxt, until,

@@ -7,12 +7,15 @@ get Gamma updates, whose posterior predictive is a Lomax distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, psi
 
-from .errors import MomentUndefined, UntrackedPair, UntrackedTriple
+from .errors import (
+    InvalidObservation, MomentUndefined, UntrackedPair, UntrackedTriple,
+)
 
 DIRICHLET_PRIOR = 1.0
 GAMMA_PRIOR = (2.0, 1.0)
@@ -21,38 +24,47 @@ GAMMA_PRIOR = (2.0, 1.0)
 class ObservationStore:
     """Observations of (s, a, s', tau), aggregated per (s, a) pair.
 
-    Only aggregates are kept: successor counts and per-successor dwell
-    counts and sums, maintained incrementally. A whole pair's data can be
-    dropped in O(1), which is how the learner keeps observations restricted
-    to its current winning-pair estimate. The pairs appended to or dropped
-    since the last `take_touched` call are recorded, so posteriors built
-    from the store can be refreshed row by row.
+    Only aggregates are kept, one dict per pair: successor -> [count, dwell
+    sum], maintained incrementally. A whole pair's data can be dropped in
+    O(1), which is how the learner keeps observations restricted to its
+    current winning-pair estimate. The pairs appended to or dropped since
+    the last `take_touched` call are recorded, so posteriors built from the
+    store can be refreshed row by row. A dwell that is negative, NaN or
+    infinite is rejected with InvalidObservation.
+
+    Pairs are keyed as the caller appends them: the learner and the top-up
+    store each product pair (copy) on its own, and `update_posteriors`
+    pools the copies of a model pair into one posterior row.
     """
 
     def __init__(self):
-        self._by_pair = {}            # (s, a) -> {"succ", "dwell"}
+        self._by_pair = {}            # (s, a) -> {s': [count, dwell sum]}
         self._n = 0
         self._touched = set()
 
     def append(self, s, a, s2, tau):
         tau = float(tau)
-        if tau < 0:
-            raise ValueError(f"negative dwell time {tau}")
-        b = self._by_pair.get((s, a))
+        if not 0.0 <= tau < math.inf:
+            raise InvalidObservation(
+                f"dwell time {tau!r} of ({s},{a}) -> {s2} is not a finite "
+                "nonnegative number")
+        pair = (s, a)
+        b = self._by_pair.get(pair)
         if b is None:
-            b = self._by_pair[(s, a)] = {"succ": {}, "dwell": {}}
-        b["succ"][s2] = b["succ"].get(s2, 0) + 1
-        agg = b["dwell"].setdefault(s2, [0, 0.0])
+            b = self._by_pair[pair] = {}
+        agg = b.get(s2)
+        if agg is None:
+            agg = b[s2] = [0, 0.0]
         agg[0] += 1
         agg[1] += tau
         self._n += 1
-        self._touched.add((s, a))
+        self._touched.add(pair)
 
     def drop_pair(self, s, a):
         """Forget every observation of the pair."""
         b = self._by_pair.pop((s, a), None)
         if b is not None:
-            self._n -= sum(b["succ"].values())
+            self._n -= sum(n for n, _ in b.values())
         self._touched.add((s, a))
 
     def take_touched(self):
@@ -72,13 +84,13 @@ class ObservationStore:
 
     def successor_counts(self, s, a):
         b = self._by_pair.get((s, a))
-        return dict(b["succ"]) if b else {}
+        return {s2: n for s2, (n, _) in b.items()} if b else {}
 
     def dwell_stats(self, s, a, s2):
         b = self._by_pair.get((s, a))
-        if b is None or s2 not in b["dwell"]:
+        if b is None or s2 not in b:
             return 0, 0.0
-        n, total = b["dwell"][s2]
+        n, total = b[s2]
         return n, total
 
 
@@ -141,34 +153,43 @@ def update_posteriors(store: ObservationStore, pairs, support=None,
     priors come back unchanged. `pool` optionally maps a stored pair key to
     the posterior row it contributes to, letting several stored pairs (say,
     product copies of one model pair) share an estimate.
+
+    Each stored pair's per-successor aggregates (count, dwell sum) are
+    added into its row's in the order of `pairs`. Then, once per row (per
+    model pair when pooled), the Dirichlet concentrations are built from
+    the summed counts, and once per (row, successor) triple the Gamma
+    parameters from the summed count and dwell.
     """
     support = support or {}
     a0, b0 = gamma_prior
-    counts = {}
-    dwell = {}
-    keys = []
+    by_pair = store._by_pair
+    folded = {}                   # row key -> {s': [count, dwell sum]}
     for pair in pairs:
         key = pool(pair) if pool else pair
-        if key not in counts:
-            counts[key] = {}
-            dwell[key] = {}
-            keys.append(key)
-        for s2, n in store.successor_counts(*pair).items():
-            counts[key][s2] = counts[key].get(s2, 0) + n
-            dn, dt = store.dwell_stats(pair[0], pair[1], s2)
-            agg = dwell[key].setdefault(s2, [0, 0.0])
-            agg[0] += dn
-            agg[1] += dt
+        acc = folded.get(key)
+        if acc is None:
+            acc = folded[key] = {}
+        data = by_pair.get(pair)
+        if data is None:
+            continue
+        for s2, (n, total) in data.items():
+            agg = acc.get(s2)
+            if agg is None:
+                acc[s2] = [n, total]
+            else:
+                agg[0] += n
+                agg[1] += total
 
     dir_table = {}
     gamma_table = {}
-    for key in keys:
-        cands = sorted(set(counts[key]) | set(support.get(key, ())))
-        conc = np.array([dirichlet_prior + counts[key].get(c, 0)
+    for key, acc in folded.items():
+        extra = support.get(key)
+        cands = sorted(set(acc) | set(extra) if extra else acc)
+        conc = np.array([dirichlet_prior + (acc[c][0] if c in acc else 0)
                          for c in cands], dtype=float)
         dir_table[key] = (tuple(cands), conc)
         for s2 in cands:
-            n, total = dwell[key].get(s2, (0, 0.0))
+            n, total = acc.get(s2, (0, 0.0))
             gamma_table[(key[0], key[1], s2)] = (a0 + n, b0 + total)
     return DirichletPosterior(dir_table), GammaPosterior(gamma_table)
 

@@ -74,6 +74,10 @@ class InvalidRiskModel(SmdpsynthError, ValueError):
     solver got a discount or tolerance out of range."""
 
 
+class InvalidObservation(SmdpsynthError, ValueError):
+    """An observation's dwell time is negative, NaN or infinite."""
+
+
 class InvalidDistribution(SmdpsynthError, ValueError):
     """Weights to draw from have a NaN, infinite or negative entry, or no
     mass."""

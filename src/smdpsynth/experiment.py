@@ -26,6 +26,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -228,20 +229,23 @@ def oracle_reference(p, functional, gamma_r) -> dict:
 def top_up_observations(p, w_p, store, target, rng):
     """Extra sampling of the winning pairs: first one observation for any
     pair the learner never recorded (the planner needs an estimate per
-    pair), then round-robin until the store holds `target` observations."""
+    pair), then round-robin until the store holds `target` observations.
+
+    Sampling is per product pair (copy), in sorted pair order; whether a
+    copy has data is one membership test on the store. Every draw goes
+    through `sample_product_step`."""
     pairs = sorted(w_p, key=lambda pr: (pr[0], str(pr[1])))
     if not pairs:
         return
-    for i, a in pairs:
-        if not store.successor_counts(i, a):
+    for pair in pairs:
+        if pair not in store:
+            i, a = pair
             j, tau, s2 = sample_product_step(p, i, a, rng)
             store.append(i, a, s2, tau)
-    k = 0
-    while len(store) < target:
-        i, a = pairs[k % len(pairs)]
+    # each append adds exactly one observation
+    for i, a in islice(cycle(pairs), max(0, target - len(store))):
         j, tau, s2 = sample_product_step(p, i, a, rng)
         store.append(i, a, s2, tau)
-        k += 1
 
 
 def _run_rep(job):

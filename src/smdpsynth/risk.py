@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -63,24 +64,76 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     region (possible under estimation noise) is renormalized away with a
     warning; a pair left with no mass at all raises EmptyPredictiveRow.
     Risks must come out finite and nonnegative.
+
+    Product copies of a model state share its posterior, so the work is
+    split three ways. Per model pair (s, a): the predictive successors and
+    probabilities, each successor's position in the model row, and the
+    normalized row, computed once. Per model triple (s, a, s'): one risk
+    of the predictive dwell, computed when a copy first keeps that
+    successor. Per copy (i, a): each candidate is lifted through its
+    position in the product row (`p.lift` only for a candidate outside
+    the model row) and tested against W; a copy that keeps every candidate
+    reuses the pool's normalized row, and one that drops some renormalizes
+    what it keeps.
     """
     functional = functional or MeanPlusSigma(1.0)
     w = frozenset(w)
     escaped = {}
+    states, prows = p.states, p._rows
+    pools = {}
 
-    def row(i, a):
-        s = p.states[i][0]
-        succs, probs = [], []
-        lost = 0.0
-        for s2, pr in zip(predictive_successors(tpost, s, a),
-                          predictive_transition(tpost, s, a)):
-            j = p.lift(i, s2)
-            if j is None or j not in w:
-                lost += pr
+    def pool(s, a):
+        """[successors, probabilities, getter of the lifted successors from
+        a product row's successor tuple (None if a successor is outside the
+        model row), normalized row, risks]. The normalized row is filled
+        when a copy first keeps every successor, each risk when a copy
+        first keeps its successor."""
+        cands = predictive_successors(tpost, s, a)
+        succs = p.m._rows.get((s, a), ((),))[0]
+        at = {s2: k for k, s2 in enumerate(succs)}
+        ks = [at.get(s2) for s2 in cands]
+        if None in ks:
+            get = None
+        elif ks == list(range(len(succs))):
+            get = tuple                 # the product row's own tuple
+        elif len(ks) > 1:
+            get = itemgetter(*ks)
+        else:
+            get = lambda t, k=ks[0]: (t[k],)   # noqa: E731
+        return [cands, list(predictive_transition(tpost, s, a)), get, None,
+                [None] * len(cands)]
+
+    def risk_at(pl, c, i, a, j):
+        r = pl[4][c]
+        if r is None:
+            r = pl[4][c] = _checked(
+                risk_of(predictive_dwell(dpost, states[i][0], a, pl[0][c]),
+                        functional), i, a, j)
+        return r
+
+    def row(pair):
+        i, a = pair
+        s = states[i][0]
+        pl = pools.get((s, a))
+        if pl is None:
+            pl = pools[(s, a)] = pool(s, a)
+        cands, prs, get, full, rks = pl
+        succs = get(prows[pair][0]) if get else \
+            tuple(p.lift(i, s2) for s2 in cands)
+        if w.issuperset(succs):
+            if full is None:
+                total = sum(prs)
+                full = pl[3] = tuple(pr / total for pr in prs)
+                for c, j in enumerate(succs):
+                    risk_at(pl, c, i, a, j)
+            return succs, full, rks
+        kept, lost = [], 0.0
+        for c, j in enumerate(succs):
+            if j in w:
+                kept.append(c)
             else:
-                succs.append(j)
-                probs.append(pr)
-        if not succs:
+                lost += prs[c]
+        if not kept:
             raise EmptyPredictiveRow(
                 f"pair ({i},{a}) has no predictive mass inside the region")
         if lost > 0.0:
@@ -89,14 +142,13 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
                 f"pair ({i},{a}): renormalized {lost:.3g} predictive mass "
                 "escaping the winning region", stacklevel=4)
             escaped[(i, a)] = lost
+        probs = [prs[c] for c in kept]
         total = sum(probs)
-        return tuple(succs), tuple(pr / total for pr in probs)
+        return (tuple(succs[c] for c in kept),
+                tuple(pr / total for pr in probs),
+                [risk_at(pl, c, i, a, succs[c]) for c in kept])
 
-    def risk(i, a, j):
-        s, s2 = p.states[i][0], p.states[j][0]
-        return risk_of(predictive_dwell(dpost, s, a, s2), functional)
-
-    return _assemble(p, w, w_p, row, risk, gamma_r, escaped)
+    return _assemble(p, w, w_p, row, gamma_r, escaped)
 
 
 def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
@@ -104,44 +156,61 @@ def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
     """Exact-model counterpart of build_risk_model, for oracles and tests.
 
     Uses the product's true rows restricted to the winning pairs; `risk_fn`
-    is a callable (i, a, j) -> value on product ids. Winning pairs whose
-    true support leaves the region are rejected.
+    is a callable (i, a, j) -> value on product ids, called once per
+    successor (`true_risk_fn` computes one risk per model triple). Winning
+    pairs whose true support leaves the region are rejected.
     """
     w = frozenset(w)
+    prows = p._rows
 
-    def row(i, a):
-        succs, probs = p.trans_row(i, a)
-        if any(j not in w for j in succs):
+    def row(pair):
+        i, a = pair
+        succs, probs = prows.get(pair) or p.trans_row(i, a)
+        if not w.issuperset(succs):
             raise InvalidRiskModel(
                 f"pair ({i},{a}) leaves the winning region")
-        return tuple(succs), tuple(probs)
+        rs = []
+        for j in succs:
+            rs.append(_checked(risk_fn(i, a, j), i, a, j))
+        return succs, probs, rs
 
-    return _assemble(p, w, w_p, row, risk_fn, gamma_r, {})
+    return _assemble(p, w, w_p, row, gamma_r, {})
 
 
-def _assemble(p, w, w_p, row, risk_fn, gamma_r, escaped) -> RiskModel:
-    """Shared core of both builders: one row (successors, probabilities)
-    per winning pair, a finite nonnegative risk per successor, and an
-    allowed action tuple for every winning state."""
+def _checked(r, i, a, j):
+    """r itself if it is a finite nonnegative risk; NonfiniteRisk
+    otherwise."""
+    if not 0 <= r < math.inf:
+        raise NonfiniteRisk(f"risk of ({i},{a},{j}) is {r!r}")
+    return r
+
+
+def _assemble(p, w, w_p, row, gamma_r, escaped) -> RiskModel:
+    """Shared core of both builders: one row (successors, probabilities,
+    checked risks) per winning pair, in sorted pair order, and an allowed
+    action tuple for every winning state."""
     trans = {}
     risks = {}
-    allowed = {}
-    for (i, a) in sorted(w_p, key=lambda pair: (pair[0], str(pair[1]))):
-        succs, probs = row(i, a)
-        trans[(i, a)] = (succs, probs)
-        for j in succs:
-            r = risk_fn(i, a, j)
-            if not math.isfinite(r) or r < 0:
-                raise NonfiniteRisk(f"risk of ({i},{a},{j}) is {r!r}")
+    acts_of = {}
+    for pair in sorted(w_p, key=lambda pair: (pair[0], str(pair[1]))):
+        i, a = pair
+        succs, probs, rs = row(pair)
+        trans[pair] = (succs, probs)
+        for j, r in zip(succs, rs):
             risks[(i, a, j)] = r
-        allowed.setdefault(i, []).append(a)
+        acts = acts_of.get(i)
+        if acts is None:
+            acts_of[i] = [a]
+        else:
+            acts.append(a)
     for i in w:
-        if i not in allowed:
+        if i not in acts_of:
             raise NoAllowedAction(f"winning state {i} has no winning pair")
     # ties in the greedy policy break toward the earliest enabled action,
     # so keep each allowed tuple in the model's action order
-    allowed = {i: tuple(a for a in p.enabled(i) if a in acts)
-               for i, acts in allowed.items()}
+    enabled, states = p.m._enabled, p.states
+    allowed = {i: tuple(a for a in enabled[states[i][0]] if a in acts)
+               for i, acts in acts_of.items()}
     return RiskModel(trans=trans, risks=risks, allowed=allowed,
                      gamma_r=gamma_r, escaped=escaped)
 

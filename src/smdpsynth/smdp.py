@@ -6,6 +6,7 @@ transitions and feed only estimation and risk computations downstream.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -47,6 +48,8 @@ class Empirical:
         samples = tuple(float(x) for x in samples)
         if not samples:
             raise ValueError("empirical dwell needs at least one sample")
+        if not all(map(math.isfinite, samples)):
+            raise ValueError("empirical dwell samples must be finite")
         if any(x < 0 for x in samples):
             raise ValueError("empirical dwell samples must be nonnegative")
         self.samples = samples

@@ -575,3 +575,179 @@ def qlearn_transient_reference(p, w, spec, schedule):
                     break
                 i = j
     return q, visits, deltas
+
+
+# --- observations and the planner's model from posteriors ---------------------
+
+class ObservationStoreReference:
+    """Observation store with one dict of successor counts and one of dwell
+    (count, sum) aggregates per pair, both updated on every append: the
+    reference the library's one-dict store must match."""
+
+    def __init__(self):
+        self._by_pair = {}            # (s, a) -> {"succ", "dwell"}
+        self._n = 0
+        self._touched = set()
+
+    def append(self, s, a, s2, tau):
+        tau = float(tau)
+        if tau < 0:
+            raise ValueError(f"negative dwell time {tau}")
+        b = self._by_pair.get((s, a))
+        if b is None:
+            b = self._by_pair[(s, a)] = {"succ": {}, "dwell": {}}
+        b["succ"][s2] = b["succ"].get(s2, 0) + 1
+        agg = b["dwell"].setdefault(s2, [0, 0.0])
+        agg[0] += 1
+        agg[1] += tau
+        self._n += 1
+        self._touched.add((s, a))
+
+    def drop_pair(self, s, a):
+        b = self._by_pair.pop((s, a), None)
+        if b is not None:
+            self._n -= sum(b["succ"].values())
+        self._touched.add((s, a))
+
+    def take_touched(self):
+        touched, self._touched = self._touched, set()
+        return touched
+
+    def __len__(self):
+        return self._n
+
+    def __contains__(self, pair):
+        return pair in self._by_pair
+
+    def pairs(self):
+        return set(self._by_pair)
+
+    def successor_counts(self, s, a):
+        b = self._by_pair.get((s, a))
+        return dict(b["succ"]) if b else {}
+
+    def dwell_stats(self, s, a, s2):
+        b = self._by_pair.get((s, a))
+        if b is None or s2 not in b["dwell"]:
+            return 0, 0.0
+        n, total = b["dwell"][s2]
+        return n, total
+
+
+def update_posteriors_reference(store, pairs, support=None, pool=None,
+                                dirichlet_prior=1.0, gamma_prior=(2.0, 1.0)):
+    """Conjugate updates that copy each pair's successor counts and look up
+    the dwell aggregates per successor, through the store's public
+    queries. Returns (DirichletPosterior, GammaPosterior)."""
+    from smdpsynth.bayes import DirichletPosterior, GammaPosterior
+
+    support = support or {}
+    a0, b0 = gamma_prior
+    counts, dwell, keys = {}, {}, []
+    for pair in pairs:
+        key = pool(pair) if pool else pair
+        if key not in counts:
+            counts[key] = {}
+            dwell[key] = {}
+            keys.append(key)
+        for s2, n in store.successor_counts(*pair).items():
+            counts[key][s2] = counts[key].get(s2, 0) + n
+            dn, dt = store.dwell_stats(pair[0], pair[1], s2)
+            agg = dwell[key].setdefault(s2, [0, 0.0])
+            agg[0] += dn
+            agg[1] += dt
+    dir_table, gamma_table = {}, {}
+    for key in keys:
+        cands = sorted(set(counts[key]) | set(support.get(key, ())))
+        conc = np.array([dirichlet_prior + counts[key].get(c, 0)
+                         for c in cands], dtype=float)
+        dir_table[key] = (tuple(cands), conc)
+        for s2 in cands:
+            n, total = dwell[key].get(s2, (0, 0.0))
+            gamma_table[(key[0], key[1], s2)] = (a0 + n, b0 + total)
+    return DirichletPosterior(dir_table), GammaPosterior(gamma_table)
+
+
+def top_up_observations_reference(p, w_p, store, target, rng):
+    """Top-up that copies each pair's counts to see whether it has data and
+    re-reads the store's size before every round-robin draw, drawing with
+    `sample_product_step_reference`."""
+    pairs = sorted(w_p, key=lambda pr: (pr[0], str(pr[1])))
+    if not pairs:
+        return
+    for i, a in pairs:
+        if not store.successor_counts(i, a):
+            _, tau, s2 = sample_product_step_reference(p, i, a, rng)
+            store.append(i, a, s2, tau)
+    k = 0
+    while len(store) < target:
+        i, a = pairs[k % len(pairs)]
+        _, tau, s2 = sample_product_step_reference(p, i, a, rng)
+        store.append(i, a, s2, tau)
+        k += 1
+
+
+def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
+                               gamma_r=0.9):
+    """The planner's model built one product copy at a time: every copy
+    recomputes its pool's predictive row, lifts each candidate with
+    `p.lift` and evaluates one risk per successor, warning (attributed to
+    the caller) about renormalized mass: the reference the library's
+    pooled assembly must match bit for bit."""
+    import math
+    import warnings
+
+    from smdpsynth.bayes import (
+        MeanPlusSigma, predictive_dwell, predictive_successors,
+        predictive_transition, risk_of,
+    )
+    from smdpsynth.errors import (
+        EmptyPredictiveRow, NoAllowedAction, NonfiniteRisk,
+    )
+    from smdpsynth.risk import RiskModel
+
+    functional = functional or MeanPlusSigma(1.0)
+    w = frozenset(w)
+    escaped = {}
+
+    def row(i, a):
+        s = p.states[i][0]
+        succs, probs = [], []
+        lost = 0.0
+        for s2, pr in zip(predictive_successors(tpost, s, a),
+                          predictive_transition(tpost, s, a)):
+            j = p.lift(i, s2)
+            if j is None or j not in w:
+                lost += pr
+            else:
+                succs.append(j)
+                probs.append(pr)
+        if not succs:
+            raise EmptyPredictiveRow(
+                f"pair ({i},{a}) has no predictive mass inside the region")
+        if lost > 0.0:
+            warnings.warn(
+                f"pair ({i},{a}): renormalized {lost:.3g} predictive mass "
+                "escaping the winning region", stacklevel=3)
+            escaped[(i, a)] = lost
+        total = sum(probs)
+        return tuple(succs), tuple(pr / total for pr in probs)
+
+    trans, risks, allowed = {}, {}, {}
+    for (i, a) in sorted(w_p, key=lambda pair: (pair[0], str(pair[1]))):
+        succs, probs = row(i, a)
+        trans[(i, a)] = (succs, probs)
+        for j in succs:
+            r = risk_of(predictive_dwell(dpost, p.states[i][0], a,
+                                         p.states[j][0]), functional)
+            if not math.isfinite(r) or r < 0:
+                raise NonfiniteRisk(f"risk of ({i},{a},{j}) is {r!r}")
+            risks[(i, a, j)] = r
+        allowed.setdefault(i, []).append(a)
+    for i in w:
+        if i not in allowed:
+            raise NoAllowedAction(f"winning state {i} has no winning pair")
+    allowed = {i: tuple(a for a in p.enabled(i) if a in acts)
+               for i, acts in allowed.items()}
+    return RiskModel(trans=trans, risks=risks, allowed=allowed,
+                     gamma_r=gamma_r, escaped=escaped)

@@ -10,7 +10,11 @@ from smdpsynth.bayes import (
     predictive_dwell, predictive_successors, predictive_transition, risk_of,
     transition_entropy, update_posteriors,
 )
-from smdpsynth.errors import UntrackedPair, UntrackedTriple
+from smdpsynth.errors import (
+    InvalidObservation, SmdpsynthError, UntrackedPair, UntrackedTriple,
+)
+
+from oracles import ObservationStoreReference, update_posteriors_reference
 
 
 def store_of(*obs):
@@ -81,6 +85,64 @@ def test_negative_dwell_rejected():
     store = ObservationStore()
     with pytest.raises(ValueError):
         store.append(0, "a", 1, -0.5)
+
+
+@pytest.mark.parametrize("tau", [-0.5, float("nan"), float("inf"),
+                                 float("-inf")])
+def test_invalid_dwell_rejected_at_append(tau):
+    """A NaN or infinite dwell would turn the Gamma rate into nan and only
+    fail much later as NonfiniteRisk; append rejects it, naming the pair
+    and the value, and records nothing."""
+    store = store_of((0, "a", 1, 0.5))
+    store.take_touched()
+    with pytest.raises(InvalidObservation) as err:
+        store.append(0, "a", 2, tau)
+    assert isinstance(err.value, SmdpsynthError)
+    assert isinstance(err.value, ValueError)
+    assert "(0,a) -> 2" in str(err.value) and repr(tau) in str(err.value)
+    assert len(store) == 1 and store.take_touched() == set()
+    assert store.successor_counts(0, "a") == {1: 1}
+
+
+def test_store_matches_two_dict_reference():
+    """Random append/drop sequences on the one-dict store and the two-dict
+    reference: same size, pairs, counts, dwell aggregates, touched pairs
+    and posteriors, bit for bit."""
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        store, ref = ObservationStore(), ObservationStoreReference()
+        pairs = [(s, a) for s in range(4) for a in ("a", "b")]
+        for _ in range(int(rng.integers(1, 200))):
+            s, a = pairs[int(rng.integers(len(pairs)))]
+            if rng.random() < 0.1:
+                store.drop_pair(s, a)
+                ref.drop_pair(s, a)
+                continue
+            s2 = int(rng.integers(4))
+            tau = float(rng.exponential(1.0)) if rng.random() < 0.9 else 0.0
+            store.append(s, a, s2, tau)
+            ref.append(s, a, s2, tau)
+            if rng.random() < 0.2:
+                assert store.take_touched() == ref.take_touched()
+        assert len(store) == len(ref)
+        assert store.pairs() == ref.pairs()
+        assert store.take_touched() == ref.take_touched()
+        for s, a in pairs:
+            assert ((s, a) in store) == ((s, a) in ref)
+            assert store.successor_counts(s, a) == ref.successor_counts(s, a)
+            for s2 in range(5):
+                n, total = store.dwell_stats(s, a, s2)
+                n_ref, total_ref = ref.dwell_stats(s, a, s2)
+                assert n == n_ref and total.hex() == total_ref.hex()
+        pool = (lambda pair: (pair[0] % 2, pair[1])) if trial % 2 else None
+        support = {(0, "a"): {3, 7}} if trial % 3 == 0 else None
+        order = [pairs[k] for k in rng.permutation(len(pairs))]
+        got = update_posteriors(store, order, support=support, pool=pool)
+        want = update_posteriors_reference(ref, order, support=support,
+                                           pool=pool)
+        for post, post_ref in zip(got, want):
+            assert json.dumps(post.to_json_dict()) == \
+                json.dumps(post_ref.to_json_dict())
 
 
 def test_store_hands_over_touched_pairs():

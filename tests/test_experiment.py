@@ -2,8 +2,10 @@
 determinism, sample-path export."""
 
 import csv
+import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from smdpsynth.product import policy_reach_probability
 from smdpsynth.risk import risk_model_from_product, risk_value_iteration
 
 from conftest import grid4_product
+from oracles import ObservationStoreReference, top_up_observations_reference
 
 
 SMALL = dict(learn_episodes=2000, reach_episodes=2000, paths=20, horizon=40,
@@ -277,6 +280,98 @@ def test_top_up_covers_every_pair_and_target():
     assert len(store) == 500
     top_up_observations(p, set(), store, 10 ** 6, rng)
     assert len(store) == 500
+
+
+def test_top_up_matches_reference():
+    """Top-ups from an empty, a partial and an over-full store, into the
+    one-dict store and into the two-dict reference: the same observations
+    in the same order and the generators left in the same state."""
+    p = grid4_product()
+    _, w_p = exact_winning_region(p)
+    pairs = sorted(w_p)
+    for seed, (n_pre, target) in enumerate([(0, 0), (0, 300), (40, 300),
+                                            (5, 120), (400, 100)]):
+        rng = np.random.default_rng(seed)
+        store, ref = ObservationStore(), ObservationStoreReference()
+        for k in range(n_pre):
+            i, a = pairs[int(rng.integers(len(pairs)))]
+            store.append(i, a, p.states[i][0], 0.25 * k)
+            ref.append(i, a, p.states[i][0], 0.25 * k)
+        rng_got = np.random.default_rng(100 + seed)
+        rng_ref = np.random.default_rng(100 + seed)
+        top_up_observations(p, w_p, store, target, rng_got)
+        top_up_observations_reference(p, w_p, ref, target, rng_ref)
+        assert rng_got.bit_generator.state == rng_ref.bit_generator.state
+        assert len(store) == len(ref)
+        if n_pre == 0:
+            assert len(store) == max(target, len(w_p))
+        assert store.pairs() == ref.pairs()
+        assert store.take_touched() == ref.take_touched()
+        for i, a in store.pairs():
+            assert store.successor_counts(i, a) == ref.successor_counts(i, a)
+            for s2 in store.successor_counts(i, a):
+                n, total = store.dwell_stats(i, a, s2)
+                n_ref, total_ref = ref.dwell_stats(i, a, s2)
+                assert n == n_ref and total.hex() == total_ref.hex()
+
+
+def test_tracer_targets_resolve():
+    """Every (module, attribute) the benchmark's tracer wraps exists, so a
+    rename cannot silently drop a layer from the traced run."""
+    tracer = _load_tracer()
+    for module, attr, _layer, _counter in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr)), \
+            f"{module}.{attr}"
+
+
+def test_top_up_draws_through_experiment_sampler(monkeypatch):
+    """The top-up draws every observation through the name
+    `smdpsynth.experiment.sample_product_step`, one call per observation,
+    which is where the traced benchmark counts `product.sample_calls`."""
+    import smdpsynth.experiment as experiment
+
+    calls = []
+    real = experiment.sample_product_step
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "sample_product_step", counted)
+    p = grid4_product()
+    _, w_p = exact_winning_region(p)
+    store = ObservationStore()
+    i, a = min(w_p)
+    store.append(i, a, p.states[i][0], 1.0)
+    experiment.top_up_observations(p, w_p, store, 500,
+                                   np.random.default_rng(4))
+    assert len(calls) == len(store) - 1 == 499
+    assert (i, a) not in calls[:len(w_p) - 1]
+
+    tracer = _load_tracer().Tracer()
+    store = ObservationStore()
+    calls.clear()
+    with tracer.installed(), tracer.scope("op") as scope:
+        experiment.top_up_observations(p, w_p, store, 200,
+                                       np.random.default_rng(5))
+    totals = tracer.scope_totals(scope)
+    assert totals["product.sample"][0] == len(calls) == len(store) == 200
+    assert totals["experiment.topup"][0] == 1
+
+
+def _load_tracer():
+    """bench/tracer.py as a module, loaded without writing bytecode next
+    to it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 def test_min_observations_reaches_posterior(tmp_path):

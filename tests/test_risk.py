@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from smdpsynth import (
     LearnerConfig, MeanPlusSigma, MomentUndefined, NoAllowedAction,
     NonfiniteRisk, NotConverged, ObservationStore, PolicyLeavesW, Quantile,
     Smdp, SmdpsynthError, build_pipeline, desk_config, exact_winning_region,
-    run_algorithm1, top_up_observations, update_posteriors,
+    paper_config, run_algorithm1, sample_product_step, top_up_observations,
+    update_posteriors,
 )
 from smdpsynth.bayes import DirichletPosterior, GammaPosterior
 from smdpsynth.product import build_product
@@ -19,9 +21,10 @@ from smdpsynth.risk import (
 )
 
 from conftest import (
-    cycle4_product, grid4_product, m1_product, risky3_product,
-    trivial_monitor,
+    cycle4_product, grid4_product, m1_product, random_product,
+    risky3_product, trivial_monitor,
 )
+from oracles import build_risk_model_reference
 
 
 def loop1(gamma_r=0.9, risk=1.0):
@@ -319,6 +322,142 @@ def test_build_surfaces_undefined_moments():
     rm = build_risk_model(p, w, w_p, tpost, dpost,
                           functional=Quantile(0.5))
     assert all(v > 0 for v in rm.risks.values())
+
+
+def _capture(build, *args, **kwargs):
+    """(model, or (error type, message)) and the warnings raised, each as
+    (category, message, filename), with every warning recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = build(*args, **kwargs)
+        except SmdpsynthError as exc:
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+def _hexes(xs):
+    return [(type(x), float.hex(x)) for x in xs]
+
+
+def assert_same_as_reference(p, w, w_p, tpost, dpost, **kwargs):
+    """build_risk_model and the per-copy reference agree: trans, risks,
+    allowed and escaped with float.hex equality and in the same order, or
+    the same error; the same warnings in the same order, each attributed
+    to this file. Returns the model (or the error) and the warnings."""
+    got, got_warn = _capture(build_risk_model, p, w, w_p, tpost, dpost,
+                             **kwargs)
+    want, want_warn = _capture(build_risk_model_reference, p, w, w_p, tpost,
+                               dpost, **kwargs)
+    assert got_warn == want_warn
+    assert all(filename == __file__ for _, _, filename in got_warn)
+    if isinstance(want, tuple):
+        assert got == want
+        return got, got_warn
+    assert list(got.trans) == list(want.trans)
+    for key, (succs, probs) in want.trans.items():
+        assert got.trans[key][0] == succs
+        assert _hexes(got.trans[key][1]) == _hexes(probs)
+    assert list(got.risks) == list(want.risks)
+    assert _hexes(got.risks.values()) == _hexes(want.risks.values())
+    assert list(got.allowed.items()) == list(want.allowed.items())
+    assert list(got.escaped) == list(want.escaped)
+    assert _hexes(got.escaped.values()) == _hexes(want.escaped.values())
+    assert got.gamma_r == want.gamma_r
+    return got, got_warn
+
+
+def pooled(p):
+    return lambda pair: (p.states[pair[0]][0], pair[1])
+
+
+def test_build_matches_reference_on_desk():
+    """A learned desk model on the learned and on the exact region."""
+    cfg = desk_config()
+    p = build_pipeline(cfg)[1]
+    w, w_p = exact_winning_region(p)
+    res = run_algorithm1(p, LearnerConfig(episode_budget=50, step_cap=50,
+                                          seed=1))
+    top_up_observations(p, res.w_p, res.store, len(res.store) + 300,
+                        np.random.default_rng(2))
+    tpost, dpost = update_posteriors(res.store, sorted(res.w_p),
+                                     pool=pooled(p))
+    for region in ((w, w_p), (res.w, res.w_p)):
+        assert_same_as_reference(p, *region, tpost, dpost, gamma_r=0.95)
+        assert_same_as_reference(p, *region, tpost, dpost,
+                                 functional=Quantile(0.5))
+
+
+def test_build_matches_reference_on_random_products():
+    """Random products whose region keeps every non-accepting state: rows
+    lose predictive mass to accepting successors (warnings), some lose
+    all of it (EmptyPredictiveRow). Extra support candidates outside the
+    model rows take the `lift` fallback."""
+    outcomes = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        p = random_product(rng, n=int(rng.integers(3, 8)), c_prob=0.3)
+        w = {i for i in range(p.n_states) if i not in p.accepting}
+        w_p = [(i, a) for i in sorted(w) for a in p.enabled(i)]
+        if not w_p:
+            continue
+        store = ObservationStore()
+        for i, a in w_p:
+            for _ in range(int(rng.integers(0, 4))):
+                _, tau, s2 = sample_product_step(p, i, a, rng)
+                store.append(i, a, s2, tau)
+        support = {}
+        if seed % 2:
+            for i, a in w_p:
+                extra = int(rng.integers(p.m.n_states))
+                support.setdefault((p.states[i][0], a), set()).add(extra)
+        tpost, dpost = update_posteriors(store, w_p, support=support,
+                                         pool=pooled(p))
+        out, warned = assert_same_as_reference(
+            p, w, w_p, tpost, dpost, functional=Quantile(0.5))
+        outcomes.add(("error" if isinstance(out, tuple) else "model",
+                      bool(warned)))
+    assert {("model", True), ("error", True), ("error", False)} <= outcomes
+
+
+def test_build_matches_reference_outside_model_row():
+    """Hand-built posteriors whose candidates lie outside the model row:
+    one lifts into the region and is kept, one lifts out of it and its
+    mass is renormalized away."""
+    p = risky3_product()
+    i0 = p.initial
+    safe_pid = next(i for i, (s, _f) in enumerate(p.states) if s == 1)
+    tpost = DirichletPosterior({
+        (0, "x"): ((0, 1, 2), np.array([2.0, 3.0, 1.0])),
+        (1, "x"): ((0, 1), np.array([1.0, 3.0]))})
+    dpost = GammaPosterior({(s, "x", s2): (3.0 + s2, 1.5)
+                            for s in (0, 1) for s2 in (0, 1, 2)})
+    w = {i0, safe_pid}
+    w_p = [(i0, "x"), (safe_pid, "x")]
+    rm, warned = assert_same_as_reference(p, w, w_p, tpost, dpost)
+    assert rm.trans[(i0, "x")][0] == (i0, safe_pid)
+    assert rm.trans[(safe_pid, "x")][0] == (i0, safe_pid)
+    assert [msg for _, msg, _ in warned] == [
+        f"pair ({i0},x): renormalized 0.167 predictive mass escaping the "
+        "winning region"]
+
+
+def test_build_matches_reference_on_paper_learner():
+    """Paper preset, 100-episode learner and top-up: the unconverged region
+    fails planning with the same EmptyPredictiveRow, after the same
+    warnings."""
+    cfg = paper_config(learn_episodes=100)
+    p = build_pipeline(cfg)[1]
+    res = run_algorithm1(p, cfg.learner_config(1))
+    top_up_observations(p, res.w_p, res.store, cfg.min_observations,
+                        np.random.default_rng(101))
+    tpost, dpost = update_posteriors(res.store, sorted(res.w_p),
+                                     pool=pooled(p))
+    out, warned = assert_same_as_reference(p, res.w, res.w_p, tpost, dpost,
+                                           gamma_r=cfg.gamma_r)
+    assert out == (EmptyPredictiveRow,
+                   "pair (4099,DR) has no predictive mass inside the region")
+    assert len(warned) == 1
 
 
 # --- combining policies -----------------------------------------------------------

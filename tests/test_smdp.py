@@ -42,6 +42,9 @@ def test_empirical_validation():
         Empirical([])
     with pytest.raises(ValueError):
         Empirical([1.0, -0.5])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Empirical([1.0, bad])
     d = Empirical([1.0, 3.0])
     assert d.mean() == 2.0
 
