@@ -14,7 +14,8 @@ import numpy as np
 from scipy.special import gammaln, psi
 
 from .errors import (
-    InvalidObservation, MomentUndefined, UntrackedPair, UntrackedTriple,
+    ConfigError, InvalidObservation, MomentUndefined, UntrackedPair,
+    UntrackedTriple,
 )
 
 DIRICHLET_PRIOR = 1.0
@@ -144,8 +145,7 @@ class GammaPosterior:
 
 
 def update_posteriors(store: ObservationStore, pairs, support=None,
-                      pool=None, dirichlet_prior=DIRICHLET_PRIOR,
-                      gamma_prior=GAMMA_PRIOR):
+                      pool=None):
     """Exact conjugate updates from the observations of the given pairs.
 
     `support` optionally declares candidate successors per posterior row;
@@ -161,7 +161,7 @@ def update_posteriors(store: ObservationStore, pairs, support=None,
     parameters from the summed count and dwell.
     """
     support = support or {}
-    a0, b0 = gamma_prior
+    a0, b0 = GAMMA_PRIOR
     by_pair = store._by_pair
     folded = {}                   # row key -> {s': [count, dwell sum]}
     for pair in pairs:
@@ -185,7 +185,7 @@ def update_posteriors(store: ObservationStore, pairs, support=None,
     for key, acc in folded.items():
         extra = support.get(key)
         cands = sorted(set(acc) | set(extra) if extra else acc)
-        conc = np.array([dirichlet_prior + (acc[c][0] if c in acc else 0)
+        conc = np.array([DIRICHLET_PRIOR + (acc[c][0] if c in acc else 0)
                          for c in cands], dtype=float)
         dir_table[key] = (tuple(cands), conc)
         for s2 in cands:
@@ -292,7 +292,8 @@ class Quantile:
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
-            raise ValueError(f"quantile level must be in (0,1], got {self.alpha}")
+            raise ConfigError(
+                f"quantile level must be in (0,1], got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -303,7 +304,8 @@ class MeanPlusSigma:
 
     def __post_init__(self):
         if not 0 <= self.lam <= 1:
-            raise ValueError(f"deviation weight must be in [0,1], got {self.lam}")
+            raise ConfigError(
+                f"deviation weight must be in [0,1], got {self.lam}")
 
 
 def _mean_std(dist):

@@ -33,8 +33,9 @@ class ActionNotEnabled(SmdpsynthError):
     """Action queried at a state where it is not enabled."""
 
 
-class ConfigError(SmdpsynthError):
-    """Invalid scenario or experiment configuration."""
+class ConfigError(SmdpsynthError, ValueError):
+    """Invalid scenario, experiment, learner, schedule or risk functional
+    configuration."""
 
 
 class AlphabetMismatch(SmdpsynthError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .product import ProductSmdp, sample_product_step
 
 
@@ -28,12 +29,12 @@ class RewardDiscountSpec:
 
     def __post_init__(self):
         if not 0 < self.gamma < 1:
-            raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
+            raise ConfigError(f"gamma must be in (0,1), got {self.gamma}")
         if not 0 < self.gamma_acc < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"gamma_acc must be in (0,1), got {self.gamma_acc}")
         if self.r_n >= 0:
-            raise ValueError(f"r_n must be negative, got {self.r_n}")
+            raise ConfigError(f"r_n must be negative, got {self.r_n}")
 
 
 @dataclass
@@ -48,11 +49,11 @@ class QLearnSchedule:
 
     def __post_init__(self):
         if self.episodes < 1 or self.step_cap < 1:
-            raise ValueError("episodes and step_cap must be >= 1")
+            raise ConfigError("episodes and step_cap must be >= 1")
         if self.visit_offset <= 0:
-            raise ValueError("visit_offset must be positive")
+            raise ConfigError("visit_offset must be positive")
         if not 0 <= self.epsilon <= 1:
-            raise ValueError("epsilon must be in [0,1]")
+            raise ConfigError("epsilon must be in [0,1]")
 
 
 def reward(p: ProductSmdp, i, spec: RewardDiscountSpec) -> float:

@@ -1,12 +1,17 @@
 """Learning the winning region and the dynamics inside it.
 
-A tabular Q-table over product state-action pairs starts at 0 outside the
-accepting set and is driven down only by observed exits, so the induced
-estimates W^k = {s | max_a Q(s,a) = 0} and W_p^k = {(s,a) | Q(s,a) = 0}
-shrink monotonically onto the exact winning region. Exploration mixes an
-entropy-seeking policy inside the region with a boundary-probing policy on
-its rim, and conjugate posteriors over the observed dynamics are refreshed
-periodically from the retained data.
+The paper's learner keeps a tabular Q over product state-action pairs,
+0 outside the accepting set, and reads off W^k = {s | max_a Q(s,a) = 0}
+and W_p^k = {(s,a) | Q(s,a) = 0}. Q moves only on an observed exit from
+W^k, towards a negative exit penalty plus a successor value of at most 0,
+at a positive learning rate: the first exit update already puts Q(s,a)
+below 0, and no later update can bring it back. So this module keeps the
+sets themselves, which give the same estimates: W_p^k is the non-accepting
+pairs with no observed exit from W^k, and W^k the states that keep at
+least one such pair. Both shrink monotonically onto the exact winning
+region. Exploration mixes an entropy-seeking policy inside the region with
+a boundary-probing policy on its rim, and conjugate posteriors over the
+observed dynamics are refreshed periodically from the retained data.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .bayes import (
     transition_entropy, update_posteriors,
 )
 from .errors import (
-    EmptyWinningCandidate, InvalidDistribution, NoAllowedAction,
+    ConfigError, EmptyWinningCandidate, InvalidDistribution, NoAllowedAction,
     UntrackedPair,
 )
 from .product import ProductSmdp, sample_product_step
@@ -77,9 +82,12 @@ class _IndexedSet:
 
 @dataclass
 class LearnerConfig:
-    """Knobs for the winning-region learner."""
+    """Knobs for the winning-region learner.
 
-    alpha: float = 0.2                # constant learning rate
+    The paper's learning rate and exit penalty have no field: any valid
+    value of either drops a pair out of W_p^k on its first observed exit,
+    so neither changes a result (see the module docstring)."""
+
     posterior_period: int = 10        # episodes between posterior refreshes
     episode_budget: int = 50_000
     step_cap: int = 4000              # per-episode exploration bound
@@ -88,24 +96,19 @@ class LearnerConfig:
     patience: int = 500               # stable episodes required to stop
     min_tries: int = 10               # tries required of every surviving pair
     cover_start_prob: float = 0.25    # episode starts forced onto a pair
-    gamma_acc: float = 0.99           # sets the exit penalty (1 - gamma_acc)
     seed: int = 0
     debug_checks: bool = False
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha must be in (0,1], got {self.alpha}")
         if self.posterior_period < 1 or self.episode_budget < 1 \
                 or self.step_cap < 1 or self.patience < 1:
-            raise ValueError("periods, budgets, and caps must be >= 1")
+            raise ConfigError("periods, budgets, and caps must be >= 1")
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise ConfigError("temperature must be positive")
         if not 0 <= self.epsilon <= 1 or not 0 <= self.cover_start_prob <= 1:
-            raise ValueError("mixing weights must be in [0,1]")
-        if not 0 < self.gamma_acc < 1:
-            raise ValueError("gamma_acc must be in (0,1)")
+            raise ConfigError("mixing weights must be in [0,1]")
         if self.min_tries < 0:
-            raise ValueError("min_tries must be nonnegative")
+            raise ConfigError("min_tries must be nonnegative")
 
 
 def softmax_policy(actions, scores, temperature, epsilon):
@@ -187,7 +190,6 @@ class LearnerResult:
     converged: bool
     monotone_violations: int
     progress: list = field(repr=False)
-    q: dict = field(repr=False)
 
 
 def ind_k(oracle_w_p, learned_w_p) -> float:
@@ -199,6 +201,10 @@ def ind_k(oracle_w_p, learned_w_p) -> float:
 
 class WinningLearner:
     """Incremental state of the winning-region learning loop.
+
+    W^k and W_p^k are kept as sets, not as the paper's Q-table: an exit
+    from W^k removes its pair from W_p^k at once, which is where the
+    pair's first Q update would have put it (see the module docstring).
 
     The learner touches the product only through sampling; the exact rows
     are never read. Observations are stored per product pair (and dropped
@@ -217,21 +223,18 @@ class WinningLearner:
         self.oracle_w_p = frozenset(oracle_w_p) if oracle_w_p else None
         self.rng = np.random.default_rng(cfg.seed)
 
-        self.q = {}
         self.w = _IndexedSet()
         self.w_p = _IndexedSet()
         for i in range(p.n_states):
-            acc = i in p.accepting
-            for a in p.enabled(i):
-                self.q[(i, a)] = -1.0 if acc else 0.0
-                if not acc:
+            if i not in p.accepting:
+                for a in p.enabled(i):
                     self.w_p.add((i, a))
-            if not acc:
                 self.w.add(i)
         if len(self.w) == 0:
             raise EmptyWinningCandidate("no candidate winning state at start")
 
-        # zero-valued actions per state, to detect states leaving W in O(1)
+        # W_p^k actions per state (the paper's zero-valued ones), to detect
+        # states leaving W^k in O(1)
         self._zero_actions = {i: len(p.enabled(i))
                               for i in range(p.n_states)
                               if i not in p.accepting}
@@ -260,16 +263,12 @@ class WinningLearner:
         self.tpost = DirichletPosterior({})
         self.dpost = GammaPosterior({})
         # entropy scores are cached per model pair until its posterior row
-        # changes; out scores also depend on W^k, so _gen stamps them and
-        # moves on every refresh and every removal
-        self._gen = 0
+        # changes
         self._ent_cache = {}
-        self._out_cache = {}
-        # pi_ex's (acts, probs) per (state, outward), for the _gen in
-        # _draw_gen only; outward is in the key because an observation can
-        # move a state onto the boundary without moving _gen
+        # pi_ex's (acts, probs) per (state, outward), cleared on every
+        # refresh and every removal; outward is in the key because an
+        # observation can move a state onto the boundary without either
         self._draw_cache = {}
-        self._draw_gen = None
         self._refresh_posteriors()
 
         self.episodes = 0
@@ -305,8 +304,10 @@ class WinningLearner:
                 self._dw.discard(s)
 
     def _remove_pair(self, pair):
-        """Pair's Q fell below zero: leaves W_p, maybe drags its state out."""
-        self._gen += 1
+        """An observed exit from W^k: the pair leaves W_p^k, maybe dragging
+        its state out of W^k. The pair is in W_p^k, since episodes start
+        and act only on W_p^k pairs."""
+        self._draw_cache.clear()
         moved = self.w_p.discard(pair)
         key = self._pool(pair)
         self._pool_size[key] -= 1
@@ -356,7 +357,7 @@ class WinningLearner:
         splice_posteriors(self.tpost, self.dpost, fresh, keys, live)
         for key in keys:
             self._ent_cache.pop(key, None)
-        self._gen += 1
+        self._draw_cache.clear()
         if self.cfg.debug_checks:
             self._check_posteriors()
 
@@ -385,9 +386,6 @@ class WinningLearner:
 
     def _out_score(self, i, a):
         """Predictive probability that the pair leaves the current W^k."""
-        hit = self._out_cache.get((i, a))
-        if hit is not None and hit[0] == self._gen:
-            return hit[1]
         s = self.p.states[i][0]
         try:
             cands = predictive_successors(self.tpost, s, a)
@@ -399,7 +397,6 @@ class WinningLearner:
             j = self.p.lift(i, c)
             if j is None or j not in self.w:
                 out += pr
-        self._out_cache[(i, a)] = (self._gen, out)
         return out
 
     def _policy(self, i, outward):
@@ -434,9 +431,6 @@ class WinningLearner:
         return dict(zip(*self._explore(i)))
 
     def _sample_action(self, i):
-        if self._draw_gen != self._gen:
-            self._draw_cache.clear()
-            self._draw_gen = self._gen
         key = (i, i in self._dw)
         hit = self._draw_cache.get(key)
         if hit is None:
@@ -457,7 +451,7 @@ class WinningLearner:
         return self.w.choice(self.rng), None
 
     def run_episode(self):
-        """One exploration episode; applies at most one Q update."""
+        """One exploration episode; removes at most one pair from W_p^k."""
         cfg = self.cfg
         t0 = time.perf_counter()
         i, forced = self._sample_start()
@@ -475,14 +469,14 @@ class WinningLearner:
                 self._under.discard((i, a))
             self._note_observation(i, a, j)
             if j not in self.w:
-                exit_pair = (i, a, j)
+                exit_pair = (i, a)
                 break
             i = j
 
         before_wp = len(self.w_p)
         before_w = len(self.w)
         if exit_pair is not None:
-            self._exit_update(*exit_pair)
+            self._remove_pair(exit_pair)
             self._stable = 0
         else:
             self._stable += 1
@@ -504,33 +498,27 @@ class WinningLearner:
                 else float("nan")
         self.progress.append(row)
 
-    def _exit_update(self, s, a, s2):
-        """Tabular update on an observed exit from W^k:
-        Q(s,a) <- (1-alpha) Q(s,a) + alpha (r + max_b Q(s2,b)), clipped to
-        [-1, 0], with exit penalty r = -(1 - gamma_acc). A pair whose value
-        drops below zero leaves W_p^k."""
-        cfg = self.cfg
-        r = -(1.0 - cfg.gamma_acc)
-        best_next = max(self.q[(s2, b)] for b in self.p.enabled(s2))
-        v = (1 - cfg.alpha) * self.q[(s, a)] + cfg.alpha * (r + best_next)
-        self.q[(s, a)] = min(0.0, max(-1.0, v))
-        if self.q[(s, a)] < 0.0 and (s, a) in self.w_p:
-            self._remove_pair((s, a))
-
     def _coverage_reached(self):
         return len(self._under) == 0
 
     def _check_consistency(self):
-        """Re-derive W^k, W_p^k and the boundary from scratch and compare
-        them with the incremental sets. Raises AssertionError explicitly,
-        so the checks also run under `python -O`."""
-        w = {i for i in range(self.p.n_states)
-             if any(self.q[(i, a)] == 0.0 for a in self.p.enabled(i))}
-        w_p = {pair for pair, v in self.q.items() if v == 0.0}
+        """Re-derive W^k, the per-state W_p^k action counts and the boundary
+        from W_p^k and compare them with the incremental state. Raises
+        AssertionError explicitly, so the checks also run under
+        `python -O`."""
+        p = self.p
+        w_p = set(self.w_p)
+        w = {i for i, _ in w_p}
+        if w & p.accepting:
+            raise AssertionError("accepting state in the W estimate")
         if w != set(self.w):
-            raise AssertionError("W estimate out of sync with Q")
-        if w_p != set(self.w_p):
-            raise AssertionError("W_p estimate out of sync with Q")
+            raise AssertionError("W estimate out of sync with W_p")
+        counts = {i: 0 for i in range(p.n_states) if i not in p.accepting}
+        for i, _ in w_p:
+            counts[i] += 1
+        if counts != self._zero_actions:
+            raise AssertionError("per-state action counts out of sync "
+                                 "with W_p")
         if set(self._dw) != boundary(w, w_p, self._obs_succ):
             raise AssertionError("boundary out of sync with observations")
         if not self.store.pairs() <= w_p:
@@ -574,7 +562,7 @@ class WinningLearner:
             store=self.store, episodes=self.episodes,
             converged=self.converged,
             monotone_violations=self.monotone_violations,
-            progress=self.progress, q=dict(self.q))
+            progress=self.progress)
 
 
 def run_algorithm1(p: ProductSmdp, cfg: LearnerConfig,

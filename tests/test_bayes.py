@@ -249,13 +249,19 @@ def test_dirichlet_entropy_matches_scipy():
 
 
 def test_gamma_entropy_closed_form():
+    # Gamma(k, rate b) has entropy k - log b + log G(k) + (1 - k) psi(k):
+    # 1 + euler_gamma for the prior (2, 1), 2 euler_gamma for (3, 2)
     store = ObservationStore()
-    _, gpost = update_posteriors(store, {(0, "a")}, support={(0, "a"): (1,)},
-                                 gamma_prior=(1.0, 1.0))
-    assert dwell_entropy(gpost, 0, "a", 1) == pytest.approx(1.0)
-    _, gpost2 = update_posteriors(store, {(0, "a")}, support={(0, "a"): (1,)})
-    assert dwell_entropy(gpost2, 0, "a", 1) == pytest.approx(
+    _, gpost = update_posteriors(store, {(0, "a")}, support={(0, "a"): (1,)})
+    assert dwell_entropy(gpost, 0, "a", 1) == pytest.approx(
+        1.0 + np.euler_gamma)
+    assert dwell_entropy(gpost, 0, "a", 1) == pytest.approx(
         stats.gamma(2.0, scale=1.0).entropy())
+    store.append(0, "a", 1, 1.0)
+    _, gpost2 = update_posteriors(store, {(0, "a")})
+    assert gpost2.params(0, "a", 1) == (3.0, 2.0)
+    assert dwell_entropy(gpost2, 0, "a", 1) == pytest.approx(
+        2.0 * np.euler_gamma)
 
 
 def test_entropy_decreases_with_data():

@@ -77,6 +77,23 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    {"patience": 0}, {"gamma": 1.0},
+    {"functional": {"kind": "quantile", "alpha": 2}},
+])
+def test_invalid_config_value_returns_error_code(tmp_path, capsys,
+                                                 override):
+    """Values rejected by the learner, reward or risk-functional settings
+    end in `error:` and exit 2, not in a traceback."""
+    doc = desk_config().to_json_dict()
+    doc.update(override)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "r").exists()
+
+
 def test_unconverged_solver_returns_error_code(tmp_path, capsys,
                                               monkeypatch):
     cfg_file = _small_config_file(tmp_path)

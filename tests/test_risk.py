@@ -239,7 +239,7 @@ def test_risk_errors_are_typed():
 
 def test_build_from_learned_m1():
     p = m1_product()
-    res = run_algorithm1(p, LearnerConfig(alpha=0.2, episode_budget=150,
+    res = run_algorithm1(p, LearnerConfig(episode_budget=150,
                                           step_cap=25, seed=1))
     rm = build_risk_model(p, res.w, res.w_p, res.transition_posterior,
                           res.dwell_posterior)

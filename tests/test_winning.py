@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from smdpsynth.winning import (
     UNSEEN_SCORE, _draw_index, _np_sum, _softmax_probs,
 )
 
-from conftest import FixedRng, grid4_product, m1_model, m1_product
+from conftest import (
+    FixedRng, grid4_product, m1_model, m1_product, random_product,
+)
 
 
 def c_monitor(K=0):
@@ -34,13 +38,12 @@ def relabeled_m1(labels):
 # --- config ----------------------------------------------------------------
 
 def test_config_validation():
-    for bad in [dict(alpha=0.0), dict(alpha=1.5), dict(temperature=0.0),
-                dict(epsilon=-0.1), dict(epsilon=1.5), dict(gamma_acc=1.0),
+    for bad in [dict(temperature=0.0), dict(epsilon=-0.1), dict(epsilon=1.5),
                 dict(posterior_period=0), dict(step_cap=0),
                 dict(cover_start_prob=2.0), dict(min_tries=-1)]:
         with pytest.raises(ValueError):
             LearnerConfig(**bad)
-    LearnerConfig(alpha=1.0, epsilon=0.0)
+    LearnerConfig(epsilon=0.0)
 
 
 # --- softmax policy helper ---------------------------------------------------
@@ -203,7 +206,7 @@ def test_action_draw_memo_skips_recomputation_bit_identically():
         for _ in range(1000):
             learner.run_episode()
     assert memo.draws == fresh.draws
-    assert memo.q == fresh.q
+    assert list(memo.w_p) == list(fresh.w_p)
     assert memo.rng.bit_generator.state == fresh.rng.bit_generator.state
     assert fresh.computed == len(fresh.draws)
     skipped = len(memo.draws) - memo.computed
@@ -252,67 +255,45 @@ def test_nan_entropy_score_raises_instead_of_drawing(monkeypatch):
     assert learner.rng.bit_generator.state == state
 
 
-# --- q update ------------------------------------------------------------------
+# --- exit update ---------------------------------------------------------------
 # The learner's exit update, on m1: the doomed state's lone pair exits W into
-# the accepting sink, whose value is pinned at -1.
+# the accepting sink. In the paper's Q terms the first exit update puts the
+# pair's value below 0, so the pair leaves W_p^k at once.
 
-def exit_learner(alpha=0.5, gamma_acc=0.99):
+def exit_learner():
     p = m1_product()
-    learner = WinningLearner(p, LearnerConfig(alpha=alpha, gamma_acc=gamma_acc,
-                                              step_cap=10, seed=0))
+    learner = WinningLearner(p, LearnerConfig(step_cap=10, seed=0))
     return p, learner, doomed_m1_state(p), next(iter(p.accepting))
 
 
 def test_q_update_fixed_point():
-    """Pairs whose observed successors stay inside W^k are never updated."""
+    """Pairs whose observed successors stay inside W^k are never removed."""
     p, learner, _, _ = exit_learner()
     for _ in range(50):
         learner.run_episode()
     i0 = p.initial
-    assert learner.q[(i0, "a")] == 0.0
     assert (i0, "a") in learner.w_p and i0 in learner.w
 
 
 def test_q_update_exit_drops_pair():
-    p, learner, mid, acc = exit_learner(alpha=0.5)
-    learner._exit_update(mid, "a", acc)
-    assert learner.q[(mid, "a")] == pytest.approx(0.5 * (-0.01 - 1.0))
+    """An episode that leaves W^k removes the pair it left by."""
+    p, learner, mid, _ = exit_learner()
+    learner._sample_start = lambda: (mid, "a")
+    learner.run_episode()
+    assert learner.progress[-1]["steps"] == 1
     assert (mid, "a") not in learner.w_p and mid not in learner.w
     assert (p.initial, "a") in learner.w_p and p.initial in learner.w
-
-
-def test_q_update_geometric_to_minus_one():
-    alpha = 0.3
-    _, learner, mid, acc = exit_learner(alpha=alpha)
-    target = -1.0 - 0.01      # exit penalty plus the sink value
-    for n in range(1, 6):
-        learner._exit_update(mid, "a", acc)
-        assert learner.q[(mid, "a")] == pytest.approx(
-            target * (1 - (1 - alpha) ** n))
-    for _ in range(200):
-        learner._exit_update(mid, "a", acc)
-    assert learner.q[(mid, "a")] == -1.0
-
-
-def test_q_update_clips_at_minus_one():
-    _, learner, mid, acc = exit_learner(alpha=1.0, gamma_acc=0.5)
-    learner._exit_update(mid, "a", acc)
-    assert learner.q[(mid, "a")] == -1.0
-
-
-def test_q_update_bad_alpha():
-    for alpha in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            exit_learner(alpha=alpha)
+    assert learner._zero_actions[mid] == 0
+    learner._check_consistency()
 
 
 def test_q_update_boundary_refresh():
-    p, learner, mid, acc = exit_learner()
+    p, learner, mid, _ = exit_learner()
     i0 = p.initial
     observe(learner, i0, "a", 0, i0)
     observe(learner, i0, "b", 1, mid)
     assert set(learner._dw) == set()
-    learner._exit_update(mid, "a", acc)
+    learner._remove_pair((mid, "a"))
     assert set(learner._dw) == boundary(set(learner.w), set(learner.w_p),
                                         learner._obs_succ) == {i0}
 
@@ -349,10 +330,9 @@ def test_init_excludes_exactly_accepting():
     p = m1_product()
     learner = WinningLearner(p, LearnerConfig(seed=0))
     assert set(learner.w) == set(range(p.n_states)) - p.accepting
-    assert set(learner.q.values()) <= {-1.0, 0.0}
-    for (i, a), v in learner.q.items():
-        assert (v == -1.0) == (i in p.accepting)
-        assert ((i, a) in learner.w_p) == (i not in p.accepting)
+    assert set(learner.w_p) == {(i, a) for i in range(p.n_states)
+                                if i not in p.accepting
+                                for a in p.enabled(i)}
 
 
 def test_init_no_accepting_keeps_everything():
@@ -402,7 +382,6 @@ def test_pi_wperp_prefers_outgoing_mass():
     learner = WinningLearner(p, LearnerConfig(seed=0))
     i0 = p.initial
     mid = doomed_m1_state(p)
-    learner.q[(mid, "a")] = -0.5
     learner._remove_pair((mid, "a"))
     observe(learner, i0, "a", 0, i0)
     observe(learner, i0, "b", 1, mid)
@@ -429,7 +408,6 @@ def test_pi_ex_dispatches_on_boundary():
     assert i0 not in learner._dw
     assert learner.pi_ex(i0) == learner.pi_ent(i0)
     observe(learner, i0, "b", 1, mid)
-    learner.q[(mid, "a")] = -0.5
     learner._remove_pair((mid, "a"))
     learner._refresh_posteriors()
     assert i0 in learner._dw
@@ -448,7 +426,7 @@ def test_pi_ex_outside_region_raises():
 def test_m1_learns_exact_region():
     p = m1_product()
     w, w_p = exact_winning_region(p)
-    cfg = LearnerConfig(alpha=0.2, episode_budget=200, step_cap=25, seed=1)
+    cfg = LearnerConfig(episode_budget=200, step_cap=25, seed=1)
     res = run_algorithm1(p, cfg, oracle_w_p=w_p)
     assert res.w == w
     assert res.w_p == w_p
@@ -460,14 +438,13 @@ def test_m1_learns_exact_region():
 def test_m1_converges_with_patience():
     p = m1_product()
     w, w_p = exact_winning_region(p)
-    cfg = LearnerConfig(alpha=0.2, episode_budget=2000, step_cap=25,
-                        patience=30, min_tries=5, seed=3, debug_checks=True)
+    cfg = LearnerConfig(episode_budget=2000, step_cap=25, patience=30,
+                        min_tries=5, seed=3, debug_checks=True)
     res = run_algorithm1(p, cfg)
     assert res.converged
     assert res.episodes < 2000
     assert res.w == w and res.w_p == w_p
     assert set(res.store.pairs()) <= set(res.w_p)
-    assert all(-1.0 <= v <= 0.0 for v in res.q.values())
 
 
 def test_unreachable_accepting_converges_at_start():
@@ -486,7 +463,7 @@ def test_m1_posterior_concentrates_on_safe_loop():
     from smdpsynth import predictive_successors, predictive_transition
 
     p = m1_product()
-    cfg = LearnerConfig(alpha=0.2, episode_budget=100, step_cap=25, seed=5)
+    cfg = LearnerConfig(episode_budget=100, step_cap=25, seed=5)
     res = run_algorithm1(p, cfg)
     model_pair = (p.states[p.initial][0], "a")
     cands = predictive_successors(res.transition_posterior, *model_pair)
@@ -557,7 +534,6 @@ def test_refresh_refolds_pool_reordered_by_removal():
     before = learner.dpost.params(s, a, s2)
     assert before == (5.0, 1.0 + (0.1 + 0.1 + 1.1))
 
-    learner.q[victim] = -0.5
     learner._remove_pair(victim)
     assert learner.w_p.index(last) < learner.w_p.index(first)
     learner._refresh_posteriors()
@@ -574,15 +550,96 @@ def test_consistency_check_flags_boundary_drift():
         learner._check_consistency()
 
 
+def test_consistency_check_flags_action_count_drift():
+    p, learner, _, _ = exit_learner()
+    learner._zero_actions[p.initial] += 1
+    with pytest.raises(AssertionError, match="action counts"):
+        learner._check_consistency()
+
+
+def test_consistency_check_flags_accepting_state():
+    p, learner, _, acc = exit_learner()
+    learner.w.add(acc)
+    learner.w_p.add((acc, p.enabled(acc)[0]))
+    with pytest.raises(AssertionError, match="accepting"):
+        learner._check_consistency()
+
+
+def test_learner_sound_on_random_products():
+    """W^k contains W and W_p^k contains W_p, and every pair the learner
+    dropped has an observed successor outside W^k: a removal needs a
+    transition that really occurred."""
+    rng = np.random.default_rng(2024)
+    removed = 0
+    for c_prob in (0.15, 0.3):
+        seed = 0
+        while seed < 25:
+            p = random_product(rng, c_prob=c_prob)
+            if len(p.accepting) == p.n_states:
+                continue
+            w, w_p = exact_winning_region(p)
+            learner = WinningLearner(p, LearnerConfig(
+                episode_budget=200, step_cap=30, seed=seed,
+                debug_checks=True))
+            res = learner.run()
+            assert res.w >= w and res.w_p >= w_p
+            assert res.monotone_violations == 0
+            for i in set(range(p.n_states)) - p.accepting:
+                for a in p.enabled(i):
+                    if (i, a) not in res.w_p:
+                        removed += 1
+                        assert any(j not in res.w
+                                   for j in learner._obs_succ[(i, a)])
+            seed += 1
+    assert removed > 0
+
+
 def test_runs_are_deterministic_per_seed():
     p = m1_product()
-    cfg = LearnerConfig(alpha=0.2, episode_budget=60, step_cap=20, seed=11)
+    cfg = LearnerConfig(episode_budget=60, step_cap=20, seed=11)
     r1 = run_algorithm1(p, cfg)
     r2 = run_algorithm1(p, cfg)
     assert r1.w_p == r2.w_p
-    assert r1.q == r2.q
+    assert r1.w == r2.w
     assert [row["steps"] for row in r1.progress] \
         == [row["steps"] for row in r2.progress]
+
+
+# Hashes of the per-episode (|W^k|, |W_p^k|, boundary size, steps) rows and
+# the final W_p^k of seeded runs. How the learner stores its sets may
+# change; which draws and removals it makes, and in what order, may not.
+PINNED_GRID4_TRAJECTORIES = {
+    0: "41a2e77859900c2270bcfc07e853d40bb6dd4939ddca3d3961790bae7050e586",
+    1: "eec9ba6f982d172261943877d1e9f6e3601a4658c42a1528068b8fb9878998fd",
+    2: "aa96611498f837e4f35543cc614bebcb6ac2c6dc67fc8fa0ef07640ba6075595",
+}
+PINNED_PAPER_TRAJECTORY = \
+    "c7f1708ec056955dee17c44f084c881d18b693aec458ddf93f6baf907addaf28"
+
+
+def trajectory_digest(res):
+    doc = {"rows": [[row["w"], row["w_p"], row["boundary"], row["steps"]]
+                    for row in res.progress],
+           "w_p": sorted([i, a] for i, a in res.w_p)}
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_GRID4_TRAJECTORIES))
+def test_grid4_trajectory_is_pinned(seed):
+    cfg = LearnerConfig(seed=seed, episode_budget=2000, step_cap=60,
+                        patience=250, min_tries=10)
+    res = run_algorithm1(grid4_product(5), cfg)
+    assert res.converged
+    assert trajectory_digest(res) == PINNED_GRID4_TRAJECTORIES[seed]
+
+
+def test_paper_trajectory_is_pinned():
+    cfg = paper_config()
+    _, p = build_pipeline(cfg)
+    res = run_algorithm1(p, dataclasses.replace(cfg.learner_config(1),
+                                                episode_budget=100))
+    assert res.episodes == 100 and not res.converged
+    assert trajectory_digest(res) == PINNED_PAPER_TRAJECTORY
 
 
 def test_progress_rows_schema():
@@ -628,7 +685,7 @@ def test_debug_checks_compare_action_draw_without_drawing(monkeypatch):
     cfg = LearnerConfig(seed=13, episode_budget=150, step_cap=40)
     plain = run_algorithm1(p, cfg)
     checked = run_algorithm1(p, dataclasses.replace(cfg, debug_checks=True))
-    assert checked.q == plain.q
+    assert checked.w_p == plain.w_p
     assert [row["steps"] for row in checked.progress] \
         == [row["steps"] for row in plain.progress]
 
