@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .automata import determinize_kcba
-from .errors import SmdpsynthError
+from .errors import ConfigError, SmdpsynthError
 from .experiment import (
     ExperimentConfig, build_pipeline, desk_config, paper_config,
     run_experiment,
@@ -64,8 +64,16 @@ def _load_config(args) -> ExperimentConfig:
         if args.paper_scale:
             raise SystemExit("--paper-scale replaces the config file; "
                              "pass one or the other")
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json_dict(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise ConfigError(
+                f"cannot read config file {args.config!r}: {e}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(
+                f"config file {args.config!r} does not hold a JSON object")
+        cfg = ExperimentConfig.from_json_dict(doc)
     elif args.paper_scale:
         cfg = paper_config()
     else:
@@ -188,9 +196,8 @@ def _check_learner_exact():
 
 
 def _check_risk_closed_form():
-    rm = RiskModel(trans={(0, "a"): ((0,), (1.0,))},
-                   risks={(0, "a", 0): 1.0}, allowed={0: ("a",)},
-                   gamma_r=0.9)
+    rm = RiskModel(pairs=[(0, "a")], row_ptr=[0, 1], succ=[0], prob=[1.0],
+                   risk=[1.0], allowed={0: ("a",)}, gamma_r=0.9)
     rq = risk_value_iteration(rm, tol=1e-12)
     _expect(abs(rq.q[(0, "a")] - 10.0) < 1e-9,
             f"Q = {rq.q[(0, 'a')]!r}, not 10")

@@ -38,8 +38,8 @@ class ConfigError(SmdpsynthError, ValueError):
     configuration."""
 
 
-class AlphabetMismatch(SmdpsynthError):
-    """Model and automaton disagree on the atomic propositions."""
+class AlphabetMismatch(SmdpsynthError, ValueError):
+    """Model, formula and automaton disagree on the atomic propositions."""
 
 
 class UntrackedPair(SmdpsynthError):

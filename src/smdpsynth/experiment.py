@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be >= 1")
         if self.k < 0:
             raise ConfigError("k must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.gamma_r < 1:
             raise ConfigError(f"gamma_r must be in [0,1), got {self.gamma_r}")
         if min(self.min_observations, self.paths, self.horizon,

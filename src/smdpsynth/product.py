@@ -3,8 +3,7 @@ oracles for the winning region and maximal reachability probabilities."""
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import chain, compress
+from array import array
 
 import numpy as np
 
@@ -27,6 +26,28 @@ class ProductSmdp:
     unchanged. `accepting` collects the product states whose automaton
     component is accepting; staying outside it forever is the safety
     objective the learner works toward.
+
+    States get ids in breadth-first discovery order (`states[i]` is the
+    (model state, automaton state) pair of id i, `index` its inverse).
+    The transitions are stored once, as flat arrays in pair-id order. A
+    pair is a state with one of its enabled actions; pair ids run through
+    the states in id order and, within a state, through its actions in
+    the model's order:
+
+    - `pair_ptr`: state i owns the pairs `pair_ptr[i]:pair_ptr[i + 1]`;
+    - `owner[k]`: the state of pair k; `pair_model[k]`: its model pair,
+      an index into `model_pairs`, the model's (s, a) in the same order;
+    - `row_ptr`: pair k's successors are `succ[row_ptr[k]:row_ptr[k + 1]]`,
+      in the order of the model row they lift, so sampling can index a
+      row with the model's draw;
+    - `edge[e]`: the model transition that product edge e lifts, an index
+      into the model's flat rows `model_succ` and `model_prob` (model pair
+      q's entries are `model_row_ptr[q]:model_row_ptr[q + 1]`). It gives
+      each product edge its probability and its model triple.
+
+    A product row never lists a successor twice: model rows refuse
+    duplicates, and two distinct model successors lift to two distinct
+    product states.
     """
 
     def __init__(self, m: Smdp, d: Dkcba):
@@ -36,40 +57,63 @@ class ProductSmdp:
         self.m = m
         self.d = d
 
-        f0 = d.step(d.initial, m.letter_of(m.initial))
-        init = (m.initial, f0)
-        index = {init: 0}
-        states = [init]
-        rows = {}
-        queue = deque([init])
-        while queue:
-            s, f = queue.popleft()
-            pid = index[(s, f)]
-            for a in m._enabled[s]:
-                succs, probs = m.trans_row(s, a)
-                pids = []
-                for s2 in succs:
-                    f2 = d.step(f, m.letter_of(s2))
-                    key = (s2, f2)
-                    nid = index.get(key)
-                    if nid is None:
-                        nid = len(states)
-                        index[key] = nid
-                        states.append(key)
-                        queue.append(key)
-                    pids.append(nid)
-                # successors in model-row order: sample_product_step
-                # indexes this row with the model's draw
-                rows[(pid, a)] = (tuple(pids), probs)
+        # the model's rows, flat, in state then action order
+        self.model_pairs = tuple((s, a) for s in range(m.n_states)
+                                 for a in m._enabled[s])
+        rows = [m._rows[pair] for pair in self.model_pairs]
+        model_pair_ptr = _offsets(list(map(len, m._enabled)))
+        self.model_row_ptr = _offsets([len(succs) for succs, _ in rows])
+        self.model_succ = np.array([s2 for succs, _ in rows for s2 in succs],
+                                   dtype=np.intp)
+        self.model_prob = np.array([pr for _, probs in rows for pr in probs])
+        # (s, a) -> offset of that pair, and of its row's first edge,
+        # within the pairs and the edges of any product state over s
+        self._pair_at, self._edge_at = {}, {}
+        for q, (s, a) in enumerate(self.model_pairs):
+            lo = model_pair_ptr[s]
+            self._pair_at[(s, a)] = int(q - lo)
+            self._edge_at[(s, a)] = int(self.model_row_ptr[q]
+                                        - self.model_row_ptr[lo])
 
-        self.states = tuple(states)
-        self.index = index
-        self.n_states = len(states)
+        # model state s owns the model edges edge_lo[s]:edge_lo[s + 1],
+        # its rows one after another in action order
+        edge_lo = self.model_row_ptr[model_pair_ptr]
+        n_edges = np.diff(edge_lo)
+        delta = np.asarray(d.delta, dtype=np.intp).reshape(d.n_states,
+                                                           d.n_letters)
+        label = np.asarray(m.labels, dtype=np.intp)[self.model_succ]
+
+        def succ_keys(s, f):
+            """The model edges of each state (s, f) and the keys of the
+            states they lead to."""
+            e = _ranges(edge_lo[s], n_edges[s])
+            return e, self.model_succ[e] * d.n_states + delta[
+                np.repeat(f, n_edges[s]), label[e]]
+
+        key_id = _bfs(m, d, succ_keys)
+        reached = np.flatnonzero(key_id >= 0)
+        keys = np.empty_like(reached)
+        keys[key_id[reached]] = reached
+        self.n_states = len(keys)
         self.initial = 0
-        self._rows = rows
-        acc_d = d.accepting
-        self.accepting = frozenset(
-            i for i, (_, f) in enumerate(states) if f in acc_d)
+        s_of, f_of = np.divmod(keys, d.n_states)
+        self.states = tuple(zip(s_of.tolist(), f_of.tolist()))
+        self.index = dict(zip(self.states, range(self.n_states)))
+        self.accepting = frozenset(np.flatnonzero(
+            np.isin(f_of, list(d.accepting))).tolist())
+
+        n_pairs = np.diff(model_pair_ptr)[s_of]
+        self.pair_ptr = _offsets(n_pairs)
+        self.owner = np.repeat(np.arange(self.n_states), n_pairs)
+        self.pair_model = _ranges(model_pair_ptr[s_of], n_pairs)
+        self.row_ptr = _offsets(
+            np.diff(self.model_row_ptr)[self.pair_model])
+        self.edge, succ_key = succ_keys(s_of, f_of)
+        self.succ = key_id[succ_key]
+        # Python-int mirrors for the simulator's per-step lookups: the
+        # successors, and the first edge of every state
+        self._succ_at = array("q", self.succ.astype(np.int64).tobytes())
+        self._edge_base = self.row_ptr[self.pair_ptr[:-1]].tolist()
 
     def check_state(self, i):
         if not 0 <= i < self.n_states:
@@ -79,12 +123,32 @@ class ProductSmdp:
         self.check_state(i)
         return self.m._enabled[self.states[i][0]]
 
-    def trans_row(self, i, a):
+    def pair_id(self, i, a) -> int:
+        """Id of pair (i, a) in the flat layout."""
         self.check_state(i)
-        row = self._rows.get((i, a))
-        if row is None:
+        at = self._pair_at.get((self.states[i][0], a))
+        if at is None:
+            raise ActionNotEnabled(
+                f"action {a!r} not enabled in product state {i}")
+        return int(self.pair_ptr[i]) + at
+
+    def pair_actions(self, pairs) -> list:
+        """The action of each pair id in `pairs`."""
+        model_pairs = self.model_pairs
+        return [model_pairs[q][1] for q in self.pair_model[pairs].tolist()]
+
+    def trans_row(self, i, a):
+        """(successor ids, probabilities) of pair (i, a): the successors
+        are read off the flat layout, the probabilities are the model
+        row's own tuple."""
+        self.check_state(i)
+        s = self.states[i][0]
+        at = self._edge_at.get((s, a))
+        if at is None:
             raise ActionNotEnabled(f"action {a!r} not enabled in product state {i}")
-        return row
+        probs = self.m._rows[(s, a)][1]
+        lo = self._edge_base[i] + at
+        return tuple(self._succ_at[lo:lo + len(probs)]), probs
 
     def lift(self, i, s2):
         """Product successor of state i when the model moves to s2: the
@@ -105,9 +169,9 @@ class ProductSmdp:
             "initial": self.initial,
             "accepting": sorted(self.accepting),
             "transitions": {
-                f"{i}/{a}": {str(j): p for j, p in zip(*row)}
-                for (i, a), row in sorted(self._rows.items(),
-                                          key=lambda kv: (kv[0][0], kv[0][1]))
+                f"{i}/{a}": {str(j): p for j, p in zip(*self.trans_row(i, a))}
+                for i, a in sorted((i, a) for i in range(self.n_states)
+                                   for a in self.enabled(i))
             },
         }
         if winning is not None:
@@ -115,6 +179,51 @@ class ProductSmdp:
         if winning_pairs is not None:
             doc["winning_pairs"] = sorted([i, a] for i, a in winning_pairs)
         return doc
+
+
+def _offsets(lens) -> np.ndarray:
+    """Row offsets of consecutive rows of lengths `lens`: 0, then their
+    running sums."""
+    out = np.zeros(len(lens) + 1, dtype=np.intp)
+    np.cumsum(lens, out=out[1:])
+    return out
+
+
+def _ranges(starts, lens) -> np.ndarray:
+    """The index ranges starts[r]:starts[r] + lens[r], concatenated."""
+    shift = starts - (np.cumsum(lens) - lens)
+    return np.repeat(shift, lens) + np.arange(int(lens.sum()))
+
+
+def _bfs(m, d, succ_keys) -> np.ndarray:
+    """Breadth-first search of the reachable product, one level at a time.
+
+    A product state is the key s * |F| + f (|F| automaton states);
+    `succ_keys(s, f)` returns, for arrays of states, their model edges in
+    pair-id order and the keys those edges lead to. Each level looks its
+    successor keys up in a dense key -> id table and numbers the keys not
+    seen before in the order of their first occurrence (`np.unique`'s
+    first indices, sorted). The frontier holds consecutive ids in
+    increasing order, so this is exactly the numbering of a FIFO search
+    that pops one state at a time. Returns the table, -1 for unreached
+    keys.
+    """
+    n_f = d.n_states
+    key_id = np.full(m.n_states * n_f, -1, dtype=np.intp)
+    frontier = np.array(
+        [m.initial * n_f + d.step(d.initial, m.letter_of(m.initial))],
+        dtype=np.intp)
+    key_id[frontier] = 0
+    n = 0
+    while frontier.size:
+        n += frontier.size
+        k = succ_keys(*np.divmod(frontier, n_f))[1]
+        frontier = k[key_id[k] < 0]
+        if frontier.size > 1:
+            new, first = np.unique(frontier, return_index=True)
+            frontier = new[np.argsort(first)]
+        key_id[frontier] = np.arange(n, n + frontier.size)
+    return key_id
 
 
 def build_product(m: Smdp, d: Dkcba) -> ProductSmdp:
@@ -132,8 +241,9 @@ def sample_product_step(p: ProductSmdp, i, a, rng):
     transition table directly.
     """
     p.check_state(i)
-    k, s2, tau = _draw_step(p.m, p.states[i][0], a, rng)
-    return p._rows[(i, a)][0][k], tau, s2
+    s = p.states[i][0]
+    k, s2, tau = _draw_step(p.m, s, a, rng)
+    return p._succ_at[p._edge_base[i] + p._edge_at[(s, a)] + k], tau, s2
 
 
 def exact_winning_region(p: ProductSmdp):
@@ -142,26 +252,16 @@ def exact_winning_region(p: ProductSmdp):
     Returns (W, W_p): the states from which the accepting set is avoidable
     with probability one, and the state-action pairs whose whole successor
     support stays inside W. Exact; used as the reference the learner is
-    measured against. The product's rows are packed into flat arrays on
-    every call and handed to `_safety_fixpoint`, accepting states dead
-    from the start. A product row never lists a successor twice: model
-    rows refuse duplicates, and two distinct model successors lift to two
-    distinct product states.
+    measured against. `_safety_fixpoint` runs on the product's stored
+    flat layout, accepting states dead from the start; only the surviving
+    pairs are turned into (i, a) tuples.
     """
-    pairs = list(p._rows)
-    succs = [succ for succ, _ in p._rows.values()]
-    row_ptr = np.zeros(len(succs) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, succs), dtype=np.intp, count=len(succs)),
-              out=row_ptr[1:])
-    succ = np.fromiter(chain.from_iterable(succs), dtype=np.intp,
-                       count=int(row_ptr[-1]))
-    owner = np.fromiter((i for i, _ in pairs), dtype=np.intp,
-                        count=len(pairs))
     dead = np.zeros(p.n_states, dtype=bool)
-    dead[np.fromiter(p.accepting, dtype=np.intp)] = True
-    alive, safe = _safety_fixpoint(owner, row_ptr, succ, dead)
+    dead[list(p.accepting)] = True
+    alive, safe = _safety_fixpoint(p.owner, p.row_ptr, p.succ, dead)
+    safe = np.flatnonzero(safe)
     w = frozenset(np.flatnonzero(alive).tolist())
-    w_p = frozenset(compress(pairs, safe.tolist()))
+    w_p = frozenset(zip(p.owner[safe].tolist(), p.pair_actions(safe)))
     return w, w_p
 
 
@@ -250,21 +350,25 @@ def _best_actions(p: ProductSmdp, states, v, tol) -> list:
 
 
 def _state_rows(p: ProductSmdp, states):
-    """The rows of every enabled action of `states`, packed for sweeps.
+    """The rows of every enabled action of `states`, padded for sweeps.
 
     Returns (acts, succ, prob, group): each state's enabled actions in the
-    model's order; `_pack_rows`' successor and probability arrays over
-    those rows, one state's rows after another; and the (width,
-    len(states)) positions of each state's rows among them, padded with
-    the number of rows, the trailing slot of `_row_values`.
+    model's order; the successor and probability arrays of those rows, one
+    state's rows after another, gathered from the flat layout and padded
+    by `_pad` (index 0, probability 0.0); and the (width, len(states))
+    positions of each state's rows among them, padded with the number of
+    rows, the trailing slot of `_row_values`.
     """
     enabled, of = p.m._enabled, p.states
     acts = [enabled[of[i][0]] for i in states]
-    rows = [p._rows[(i, a)] for i, row_acts in zip(states, acts)
-            for a in row_acts]
-    succ, prob = _pack_rows([s for s, _ in rows], [pr for _, pr in rows])
-    lens = np.fromiter(map(len, acts), dtype=np.intp, count=len(acts))
-    group = _pad(lens, np.arange(len(rows)), len(rows), np.intp)
+    states = np.asarray(states, dtype=np.intp)
+    n_pairs = p.pair_ptr[states + 1] - p.pair_ptr[states]
+    pairs = _ranges(p.pair_ptr[states], n_pairs)
+    lens = p.row_ptr[pairs + 1] - p.row_ptr[pairs]
+    edges = _ranges(p.row_ptr[pairs], lens)
+    succ = _pad(lens, p.succ[edges], 0, np.intp)
+    prob = _pad(lens, p.model_prob[p.edge[edges]], 0.0, float)
+    group = _pad(n_pairs, np.arange(len(pairs)), len(pairs), np.intp)
     return acts, succ, prob, group
 
 
@@ -280,24 +384,6 @@ def _row_values(succ, prob, v) -> np.ndarray:
     for k in range(len(succ)):
         rows += prob[k] * v[succ[k]]
     return vals
-
-
-def _pack_rows(succs, *values):
-    """Column-major padded arrays for rows of varying length.
-
-    `succs` holds one sequence of successor indices per row; each of
-    `values` holds one equal-length sequence of floats per row
-    (probabilities, risks). Returns one array of shape (width, n_rows) for
-    each, as `_pad` lays them out, so a sweep accumulates column k of
-    every row at once, in the same left-to-right order as a loop over the
-    row. Padding is index 0 with value 0.0: with the probability among
-    `values`, a padded entry adds exactly 0.0 to its row's sum.
-    """
-    lens = np.fromiter(map(len, succs), dtype=np.intp, count=len(succs))
-    packed = [_pad(lens, [x for seq in succs for x in seq], 0, np.intp)]
-    for vs in values:
-        packed.append(_pad(lens, [x for seq in vs for x in seq], 0.0, float))
-    return packed
 
 
 def _pad(lens, flat, fill, dtype) -> np.ndarray:

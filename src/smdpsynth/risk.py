@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -23,7 +22,9 @@ from .errors import (
     DomainGap, EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction,
     NonfiniteRisk, NotConverged, PolicyLeavesW,
 )
-from .product import ProductSmdp, _pack_rows, _pad, _solve_by_components
+from .product import (
+    ProductSmdp, _offsets, _pad, _ranges, _solve_by_components,
+)
 
 # sweeps after which risk value iteration gives up with NotConverged
 MAX_SWEEPS = 100_000
@@ -31,13 +32,29 @@ MAX_SWEEPS = 100_000
 
 @dataclass
 class RiskModel:
-    """Estimated dynamics and risks restricted to the winning pairs."""
+    """Estimated dynamics and risks restricted to the winning pairs, as
+    compressed sparse rows (CSR).
 
-    trans: dict                  # (i, a) -> (successor pids, probs)
-    risks: dict                  # (i, a, j) -> nonnegative risk
-    allowed: dict                # i -> tuple of actions with (i, a) winning
+    Row k is the winning pair `pairs[k]` = (i, a). Its entries are
+    `row_ptr[k]:row_ptr[k + 1]` of the flat arrays `succ` (successor
+    product ids), `prob` (probabilities) and `risk` (the risk of each
+    transition). `allowed` maps every winning state to its actions that
+    have a row, in the model's action order; `escaped` maps a pair to the
+    predictive mass renormalized away from its row.
+
+    Construction checks the discount, that no allowed tuple is empty, and
+    that every row sums to one, stays among the allowed states and has
+    finite nonnegative risks, naming the first offending pair.
+    """
+
+    pairs: list
+    row_ptr: np.ndarray
+    succ: np.ndarray
+    prob: np.ndarray
+    risk: np.ndarray
+    allowed: dict
     gamma_r: float = 0.9
-    escaped: dict = field(default_factory=dict)   # (i, a) -> renormalized mass
+    escaped: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0 <= self.gamma_r < 1:
@@ -46,13 +63,45 @@ class RiskModel:
         for i, acts in self.allowed.items():
             if not acts:
                 raise InvalidRiskModel(f"state {i} has no allowed action")
-        for (i, a), (succs, probs) in self.trans.items():
-            if abs(sum(probs) - 1.0) > 1e-9:
-                raise InvalidRiskModel(f"row ({i},{a}) does not sum to one")
-            for j in succs:
-                if j not in self.allowed:
-                    raise InvalidRiskModel(
-                        f"row ({i},{a}) leaves the winning region")
+        self.row_ptr = np.asarray(self.row_ptr, dtype=np.intp)
+        self.succ = np.asarray(self.succ, dtype=np.intp)
+        self.prob = np.asarray(self.prob, dtype=float)
+        self.risk = np.asarray(self.risk, dtype=float)
+        n, lens = len(self.pairs), np.diff(self.row_ptr)
+        if (len(self.row_ptr) != n + 1 or self.row_ptr[0] != 0
+                or (lens < 0).any()
+                or not len(self.succ) == len(self.prob) == len(self.risk)
+                == self.row_ptr[-1]):
+            raise InvalidRiskModel(
+                "rows must be compressed sparse rows, one per pair")
+        row = np.repeat(np.arange(n), lens)
+        # the same left-to-right sum per row as a loop over it
+        off = np.abs(np.bincount(row, weights=self.prob, minlength=n)
+                     - 1.0) > 1e-9
+        inside = np.zeros(max(self.allowed, default=-1) + 1, dtype=bool)
+        inside[list(self.allowed)] = True
+        known = (self.succ >= 0) & (self.succ < len(inside))
+        leaves = ~known
+        leaves[known] = ~inside[self.succ[known]]
+        leaving = np.bincount(row[leaves], minlength=n) > 0
+        bad = np.flatnonzero(off | leaving)
+        if bad.size:
+            k = int(bad[0])
+            i, a = self.pairs[k]
+            raise InvalidRiskModel(
+                f"row ({i},{a}) does not sum to one" if off[k] else
+                f"row ({i},{a}) leaves the winning region")
+        _check_risks(self)
+
+
+def _check_risks(rm):
+    """NonfiniteRisk naming the first transition of `rm` whose risk is
+    not finite and nonnegative, if there is one."""
+    bad = np.flatnonzero(~((rm.risk >= 0) & (rm.risk < math.inf)))
+    if bad.size:
+        e = int(bad[0])
+        i, a = rm.pairs[int(np.searchsorted(rm.row_ptr, e, side="right")) - 1]
+        _checked(float(rm.risk[e]), i, a, int(rm.succ[e]))
 
 
 def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
@@ -73,35 +122,26 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     successor. Per copy (i, a): each candidate is lifted through its
     position in the product row (`p.lift` only for a candidate outside
     the model row) and tested against W; a copy that keeps every candidate
-    reuses the pool's normalized row, and one that drops some renormalizes
-    what it keeps.
+    appends the pool's normalized row and risks, and one that drops some
+    renormalizes what it keeps.
     """
     functional = functional or MeanPlusSigma(1.0)
     w = frozenset(w)
     escaped = {}
-    states, prows = p.states, p._rows
+    states, succ_at, edge_base = p.states, p._succ_at, p._edge_base
     pools = {}
 
     def pool(s, a):
-        """[successors, probabilities, getter of the lifted successors from
-        a product row's successor tuple (None if a successor is outside the
-        model row), normalized row, risks]. The normalized row is filled
-        when a copy first keeps every successor, each risk when a copy
-        first keeps its successor."""
+        """[successors, probabilities, positions of the successors in the
+        model row (None if one is outside it), normalized row, risks]. The
+        normalized row is filled when a copy first keeps every successor,
+        each risk when a copy first keeps its successor."""
         cands = predictive_successors(tpost, s, a)
         succs = p.m._rows.get((s, a), ((),))[0]
         at = {s2: k for k, s2 in enumerate(succs)}
         ks = [at.get(s2) for s2 in cands]
-        if None in ks:
-            get = None
-        elif ks == list(range(len(succs))):
-            get = tuple                 # the product row's own tuple
-        elif len(ks) > 1:
-            get = itemgetter(*ks)
-        else:
-            get = lambda t, k=ks[0]: (t[k],)   # noqa: E731
-        return [cands, list(predictive_transition(tpost, s, a)), get, None,
-                [None] * len(cands)]
+        return [cands, list(predictive_transition(tpost, s, a)),
+                None if None in ks else ks, None, [None] * len(cands)]
 
     def risk_at(pl, c, i, a, j):
         r = pl[4][c]
@@ -111,70 +151,102 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
                         functional), i, a, j)
         return r
 
-    def row(pair):
+    pairs, pids, lens, succ, prob, risk = [], [], [], [], [], []
+    for pair in sorted(w_p, key=lambda pair: (pair[0], str(pair[1]))):
         i, a = pair
         s = states[i][0]
         pl = pools.get((s, a))
         if pl is None:
             pl = pools[(s, a)] = pool(s, a)
-        cands, prs, get, full, rks = pl
-        succs = get(prows[pair][0]) if get else \
-            tuple(p.lift(i, s2) for s2 in cands)
+        cands, prs, ks, full, rks = pl
+        pid = p.pair_id(i, a)
+        if ks is None:
+            succs = [p.lift(i, s2) for s2 in cands]
+        else:
+            lo = edge_base[i] + p._edge_at[(s, a)]
+            succs = [succ_at[lo + k] for k in ks]
         if w.issuperset(succs):
             if full is None:
                 total = sum(prs)
-                full = pl[3] = tuple(pr / total for pr in prs)
+                full = pl[3] = [pr / total for pr in prs]
                 for c, j in enumerate(succs):
                     risk_at(pl, c, i, a, j)
-            return succs, full, rks
-        kept, lost = [], 0.0
-        for c, j in enumerate(succs):
-            if j in w:
-                kept.append(c)
-            else:
-                lost += prs[c]
-        if not kept:
-            raise EmptyPredictiveRow(
-                f"pair ({i},{a}) has no predictive mass inside the region")
-        if lost > 0.0:
-            # attributed to the caller of build_risk_model
-            warnings.warn(
-                f"pair ({i},{a}): renormalized {lost:.3g} predictive mass "
-                "escaping the winning region", stacklevel=4)
-            escaped[(i, a)] = lost
-        probs = [prs[c] for c in kept]
-        total = sum(probs)
-        return (tuple(succs[c] for c in kept),
-                tuple(pr / total for pr in probs),
-                [risk_at(pl, c, i, a, succs[c]) for c in kept])
-
-    return _assemble(p, w, w_p, row, gamma_r, escaped)
+            probs, rs = full, rks
+        else:
+            kept, lost = [], 0.0
+            for c, j in enumerate(succs):
+                if j in w:
+                    kept.append(c)
+                else:
+                    lost += prs[c]
+            if not kept:
+                raise EmptyPredictiveRow(
+                    f"pair ({i},{a}) has no predictive mass inside the "
+                    "region")
+            if lost > 0.0:
+                # attributed to the caller of build_risk_model
+                warnings.warn(
+                    f"pair ({i},{a}): renormalized {lost:.3g} predictive "
+                    "mass escaping the winning region", stacklevel=2)
+                escaped[(i, a)] = lost
+            total = sum(prs[c] for c in kept)
+            succs = [succs[c] for c in kept]
+            probs = [prs[c] / total for c in kept]
+            rs = [risk_at(pl, c, i, a, j) for c, j in zip(kept, succs)]
+        pairs.append(pair)
+        pids.append(pid)
+        lens.append(len(succs))
+        succ += succs
+        prob += probs
+        risk += rs
+    return _assemble(p, w, pairs, pids, lens, succ, prob, risk, gamma_r,
+                     escaped)
 
 
 def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
                             gamma_r=0.9) -> RiskModel:
     """Exact-model counterpart of build_risk_model, for oracles and tests.
 
-    Uses the product's true rows restricted to the winning pairs; `risk_fn`
-    is a callable (i, a, j) -> value on product ids, called once per
-    successor (`true_risk_fn` computes one risk per model triple). Winning
-    pairs whose true support leaves the region are rejected.
+    Uses the product's true rows restricted to the winning pairs, gathered
+    from its flat layout, in pair-id order. `risk_fn` is a callable
+    (i, a, j) -> value on product ids that depends only on the model
+    triple (s, a, s') of the transition, like `true_risk_fn`'s: it is
+    called once per model edge, at the first product transition that lifts
+    it, and every product transition gets its model edge's risk. Winning
+    pairs whose true support leaves the region are rejected; errors name
+    the first offending pair in pair-id order.
     """
     w = frozenset(w)
-    prows = p._rows
+    pids = np.sort(np.array([p.pair_id(i, a) for i, a in w_p],
+                            dtype=np.intp))
+    pairs = list(zip(p.owner[pids].tolist(), p.pair_actions(pids)))
 
-    def row(pair):
-        i, a = pair
-        succs, probs = prows.get(pair) or p.trans_row(i, a)
-        if not w.issuperset(succs):
-            raise InvalidRiskModel(
-                f"pair ({i},{a}) leaves the winning region")
-        rs = []
-        for j in succs:
-            rs.append(_checked(risk_fn(i, a, j), i, a, j))
-        return succs, probs, rs
+    lens = p.row_ptr[pids + 1] - p.row_ptr[pids]
+    edges = _ranges(p.row_ptr[pids], lens)
+    succ = p.succ[edges]
+    inside = np.zeros(p.n_states, dtype=bool)
+    inside[list(w)] = True
+    row = np.repeat(np.arange(len(pids)), lens)
+    leaving = row[~inside[succ]]
+    stop = int(leaving[0]) if leaving.size else len(pids)
 
-    return _assemble(p, w, w_p, row, gamma_r, {})
+    model_edge = p.edge[edges]
+    uniq, first, inverse = np.unique(model_edge, return_index=True,
+                                     return_inverse=True)
+    risks = np.zeros(len(uniq))
+    for u in np.argsort(first).tolist():
+        e = int(first[u])
+        k = int(row[e])
+        if k >= stop:
+            break
+        i, a = pairs[k]
+        j = int(succ[e])
+        risks[u] = _checked(risk_fn(i, a, j), i, a, j)
+    if stop < len(pids):
+        i, a = pairs[stop]
+        raise InvalidRiskModel(f"pair ({i},{a}) leaves the winning region")
+    return _assemble(p, w, pairs, pids, lens, succ, p.model_prob[model_edge],
+                     risks[inverse], gamma_r, {})
 
 
 def _checked(r, i, a, j):
@@ -185,34 +257,34 @@ def _checked(r, i, a, j):
     return r
 
 
-def _assemble(p, w, w_p, row, gamma_r, escaped) -> RiskModel:
-    """Shared core of both builders: one row (successors, probabilities,
-    checked risks) per winning pair, in sorted pair order, and an allowed
-    action tuple for every winning state."""
-    trans = {}
-    risks = {}
-    acts_of = {}
-    for pair in sorted(w_p, key=lambda pair: (pair[0], str(pair[1]))):
-        i, a = pair
-        succs, probs, rs = row(pair)
-        trans[pair] = (succs, probs)
-        for j, r in zip(succs, rs):
-            risks[(i, a, j)] = r
-        acts = acts_of.get(i)
+def _assemble(p, w, pairs, pids, lens, succ, prob, risk, gamma_r,
+              escaped) -> RiskModel:
+    """Shared core of both builders: the rows of the winning pairs
+    `pairs` (product pair ids `pids`), of lengths `lens`, with their flat
+    successors, probabilities and checked risks, become a RiskModel with
+    an allowed action tuple for every winning state, in the model's
+    action order."""
+    # ties in the greedy policy break toward the earliest enabled action,
+    # so each allowed tuple keeps the model's action order: the order in
+    # which sorted pair ids list a state's actions
+    pids = np.sort(np.asarray(pids, dtype=np.intp))
+    allowed = {}
+    for i, a in zip(p.owner[pids].tolist(), p.pair_actions(pids)):
+        acts = allowed.get(i)
         if acts is None:
-            acts_of[i] = [a]
+            allowed[i] = [a]
         else:
             acts.append(a)
     for i in w:
-        if i not in acts_of:
+        if i not in allowed:
             raise NoAllowedAction(f"winning state {i} has no winning pair")
-    # ties in the greedy policy break toward the earliest enabled action,
-    # so keep each allowed tuple in the model's action order
-    enabled, states = p.m._enabled, p.states
-    allowed = {i: tuple(a for a in enabled[states[i][0]] if a in acts)
-               for i, acts in acts_of.items()}
-    return RiskModel(trans=trans, risks=risks, allowed=allowed,
-                     gamma_r=gamma_r, escaped=escaped)
+    return RiskModel(
+        pairs=pairs, row_ptr=_offsets(lens),
+        succ=np.asarray(succ, dtype=np.intp),
+        prob=np.asarray(prob, dtype=float),
+        risk=np.asarray(risk, dtype=float),
+        allowed={i: tuple(acts) for i, acts in allowed.items()},
+        gamma_r=gamma_r, escaped=escaped)
 
 
 @dataclass
@@ -231,17 +303,19 @@ def risk_value_iteration(rm: RiskModel, tol=1e-9) -> RiskQ:
     sweeps.
 
     Each sweep updates every pair from the previous sweep's state minima
-    (Jacobi), as array operations over the packed rows; the minima come
-    from a (width, states) array of each state's pairs padded with +inf,
-    exact like any minimum.
+    (Jacobi), as array operations over the model's rows, laid out by
+    `_pad` straight from its CSR arrays: column k holds entry k of every
+    row, so each row sums left to right as a loop over it would, and a
+    padded entry (successor 0, probability and risk 0.0) adds exactly 0.0.
+    The minima come from a (width, states) array of each state's pairs
+    padded with +inf, exact like any minimum.
     """
     if tol <= 0:
         raise InvalidRiskModel(f"tol must be positive, got {tol}")
-    for key, r in rm.risks.items():
-        if not math.isfinite(r):
-            raise NonfiniteRisk(f"risk of {key} is {r!r}")
-    pairs = list(rm.trans)
-    state_of = {i: k for k, i in enumerate(rm.allowed)}
+    _check_risks(rm)
+    pairs = rm.pairs
+    state_of = np.zeros(max(rm.allowed, default=-1) + 1, dtype=np.intp)
+    state_of[list(rm.allowed)] = np.arange(len(rm.allowed))
     pair_of = {pair: k for k, pair in enumerate(pairs)}
     # each state's pairs in allowed order, padded with the +inf slot after
     # the last pair, for the per-state minimum
@@ -250,14 +324,12 @@ def risk_value_iteration(rm: RiskModel, tol=1e-9) -> RiskQ:
                  [pair_of[(i, a)] for i, acts in rm.allowed.items()
                   for a in acts], len(pairs), np.intp)
     q_inf = np.full(len(pairs) + 1, np.inf)
-    rows = list(rm.trans.values())
-    succ, prob, risk = _pack_rows(
-        [[state_of[j] for j in succs] for succs, _ in rows],
-        [probs for _, probs in rows],
-        [[rm.risks[(i, a, j)] for j in succs]
-         for (i, a), (succs, _) in zip(pairs, rows)])
+    lens = np.diff(rm.row_ptr)
+    succ = _pad(lens, state_of[rm.succ], 0, np.intp)
+    prob = _pad(lens, rm.prob, 0.0, float)
+    risk = _pad(lens, rm.risk, 0.0, float)
     q = np.zeros(len(pairs))
-    best = np.zeros(len(state_of))
+    best = np.zeros(len(rm.allowed))
     residuals = []
     for _ in range(MAX_SWEEPS):
         new = np.zeros(len(pairs))

@@ -14,7 +14,7 @@ same formula always yields the identical automaton.
 
 from __future__ import annotations
 
-from .errors import CapacityExceeded
+from .errors import AlphabetMismatch, CapacityExceeded
 from . import ltl as L
 
 
@@ -132,7 +132,8 @@ def ltl_to_cba(phi: L.Formula, ap=None, state_budget: int = 10 ** 6):
     ap = tuple(ap)
     missing = set(L.atoms_of(phi)) - set(ap)
     if missing:
-        raise ValueError(f"formula atoms {sorted(missing)} not in ap {ap}")
+        raise AlphabetMismatch(
+            f"formula atoms {sorted(missing)} not in ap {ap}")
 
     neg = L.to_nnf(L.lnot(phi))
     parts = _flatten_or(neg)

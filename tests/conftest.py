@@ -199,3 +199,38 @@ class FixedRng:
 
     def exponential(self, scale):
         return scale
+
+
+def product_rows(p):
+    """Every row of a product as {(i, a): (successors, probabilities)}, in
+    pair-id order: state by state, each state's actions in the model's
+    order."""
+    return {(i, a): p.trans_row(i, a)
+            for i in range(p.n_states) for a in p.enabled(i)}
+
+
+def risk_model(trans, risks, allowed, gamma_r=0.9, escaped=None):
+    """A RiskModel from rows written out as dicts: `trans` maps (i, a) to
+    (successors, probabilities), `risks` maps (i, a, j) to the risk of
+    that transition. Rows keep the order of `trans`."""
+    from smdpsynth.risk import RiskModel
+
+    row_ptr, succ, prob, risk = [0], [], [], []
+    for (i, a), (succs, probs) in trans.items():
+        succ += succs
+        prob += probs
+        risk += [risks[(i, a, j)] for j in succs]
+        row_ptr.append(len(succ))
+    return RiskModel(pairs=list(trans), row_ptr=row_ptr, succ=succ,
+                     prob=prob, risk=risk, allowed=allowed, gamma_r=gamma_r,
+                     escaped={} if escaped is None else escaped)
+
+
+def risk_rows(rm):
+    """The rows of a RiskModel as {(i, a): (successors, probabilities,
+    risks)}, tuples of Python numbers, in row order."""
+    succ, prob, risk = rm.succ.tolist(), rm.prob.tolist(), rm.risk.tolist()
+    ptr = rm.row_ptr.tolist()
+    return {pair: (tuple(succ[lo:hi]), tuple(prob[lo:hi]),
+                   tuple(risk[lo:hi]))
+            for pair, lo, hi in zip(rm.pairs, ptr, ptr[1:])}

@@ -365,15 +365,18 @@ def risk_value_of_policy(rows, policy, gamma, states):
 def risk_value_iteration_scalar(rm, tol=1e-9):
     """Risk VI as one scalar loop per pair: the reference the library's
     array sweeps must match bit for bit. Returns (q, residuals)."""
-    q = {pair: 0.0 for pair in rm.trans}
+    from conftest import risk_rows
+
+    rows = risk_rows(rm)
+    q = {pair: 0.0 for pair in rows}
     best = {i: 0.0 for i in rm.allowed}
     residuals = []
     while not residuals or residuals[-1] >= tol:
         residual = 0.0
-        for (i, a), (succs, probs) in rm.trans.items():
+        for (i, a), (succs, probs, risks) in rows.items():
             v = 0.0
-            for j, pr in zip(succs, probs):
-                v += pr * (rm.risks[(i, a, j)] + rm.gamma_r * best[j])
+            for j, pr, r in zip(succs, probs, risks):
+                v += pr * (r + rm.gamma_r * best[j])
             residual = max(residual, abs(v - q[(i, a)]))
             q[(i, a)] = v
         for i, acts in rm.allowed.items():
@@ -390,8 +393,10 @@ def max_reach_gauss_seidel(p, target):
     v = np.zeros(p.n_states)
     for i in target:
         v[i] = 1.0
+    from conftest import product_rows
+
     by_state = {}
-    for (i, a), (succs, probs) in p._rows.items():
+    for (i, a), (succs, probs) in product_rows(p).items():
         if i not in target:
             by_state.setdefault(i, []).append((list(succs), np.asarray(probs)))
     residual = 1.0
@@ -404,6 +409,42 @@ def max_reach_gauss_seidel(p, target):
     return v
 
 
+# --- product construction ------------------------------------------------------
+
+def product_reference(m, d):
+    """The reachable product by a FIFO breadth-first search that pops one
+    state at a time: each popped state's enabled actions in the model's
+    order, each row's successors in model-row order, a new id for every
+    state on its first sighting. The reference the library's
+    level-synchronous array build must match. Returns (states, index,
+    accepting, rows), rows being {(i, a): (successor ids, the model row's
+    probabilities)} in insertion order."""
+    f0 = d.step(d.initial, m.letter_of(m.initial))
+    init = (m.initial, f0)
+    index = {init: 0}
+    states = [init]
+    rows = {}
+    queue = deque([init])
+    while queue:
+        s, f = queue.popleft()
+        pid = index[(s, f)]
+        for a in m._enabled[s]:
+            succs, probs = m.trans_row(s, a)
+            pids = []
+            for s2 in succs:
+                key = (s2, d.step(f, m.letter_of(s2)))
+                nid = index.get(key)
+                if nid is None:
+                    nid = index[key] = len(states)
+                    states.append(key)
+                    queue.append(key)
+                pids.append(nid)
+            rows[(pid, a)] = (tuple(pids), probs)
+    accepting = frozenset(i for i, (_, f) in enumerate(states)
+                          if f in d.accepting)
+    return tuple(states), index, accepting, rows
+
+
 # --- exact oracle references ---------------------------------------------------
 
 def exact_winning_region_reference(p):
@@ -411,6 +452,9 @@ def exact_winning_region_reference(p):
     predecessor lists, counting each pair's distinct dead successors:
     the reference the library's array fixpoint must match. Returns
     (W, W_p)."""
+    from conftest import product_rows
+
+    rows = product_rows(p)
     alive = [True] * p.n_states
     for i in p.accepting:
         alive[i] = False
@@ -418,7 +462,7 @@ def exact_winning_region_reference(p):
     preds = {}
     bad_count = {}
     good_actions = [0] * p.n_states
-    for (i, a), (succs, _) in p._rows.items():
+    for (i, a), (succs, _) in rows.items():
         bad = sum(1 for j in set(succs) if not alive[j])
         bad_count[(i, a)] = bad
         if bad == 0:
@@ -443,7 +487,7 @@ def exact_winning_region_reference(p):
                     dead.append(i)
 
     w = frozenset(i for i in range(p.n_states) if alive[i])
-    w_p = frozenset((i, a) for (i, a), (succs, _) in p._rows.items()
+    w_p = frozenset((i, a) for (i, a), (succs, _) in rows.items()
                     if alive[i] and all(alive[j] for j in succs))
     return w, w_p
 
@@ -704,7 +748,8 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
     from smdpsynth.errors import (
         EmptyPredictiveRow, NoAllowedAction, NonfiniteRisk,
     )
-    from smdpsynth.risk import RiskModel
+
+    from conftest import risk_model
 
     functional = functional or MeanPlusSigma(1.0)
     w = frozenset(w)
@@ -749,5 +794,5 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
             raise NoAllowedAction(f"winning state {i} has no winning pair")
     allowed = {i: tuple(a for a in p.enabled(i) if a in acts)
                for i, acts in allowed.items()}
-    return RiskModel(trans=trans, risks=risks, allowed=allowed,
-                     gamma_r=gamma_r, escaped=escaped)
+    return risk_model(trans, risks, allowed, gamma_r=gamma_r,
+                      escaped=escaped)

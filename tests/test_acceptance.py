@@ -14,7 +14,7 @@ import pytest
 
 from smdpsynth import (
     Exponential, LearnerConfig, MeanPlusSigma, ObservationStore,
-    QLearnSchedule, RewardDiscountSpec, RiskModel, Smdp, build_pipeline,
+    QLearnSchedule, RewardDiscountSpec, Smdp, build_pipeline,
     build_risk_model, combine_policy, evaluate_policy_risk,
     enabled_actions, exact_max_reach_probability, exact_winning_region,
     extract_pi_tr, extract_pi_win, lasso_accepted_kcba, determinize_kcba,
@@ -29,6 +29,7 @@ from smdpsynth.experiment import oracle_reference, top_up_observations, \
 
 from conftest import (
     cycle4_product, grid4_product, m1_model, m1_product, random_cba,
+    risk_model,
 )
 
 
@@ -247,9 +248,8 @@ def test_gate5_transient_policy_near_optimal_reach(desk_pipeline):
 
 
 def test_gate6_risk_vi_exact_and_exhaustively_optimal():
-    rm0 = RiskModel(trans={(0, "a"): ((0,), (1.0,))},
-                    risks={(0, "a", 0): 1.0}, allowed={0: ("a",)},
-                    gamma_r=0.9)
+    rm0 = risk_model({(0, "a"): ((0,), (1.0,))}, {(0, "a", 0): 1.0},
+                     {0: ("a",)}, gamma_r=0.9)
     # the sweep stops at residual < tol, which leaves up to tol*g/(1-g)
     # to the fixed point; a tighter tol buys the closed-form match
     rq0 = risk_value_iteration(rm0, tol=1e-12)

@@ -122,7 +122,7 @@ real = cli.RiskModel
 
 
 def doubled(**kw):
-    kw["risks"] = {key: 2 * r for key, r in kw["risks"].items()}
+    kw["risk"] = [2 * r for r in kw["risk"]]
     return real(**kw)
 
 
@@ -147,3 +147,40 @@ def test_check_battery_fails_under_optimize_flag():
     assert len(fails) == 1
     assert fails[0].startswith("FAIL risk closed form: AssertionError")
     assert sum(ln.startswith("ok") for ln in lines) == 4
+
+
+def _run_cli(*args, cwd):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [x for x in [env.get("PYTHONPATH")] if x])
+    return subprocess.run([sys.executable, "-m", "smdpsynth", *args],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=300)
+
+
+def _bad_input(tmp_path, case):
+    if case == "negative seed":
+        return ["run", "--seed", "-1", "--out", str(tmp_path / "r")]
+    if case == "missing file":
+        return ["run", str(tmp_path / "absent.json")]
+    path = tmp_path / "cfg.json"
+    if case == "malformed file":
+        path.write_text('{"formula": "G !c", ')
+    else:                   # an atom the scenario does not label
+        doc = desk_config().to_json_dict()
+        doc["formula"] = "G !d"
+        path.write_text(json.dumps(doc))
+    return ["run", str(path), "--out", str(tmp_path / "r")]
+
+
+@pytest.mark.parametrize("case", ["negative seed", "missing file",
+                                  "malformed file", "unknown atom"])
+def test_bad_input_reports_error_without_traceback(tmp_path, case):
+    """Bad command-line input ends in one `error:` line and exit status 2,
+    before any output is written."""
+    proc = _run_cli(*_bad_input(tmp_path, case), cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "r").exists()

@@ -18,7 +18,7 @@ from smdpsynth.product import (
     exact_max_reach_probability, exact_winning_region,
 )
 
-from conftest import grid4_product, random_product
+from conftest import grid4_product, product_rows, random_product
 from oracles import exact_winning_region_reference, greedy_transient_reference
 
 
@@ -62,7 +62,7 @@ def test_winning_region_edge_products():
     free = random_product(rng)
     w, w_p = exact_winning_region(free)
     assert w == frozenset(range(free.n_states))
-    assert w_p == frozenset(free._rows)
+    assert w_p == frozenset(product_rows(free))
     for p in (doomed, free):
         assert exact_winning_region(p) == exact_winning_region_reference(p)
 
@@ -100,7 +100,7 @@ def test_product_rows_never_repeat_a_successor(presets):
     so the fixpoint may count each row entry as its own successor."""
     products = list(presets.values()) + list(random_products(100, seed=8))
     for p in products:
-        for succs, _ in p._rows.values():
+        for succs, _ in product_rows(p).values():
             assert len(set(succs)) == len(succs)
 
 
@@ -180,10 +180,11 @@ def test_true_risk_computed_once_per_model_triple(presets, monkeypatch):
     monkeypatch.setattr(E, "risk_of", counted)
     fn = E.true_risk_fn(p, functional)
     triples = set()
-    for (i, a), (succs, _) in p._rows.items():
+    rows = product_rows(p)
+    for (i, a), (succs, _) in rows.items():
         for j in succs:
             got = fn(i, a, j)
             assert got == risk_of(p.dwell_of(i, a, j), functional)
             triples.add((p.states[i][0], a, p.states[j][0]))
     assert len(calls) == len(triples) < sum(
-        len(succs) for succs, _ in p._rows.values())
+        len(succs) for succs, _ in rows.values())

@@ -20,14 +20,15 @@ from smdpsynth.product import exact_max_reach_probability, \
 from smdpsynth.risk import evaluate_policy_risk, extract_pi_win, \
     risk_model_from_product, risk_value_iteration
 
-from conftest import grid4_product, random_product
+from conftest import grid4_product, product_rows, random_product
 from oracles import reach_probability_under_policy, risk_value_of_policy
 
 RTOL = 1e-12
 
 
 def dense_reach(p, policy, target):
-    trans = {(i, a): list(zip(*row)) for (i, a), row in p._rows.items()}
+    trans = {(i, a): list(zip(*row))
+             for (i, a), row in product_rows(p).items()}
     return reach_probability_under_policy(trans, policy, target, p.n_states)
 
 

@@ -15,7 +15,8 @@ from smdpsynth.product import (
 )
 
 from conftest import (
-    grid4_model, grid4_product, m1_model, m1_product, random_product,
+    grid4_model, grid4_product, m1_model, m1_product, product_rows,
+    random_product,
 )
 
 
@@ -24,7 +25,7 @@ def safety_monitor(ap=("c",), K=0):
 
 
 def as_trans_dict(p):
-    return {(i, a): list(zip(*row)) for (i, a), row in p._rows.items()}
+    return {(i, a): list(zip(*row)) for (i, a), row in product_rows(p).items()}
 
 
 # construction
@@ -73,14 +74,14 @@ def test_trivial_monitor_product_isomorphic():
     p = build_product(m, d)
     assert p.n_states == m.n_states
     assert p.accepting == frozenset()
-    for (i, a), (succs, probs) in p._rows.items():
+    for (i, a), (succs, probs) in product_rows(p).items():
         ms, mp = m.trans_row(p.states[i][0], a)
         assert tuple(p.states[j][0] for j in succs) == ms and probs == mp
 
 
 def test_grid_product_rows_stochastic():
     p = grid4_product(K=5)
-    for (i, a), (succs, probs) in p._rows.items():
+    for (i, a), (succs, probs) in product_rows(p).items():
         assert abs(sum(probs) - 1.0) <= 1e-9
         assert len(set(succs)) == len(succs)
 
@@ -94,7 +95,7 @@ def test_product_dwell_inherited():
 
 def test_lift_matches_product_rows():
     p = grid4_product(K=5)
-    for (i, a), (succs, _) in p._rows.items():
+    for (i, a), (succs, _) in product_rows(p).items():
         for j in succs:
             assert p.lift(i, p.states[j][0]) == j
 
@@ -113,12 +114,13 @@ def assert_sampler_matches_reference(p, pairs, seed, draws):
 def test_sampler_matches_cumsum_reference():
     p = build_pipeline(desk_config())[1]
     for seed in (0, 1, 97):
-        assert_sampler_matches_reference(p, sorted(p._rows), seed, 4)
+        assert_sampler_matches_reference(p, sorted(product_rows(p)), seed,
+                                         4)
 
 
 def test_sampler_matches_cumsum_reference_on_paper_pairs():
     p = build_pipeline(paper_config())[1]
-    keys = sorted(p._rows)
+    keys = sorted(product_rows(p))
     rng = np.random.default_rng(5)
     pairs = [keys[int(k)] for k in rng.choice(len(keys), size=3000,
                                                replace=False)]
@@ -130,7 +132,8 @@ def test_sampler_matches_reference_on_random_products():
     a draw can land on any position of the row."""
     for seed in range(20):
         p = random_product(np.random.default_rng(seed))
-        assert_sampler_matches_reference(p, sorted(p._rows), seed, 20)
+        assert_sampler_matches_reference(p, sorted(product_rows(p)), seed,
+                                         20)
 
 
 def test_sampler_errors():
@@ -147,8 +150,132 @@ def test_sampler_errors():
 def test_build_deterministic():
     p1, p2 = grid4_product(K=5), grid4_product(K=5)
     assert p1.states == p2.states
-    assert p1._rows == p2._rows
+    assert product_rows(p1) == product_rows(p2)
     assert p1.accepting == p2.accepting
+
+
+# the flat layout against the FIFO breadth-first reference
+
+def varied_products(n_products, seed):
+    """Random products with one to three actions, against the
+    never-accepting monitor or the K=0 and K=2 monitors of "G !c", with
+    several label densities."""
+    rng = np.random.default_rng(seed)
+    for k in range(n_products):
+        actions = ("x", "y", "z")[:int(rng.integers(1, 4))]
+        c_prob = (0.0, 0.1, 0.3, 0.6)[k % 4]
+        p = random_product(rng, n=int(rng.integers(3, 10)), actions=actions,
+                           c_prob=c_prob)
+        if k % 8 == 5:      # same model, a monitor that counts to 2
+            p = build_product(p.m, safety_monitor(K=2))
+        yield p
+
+
+def assert_matches_fifo_reference(p):
+    from oracles import product_reference
+    states, index, accepting, rows = product_reference(p.m, p.d)
+    assert p.states == states
+    assert list(p.index.items()) == list(index.items())
+    assert p.n_states == len(states) and p.accepting == accepting
+    got = product_rows(p)
+    assert list(got.items()) == list(rows.items())
+    for (i, a), (succs, probs) in rows.items():
+        assert all(type(j) is int for j in got[(i, a)][0])
+        assert got[(i, a)][1] is p.m.trans_row(p.states[i][0], a)[1]
+    for i, (_, f) in enumerate(states):
+        for s2 in range(p.m.n_states):
+            key = (s2, p.d.step(f, p.m.letter_of(s2)))
+            assert p.lift(i, s2) == index.get(key)
+
+
+def assert_layout_invariants(p):
+    """Pairs in state order, then in each state's action order; rows in
+    model-row order; every product edge lifts its model edge."""
+    owner, pair_ptr, row_ptr = p.owner, p.pair_ptr, p.row_ptr
+    assert (np.diff(owner) >= 0).all()
+    assert (np.diff(pair_ptr) >= 1).all() and (np.diff(row_ptr) >= 1).all()
+    assert pair_ptr[0] == 0 and pair_ptr[-1] == len(owner)
+    assert row_ptr[0] == 0 and row_ptr[-1] == len(p.succ) == len(p.edge)
+    assert owner.tolist() == np.repeat(np.arange(p.n_states),
+                                       np.diff(pair_ptr)).tolist()
+    for i in range(p.n_states):
+        s = p.states[i][0]
+        ks = range(pair_ptr[i], pair_ptr[i + 1])
+        assert [p.model_pairs[p.pair_model[k]] for k in ks] \
+            == [(s, a) for a in p.enabled(i)]
+        for k, a in zip(ks, p.enabled(i)):
+            assert p.pair_id(i, a) == k
+            q = p.pair_model[k]
+            lo, hi = p.model_row_ptr[q], p.model_row_ptr[q + 1]
+            edges = p.edge[row_ptr[k]:row_ptr[k + 1]]
+            assert edges.tolist() == list(range(lo, hi))
+            assert [p.states[j][0] for j in p.succ[row_ptr[k]:row_ptr[k + 1]]] \
+                == p.model_succ[edges].tolist()
+
+
+def test_flat_build_matches_fifo_reference_on_presets():
+    for p in (grid4_product(K=5), build_pipeline(desk_config())[1],
+              build_pipeline(paper_config())[1]):
+        assert_matches_fifo_reference(p)
+        assert_layout_invariants(p)
+
+
+def test_flat_build_matches_fifo_reference_on_random_products():
+    sizes = set()
+    for p in varied_products(240, seed=31):
+        assert_matches_fifo_reference(p)
+        assert_layout_invariants(p)
+        sizes.add((len(p.m.actions), p.n_states > p.m.n_states))
+    assert sizes == {(n, grown) for n in (1, 2, 3) for grown in (False, True)}
+
+
+def test_flat_build_of_a_deep_chain_matches_reference():
+    """One level per state: the level loop must still number a long
+    narrow search as the FIFO search does."""
+    trans = {(s, "x"): [(s, 0.5), ((s + 1) % 300, 0.5)] for s in range(300)}
+    dwell = {(s, "x", t): Exponential(1.0) for (s, _), row in trans.items()
+             for t, _ in row}
+    m = Smdp(300, ("x",), trans, dwell, 0, ("c",),
+             [int(s % 7 == 3) for s in range(300)])
+    p = build_product(m, safety_monitor(K=1))
+    assert_matches_fifo_reference(p)
+    assert_layout_invariants(p)
+
+
+RETAINED_PAPER_PRODUCT = """
+import gc, tracemalloc
+from smdpsynth import build_pipeline, paper_config
+from smdpsynth.product import build_product
+
+m, p = build_pipeline(paper_config())
+d = p.d
+del p
+gc.collect()
+tracemalloc.start()
+p = build_product(m, d)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_paper_product_retains_at_most_3_5_mb():
+    """What the paper product keeps alive after its build, traced in a
+    fresh interpreter: the flat layout, `states`, `index` and the
+    simulator's mirrors."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [x for x in [env.get("PYTHONPATH")] if x])
+    proc = subprocess.run([sys.executable, "-c", RETAINED_PAPER_PRODUCT],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) <= 3_500_000
 
 
 # winning region
@@ -395,4 +522,5 @@ def test_json_export_roundtrips():
     assert back["initial"] == 0
     assert back["winning_states"] == sorted(w)
     assert back["winning_pairs"] == [[p.initial, "a"]]
-    assert set(back["transitions"]) == {f"{i}/{a}" for (i, a) in p._rows}
+    assert set(back["transitions"]) == {f"{i}/{a}"
+                                        for (i, a) in product_rows(p)}

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -22,23 +23,22 @@ from smdpsynth.risk import (
 
 from conftest import (
     cycle4_product, grid4_product, m1_product, random_product,
-    risky3_product, trivial_monitor,
+    risk_model, risk_rows, risky3_product, trivial_monitor,
 )
 from oracles import build_risk_model_reference
 
 
 def loop1(gamma_r=0.9, risk=1.0):
-    return RiskModel(trans={(0, "a"): ((0,), (1.0,))},
-                     risks={(0, "a", 0): risk},
-                     allowed={0: ("a",)}, gamma_r=gamma_r)
+    return risk_model({(0, "a"): ((0,), (1.0,))}, {(0, "a", 0): risk},
+                      {0: ("a",)}, gamma_r=gamma_r)
 
 
 def two_arms():
-    return RiskModel(
-        trans={(0, "x"): ((1,), (1.0,)), (0, "y"): ((1,), (1.0,)),
-               (1, "z"): ((1,), (1.0,))},
-        risks={(0, "x", 1): 1.0, (0, "y", 1): 2.0, (1, "z", 1): 0.0},
-        allowed={0: ("x", "y"), 1: ("z",)}, gamma_r=0.9)
+    return risk_model(
+        {(0, "x"): ((1,), (1.0,)), (0, "y"): ((1,), (1.0,)),
+         (1, "z"): ((1,), (1.0,))},
+        {(0, "x", 1): 1.0, (0, "y", 1): 2.0, (1, "z", 1): 0.0},
+        {0: ("x", "y"), 1: ("z",)})
 
 
 def true_risk(p):
@@ -54,27 +54,72 @@ def test_risk_model_validation():
     with pytest.raises(ValueError):
         loop1(gamma_r=1.0)
     with pytest.raises(ValueError):
-        RiskModel(trans={}, risks={}, allowed={0: ()}, gamma_r=0.9)
+        risk_model({}, {}, {0: ()})
     with pytest.raises(ValueError):
-        RiskModel(trans={(0, "a"): ((0,), (0.5,))}, risks={},
-                  allowed={0: ("a",)}, gamma_r=0.9)
+        risk_model({(0, "a"): ((0,), (0.5,))}, {(0, "a", 0): 1.0},
+                   {0: ("a",)})
     with pytest.raises(ValueError):
-        RiskModel(trans={(0, "a"): ((7,), (1.0,))}, risks={},
-                  allowed={0: ("a",)}, gamma_r=0.9)
+        risk_model({(0, "a"): ((7,), (1.0,))}, {(0, "a", 7): 1.0},
+                   {0: ("a",)})
 
 
 def test_risk_model_validation_errors_are_typed():
     bad = [dict(trans={}, risks={}, allowed={0: ("a",)}, gamma_r=1.0),
            dict(trans={}, risks={}, allowed={0: ()}),
-           dict(trans={(0, "a"): ((0,), (0.5,))}, risks={},
+           dict(trans={(0, "a"): ((0,), (0.5,))}, risks={(0, "a", 0): 1.0},
                 allowed={0: ("a",)}),
-           dict(trans={(0, "a"): ((7,), (1.0,))}, risks={},
+           dict(trans={(0, "a"): ((7,), (1.0,))}, risks={(0, "a", 7): 1.0},
                 allowed={0: ("a",)})]
     for kwargs in bad:
         with pytest.raises(InvalidRiskModel) as err:
-            RiskModel(**kwargs)
+            risk_model(**kwargs)
         assert isinstance(err.value, SmdpsynthError)
         assert isinstance(err.value, ValueError)
+
+
+def three_rows(changes):
+    """Three valid rows over states 0 and 1, with some entries replaced or
+    added: `changes` maps (i, a, j) to a (probability, risk) pair."""
+    rows = {(0, "x"): {0: (0.5, 1.0), 1: (0.5, 2.0)},
+            (0, "y"): {1: (1.0, 0.5)},
+            (1, "x"): {0: (0.25, 0.0), 1: (0.75, 3.0)}}
+    for (i, a, j), entry in changes.items():
+        rows[(i, a)][j] = entry
+    trans = {pair: (tuple(row), tuple(pr for pr, _ in row.values()))
+             for pair, row in rows.items()}
+    risks = {(i, a, j): r for (i, a), row in rows.items()
+             for j, (_, r) in row.items()}
+    return trans, risks, {0: ("x", "y"), 1: ("x",)}
+
+
+@pytest.mark.parametrize("changes, err_type, message", [
+    ({(0, "y", 1): (0.5, 0.5), (1, "x", 1): (0.5, 3.0)},
+     InvalidRiskModel, "row (0,y) does not sum to one"),
+    ({(0, "y", 2): (0.0, 0.5), (1, "x", 2): (0.0, 0.5)},
+     InvalidRiskModel, "row (0,y) leaves the winning region"),
+    ({(1, "x", 1): (0.75, 3.0), (0, "y", 1): (1.0, -1.0)},
+     NonfiniteRisk, "risk of (0,y,1) is -1.0"),
+    ({(1, "x", 0): (0.25, float("nan")), (0, "x", 1): (0.5, math.inf)},
+     NonfiniteRisk, "risk of (0,x,1) is inf"),
+])
+def test_risk_model_validation_names_first_offending_pair(
+        changes, err_type, message):
+    trans, risks, allowed = three_rows(changes)
+    with pytest.raises(err_type) as err:
+        risk_model(trans, risks, allowed)
+    assert str(err.value) == message
+    assert isinstance(err.value, SmdpsynthError)
+
+
+def test_risk_model_rejects_malformed_rows():
+    ok = dict(pairs=[(0, "a")], row_ptr=[0, 1], succ=[0], prob=[1.0],
+              risk=[1.0], allowed={0: ("a",)})
+    RiskModel(**ok)
+    for change in (dict(row_ptr=[0, 2]), dict(row_ptr=[1, 1]),
+                   dict(row_ptr=[0]), dict(risk=[1.0, 1.0]),
+                   dict(prob=[])):
+        with pytest.raises(InvalidRiskModel, match="compressed sparse rows"):
+            RiskModel(**{**ok, **change})
 
 
 # --- value iteration --------------------------------------------------------
@@ -128,18 +173,18 @@ def random_risk_model(rng, n=20, gamma_r=0.9):
             for j in succs:
                 risks[(i, a, j)] = float(rng.uniform(0, 1))
         allowed[i] = ("x", "y")
-    return RiskModel(trans=trans, risks=risks, allowed=allowed,
-                     gamma_r=gamma_r)
+    return risk_model(trans, risks, allowed, gamma_r=gamma_r)
 
 
 def horizon_reference(rm, horizon):
-    q = {pair: 0.0 for pair in rm.trans}
+    rows = risk_rows(rm)
+    q = {pair: 0.0 for pair in rows}
     for _ in range(horizon):
         best = {i: min(q[(i, a)] for a in acts)
                 for i, acts in rm.allowed.items()}
-        q = {(i, a): sum(pr * (rm.risks[(i, a, j)] + rm.gamma_r * best[j])
-                         for j, pr in zip(*row))
-             for (i, a), row in rm.trans.items()}
+        q = {pair: sum(pr * (r + rm.gamma_r * best[j])
+                       for j, pr, r in zip(*row))
+             for pair, row in rows.items()}
     return q
 
 
@@ -148,7 +193,7 @@ def test_vi_matches_truncated_horizon_oracle():
     rm = random_risk_model(rng)
     tol = 1e-9
     rq = risk_value_iteration(rm, tol=tol)
-    maxrisk = max(rm.risks.values())
+    maxrisk = float(rm.risk.max())
     horizon = 1
     while rm.gamma_r ** horizon * maxrisk / (1 - rm.gamma_r) >= tol:
         horizon += 1
@@ -163,7 +208,7 @@ def test_vi_matches_truncated_horizon_oracle():
 
 def test_vi_rejects_nonfinite_risk():
     rm = loop1()
-    rm.risks[(0, "a", 0)] = float("inf")
+    rm.risk[0] = float("inf")
     with pytest.raises(NonfiniteRisk):
         risk_value_iteration(rm)
     with pytest.raises(ValueError):
@@ -189,14 +234,14 @@ def test_vi_bitwise_on_hand_built_models():
         np.random.default_rng(5)))
     # pairs listed out of state order, mixed row lengths and a state with
     # one action: the per-state minimum must regroup them
-    interleaved = RiskModel(
-        trans={(1, "y"): ((0, 2), (0.25, 0.75)), (0, "x"): ((1,), (1.0,)),
-               (2, "x"): ((2, 0, 1), (0.5, 0.125, 0.375)),
-               (1, "x"): ((1,), (1.0,))},
-        risks={(1, "y", 0): 0.3, (1, "y", 2): 1.7, (0, "x", 1): 0.1,
-               (2, "x", 2): 0.9, (2, "x", 0): 2.5, (2, "x", 1): 0.0,
-               (1, "x", 1): 1.1},
-        allowed={2: ("x",), 0: ("x",), 1: ("x", "y")}, gamma_r=0.95)
+    interleaved = risk_model(
+        {(1, "y"): ((0, 2), (0.25, 0.75)), (0, "x"): ((1,), (1.0,)),
+         (2, "x"): ((2, 0, 1), (0.5, 0.125, 0.375)),
+         (1, "x"): ((1,), (1.0,))},
+        {(1, "y", 0): 0.3, (1, "y", 2): 1.7, (0, "x", 1): 0.1,
+         (2, "x", 2): 0.9, (2, "x", 0): 2.5, (2, "x", 1): 0.0,
+         (1, "x", 1): 1.1},
+        {2: ("x",), 0: ("x",), 1: ("x", "y")}, gamma_r=0.95)
     assert_matches_scalar_reference(interleaved)
 
 
@@ -217,6 +262,78 @@ def test_vi_bitwise_on_desk_models():
         res.store, sorted(w_p),
         pool=lambda pair: (p.states[pair[0]][0], pair[1]))
     assert_matches_scalar_reference(build_risk_model(p, w, w_p, tpost, dpost))
+
+
+def test_vi_bitwise_on_paper_oracle_model():
+    p = build_pipeline(paper_config())[1]
+    w, w_p = exact_winning_region(p)
+    rm = risk_model_from_product(p, w, w_p, true_risk(p), gamma_r=0.9)
+    assert len(rm.pairs) == len(w_p) == 6554
+    assert_matches_scalar_reference(rm)
+
+
+def exact_model_reference(p, w, w_p, risk_fn, gamma_r=0.9):
+    """risk_model_from_product one winning pair at a time: its product
+    row, one risk_fn call per transition, pairs by state and then in the
+    model's action order, as are the allowed tuples."""
+    pairs = sorted(w_p, key=lambda pair: (pair[0],
+                                          p.enabled(pair[0]).index(pair[1])))
+    trans = {pair: p.trans_row(*pair) for pair in pairs}
+    risks = {(i, a, j): risk_fn(i, a, j) for (i, a), (succs, _) in
+             trans.items() for j in succs}
+    acts = {}
+    for i, a in pairs:
+        acts.setdefault(i, set()).add(a)
+    allowed = {i: tuple(a for a in p.enabled(i) if a in acts[i])
+               for i in sorted(acts)}
+    return risk_model(trans, risks, allowed, gamma_r=gamma_r)
+
+
+def test_exact_model_gathers_one_risk_per_model_edge():
+    """The same rows, risks (float.hex) and allowed tuples as the per-pair
+    reference, from one risk_fn call per model edge in the region."""
+    products = [grid4_product(5), build_pipeline(desk_config())[1]]
+    rng = np.random.default_rng(12)
+    products += [random_product(rng, n=int(rng.integers(3, 8)),
+                                actions=("y", "x", "z"), c_prob=0.2)
+                 for _ in range(30)]
+    for p in products:
+        w, w_p = exact_winning_region(p)
+        calls = []
+
+        def fn(i, a, j):
+            calls.append((p.states[i][0], a, p.states[j][0]))
+            return 2.0 * p.dwell_of(i, a, j).mean() + 0.1 * len(str(a))
+        got = risk_model_from_product(p, w, w_p, fn, gamma_r=0.8)
+        assert len(calls) == len(set(calls))
+        want = exact_model_reference(p, w, w_p, fn, gamma_r=0.8)
+        assert got.pairs == want.pairs
+        assert got.row_ptr.tolist() == want.row_ptr.tolist()
+        assert got.succ.tolist() == want.succ.tolist()
+        assert _hexes(got.prob.tolist()) == _hexes(want.prob.tolist())
+        assert _hexes(got.risk.tolist()) == _hexes(want.risk.tolist())
+        assert list(got.allowed.items()) == list(want.allowed.items())
+
+
+def test_exact_model_names_first_offending_pair():
+    """A bad risk in a pair sorted before the first pair that leaves the
+    region is reported; one sorted after it is not reached."""
+    p = risky3_product()
+    w, w_p = exact_winning_region(p)
+    safe = next(iter(w))
+    leaving = w_p | {(p.initial, "x")}
+    region = w | {p.initial}
+    assert p.initial < safe
+
+    def bad_at(state):
+        def fn(i, a, j):
+            return math.inf if i == state else 1.0
+        return fn
+    with pytest.raises(InvalidRiskModel,
+                       match=f"pair \\({p.initial},x\\) leaves"):
+        risk_model_from_product(p, region, leaving, bad_at(safe))
+    with pytest.raises(NonfiniteRisk, match=f"risk of \\({safe},x,{safe}\\)"):
+        risk_model_from_product(p, w, w_p, bad_at(safe))
 
 
 def test_risk_errors_are_typed():
@@ -244,9 +361,9 @@ def test_build_from_learned_m1():
     rm = build_risk_model(p, res.w, res.w_p, res.transition_posterior,
                           res.dwell_posterior)
     assert rm.allowed == {p.initial: ("a",)}
-    assert rm.trans[(p.initial, "a")] == ((p.initial,), (1.0,))
+    succs, probs, (r,) = risk_rows(rm)[(p.initial, "a")]
+    assert (succs, probs) == ((p.initial,), (1.0,))
     assert rm.escaped == {}
-    r = rm.risks[(p.initial, "a", p.initial)]
     # ample data on the unit-rate loop: mu + sigma approaches 2
     assert r == pytest.approx(2.0, rel=0.2)
 
@@ -274,7 +391,7 @@ def test_build_renormalizes_escaping_mass():
     with pytest.warns(UserWarning, match="renormalized"):
         rm = build_risk_model(p, w, w_p, tpost, dpost)
     assert rm.escaped[(i0, "x")] == pytest.approx(2 / 12)
-    assert rm.trans[(i0, "x")] == ((safe_pid,), (1.0,))
+    assert risk_rows(rm)[(i0, "x")][:2] == ((safe_pid,), (1.0,))
 
 
 def test_build_rejects_fully_escaping_pair():
@@ -321,7 +438,7 @@ def test_build_surfaces_undefined_moments():
                          functional=MeanPlusSigma(1.0))
     rm = build_risk_model(p, w, w_p, tpost, dpost,
                           functional=Quantile(0.5))
-    assert all(v > 0 for v in rm.risks.values())
+    assert all(v > 0 for v in rm.risk.tolist())
 
 
 def _capture(build, *args, **kwargs):
@@ -354,12 +471,11 @@ def assert_same_as_reference(p, w, w_p, tpost, dpost, **kwargs):
     if isinstance(want, tuple):
         assert got == want
         return got, got_warn
-    assert list(got.trans) == list(want.trans)
-    for key, (succs, probs) in want.trans.items():
-        assert got.trans[key][0] == succs
-        assert _hexes(got.trans[key][1]) == _hexes(probs)
-    assert list(got.risks) == list(want.risks)
-    assert _hexes(got.risks.values()) == _hexes(want.risks.values())
+    assert got.pairs == want.pairs
+    assert got.row_ptr.tolist() == want.row_ptr.tolist()
+    assert got.succ.tolist() == want.succ.tolist()
+    assert _hexes(got.prob.tolist()) == _hexes(want.prob.tolist())
+    assert _hexes(got.risk.tolist()) == _hexes(want.risk.tolist())
     assert list(got.allowed.items()) == list(want.allowed.items())
     assert list(got.escaped) == list(want.escaped)
     assert _hexes(got.escaped.values()) == _hexes(want.escaped.values())
@@ -435,8 +551,9 @@ def test_build_matches_reference_outside_model_row():
     w = {i0, safe_pid}
     w_p = [(i0, "x"), (safe_pid, "x")]
     rm, warned = assert_same_as_reference(p, w, w_p, tpost, dpost)
-    assert rm.trans[(i0, "x")][0] == (i0, safe_pid)
-    assert rm.trans[(safe_pid, "x")][0] == (i0, safe_pid)
+    rows = risk_rows(rm)
+    assert rows[(i0, "x")][0] == (i0, safe_pid)
+    assert rows[(safe_pid, "x")][0] == (i0, safe_pid)
     assert [msg for _, msg, _ in warned] == [
         f"pair ({i0},x): renormalized 0.167 predictive mass escaping the "
         "winning region"]

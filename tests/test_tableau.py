@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from smdpsynth import (
+    AlphabetMismatch,
     CapacityExceeded,
     determinize_kcba,
     lasso_accepted_cba,
@@ -104,6 +105,8 @@ def test_alphabet_extension():
 
 def test_formula_atoms_must_be_in_ap():
     with pytest.raises(ValueError):
+        ltl_to_cba(parse_ltl("G !c"), ap=("a", "b"))
+    with pytest.raises(AlphabetMismatch, match=r"formula atoms \['c'\]"):
         ltl_to_cba(parse_ltl("G !c"), ap=("a", "b"))
 
 
