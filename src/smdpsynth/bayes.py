@@ -23,19 +23,16 @@ GAMMA_PRIOR = (2.0, 1.0)
 
 
 class ObservationStore:
-    """Observations of (s, a, s', tau), aggregated per (s, a) pair.
+    """Observations of (s, a, s', tau), aggregated per model pair (s, a).
 
     Only aggregates are kept, one dict per pair: successor -> [count, dwell
-    sum], maintained incrementally. A whole pair's data can be dropped in
-    O(1), which is how the learner keeps observations restricted to its
-    current winning-pair estimate. The pairs appended to or dropped since
-    the last `take_touched` call are recorded, so posteriors built from the
-    store can be refreshed row by row. A dwell that is negative, NaN or
-    infinite is rejected with InvalidObservation.
-
-    Pairs are keyed as the caller appends them: the learner and the top-up
-    store each product pair (copy) on its own, and `update_posteriors`
-    pools the copies of a model pair into one posterior row.
+    sum], maintained incrementally, so a dwell sum follows observation
+    order. Every product copy (s, f) of a model state shares its dynamics,
+    so the learner and the top-up both append under the model pair, and
+    data are never dropped: they stay valid for the whole pool. The pairs
+    appended to since the last `take_touched` call are recorded, so
+    posteriors built from the store can be refreshed row by row. A dwell
+    that is negative, NaN or infinite is rejected with InvalidObservation.
     """
 
     def __init__(self):
@@ -61,16 +58,8 @@ class ObservationStore:
         self._n += 1
         self._touched.add(pair)
 
-    def drop_pair(self, s, a):
-        """Forget every observation of the pair."""
-        b = self._by_pair.pop((s, a), None)
-        if b is not None:
-            self._n -= sum(n for n, _ in b.values())
-        self._touched.add((s, a))
-
     def take_touched(self):
-        """Pairs appended to or dropped since the last call; clears the
-        record."""
+        """Pairs appended to since the last call; clears the record."""
         touched, self._touched = self._touched, set()
         return touched
 
@@ -144,80 +133,32 @@ class GammaPosterior:
         }
 
 
-def update_posteriors(store: ObservationStore, pairs, support=None,
-                      pool=None):
-    """Exact conjugate updates from the observations of the given pairs.
+def update_posteriors(store: ObservationStore, pairs, pool=None):
+    """Exact conjugate updates, one posterior row per stored pair key.
 
-    `support` optionally declares candidate successors per posterior row;
-    candidates never observed keep their prior mass. With no data the
-    priors come back unchanged. `pool` optionally maps a stored pair key to
-    the posterior row it contributes to, letting several stored pairs (say,
-    product copies of one model pair) share an estimate.
-
-    Each stored pair's per-successor aggregates (count, dwell sum) are
-    added into its row's in the order of `pairs`. Then, once per row (per
-    model pair when pooled), the Dirichlet concentrations are built from
-    the summed counts, and once per (row, successor) triple the Gamma
-    parameters from the summed count and dwell.
+    Without `pool`, `pairs` are the store's own keys. With `pool`, a
+    callable mapping each of `pairs` (say, the product copies (i, a) of a
+    winning-pair set) to its store key (the model pair), one row is built
+    per distinct key `pool(pair)`. A row's candidates are its observed
+    successors, sorted; its Dirichlet concentrations add the counts to the
+    prior, and each (row, successor) triple's Gamma parameters add the
+    count and the dwell sum. A key with no data gets a row with no
+    candidates.
     """
-    support = support or {}
     a0, b0 = GAMMA_PRIOR
     by_pair = store._by_pair
-    folded = {}                   # row key -> {s': [count, dwell sum]}
-    for pair in pairs:
-        key = pool(pair) if pool else pair
-        acc = folded.get(key)
-        if acc is None:
-            acc = folded[key] = {}
-        data = by_pair.get(pair)
-        if data is None:
-            continue
-        for s2, (n, total) in data.items():
-            agg = acc.get(s2)
-            if agg is None:
-                acc[s2] = [n, total]
-            else:
-                agg[0] += n
-                agg[1] += total
-
+    keys = dict.fromkeys(map(pool, pairs)) if pool else pairs
     dir_table = {}
     gamma_table = {}
-    for key, acc in folded.items():
-        extra = support.get(key)
-        cands = sorted(set(acc) | set(extra) if extra else acc)
-        conc = np.array([DIRICHLET_PRIOR + (acc[c][0] if c in acc else 0)
-                         for c in cands], dtype=float)
-        dir_table[key] = (tuple(cands), conc)
+    for key in keys:
+        data = by_pair.get(key, {})
+        cands = tuple(sorted(data))
+        dir_table[key] = (cands, np.array(
+            [DIRICHLET_PRIOR + data[c][0] for c in cands], dtype=float))
         for s2 in cands:
-            n, total = acc.get(s2, (0, 0.0))
+            n, total = data[s2]
             gamma_table[(key[0], key[1], s2)] = (a0 + n, b0 + total)
     return DirichletPosterior(dir_table), GammaPosterior(gamma_table)
-
-
-def splice_posteriors(tpost: DirichletPosterior, dpost: GammaPosterior,
-                      fresh, keys, live):
-    """Replace the rows `keys` of (tpost, dpost), in place, by their rows in
-    `fresh`, an update_posteriors result over the data of those rows.
-
-    A key that `fresh` lacks has no data left: it keeps the empty-candidate
-    row a full rebuild gives it while it is in `live` (its pool still has a
-    member), and is dropped otherwise. The other rows stay as they are.
-    """
-    ftable, gtable = fresh[0]._table, fresh[1]._table
-    for key in keys:
-        old = tpost._table.pop(key, None)
-        if old is not None:
-            for s2 in old[0]:
-                del dpost._table[(key[0], key[1], s2)]
-        row = ftable.get(key)
-        if row is None:
-            if key in live:
-                tpost._table[key] = ((), np.array([], dtype=float))
-            continue
-        tpost._table[key] = row
-        for s2 in row[0]:
-            triple = (key[0], key[1], s2)
-            dpost._table[triple] = gtable[triple]
 
 
 def predictive_transition(post: DirichletPosterior, s, a) -> np.ndarray:

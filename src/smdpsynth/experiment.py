@@ -82,7 +82,7 @@ class ExperimentConfig:
     min_tries: int = 10
     reach_episodes: int = 16_000
     reach_step_cap: int = 400
-    min_observations: int = 0        # top up the store to this size
+    min_observations: int = 0        # observations over all pools
     paths: int = 100                 # sample paths to export
     horizon: int = 200               # decisions per sample path
     repetitions: int = 1
@@ -229,25 +229,30 @@ def oracle_reference(p, functional, gamma_r) -> dict:
 
 
 def top_up_observations(p, w_p, store, target, rng):
-    """Extra sampling of the winning pairs: first one observation for any
-    pair the learner never recorded (the planner needs an estimate per
-    pair), then round-robin until the store holds `target` observations.
+    """Extra sampling of the pools (model pairs) of the winning pairs:
+    first one observation for any pool the store has no data on (the
+    planner needs an estimate per pool), then round-robin over the pools
+    until the store holds `target` observations over all pools.
 
-    Sampling is per product pair (copy), in sorted pair order; whether a
-    copy has data is one membership test on the store. Every draw goes
-    through `sample_product_step`."""
-    pairs = sorted(w_p, key=lambda pr: (pr[0], str(pr[1])))
-    if not pairs:
+    Each pool draws through one representative copy, its winning pair of
+    lowest product id, and pools go in the order of their representatives.
+    Every draw goes through `sample_product_step`."""
+    states = p.states
+    first = {}                    # pool -> lowest state of its copies
+    for i, a in w_p:
+        key = (states[i][0], a)
+        first[key] = min(i, first.get(key, i))
+    reps = sorted((p.pair_id(i, a), i, a) for (_, a), i in first.items())
+    if not reps:
         return
-    for pair in pairs:
-        if pair not in store:
-            i, a = pair
+    for _, i, a in reps:
+        if (states[i][0], a) not in store:
             j, tau, s2 = sample_product_step(p, i, a, rng)
-            store.append(i, a, s2, tau)
+            store.append(states[i][0], a, s2, tau)
     # each append adds exactly one observation
-    for i, a in islice(cycle(pairs), max(0, target - len(store))):
+    for _, i, a in islice(cycle(reps), max(0, target - len(store))):
         j, tau, s2 = sample_product_step(p, i, a, rng)
-        store.append(i, a, s2, tau)
+        store.append(states[i][0], a, s2, tau)
 
 
 def _run_rep(job):
@@ -265,7 +270,7 @@ def _run_rep(job):
                         np.random.default_rng(topup_seed))
     if len(store) != before:
         tpost, dpost = update_posteriors(
-            store, sorted(res.w_p),
+            store, res.w_p,
             pool=lambda pair: (p.states[pair[0]][0], pair[1]))
 
     tq = qlearn_transient(p, res.w, cfg.reward_spec(),

@@ -117,11 +117,12 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     Product copies of a model state share its posterior, so the work is
     split three ways. Per model pair (s, a): the predictive successors and
     probabilities, each successor's position in the model row, and the
-    normalized row, computed once. Per model triple (s, a, s'): one risk
-    of the predictive dwell, computed when a copy first keeps that
-    successor. Per copy (i, a): each candidate is lifted through its
-    position in the product row (`p.lift` only for a candidate outside
-    the model row) and tested against W; a copy that keeps every candidate
+    normalized row, computed once. The candidates are observed successors,
+    so each lies in the model row; one that does not raises
+    InvalidRiskModel. Per model triple (s, a, s'): one risk of the
+    predictive dwell, computed when a copy first keeps that successor. Per
+    copy (i, a): each candidate is lifted through its position in the
+    product row and tested against W; a copy that keeps every candidate
     appends the pool's normalized row and risks, and one that drops some
     renormalizes what it keeps.
     """
@@ -131,17 +132,20 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     states, succ_at, edge_base = p.states, p._succ_at, p._edge_base
     pools = {}
 
-    def pool(s, a):
+    def pool(i, s, a):
         """[successors, probabilities, positions of the successors in the
-        model row (None if one is outside it), normalized row, risks]. The
+        model row, normalized row, risks] for copy (i, a) of (s, a). The
         normalized row is filled when a copy first keeps every successor,
         each risk when a copy first keeps its successor."""
         cands = predictive_successors(tpost, s, a)
-        succs = p.m._rows.get((s, a), ((),))[0]
-        at = {s2: k for k, s2 in enumerate(succs)}
-        ks = [at.get(s2) for s2 in cands]
+        at = {s2: k for k, s2 in enumerate(p.m._rows[(s, a)][0])}
+        outside = [s2 for s2 in cands if s2 not in at]
+        if outside:
+            raise InvalidRiskModel(
+                f"pair ({i},{a}): candidate successor {outside[0]} is not "
+                f"in the row of model pair ({s},{a})")
         return [cands, list(predictive_transition(tpost, s, a)),
-                None if None in ks else ks, None, [None] * len(cands)]
+                [at[s2] for s2 in cands], None, [None] * len(cands)]
 
     def risk_at(pl, c, i, a, j):
         r = pl[4][c]
@@ -155,16 +159,13 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     for pair in sorted(w_p, key=lambda pair: (pair[0], str(pair[1]))):
         i, a = pair
         s = states[i][0]
+        pid = p.pair_id(i, a)
         pl = pools.get((s, a))
         if pl is None:
-            pl = pools[(s, a)] = pool(s, a)
+            pl = pools[(s, a)] = pool(i, s, a)
         cands, prs, ks, full, rks = pl
-        pid = p.pair_id(i, a)
-        if ks is None:
-            succs = [p.lift(i, s2) for s2 in cands]
-        else:
-            lo = edge_base[i] + p._edge_at[(s, a)]
-            succs = [succ_at[lo + k] for k in ks]
+        lo = edge_base[i] + p._edge_at[(s, a)]
+        succs = [succ_at[lo + k] for k in ks]
         if w.issuperset(succs):
             if full is None:
                 total = sum(prs)

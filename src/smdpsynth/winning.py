@@ -10,8 +10,13 @@ sets themselves, which give the same estimates: W_p^k is the non-accepting
 pairs with no observed exit from W^k, and W^k the states that keep at
 least one such pair. Both shrink monotonically onto the exact winning
 region. Exploration mixes an entropy-seeking policy inside the region with
-a boundary-probing policy on its rim, and conjugate posteriors over the
-observed dynamics are refreshed periodically from the retained data.
+a boundary-probing policy on its rim.
+
+The posteriors learn the model's own dynamics. Every product copy (s, f)
+of a model state s shares them, so each observation is stored under its
+model pair (s, a), whichever copy took the step, and stays there when the
+copy leaves W_p^k. A periodic refresh rebuilds the posterior rows of the
+model pairs observed since the last one.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ import numpy as np
 
 from .bayes import (
     DirichletPosterior, GammaPosterior, ObservationStore, dwell_entropy,
-    predictive_successors, predictive_transition, splice_posteriors,
-    transition_entropy, update_posteriors,
+    predictive_successors, predictive_transition, transition_entropy,
+    update_posteriors,
 )
 from .errors import (
     ConfigError, EmptyWinningCandidate, InvalidDistribution, NoAllowedAction,
@@ -53,19 +58,13 @@ class _IndexedSet:
             self._items.append(x)
 
     def discard(self, x):
-        """Remove x by moving the last item into its slot; returns the
-        moved item, or None when nothing moved."""
+        """Remove x by moving the last item into its slot."""
         i = self._pos.pop(x, None)
         if i is not None:
             last = self._items.pop()
             if last != x:
                 self._items[i] = last
                 self._pos[last] = i
-                return last
-        return None
-
-    def index(self, x):
-        return self._pos[x]
 
     def choice(self, rng):
         return self._items[int(rng.integers(len(self._items)))]
@@ -207,14 +206,12 @@ class WinningLearner:
     pair's first Q update would have put it (see the module docstring).
 
     The learner touches the product only through sampling; the exact rows
-    are never read. Observations are stored per product pair (and dropped
-    with the pair when it leaves W_p^k) but pooled per model pair for the
-    posterior, since product copies of a model state share its dynamics.
-
-    A refresh re-folds only the dirty pools: those whose data changed, and
-    the pool of a pair that a removal moved within W_p^k. A pool sums its
-    dwell times in W_p^k order, so the move changes that pool's sums in
-    the last bit even though its data did not change.
+    are never read. Observations are stored per model pair (pool), the
+    dynamics all copies of a model state share, and an exit keeps them.
+    Data only grow, so a refresh rebuilds just the rows of the pools
+    observed since the last one, from each pool's aggregates, and writes
+    them over the old rows: a full rebuild from the store gives the same
+    posteriors, bit for bit.
     """
 
     def __init__(self, p: ProductSmdp, cfg: LearnerConfig, oracle_w_p=None):
@@ -252,14 +249,6 @@ class WinningLearner:
         # starts draw from here so coverage is targeted, not accidental
         self._under = _IndexedSet(self.w_p) if cfg.min_tries > 0 \
             else _IndexedSet()
-        # per pool (model pair): its number of W_p^k members and the members
-        # holding data; the pools in _dirty are re-folded on refresh
-        self._pool_size = {}
-        for pair in self.w_p:
-            key = self._pool(pair)
-            self._pool_size[key] = self._pool_size.get(key, 0) + 1
-        self._holders = {}
-        self._dirty = set(self._pool_size)
         self.tpost = DirichletPosterior({})
         self.dpost = GammaPosterior({})
         # entropy scores are cached per model pair until its posterior row
@@ -269,7 +258,6 @@ class WinningLearner:
         # refresh and every removal; outward is in the key because an
         # observation can move a state onto the boundary without either
         self._draw_cache = {}
-        self._refresh_posteriors()
 
         self.episodes = 0
         self.monotone_violations = 0
@@ -308,16 +296,9 @@ class WinningLearner:
         its state out of W^k. The pair is in W_p^k, since episodes start
         and act only on W_p^k pairs."""
         self._draw_cache.clear()
-        moved = self.w_p.discard(pair)
-        key = self._pool(pair)
-        self._pool_size[key] -= 1
-        self._dirty.add(key)
-        # the swap-delete reordered the moved pair within its pool
-        if moved is not None and moved in self.store:
-            self._dirty.add(self._pool(moved))
+        self.w_p.discard(pair)
         self._under.discard(pair)
         self._drop_out_pair(pair)
-        self.store.drop_pair(*pair)
         i = pair[0]
         self._zero_actions[i] -= 1
         if self._zero_actions[i] == 0:
@@ -332,30 +313,15 @@ class WinningLearner:
             if pair in self.w_p:
                 self._add_out_pair(pair)
 
-    def _pool(self, pair):
-        return self.p.states[pair[0]][0], pair[1]
-
     def _refresh_posteriors(self):
-        """Re-fold the dirty pools from their data-bearing members, in
-        W_p^k order, and splice the rows into the posteriors: the same
-        posteriors a full rebuild over W_p^k gives, bit for bit."""
-        for pair in self.store.take_touched():
-            key = self._pool(pair)
-            self._dirty.add(key)
-            holders = self._holders.setdefault(key, set())
-            if pair in self.store:
-                holders.add(pair)
-            else:
-                holders.discard(pair)
-        keys = sorted(self._dirty)
-        self._dirty.clear()
-        fold = [pair for key in keys
-                for pair in sorted(self._holders.get(key, ()),
-                                   key=self.w_p.index)]
-        fresh = update_posteriors(self.store, fold, pool=self._pool)
-        live = {key for key in keys if self._pool_size[key]}
-        splice_posteriors(self.tpost, self.dpost, fresh, keys, live)
-        for key in keys:
+        """Rebuild the rows of the pools observed since the last refresh
+        and write them over the old ones. A pool's candidates only grow,
+        so every old triple gets its new Gamma parameters."""
+        tfresh, dfresh = update_posteriors(self.store,
+                                           self.store.take_touched())
+        self.tpost._table.update(tfresh._table)
+        self.dpost._table.update(dfresh._table)
+        for key in tfresh._table:
             self._ent_cache.pop(key, None)
         self._draw_cache.clear()
         if self.cfg.debug_checks:
@@ -452,7 +418,7 @@ class WinningLearner:
 
     def run_episode(self):
         """One exploration episode; removes at most one pair from W_p^k."""
-        cfg = self.cfg
+        cfg, states = self.cfg, self.p.states
         t0 = time.perf_counter()
         i, forced = self._sample_start()
         exit_pair = None
@@ -462,7 +428,7 @@ class WinningLearner:
             forced = None
             j, tau, model_s2 = sample_product_step(self.p, i, a, self.rng)
             steps += 1
-            self.store.append(i, a, model_s2, tau)
+            self.store.append(states[i][0], a, model_s2, tau)
             n = self.tries.get((i, a), 0) + 1
             self.tries[(i, a)] = n
             if n >= cfg.min_tries:
@@ -483,8 +449,6 @@ class WinningLearner:
 
         if len(self.w_p) > before_wp or len(self.w) > before_w:
             self.monotone_violations += 1
-        if cfg.debug_checks:
-            self._check_consistency()
 
         self.episodes += 1
         if self.episodes % cfg.posterior_period == 0:
@@ -497,13 +461,16 @@ class WinningLearner:
             row["ind"] = ind_k(self.oracle_w_p, self.w_p) if len(self.w_p) \
                 else float("nan")
         self.progress.append(row)
+        if cfg.debug_checks:
+            self._check_consistency()
 
     def _coverage_reached(self):
         return len(self._under) == 0
 
     def _check_consistency(self):
         """Re-derive W^k, the per-state W_p^k action counts and the boundary
-        from W_p^k and compare them with the incremental state. Raises
+        from W_p^k and compare them with the incremental state, and check
+        that the store holds one observation per step taken. Raises
         AssertionError explicitly, so the checks also run under
         `python -O`."""
         p = self.p
@@ -521,8 +488,8 @@ class WinningLearner:
                                  "with W_p")
         if set(self._dw) != boundary(w, w_p, self._obs_succ):
             raise AssertionError("boundary out of sync with observations")
-        if not self.store.pairs() <= w_p:
-            raise AssertionError("retained data outside W_p")
+        if len(self.store) != sum(row["steps"] for row in self.progress):
+            raise AssertionError("store size differs from the steps taken")
 
     def _check_action_probs(self, i, acts, probs):
         """Compare the drawn action's probability vector with pi_ex's dict,
@@ -534,12 +501,11 @@ class WinningLearner:
                                  "pi_ex")
 
     def _check_posteriors(self):
-        """Compare the spliced posteriors with a full rebuild over W_p^k:
-        the same rows, candidates, concentrations and Gamma parameters.
-        Raises AssertionError explicitly, so the check also runs under
-        `python -O`."""
-        tref, dref = update_posteriors(self.store, list(self.w_p),
-                                       pool=self._pool)
+        """Compare the refreshed posteriors with a full rebuild from the
+        store: the same rows, candidates, concentrations and Gamma
+        parameters. Raises AssertionError explicitly, so the check also
+        runs under `python -O`."""
+        tref, dref = update_posteriors(self.store, self.store.pairs())
         if self.tpost.to_json_dict() != tref.to_json_dict():
             raise AssertionError("transition posterior differs from a full "
                                  "rebuild")

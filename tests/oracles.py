@@ -625,8 +625,8 @@ def qlearn_transient_reference(p, w, spec, schedule):
 
 class ObservationStoreReference:
     """Observation store with one dict of successor counts and one of dwell
-    (count, sum) aggregates per pair, both updated on every append: the
-    reference the library's one-dict store must match."""
+    (count, sum) aggregates per model pair, both updated on every append:
+    the reference the library's one-dict store must match."""
 
     def __init__(self):
         self._by_pair = {}            # (s, a) -> {"succ", "dwell"}
@@ -645,12 +645,6 @@ class ObservationStoreReference:
         agg[0] += 1
         agg[1] += tau
         self._n += 1
-        self._touched.add((s, a))
-
-    def drop_pair(self, s, a):
-        b = self._by_pair.pop((s, a), None)
-        if b is not None:
-            self._n -= sum(b["succ"].values())
         self._touched.add((s, a))
 
     def take_touched(self):
@@ -678,66 +672,65 @@ class ObservationStoreReference:
         return n, total
 
 
-def update_posteriors_reference(store, pairs, support=None, pool=None,
+def update_posteriors_reference(store, pairs, pool=None,
                                 dirichlet_prior=1.0, gamma_prior=(2.0, 1.0)):
-    """Conjugate updates that copy each pair's successor counts and look up
+    """Conjugate updates, one row per distinct key `pool(pair)` (or per
+    pair without `pool`), that copy the key's successor counts and look up
     the dwell aggregates per successor, through the store's public
     queries. Returns (DirichletPosterior, GammaPosterior)."""
     from smdpsynth.bayes import DirichletPosterior, GammaPosterior
 
-    support = support or {}
     a0, b0 = gamma_prior
-    counts, dwell, keys = {}, {}, []
+    keys, seen = [], set()
     for pair in pairs:
         key = pool(pair) if pool else pair
-        if key not in counts:
-            counts[key] = {}
-            dwell[key] = {}
+        if key not in seen:
+            seen.add(key)
             keys.append(key)
-        for s2, n in store.successor_counts(*pair).items():
-            counts[key][s2] = counts[key].get(s2, 0) + n
-            dn, dt = store.dwell_stats(pair[0], pair[1], s2)
-            agg = dwell[key].setdefault(s2, [0, 0.0])
-            agg[0] += dn
-            agg[1] += dt
     dir_table, gamma_table = {}, {}
     for key in keys:
-        cands = sorted(set(counts[key]) | set(support.get(key, ())))
-        conc = np.array([dirichlet_prior + counts[key].get(c, 0)
-                         for c in cands], dtype=float)
+        counts = store.successor_counts(*key)
+        cands = sorted(counts)
+        conc = np.array([dirichlet_prior + counts[c] for c in cands],
+                        dtype=float)
         dir_table[key] = (tuple(cands), conc)
         for s2 in cands:
-            n, total = dwell[key].get(s2, (0, 0.0))
+            n, total = store.dwell_stats(key[0], key[1], s2)
             gamma_table[(key[0], key[1], s2)] = (a0 + n, b0 + total)
     return DirichletPosterior(dir_table), GammaPosterior(gamma_table)
 
 
 def top_up_observations_reference(p, w_p, store, target, rng):
-    """Top-up that copies each pair's counts to see whether it has data and
-    re-reads the store's size before every round-robin draw, drawing with
-    `sample_product_step_reference`."""
-    pairs = sorted(w_p, key=lambda pr: (pr[0], str(pr[1])))
-    if not pairs:
+    """Top-up over the pools (model pairs) of `w_p`: each pool draws
+    through its first copy in pair-id order, found by sorting every copy
+    by `p.pair_id`; it copies a pool's counts to see whether it has data
+    and re-reads the store's size before every round-robin draw, drawing
+    with `sample_product_step_reference`."""
+    reps = {}
+    for i, a in sorted(w_p, key=lambda pair: p.pair_id(*pair)):
+        reps.setdefault((p.states[i][0], a), (i, a))
+    reps = list(reps.values())
+    if not reps:
         return
-    for i, a in pairs:
-        if not store.successor_counts(i, a):
+    for i, a in reps:
+        if not store.successor_counts(p.states[i][0], a):
             _, tau, s2 = sample_product_step_reference(p, i, a, rng)
-            store.append(i, a, s2, tau)
+            store.append(p.states[i][0], a, s2, tau)
     k = 0
     while len(store) < target:
-        i, a = pairs[k % len(pairs)]
+        i, a = reps[k % len(reps)]
         _, tau, s2 = sample_product_step_reference(p, i, a, rng)
-        store.append(i, a, s2, tau)
+        store.append(p.states[i][0], a, s2, tau)
         k += 1
 
 
 def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
                                gamma_r=0.9):
     """The planner's model built one product copy at a time: every copy
-    recomputes its pool's predictive row, lifts each candidate with
-    `p.lift` and evaluates one risk per successor, warning (attributed to
-    the caller) about renormalized mass: the reference the library's
-    pooled assembly must match bit for bit."""
+    recomputes its pool's predictive row, checks that each candidate is in
+    the model row, lifts it with `p.lift` and evaluates one risk per
+    successor, warning (attributed to the caller) about renormalized mass:
+    the reference the library's pooled assembly must match bit for bit."""
     import math
     import warnings
 
@@ -746,7 +739,7 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
         predictive_transition, risk_of,
     )
     from smdpsynth.errors import (
-        EmptyPredictiveRow, NoAllowedAction, NonfiniteRisk,
+        EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction, NonfiniteRisk,
     )
 
     from conftest import risk_model
@@ -759,10 +752,15 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
         s = p.states[i][0]
         succs, probs = [], []
         lost = 0.0
-        for s2, pr in zip(predictive_successors(tpost, s, a),
-                          predictive_transition(tpost, s, a)):
+        cands = predictive_successors(tpost, s, a)
+        for s2 in cands:
+            if s2 not in p.m.trans_row(s, a)[0]:
+                raise InvalidRiskModel(
+                    f"pair ({i},{a}): candidate successor {s2} is not in "
+                    f"the row of model pair ({s},{a})")
+        for s2, pr in zip(cands, predictive_transition(tpost, s, a)):
             j = p.lift(i, s2)
-            if j is None or j not in w:
+            if j not in w:
                 lost += pr
             else:
                 succs.append(j)

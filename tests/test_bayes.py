@@ -6,8 +6,9 @@ from scipy import stats
 
 from smdpsynth import Empirical, Exponential, MomentUndefined
 from smdpsynth.bayes import (
-    DwellPredictive, MeanPlusSigma, ObservationStore, Quantile, dwell_entropy,
-    predictive_dwell, predictive_successors, predictive_transition, risk_of,
+    DirichletPosterior, DwellPredictive, GammaPosterior, MeanPlusSigma,
+    ObservationStore, Quantile, dwell_entropy, predictive_dwell,
+    predictive_successors, predictive_transition, risk_of,
     transition_entropy, update_posteriors,
 )
 from smdpsynth.errors import (
@@ -27,12 +28,14 @@ def store_of(*obs):
 # conjugate updates
 
 def test_dirichlet_counts_added_to_prior():
-    store = store_of((0, "a", 0, 1.0), (0, "a", 0, 1.0), (0, "a", 2, 1.0))
-    post, _ = update_posteriors(store, {(0, "a")}, support={(0, "a"): (0, 1, 2)})
+    store = store_of((0, "a", 2, 1.0), (0, "a", 0, 1.0), (0, "a", 0, 1.0),
+                     (0, "a", 1, 1.0), (0, "a", 2, 1.0))
+    post, _ = update_posteriors(store, {(0, "a")})
     cands, conc = post.row(0, "a")
     assert cands == (0, 1, 2)
-    assert conc.tolist() == [3.0, 1.0, 2.0]
-    assert predictive_transition(post, 0, "a").tolist() == [0.5, 1 / 6, 1 / 3]
+    assert conc.tolist() == [3.0, 2.0, 3.0]
+    assert predictive_transition(post, 0, "a").tolist() == [3 / 8, 1 / 4,
+                                                             3 / 8]
 
 
 def test_gamma_counts_and_sums():
@@ -42,19 +45,15 @@ def test_gamma_counts_and_sums():
 
 
 def test_no_observations_returns_prior():
-    store = ObservationStore()
-    post, gpost = update_posteriors(store, {(0, "a")},
-                                    support={(0, "a"): (0, 1, 2, 3)})
-    assert predictive_transition(post, 0, "a").tolist() == [0.25] * 4
-    assert gpost.params(0, "a", 2) == (2.0, 1.0)
-
-
-def test_unseen_candidates_keep_prior_mass():
-    store = store_of((0, "a", 1, 0.5))
-    post, _ = update_posteriors(store, {(0, "a")}, support={(0, "a"): (1, 2)})
-    row = predictive_transition(post, 0, "a")
-    assert predictive_successors(post, 0, "a") == (1, 2)
-    assert row.tolist() == [2 / 3, 1 / 3]
+    """Candidates are observed successors, so a pair with no data keeps
+    the prior over an empty support: a row with no candidates, which
+    queries treat as untracked, and no dwell triple."""
+    post, gpost = update_posteriors(ObservationStore(), {(0, "a")})
+    assert post.to_json_dict() == {"0/a": {"candidates": [],
+                                           "concentration": []}}
+    assert gpost.to_json_dict() == {}
+    with pytest.raises(UntrackedPair):
+        predictive_transition(post, 0, "a")
 
 
 def test_batch_equals_sequential():
@@ -105,19 +104,15 @@ def test_invalid_dwell_rejected_at_append(tau):
 
 
 def test_store_matches_two_dict_reference():
-    """Random append/drop sequences on the one-dict store and the two-dict
+    """Random append sequences on the one-dict store and the two-dict
     reference: same size, pairs, counts, dwell aggregates, touched pairs
-    and posteriors, bit for bit."""
+    and posteriors, bit for bit, with and without pooling copies."""
     rng = np.random.default_rng(11)
     for trial in range(20):
         store, ref = ObservationStore(), ObservationStoreReference()
         pairs = [(s, a) for s in range(4) for a in ("a", "b")]
         for _ in range(int(rng.integers(1, 200))):
             s, a = pairs[int(rng.integers(len(pairs)))]
-            if rng.random() < 0.1:
-                store.drop_pair(s, a)
-                ref.drop_pair(s, a)
-                continue
             s2 = int(rng.integers(4))
             tau = float(rng.exponential(1.0)) if rng.random() < 0.9 else 0.0
             store.append(s, a, s2, tau)
@@ -134,12 +129,18 @@ def test_store_matches_two_dict_reference():
                 n, total = store.dwell_stats(s, a, s2)
                 n_ref, total_ref = ref.dwell_stats(s, a, s2)
                 assert n == n_ref and total.hex() == total_ref.hex()
-        pool = (lambda pair: (pair[0] % 2, pair[1])) if trial % 2 else None
-        support = {(0, "a"): {3, 7}} if trial % 3 == 0 else None
-        order = [pairs[k] for k in rng.permutation(len(pairs))]
-        got = update_posteriors(store, order, support=support, pool=pool)
-        want = update_posteriors_reference(ref, order, support=support,
-                                           pool=pool)
+        if trial % 2:
+            # copies (s, a) of the stored pair (s % 4, a); some never occur
+            copies = [(s, a) for s in range(12) for a in ("a", "b")]
+            pool = lambda pair: (pair[0] % 4, pair[1])  # noqa: E731
+            order = [copies[k] for k in rng.permutation(len(copies))[:10]]
+        else:
+            pool = None
+            order = [pairs[k] for k in rng.permutation(len(pairs))]
+        got = update_posteriors(store, order, pool=pool)
+        want = update_posteriors_reference(ref, order, pool=pool)
+        if pool:
+            assert got[0].pairs() == set(map(pool, order))
         for post, post_ref in zip(got, want):
             assert json.dumps(post.to_json_dict()) == \
                 json.dumps(post_ref.to_json_dict())
@@ -152,10 +153,26 @@ def test_store_hands_over_touched_pairs():
     store.append(1, "b", 1, 0.5)
     assert store.take_touched() == {(0, "a"), (1, "b")}
     assert store.take_touched() == set()
-    store.drop_pair(0, "a")
-    store.drop_pair(3, "a")
-    assert store.take_touched() == {(0, "a"), (3, "a")}
-    assert (0, "a") not in store and (1, "b") in store
+    store.append(0, "a", 1, 0.5)
+    assert store.take_touched() == {(0, "a")}
+    assert (0, "a") in store and (1, "b") in store and (3, "a") not in store
+    assert len(store) == 4 and store.successor_counts(0, "a") == {1: 2, 2: 1}
+
+
+def test_pool_builds_one_row_per_key_from_its_data():
+    """With `pool`, the rows are the distinct keys of the given pairs, each
+    built from that key's own data, whatever copies map to it."""
+    store = store_of((0, "a", 1, 0.5), (0, "a", 1, 1.5), (0, "a", 2, 1.0),
+                     (1, "a", 0, 2.0))
+    copies = [(4, "a"), (8, "a"), (5, "a"), (9, "a")]
+    post, gpost = update_posteriors(store, copies,
+                                    pool=lambda pair: (pair[0] % 4, pair[1]))
+    direct = update_posteriors(store, [(0, "a"), (1, "a")])
+    assert post.to_json_dict() == direct[0].to_json_dict()
+    assert gpost.to_json_dict() == direct[1].to_json_dict()
+    assert post.row(0, "a")[1].tolist() == [3.0, 2.0]
+    assert gpost.params(0, "a", 1) == (4.0, 3.0)
+    assert gpost.params(1, "a", 0) == (3.0, 3.0)
 
 
 def test_predictive_rows_are_distributions():
@@ -181,8 +198,8 @@ def test_posterior_concentrates_on_true_row():
         draws = rng.choice(2, size=n, p=true_row)
         for d in draws:
             store.append(0, "a", int(d), 1.0)
-        post, _ = update_posteriors(store, {(0, "a")},
-                                    support={(0, "a"): (0, 1)})
+        post, _ = update_posteriors(store, {(0, "a")})
+        assert predictive_successors(post, 0, "a") == (0, 1)
         row = predictive_transition(post, 0, "a")
         errs.append(0.5 * np.abs(row - true_row).sum())
     assert errs[2] < 0.02
@@ -234,8 +251,7 @@ def test_lomax_survival():
 # entropies
 
 def test_dirichlet_entropy_uniform_is_zero():
-    store = ObservationStore()
-    post, _ = update_posteriors(store, {(0, "a")}, support={(0, "a"): (0, 1)})
+    post = DirichletPosterior({(0, "a"): ((0, 1), np.array([1.0, 1.0]))})
     assert transition_entropy(post, 0, "a") == pytest.approx(0.0, abs=1e-12)
 
 
@@ -251,28 +267,25 @@ def test_dirichlet_entropy_matches_scipy():
 def test_gamma_entropy_closed_form():
     # Gamma(k, rate b) has entropy k - log b + log G(k) + (1 - k) psi(k):
     # 1 + euler_gamma for the prior (2, 1), 2 euler_gamma for (3, 2)
-    store = ObservationStore()
-    _, gpost = update_posteriors(store, {(0, "a")}, support={(0, "a"): (1,)})
+    gpost = GammaPosterior({(0, "a", 1): (2.0, 1.0)})
     assert dwell_entropy(gpost, 0, "a", 1) == pytest.approx(
         1.0 + np.euler_gamma)
     assert dwell_entropy(gpost, 0, "a", 1) == pytest.approx(
         stats.gamma(2.0, scale=1.0).entropy())
-    store.append(0, "a", 1, 1.0)
-    _, gpost2 = update_posteriors(store, {(0, "a")})
+    _, gpost2 = update_posteriors(store_of((0, "a", 1, 1.0)), {(0, "a")})
     assert gpost2.params(0, "a", 1) == (3.0, 2.0)
     assert dwell_entropy(gpost2, 0, "a", 1) == pytest.approx(
         2.0 * np.euler_gamma)
 
 
 def test_entropy_decreases_with_data():
-    empty = ObservationStore()
-    before, _ = update_posteriors(empty, {(0, "a")}, support={(0, "a"): (0, 1)})
-    store = ObservationStore()
+    store = store_of((0, "a", 0, 1.0), (0, "a", 1, 1.0))
+    before, gbefore = update_posteriors(store, {(0, "a")})
     for _ in range(100):
         store.append(0, "a", 0, 1.0)
-    after, gafter = update_posteriors(store, {(0, "a")},
-                                      support={(0, "a"): (0, 1)})
+    after, gafter = update_posteriors(store, {(0, "a")})
     assert transition_entropy(after, 0, "a") < transition_entropy(before, 0, "a")
+    assert dwell_entropy(gafter, 0, "a", 0) < dwell_entropy(gbefore, 0, "a", 0)
     assert dwell_entropy(gafter, 0, "a", 0) < 1.0
 
 

@@ -15,7 +15,7 @@ from smdpsynth import (
     ConfigError, ExperimentConfig, MeanPlusSigma, ObservationStore, Quantile,
     build_pipeline, config_fingerprint, desk_config, exact_winning_region,
     export_sample_paths, oracle_reference, paper_config, parse_functional,
-    run_experiment, top_up_observations,
+    run_algorithm1, run_experiment, top_up_observations, update_posteriors,
 )
 from smdpsynth.experiment import true_risk_fn
 from smdpsynth.product import policy_reach_probability
@@ -266,15 +266,19 @@ def test_export_paths_accepts_callable_policy():
     assert all(len(r["actions"]) == 15 for r in recs[1:])
 
 
+def pools_of(p, w_p):
+    """The model pairs (s, a) whose product copies (i, a) are in w_p."""
+    return {(p.states[i][0], a) for i, a in w_p}
+
+
 def test_top_up_covers_every_pair_and_target():
     p = grid4_product()
     _, w_p = exact_winning_region(p)
     store = ObservationStore()
     rng = np.random.default_rng(3)
     top_up_observations(p, w_p, store, 0, rng)
-    assert len(store) == len(w_p)
-    for i, a in w_p:
-        assert store.successor_counts(i, a)
+    assert len(store) == len(pools_of(p, w_p))
+    assert store.pairs() == pools_of(p, w_p)
 
     top_up_observations(p, w_p, store, 500, rng)
     assert len(store) == 500
@@ -295,8 +299,9 @@ def test_top_up_matches_reference():
         store, ref = ObservationStore(), ObservationStoreReference()
         for k in range(n_pre):
             i, a = pairs[int(rng.integers(len(pairs)))]
-            store.append(i, a, p.states[i][0], 0.25 * k)
-            ref.append(i, a, p.states[i][0], 0.25 * k)
+            s = p.states[i][0]
+            store.append(s, a, s, 0.25 * k)
+            ref.append(s, a, s, 0.25 * k)
         rng_got = np.random.default_rng(100 + seed)
         rng_ref = np.random.default_rng(100 + seed)
         top_up_observations(p, w_p, store, target, rng_got)
@@ -304,15 +309,65 @@ def test_top_up_matches_reference():
         assert rng_got.bit_generator.state == rng_ref.bit_generator.state
         assert len(store) == len(ref)
         if n_pre == 0:
-            assert len(store) == max(target, len(w_p))
+            assert len(store) == max(target, len(pools_of(p, w_p)))
         assert store.pairs() == ref.pairs()
         assert store.take_touched() == ref.take_touched()
-        for i, a in store.pairs():
-            assert store.successor_counts(i, a) == ref.successor_counts(i, a)
-            for s2 in store.successor_counts(i, a):
-                n, total = store.dwell_stats(i, a, s2)
-                n_ref, total_ref = ref.dwell_stats(i, a, s2)
+        for s, a in store.pairs():
+            assert store.successor_counts(s, a) == ref.successor_counts(s, a)
+            for s2 in store.successor_counts(s, a):
+                n, total = store.dwell_stats(s, a, s2)
+                n_ref, total_ref = ref.dwell_stats(s, a, s2)
                 assert n == n_ref and total.hex() == total_ref.hex()
+
+
+@pytest.mark.parametrize("preset,n_pools", [(desk_config, 28),
+                                            (paper_config, 88)])
+def test_top_up_first_pass_draws_once_per_pool(preset, n_pools, monkeypatch):
+    """From an empty store, the first pass draws once for each pool of the
+    exact W_p, through its copy of lowest product id, in that order."""
+    import smdpsynth.experiment as experiment
+
+    p = build_pipeline(preset())[1]
+    _, w_p = exact_winning_region(p)
+    reps = {}
+    for i, a in w_p:
+        key = (p.states[i][0], a)
+        reps[key] = min(reps.get(key, (i, a)), (i, a))
+    assert len(reps) == n_pools
+    store = ObservationStore()
+    drawn = []
+    real = experiment.sample_product_step
+
+    def counted(*args):
+        drawn.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "sample_product_step", counted)
+    top_up_observations(p, w_p, store, 0, np.random.default_rng(0))
+    assert drawn == sorted(reps.values(), key=lambda pair: p.pair_id(*pair))
+    assert len(store) == n_pools and store.pairs() == set(reps)
+    assert all(sum(store.successor_counts(*key).values()) == 1
+               for key in reps)
+
+
+def test_bench_posterior_call_gives_the_learner_rows():
+    """The benchmark's planning step rebuilds the posteriors with
+    `update_posteriors(store, sorted(w_p), pool=...)`: on a learner's own
+    store, that gives the learner's rows for the pools of W_p, which every
+    converged run has observed."""
+    cfg = desk_config()
+    p = build_pipeline(cfg)[1]
+    res = run_algorithm1(p, cfg.learner_config(3))
+    assert res.converged
+    pool = lambda pair: (p.states[pair[0]][0], pair[1])  # noqa: E731
+    tpost, dpost = update_posteriors(res.store, sorted(res.w_p), pool=pool)
+    assert tpost.pairs() == pools_of(p, res.w_p)
+    learned_t = res.transition_posterior.to_json_dict()
+    learned_d = res.dwell_posterior.to_json_dict()
+    assert tpost.to_json_dict().items() <= learned_t.items()
+    assert dpost.to_json_dict().items() <= learned_d.items()
+    # the learner's other rows are pools whose copies all left W_p^k
+    assert res.transition_posterior.pairs() == res.store.pairs()
 
 
 def test_tracer_targets_resolve():
@@ -342,11 +397,11 @@ def test_top_up_draws_through_experiment_sampler(monkeypatch):
     _, w_p = exact_winning_region(p)
     store = ObservationStore()
     i, a = min(w_p)
-    store.append(i, a, p.states[i][0], 1.0)
+    store.append(p.states[i][0], a, p.states[i][0], 1.0)
     experiment.top_up_observations(p, w_p, store, 500,
                                    np.random.default_rng(4))
     assert len(calls) == len(store) - 1 == 499
-    assert (i, a) not in calls[:len(w_p) - 1]
+    assert (i, a) not in calls[:len(pools_of(p, w_p)) - 1]
 
     tracer = _load_tracer().Tracer()
     store = ObservationStore()
