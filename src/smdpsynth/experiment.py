@@ -234,25 +234,21 @@ def top_up_observations(p, w_p, store, target, rng):
     planner needs an estimate per pool), then round-robin over the pools
     until the store holds `target` observations over all pools.
 
-    Each pool draws through one representative copy, its winning pair of
-    lowest product id, and pools go in the order of their representatives.
+    Each pool draws through its copy of lowest pair id among the
+    `p.pair_ids` of `w_p`, and pools go in the order of those copies.
     Every draw goes through `sample_product_step`."""
-    states = p.states
-    first = {}                    # pool -> lowest state of its copies
-    for i, a in w_p:
-        key = (states[i][0], a)
-        first[key] = min(i, first.get(key, i))
-    reps = sorted((p.pair_id(i, a), i, a) for (_, a), i in first.items())
-    if not reps:
-        return
-    for _, i, a in reps:
-        if (states[i][0], a) not in store:
+    pid = np.sort(p.pair_ids(w_p))
+    pid = pid[np.sort(np.unique(p.pair_model[pid], return_index=True)[1])]
+    reps = [(i, p.states[i][0], a)
+            for i, a in zip(p.owner[pid].tolist(), p.pair_actions(pid))]
+    for i, s, a in reps:
+        if (s, a) not in store:
             j, tau, s2 = sample_product_step(p, i, a, rng)
-            store.append(states[i][0], a, s2, tau)
+            store.append(s, a, s2, tau)
     # each append adds exactly one observation
-    for _, i, a in islice(cycle(reps), max(0, target - len(store))):
+    for i, s, a in islice(cycle(reps), max(0, target - len(store))):
         j, tau, s2 = sample_product_step(p, i, a, rng)
-        store.append(states[i][0], a, s2, tau)
+        store.append(s, a, s2, tau)
 
 
 def _run_rep(job):

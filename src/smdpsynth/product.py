@@ -4,6 +4,8 @@ oracles for the winning region and maximal reachability probabilities."""
 from __future__ import annotations
 
 from array import array
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,7 +34,7 @@ class ProductSmdp:
     The transitions are stored once, as flat arrays in pair-id order. A
     pair is a state with one of its enabled actions; pair ids run through
     the states in id order and, within a state, through its actions in
-    the model's order:
+    the model's order, and `pair_ids` maps (i, a) tuples to them:
 
     - `pair_ptr`: state i owns the pairs `pair_ptr[i]:pair_ptr[i + 1]`;
     - `owner[k]`: the state of pair k; `pair_model[k]`: its model pair,
@@ -66,12 +68,15 @@ class ProductSmdp:
         self.model_succ = np.array([s2 for succs, _ in rows for s2 in succs],
                                    dtype=np.intp)
         self.model_prob = np.array([pr for _, probs in rows for pr in probs])
-        # (s, a) -> offset of that pair, and of its row's first edge,
-        # within the pairs and the edges of any product state over s
-        self._pair_at, self._edge_at = {}, {}
+        # (s, action code) -> offset of the pair among those of any state
+        # over s, or -1 (the last column takes unknown actions), and
+        # (s, a) -> offset of its row's first edge among their edges
+        code = self._code = dict(zip(m.actions, range(len(m.actions))))
+        self._pair_at = np.full((m.n_states, len(code) + 1), -1, np.intp)
+        self._edge_at = {}
         for q, (s, a) in enumerate(self.model_pairs):
             lo = model_pair_ptr[s]
-            self._pair_at[(s, a)] = int(q - lo)
+            self._pair_at[s, code[a]] = q - lo
             self._edge_at[(s, a)] = int(self.model_row_ptr[q]
                                         - self.model_row_ptr[lo])
 
@@ -97,6 +102,7 @@ class ProductSmdp:
         self.n_states = len(keys)
         self.initial = 0
         s_of, f_of = np.divmod(keys, d.n_states)
+        self._model_state = s_of
         self.states = tuple(zip(s_of.tolist(), f_of.tolist()))
         self.index = dict(zip(self.states, range(self.n_states)))
         self.accepting = frozenset(np.flatnonzero(
@@ -123,19 +129,27 @@ class ProductSmdp:
         self.check_state(i)
         return self.m._enabled[self.states[i][0]]
 
-    def pair_id(self, i, a) -> int:
-        """Id of pair (i, a) in the flat layout."""
-        self.check_state(i)
-        at = self._pair_at.get((self.states[i][0], a))
-        if at is None:
+    def pair_ids(self, pairs) -> np.ndarray:
+        """Ids of the pairs (i, a) of `pairs`, in the order given, as an
+        intp array gathered in one pass. UnknownState or ActionNotEnabled
+        names the first tuple that is not a pair of the product."""
+        pairs = list(pairs)
+        i = np.fromiter(map(itemgetter(0), pairs), np.intp, len(pairs))
+        code = np.fromiter(map(self._code.get, map(itemgetter(1), pairs),
+                               repeat(-1)), np.intp, len(pairs))
+        ok = (i >= 0) & (i < self.n_states)
+        at = np.where(ok, self._pair_at[self._model_state[i * ok], code], -1)
+        if (at < 0).any():
+            i, a = pairs[int(np.argmax(at < 0))]
+            self.check_state(i)
             raise ActionNotEnabled(
                 f"action {a!r} not enabled in product state {i}")
-        return int(self.pair_ptr[i]) + at
+        return self.pair_ptr[i] + at
 
     def pair_actions(self, pairs) -> list:
         """The action of each pair id in `pairs`."""
-        model_pairs = self.model_pairs
-        return [model_pairs[q][1] for q in self.pair_model[pairs].tolist()]
+        acts = [a for _, a in self.model_pairs]
+        return list(map(acts.__getitem__, self.pair_model[pairs].tolist()))
 
     def trans_row(self, i, a):
         """(successor ids, probabilities) of pair (i, a): the successors

@@ -20,7 +20,7 @@ from .bayes import MeanPlusSigma, predictive_dwell, predictive_successors, \
     predictive_transition, risk_of
 from .errors import (
     DomainGap, EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction,
-    NonfiniteRisk, NotConverged, PolicyLeavesW,
+    NonfiniteRisk, NotConverged, PolicyLeavesW, UntrackedPair,
 )
 from .product import (
     ProductSmdp, _offsets, _pad, _ranges, _solve_by_components,
@@ -114,94 +114,93 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     warning; a pair left with no mass at all raises EmptyPredictiveRow.
     Risks must come out finite and nonnegative.
 
-    Product copies of a model state share its posterior, so the work is
-    split three ways. Per model pair (s, a): the predictive successors and
-    probabilities, each successor's position in the model row, and the
-    normalized row, computed once. The candidates are observed successors,
-    so each lies in the model row; one that does not raises
-    InvalidRiskModel. Per model triple (s, a, s'): one risk of the
-    predictive dwell, computed when a copy first keeps that successor. Per
-    copy (i, a): each candidate is lifted through its position in the
-    product row and tested against W; a copy that keeps every candidate
-    appends the pool's normalized row and risks, and one that drops some
-    renormalizes what it keeps.
+    The copies (i, a) of W_p go in (state, action name) order. Copies of
+    a model pair (pool) share its posterior, so the work is split three
+    ways. Per pool, once, at its first copy: the predictive successors and
+    probabilities, and each successor's position in the model row (one
+    outside it raises InvalidRiskModel). Per copy, in array passes: each
+    candidate is lifted through its position in the copy's product row
+    and tested against W, and the kept mass is summed in row order, so a
+    copy that keeps every candidate gets its pool's normalized row and one
+    that keeps some renormalizes them. Per model triple (s, a, s'): one
+    risk of the predictive dwell, when a copy first keeps it. Warnings,
+    errors and risks come in the order of a loop over the copies, up to
+    the first error.
     """
     functional = functional or MeanPlusSigma(1.0)
     w = frozenset(w)
-    escaped = {}
-    states, succ_at, edge_base = p.states, p._succ_at, p._edge_base
-    pools = {}
+    pid = p.pair_ids(w_p)
+    rank = {n: r for r, n in enumerate(sorted({str(a) for a in p.m.actions}))}
+    rank = np.array([rank[str(a)] for _, a in p.model_pairs], dtype=np.intp)
+    pid = pid[np.lexsort((rank[p.pair_model[pid]], p.owner[pid]))]
+    pool = p.pair_model[pid]
 
-    def pool(i, s, a):
-        """[successors, probabilities, positions of the successors in the
-        model row, normalized row, risks] for copy (i, a) of (s, a). The
-        normalized row is filled when a copy first keeps every successor,
-        each risk when a copy first keeps its successor."""
-        cands = predictive_successors(tpost, s, a)
-        at = {s2: k for k, s2 in enumerate(p.m._rows[(s, a)][0])}
-        outside = [s2 for s2 in cands if s2 not in at]
+    # pool q's candidates, positions and probabilities are the slots
+    # lo[q]:lo[q] + n[q]; a pool that fails stops the copies at its first
+    lo, n = np.zeros((2, len(p.model_pairs)), dtype=np.intp)
+    slot_succ, slot_at, slot_pr = [], [], []
+    stop, err = len(pid), None
+    for k in np.sort(np.unique(pool, return_index=True)[1]).tolist():
+        s, a = p.model_pairs[pool[k]]
+        at = {s2: c for c, s2 in enumerate(p.m._rows[(s, a)][0])}
+        try:
+            row = predictive_successors(tpost, s, a)
+        except UntrackedPair as exc:
+            stop, err = k, exc
+            break
+        outside = [s2 for s2 in row if s2 not in at]
         if outside:
-            raise InvalidRiskModel(
-                f"pair ({i},{a}): candidate successor {outside[0]} is not "
-                f"in the row of model pair ({s},{a})")
-        return [cands, list(predictive_transition(tpost, s, a)),
-                [at[s2] for s2 in cands], None, [None] * len(cands)]
+            stop, err = k, InvalidRiskModel(
+                f"pair ({p.owner[pid[k]]},{a}): candidate successor "
+                f"{outside[0]} is not in the row of model pair ({s},{a})")
+            break
+        lo[pool[k]], n[pool[k]] = len(slot_succ), len(row)
+        slot_succ += row
+        slot_at += [at[s2] for s2 in row]
+        slot_pr += list(predictive_transition(tpost, s, a))
 
-    def risk_at(pl, c, i, a, j):
-        r = pl[4][c]
-        if r is None:
-            r = pl[4][c] = _checked(
-                risk_of(predictive_dwell(dpost, states[i][0], a, pl[0][c]),
-                        functional), i, a, j)
-        return r
+    # one entry per candidate of each copy before the stop: its slot, and
+    # its successor in the copy's product row, tested against W
+    lens = n[pool[:stop]]
+    cand = _ranges(lo[pool[:stop]], lens)
+    lifted = p.succ[np.repeat(p.row_ptr[pid[:stop]], lens)
+                    + np.array(slot_at, dtype=np.intp)[cand]]
+    kept = np.isin(np.arange(p.n_states), list(w))[lifted]
+    copy = np.repeat(np.arange(stop), lens)
+    pr = np.array(slot_pr, dtype=float)[cand]
+    total = np.bincount(copy[kept], weights=pr[kept], minlength=stop)
+    lost = np.bincount(copy[~kept], weights=pr[~kept], minlength=stop)
+    n_kept = np.bincount(copy[kept], minlength=stop)
+    empty = np.flatnonzero(n_kept == 0)
+    if empty.size:
+        stop = int(empty[0])
+        err = EmptyPredictiveRow("pair ({},{}) has no predictive mass inside "
+                                 "the region".format(*_pair(p, pid[stop])))
 
-    pairs, pids, lens, succ, prob, risk = [], [], [], [], [], []
-    for pair in sorted(w_p, key=lambda pair: (pair[0], str(pair[1]))):
-        i, a = pair
-        s = states[i][0]
-        pid = p.pair_id(i, a)
-        pl = pools.get((s, a))
-        if pl is None:
-            pl = pools[(s, a)] = pool(i, s, a)
-        cands, prs, ks, full, rks = pl
-        lo = edge_base[i] + p._edge_at[(s, a)]
-        succs = [succ_at[lo + k] for k in ks]
-        if w.issuperset(succs):
-            if full is None:
-                total = sum(prs)
-                full = pl[3] = [pr / total for pr in prs]
-                for c, j in enumerate(succs):
-                    risk_at(pl, c, i, a, j)
-            probs, rs = full, rks
+    # in loop order: a partial copy's warning at its first entry, then the
+    # risk of each triple at the entry that first keeps it
+    first = _offsets(lens[:stop])
+    ke = np.flatnonzero(kept[:first[-1]])
+    ke = ke[np.unique(cand[ke], return_index=True)[1]]
+    risk, escaped = np.zeros(len(slot_succ)), {}
+    warn = first[:-1][lost[:stop] > 0.0]
+    for e in np.sort(np.concatenate([2 * warn, 2 * ke + 1])).tolist():
+        e, is_risk = divmod(e, 2)
+        i, a = _pair(p, pid[copy[e]])
+        if is_risk:
+            risk[cand[e]] = _checked(risk_of(predictive_dwell(
+                dpost, p.states[i][0], a, slot_succ[cand[e]]), functional),
+                i, a, int(lifted[e]))
         else:
-            kept, lost = [], 0.0
-            for c, j in enumerate(succs):
-                if j in w:
-                    kept.append(c)
-                else:
-                    lost += prs[c]
-            if not kept:
-                raise EmptyPredictiveRow(
-                    f"pair ({i},{a}) has no predictive mass inside the "
-                    "region")
-            if lost > 0.0:
-                # attributed to the caller of build_risk_model
-                warnings.warn(
-                    f"pair ({i},{a}): renormalized {lost:.3g} predictive "
-                    "mass escaping the winning region", stacklevel=2)
-                escaped[(i, a)] = lost
-            total = sum(prs[c] for c in kept)
-            succs = [succs[c] for c in kept]
-            probs = [prs[c] / total for c in kept]
-            rs = [risk_at(pl, c, i, a, j) for c, j in zip(kept, succs)]
-        pairs.append(pair)
-        pids.append(pid)
-        lens.append(len(succs))
-        succ += succs
-        prob += probs
-        risk += rs
-    return _assemble(p, w, pairs, pids, lens, succ, prob, risk, gamma_r,
-                     escaped)
+            escaped[(i, a)] = lost[copy[e]]
+            # attributed to the caller of build_risk_model
+            warnings.warn(
+                f"pair ({i},{a}): renormalized {escaped[(i, a)]:.3g} "
+                "predictive mass escaping the winning region", stacklevel=2)
+    if err is not None:
+        raise err
+    return _assemble(p, w, pid, n_kept, lifted[kept], (pr / total[copy])[kept],
+                     risk[cand[kept]], gamma_r, escaped)
 
 
 def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
@@ -218,36 +217,32 @@ def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
     the first offending pair in pair-id order.
     """
     w = frozenset(w)
-    pids = np.sort(np.array([p.pair_id(i, a) for i, a in w_p],
-                            dtype=np.intp))
-    pairs = list(zip(p.owner[pids].tolist(), p.pair_actions(pids)))
-
+    pids = np.sort(p.pair_ids(w_p))
     lens = p.row_ptr[pids + 1] - p.row_ptr[pids]
     edges = _ranges(p.row_ptr[pids], lens)
     succ = p.succ[edges]
-    inside = np.zeros(p.n_states, dtype=bool)
-    inside[list(w)] = True
     row = np.repeat(np.arange(len(pids)), lens)
-    leaving = row[~inside[succ]]
+    leaving = row[~np.isin(np.arange(p.n_states), list(w))[succ]]
     stop = int(leaving[0]) if leaving.size else len(pids)
 
     model_edge = p.edge[edges]
     uniq, first, inverse = np.unique(model_edge, return_index=True,
                                      return_inverse=True)
     risks = np.zeros(len(uniq))
-    for u in np.argsort(first).tolist():
-        e = int(first[u])
-        k = int(row[e])
-        if k >= stop:
-            break
-        i, a = pairs[k]
+    for e in np.sort(first[row[first] < stop]).tolist():
+        i, a = _pair(p, pids[row[e]])
         j = int(succ[e])
-        risks[u] = _checked(risk_fn(i, a, j), i, a, j)
+        risks[inverse[e]] = _checked(risk_fn(i, a, j), i, a, j)
     if stop < len(pids):
-        i, a = pairs[stop]
-        raise InvalidRiskModel(f"pair ({i},{a}) leaves the winning region")
-    return _assemble(p, w, pairs, pids, lens, succ, p.model_prob[model_edge],
+        raise InvalidRiskModel("pair ({},{}) leaves the winning region"
+                               .format(*_pair(p, pids[stop])))
+    return _assemble(p, w, pids, lens, succ, p.model_prob[model_edge],
                      risks[inverse], gamma_r, {})
+
+
+def _pair(p, k):
+    """(i, a) of product pair id k."""
+    return int(p.owner[k]), p.model_pairs[p.pair_model[k]][1]
 
 
 def _checked(r, i, a, j):
@@ -258,34 +253,25 @@ def _checked(r, i, a, j):
     return r
 
 
-def _assemble(p, w, pairs, pids, lens, succ, prob, risk, gamma_r,
+def _assemble(p, w, pids, lens, succ, prob, risk, gamma_r,
               escaped) -> RiskModel:
-    """Shared core of both builders: the rows of the winning pairs
-    `pairs` (product pair ids `pids`), of lengths `lens`, with their flat
+    """Shared core of both builders: the rows of the winning pairs with
+    product pair ids `pids`, of lengths `lens`, with their flat
     successors, probabilities and checked risks, become a RiskModel with
     an allowed action tuple for every winning state, in the model's
     action order."""
     # ties in the greedy policy break toward the earliest enabled action,
-    # so each allowed tuple keeps the model's action order: the order in
-    # which sorted pair ids list a state's actions
-    pids = np.sort(np.asarray(pids, dtype=np.intp))
-    allowed = {}
-    for i, a in zip(p.owner[pids].tolist(), p.pair_actions(pids)):
-        acts = allowed.get(i)
-        if acts is None:
-            allowed[i] = [a]
-        else:
-            acts.append(a)
+    # so allowed tuples keep the model's action order, pair-id order
+    allowed, ids = {}, np.sort(pids)
+    for i, a in zip(p.owner[ids].tolist(), p.pair_actions(ids)):
+        allowed[i] = allowed.get(i, ()) + (a,)
     for i in w:
         if i not in allowed:
             raise NoAllowedAction(f"winning state {i} has no winning pair")
     return RiskModel(
-        pairs=pairs, row_ptr=_offsets(lens),
-        succ=np.asarray(succ, dtype=np.intp),
-        prob=np.asarray(prob, dtype=float),
-        risk=np.asarray(risk, dtype=float),
-        allowed={i: tuple(acts) for i, acts in allowed.items()},
-        gamma_r=gamma_r, escaped=escaped)
+        pairs=list(zip(p.owner[pids].tolist(), p.pair_actions(pids))),
+        row_ptr=_offsets(lens), succ=succ, prob=prob, risk=risk,
+        allowed=allowed, gamma_r=gamma_r, escaped=escaped)
 
 
 @dataclass

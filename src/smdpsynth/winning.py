@@ -50,7 +50,12 @@ class _IndexedSet:
 
     def __init__(self, items=()):
         self._items = list(items)
-        self._pos = {x: i for i, x in enumerate(self._items)}
+        self._pos = dict(zip(self._items, range(len(self._items))))
+
+    def copy(self):
+        new = _IndexedSet()
+        new._items, new._pos = list(self._items), dict(self._pos)
+        return new
 
     def add(self, x):
         if x not in self._pos:
@@ -220,21 +225,19 @@ class WinningLearner:
         self.oracle_w_p = frozenset(oracle_w_p) if oracle_w_p else None
         self.rng = np.random.default_rng(cfg.seed)
 
-        self.w = _IndexedSet()
-        self.w_p = _IndexedSet()
-        for i in range(p.n_states):
-            if i not in p.accepting:
-                for a in p.enabled(i):
-                    self.w_p.add((i, a))
-                self.w.add(i)
+        # every non-accepting state and its pairs, in pair-id order
+        free = ~np.isin(np.arange(p.n_states), list(p.accepting))
+        states, pids = np.flatnonzero(free), np.flatnonzero(free[p.owner])
+        self.w = _IndexedSet(states.tolist())
+        self.w_p = _IndexedSet(zip(p.owner[pids].tolist(),
+                                   p.pair_actions(pids)))
         if len(self.w) == 0:
             raise EmptyWinningCandidate("no candidate winning state at start")
 
         # W_p^k actions per state (the paper's zero-valued ones), to detect
         # states leaving W^k in O(1)
-        self._zero_actions = {i: len(p.enabled(i))
-                              for i in range(p.n_states)
-                              if i not in p.accepting}
+        self._zero_actions = dict(zip(states.tolist(),
+                                      np.diff(p.pair_ptr)[states].tolist()))
         # boundary bookkeeping: per-pair observed successors, reverse index,
         # and the per-state count of winning pairs with an observed way out
         self._obs_succ = {}
@@ -247,7 +250,7 @@ class WinningLearner:
         self.tries = {}
         # winning-candidate pairs still short of min_tries; forced episode
         # starts draw from here so coverage is targeted, not accidental
-        self._under = _IndexedSet(self.w_p) if cfg.min_tries > 0 \
+        self._under = self.w_p.copy() if cfg.min_tries > 0 \
             else _IndexedSet()
         self.tpost = DirichletPosterior({})
         self.dpost = GammaPosterior({})

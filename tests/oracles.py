@@ -703,11 +703,13 @@ def update_posteriors_reference(store, pairs, pool=None,
 def top_up_observations_reference(p, w_p, store, target, rng):
     """Top-up over the pools (model pairs) of `w_p`: each pool draws
     through its first copy in pair-id order, found by sorting every copy
-    by `p.pair_id`; it copies a pool's counts to see whether it has data
-    and re-reads the store's size before every round-robin draw, drawing
-    with `sample_product_step_reference`."""
+    by its state and then its action's place among the state's enabled
+    actions; it copies a pool's counts to see whether it has data and
+    re-reads the store's size before every round-robin draw, drawing with
+    `sample_product_step_reference`."""
     reps = {}
-    for i, a in sorted(w_p, key=lambda pair: p.pair_id(*pair)):
+    for i, a in sorted(w_p, key=lambda pair: (pair[0], p.enabled(pair[0])
+                                              .index(pair[1]))):
         reps.setdefault((p.states[i][0], a), (i, a))
     reps = list(reps.values())
     if not reps:

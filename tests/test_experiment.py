@@ -344,7 +344,9 @@ def test_top_up_first_pass_draws_once_per_pool(preset, n_pools, monkeypatch):
 
     monkeypatch.setattr(experiment, "sample_product_step", counted)
     top_up_observations(p, w_p, store, 0, np.random.default_rng(0))
-    assert drawn == sorted(reps.values(), key=lambda pair: p.pair_id(*pair))
+    assert drawn == sorted(reps.values(),
+                           key=lambda pair: (pair[0], p.enabled(pair[0])
+                                             .index(pair[1])))
     assert len(store) == n_pools and store.pairs() == set(reps)
     assert all(sum(store.successor_counts(*key).values()) == 1
                for key in reps)

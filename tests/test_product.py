@@ -203,8 +203,8 @@ def assert_layout_invariants(p):
         ks = range(pair_ptr[i], pair_ptr[i + 1])
         assert [p.model_pairs[p.pair_model[k]] for k in ks] \
             == [(s, a) for a in p.enabled(i)]
-        for k, a in zip(ks, p.enabled(i)):
-            assert p.pair_id(i, a) == k
+        assert p.pair_ids((i, a) for a in p.enabled(i)).tolist() == list(ks)
+        for k in ks:
             q = p.pair_model[k]
             lo, hi = p.model_row_ptr[q], p.model_row_ptr[q + 1]
             edges = p.edge[row_ptr[k]:row_ptr[k + 1]]
@@ -227,6 +227,50 @@ def test_flat_build_matches_fifo_reference_on_random_products():
         assert_layout_invariants(p)
         sizes.add((len(p.m.actions), p.n_states > p.m.n_states))
     assert sizes == {(n, grown) for n in (1, 2, 3) for grown in (False, True)}
+
+
+def assert_pair_ids_match_per_pair_arithmetic(p, rng):
+    """pair_ids of every pair, in a random order, against the per-pair
+    arithmetic it replaces: the state's first pair plus the action's
+    place among the state's enabled actions."""
+    pairs = [(i, a) for i in range(p.n_states) for a in p.enabled(i)]
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    ids = p.pair_ids(pairs)
+    assert ids.dtype == np.intp
+    assert ids.tolist() == [int(p.pair_ptr[i]) + p.enabled(i).index(a)
+                            for i, a in pairs]
+
+
+def test_pair_ids_match_per_pair_arithmetic():
+    rng = np.random.default_rng(5)
+    for p in (build_pipeline(desk_config())[1],
+              build_pipeline(paper_config())[1]):
+        assert_pair_ids_match_per_pair_arithmetic(p, rng)
+    for p in varied_products(300, seed=43):
+        assert_pair_ids_match_per_pair_arithmetic(p, rng)
+
+
+def test_pair_ids_of_no_pairs_is_an_empty_intp_array():
+    p = m1_product()
+    for pairs in ([], (), set(), iter(())):
+        ids = p.pair_ids(pairs)
+        assert ids.dtype == np.intp and ids.shape == (0,)
+
+
+def test_pair_ids_name_the_first_bad_pair():
+    """m1's product: state 0 enables a and b, the absorbing state only a."""
+    p = m1_product()
+    sink = next(i for i in range(p.n_states) if p.enabled(i) == ("a",))
+    good = [(0, "b"), (sink, "a")]
+    with pytest.raises(UnknownState, match=f"product state {p.n_states} "):
+        p.pair_ids(good + [(p.n_states, "a"), (sink, "b")])
+    with pytest.raises(UnknownState, match="product state -1 "):
+        p.pair_ids(good + [(-1, "a")])
+    with pytest.raises(ActionNotEnabled, match=f"action 'b' not enabled in "
+                       f"product state {sink}"):
+        p.pair_ids(good + [(sink, "b"), (p.n_states, "a")])
+    with pytest.raises(ActionNotEnabled, match="action 'nope' not enabled"):
+        p.pair_ids(good + [(0, "nope")])
 
 
 def test_flat_build_of_a_deep_chain_matches_reference():

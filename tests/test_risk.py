@@ -10,9 +10,9 @@ from smdpsynth import (
     DomainGap, EmptyPredictiveRow, Exponential, InvalidRiskModel,
     LearnerConfig, MeanPlusSigma, MomentUndefined, NoAllowedAction,
     NonfiniteRisk, NotConverged, ObservationStore, PolicyLeavesW, Quantile,
-    Smdp, SmdpsynthError, build_pipeline, desk_config, exact_winning_region,
-    paper_config, run_algorithm1, sample_product_step, top_up_observations,
-    update_posteriors,
+    Smdp, SmdpsynthError, UntrackedPair, build_pipeline, desk_config,
+    exact_winning_region, paper_config, run_algorithm1, sample_product_step,
+    top_up_observations, update_posteriors,
 )
 from smdpsynth.bayes import DirichletPosterior, GammaPosterior
 from smdpsynth.product import build_product
@@ -561,22 +561,162 @@ def test_build_rejects_candidate_outside_model_row():
     assert issubclass(InvalidRiskModel, SmdpsynthError)
 
 
+def paper_learned(learn_seed, topup_seed):
+    """The paper product and its 100-episode learner run on `learn_seed`,
+    topped up as a planning repetition does, with pooled posteriors."""
+    cfg = paper_config(learn_episodes=100)
+    p = build_pipeline(cfg)[1]
+    res = run_algorithm1(p, cfg.learner_config(learn_seed))
+    top_up_observations(p, res.w_p, res.store, cfg.min_observations,
+                        np.random.default_rng(topup_seed))
+    tpost, dpost = update_posteriors(res.store, sorted(res.w_p),
+                                     pool=pooled(p))
+    return p, res, tpost, dpost, cfg.gamma_r
+
+
 def test_build_matches_reference_on_paper_learner():
     """Paper preset, 100-episode learner and top-up: the unconverged region
     fails planning with the same EmptyPredictiveRow, with the same
     warnings (none before the failing pair on this seed)."""
-    cfg = paper_config(learn_episodes=100)
-    p = build_pipeline(cfg)[1]
-    res = run_algorithm1(p, cfg.learner_config(1))
-    top_up_observations(p, res.w_p, res.store, cfg.min_observations,
-                        np.random.default_rng(101))
-    tpost, dpost = update_posteriors(res.store, sorted(res.w_p),
-                                     pool=pooled(p))
+    p, res, tpost, dpost, gamma_r = paper_learned(1, 101)
     out, warned = assert_same_as_reference(p, res.w, res.w_p, tpost, dpost,
-                                           gamma_r=cfg.gamma_r)
+                                           gamma_r=gamma_r)
     assert out == (EmptyPredictiveRow,
                    "pair (4700,DL) has no predictive mass inside the region")
     assert warned == []
+
+
+def test_build_matches_reference_on_paper_learner_with_escaped_mass():
+    """A paper learner seed whose failing copy comes after a copy that
+    renormalizes escaping mass: the warning comes first, attributed to
+    the caller."""
+    p, res, tpost, dpost, gamma_r = paper_learned(1841685271, 862057200)
+    out, warned = assert_same_as_reference(p, res.w, res.w_p, tpost, dpost,
+                                           gamma_r=gamma_r)
+    assert out == (EmptyPredictiveRow,
+                   "pair (4099,DR) has no predictive mass inside the region")
+    assert [msg for _, msg, _ in warned] == [
+        "pair (4099,DL): renormalized 0.5 predictive mass escaping the "
+        "winning region"]
+
+
+def test_build_work_is_once_per_pool_and_per_kept_triple(monkeypatch):
+    """On the paper 100-episode region, the predictive row of a pool is
+    read once, at its first copy, and a risk is evaluated once per model
+    triple that a copy before the failing one keeps, in the order in which
+    copies first keep them."""
+    p, res, tpost, dpost, gamma_r = paper_learned(1, 101)
+    pools, triples = [], []
+    for i, a in sorted(res.w_p, key=lambda pair: (pair[0], str(pair[1]))):
+        s = p.states[i][0]
+        if (s, a) not in pools:
+            pools.append((s, a))
+        if (i, a) == (4700, "DL"):
+            break
+        for s2 in tpost.row(s, a)[0]:
+            if p.lift(i, s2) in res.w and (s, a, s2) not in triples:
+                triples.append((s, a, s2))
+
+    calls = {"successors": [], "transition": [], "dwell": [], "risk": 0}
+
+    def recorded(name, fn):
+        def wrapper(post, *key):
+            calls[name].append(key)
+            return fn(post, *key)
+        return wrapper
+
+    def counted(fn):
+        def wrapper(dist, functional):
+            calls["risk"] += 1
+            return fn(dist, functional)
+        return wrapper
+
+    for name in ("successors", "transition", "dwell"):
+        attr = f"predictive_{name}"
+        monkeypatch.setattr(smdpsynth.risk, attr,
+                            recorded(name, getattr(smdpsynth.risk, attr)))
+    monkeypatch.setattr(smdpsynth.risk, "risk_of",
+                        counted(smdpsynth.risk.risk_of))
+    with pytest.raises(EmptyPredictiveRow, match=r"pair \(4700,DL\)"):
+        build_risk_model(p, res.w, res.w_p, tpost, dpost, gamma_r=gamma_r)
+    assert len(pools) <= len(p.model_pairs)
+    assert calls["successors"] == calls["transition"] == pools
+    assert calls["dwell"] == triples
+    assert calls["risk"] == len(triples)
+
+
+def ring_posteriors(missing=(), no_variance=()):
+    """Posteriors for cycle4, whose product ids are its model states: the
+    candidate of pair (s, a) is its model successor (s + 1) % 4. The
+    pairs of `missing` have no row; the triples of the pairs of
+    `no_variance` get a Gamma(1.5, 1) dwell posterior, whose Lomax
+    predictive has no variance, the others Gamma(5, 1)."""
+    pairs = [(s, a) for s in range(4) for a in "fs"]
+    tpost = DirichletPosterior({(s, a): (((s + 1) % 4,), np.array([2.0]))
+                                for s, a in pairs if (s, a) not in missing})
+    dpost = GammaPosterior({(s, a, (s + 1) % 4):
+                            (1.5 if (s, a) in no_variance else 5.0, 1.0)
+                            for s, a in pairs})
+    return tpost, dpost
+
+
+NO_MASS = (EmptyPredictiveRow,
+           "pair (1,f) has no predictive mass inside the region")
+NO_VARIANCE = (MomentUndefined, "Lomax variance needs shape > 2, got 1.5")
+
+
+@pytest.mark.parametrize("missing, no_variance, want", [
+    # a risk error whose triple is first kept after the empty copy (1,f),
+    # and one whose triple is first kept before it
+    ((), [(3, "f")], NO_MASS),
+    ((), [(0, "s")], NO_VARIANCE),
+    # a pool without a posterior row whose first copy comes after the
+    # empty copy, and one whose first copy comes before it
+    ([(3, "s")], (), NO_MASS),
+    ([(0, "s")], (), (UntrackedPair, "pair (0,s) has no posterior")),
+    # a pool without a posterior row after a risk error
+    ([(3, "s")], [(0, "f")], NO_VARIANCE),
+])
+def test_build_raises_at_the_first_failing_copy(missing, no_variance, want):
+    """Region {0, 1, 3} of cycle4: copy (1,f) keeps no candidate. The
+    build raises the error a loop over the copies (0,f), (0,s), (1,f),
+    (1,s), (3,f), (3,s) meets first."""
+    p = cycle4_product()
+    tpost, dpost = ring_posteriors(missing, no_variance)
+    w = {0, 1, 3}
+    w_p = [(i, a) for i in sorted(w) for a in "fs"]
+    out, warned = assert_same_as_reference(p, w, w_p, tpost, dpost)
+    assert out == want and warned == []
+
+
+def test_build_warns_before_a_kept_successor_without_moments():
+    """A copy that renormalizes and keeps a successor whose dwell
+    predictive has no variance: the warning, then MomentUndefined."""
+    p = risky3_product()
+    i0 = p.initial
+    safe_pid = next(i for i, (s, _f) in enumerate(p.states) if s == 1)
+    tpost = DirichletPosterior({(0, "x"): ((1, 2), np.array([3.0, 1.0])),
+                                (1, "x"): ((1,), np.array([3.0]))})
+    dpost = GammaPosterior({(0, "x", 1): (1.5, 1.0), (0, "x", 2): (3.0, 1.0),
+                            (1, "x", 1): (3.0, 1.0)})
+    out, warned = assert_same_as_reference(
+        p, {i0, safe_pid}, [(i0, "x"), (safe_pid, "x")], tpost, dpost)
+    assert [msg for _, msg, _ in warned] == [
+        f"pair ({i0},x): renormalized 0.25 predictive mass escaping the "
+        "winning region"]
+    assert out == NO_VARIANCE
+
+
+def test_build_of_an_empty_w_p():
+    """No winning pair: an empty model for an empty region, and
+    NoAllowedAction for a winning state without a pair."""
+    p = cycle4_product()
+    tpost, dpost = ring_posteriors()
+    out, warned = assert_same_as_reference(p, set(), [], tpost, dpost)
+    assert out.pairs == [] and out.row_ptr.tolist() == [0]
+    assert out.allowed == {} and warned == []
+    out, _ = assert_same_as_reference(p, {2}, [], tpost, dpost)
+    assert out == (NoAllowedAction, "winning state 2 has no winning pair")
 
 
 # --- combining policies -----------------------------------------------------------

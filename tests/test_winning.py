@@ -8,8 +8,8 @@ import pytest
 from smdpsynth import (
     EmptyWinningCandidate, Exponential, InvalidDistribution, LearnerConfig,
     NoAllowedAction, Smdp, WinningLearner, boundary, build_pipeline,
-    determinize_kcba, exact_winning_region, ind_k, ltl_to_cba, paper_config,
-    parse_ltl, run_algorithm1, softmax_policy,
+    desk_config, determinize_kcba, exact_winning_region, ind_k, ltl_to_cba,
+    paper_config, parse_ltl, run_algorithm1, softmax_policy,
 )
 from smdpsynth.product import build_product
 from smdpsynth.winning import (
@@ -373,6 +373,41 @@ def test_init_all_accepting_raises():
     assert p.accepting == frozenset(range(p.n_states))
     with pytest.raises(EmptyWinningCandidate):
         WinningLearner(p, LearnerConfig(seed=0))
+
+
+def test_init_sets_match_nested_loop_construction():
+    """W^k, W_p^k, `_under` and `_zero_actions` start as a loop over the
+    states and their enabled actions builds them, in its order (pair-id
+    order), with Python ints for states; `_under` is a copy."""
+    rng = np.random.default_rng(11)
+    products = [build_pipeline(desk_config())[1],
+                build_pipeline(paper_config())[1]]
+    products += [random_product(rng, n=int(rng.integers(3, 9)),
+                                actions=("x", "y", "z"), c_prob=c_prob)
+                 for c_prob in (0.0, 0.3, 0.6) for _ in range(20)]
+    checked = 0
+    for p in products:
+        w, w_p, zero = [], [], {}
+        for i in range(p.n_states):
+            if i not in p.accepting:
+                w.append(i)
+                w_p += [(i, a) for a in p.enabled(i)]
+                zero[i] = len(p.enabled(i))
+        if not w:
+            continue
+        learner = WinningLearner(p, LearnerConfig(seed=0))
+        assert list(learner.w) == w and list(learner.w_p) == w_p
+        assert list(learner._under) == w_p
+        assert list(learner._zero_actions.items()) == list(zero.items())
+        assert all(type(i) is int for i in learner.w)
+        assert all(type(i) is int for i, _ in learner.w_p)
+        learner._under.discard(w_p[0])
+        assert w_p[0] in learner.w_p and list(learner.w_p) == w_p
+        checked += 1
+    assert checked > 50
+    assert list(WinningLearner(products[0],
+                               LearnerConfig(seed=0, min_tries=0))._under) \
+        == []
 
 
 # --- exploration policies on a live learner -------------------------------------
