@@ -208,21 +208,54 @@ def predictive_dwell(post: GammaPosterior, s, a, s2) -> DwellPredictive:
     return DwellPredictive(shape=float(shape), scale=float(rate))
 
 
-def transition_entropy(post: DirichletPosterior, s, a) -> float:
-    """Differential entropy of the Dirichlet posterior density."""
+def _np_sum(xs):
+    """`np.sum(xs)` for float64 entries: NumPy's pairwise summation adds
+    runs of fewer than eight entries left to right."""
+    if len(xs) >= 8:
+        return float(np.sum(xs))
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def _gammaln_psi(x, memo):
+    """(gammaln(x), psi(x)) as Python floats, kept in the dict `memo`."""
+    hit = memo.get(x)
+    if hit is None:
+        hit = memo[x] = (float(gammaln(x)), float(psi(x)))
+    return hit
+
+
+# The two entropies give bit for bit the values of the SciPy array
+# expressions in their docstrings, on Python floats: gammaln and psi are
+# elementwise, so a scalar call returns the entry the array call would,
+# sums follow `_np_sum`, and every other step is one IEEE operation either
+# way. `memo`, a dict the caller may keep across calls, holds the gammaln
+# and psi values of every argument seen.
+
+def transition_entropy(post: DirichletPosterior, s, a, memo=None) -> float:
+    """Differential entropy of the Dirichlet posterior density: with
+    concentrations `conc` (k of them) summing to `total`,
+    `gammaln(conc).sum() - gammaln(total) + (total - k) * psi(total)
+    - ((conc - 1.0) * psi(conc)).sum()`."""
     _, conc = post.row(s, a)
-    k = len(conc)
-    total = conc.sum()
-    return float(gammaln(conc).sum() - gammaln(total)
-                 + (total - k) * psi(total)
-                 - ((conc - 1.0) * psi(conc)).sum())
+    memo = {} if memo is None else memo
+    conc = conc.tolist()
+    total = _np_sum(conc)
+    vals = [_gammaln_psi(c, memo) for c in conc]
+    g_total, psi_total = _gammaln_psi(total, memo)
+    return (_np_sum([g for g, _ in vals]) - g_total
+            + (total - len(conc)) * psi_total
+            - _np_sum([(c - 1.0) * d for c, (_, d) in zip(conc, vals)]))
 
 
-def dwell_entropy(post: GammaPosterior, s, a, s2) -> float:
-    """Differential entropy of the Gamma posterior density."""
+def dwell_entropy(post: GammaPosterior, s, a, s2, memo=None) -> float:
+    """Differential entropy of the Gamma posterior density:
+    `shape - log(rate) + gammaln(shape) + (1 - shape) * psi(shape)`."""
     shape, rate = post.params(s, a, s2)
-    return float(shape - np.log(rate) + gammaln(shape)
-                 + (1.0 - shape) * psi(shape))
+    g, d = _gammaln_psi(shape, {} if memo is None else memo)
+    return float(shape - np.log(rate) + g + (1.0 - shape) * d)
 
 
 @dataclass(frozen=True)

@@ -265,9 +265,9 @@ def _run_rep(job):
     top_up_observations(p, res.w_p, store, cfg.min_observations,
                         np.random.default_rng(topup_seed))
     if len(store) != before:
+        pools = np.unique(p.pair_model[p.pair_ids(res.w_p)]).tolist()
         tpost, dpost = update_posteriors(
-            store, res.w_p,
-            pool=lambda pair: (p.states[pair[0]][0], pair[1]))
+            store, [p.model_pairs[q] for q in pools])
 
     tq = qlearn_transient(p, res.w, cfg.reward_spec(),
                           cfg.schedule(reach_seed))

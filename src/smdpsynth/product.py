@@ -13,7 +13,7 @@ from .automata import Dkcba, sccs
 from .errors import (
     ActionNotEnabled, AlphabetMismatch, NotConverged, UnknownState,
 )
-from .smdp import Smdp, _draw_step
+from .smdp import Smdp, _draw
 
 # sweeps after which max-reach value iteration gives up with NotConverged
 MAX_SWEEPS = 100_000
@@ -50,6 +50,10 @@ class ProductSmdp:
     A product row never lists a successor twice: model rows refuse
     duplicates, and two distinct model successors lift to two distinct
     product states.
+
+    `pair_set` turns pair ids into a `PairSet`, a frozenset of (i, a)
+    tuples that keeps the ids, and `pair_ids` hands them back without
+    reading a tuple.
     """
 
     def __init__(self, m: Smdp, d: Dkcba):
@@ -70,15 +74,16 @@ class ProductSmdp:
         self.model_prob = np.array([pr for _, probs in rows for pr in probs])
         # (s, action code) -> offset of the pair among those of any state
         # over s, or -1 (the last column takes unknown actions), and
-        # (s, a) -> offset of its row's first edge among their edges
+        # (s, a) -> the model's draw row plus the offset of its first edge
+        # among the edges of any state over s
         code = self._code = dict(zip(m.actions, range(len(m.actions))))
         self._pair_at = np.full((m.n_states, len(code) + 1), -1, np.intp)
-        self._edge_at = {}
+        self._draw = {}
         for q, (s, a) in enumerate(self.model_pairs):
             lo = model_pair_ptr[s]
             self._pair_at[s, code[a]] = q - lo
-            self._edge_at[(s, a)] = int(self.model_row_ptr[q]
-                                        - self.model_row_ptr[lo])
+            self._draw[(s, a)] = (*m._draw[(s, a)], int(
+                self.model_row_ptr[q] - self.model_row_ptr[lo]))
 
         # model state s owns the model edges edge_lo[s]:edge_lo[s + 1],
         # its rows one after another in action order
@@ -117,9 +122,12 @@ class ProductSmdp:
         self.edge, succ_key = succ_keys(s_of, f_of)
         self.succ = key_id[succ_key]
         # Python-int mirrors for the simulator's per-step lookups: the
-        # successors, and the first edge of every state
+        # successors, and the model state and first edge of every state
         self._succ_at = array("q", self.succ.astype(np.int64).tobytes())
+        self._s_of = s_of.tolist()
         self._edge_base = self.row_ptr[self.pair_ptr[:-1]].tolist()
+        # marks the PairSets of this product
+        self._key = object()
 
     def check_state(self, i):
         if not 0 <= i < self.n_states:
@@ -132,7 +140,10 @@ class ProductSmdp:
     def pair_ids(self, pairs) -> np.ndarray:
         """Ids of the pairs (i, a) of `pairs`, in the order given, as an
         intp array gathered in one pass. UnknownState or ActionNotEnabled
-        names the first tuple that is not a pair of the product."""
+        names the first tuple that is not a pair of the product. A
+        PairSet of this product returns its sorted ids, read-only."""
+        if isinstance(pairs, PairSet) and pairs._key is self._key:
+            return pairs.ids
         pairs = list(pairs)
         i = np.fromiter(map(itemgetter(0), pairs), np.intp, len(pairs))
         code = np.fromiter(map(self._code.get, map(itemgetter(1), pairs),
@@ -151,17 +162,23 @@ class ProductSmdp:
         acts = [a for _, a in self.model_pairs]
         return list(map(acts.__getitem__, self.pair_model[pairs].tolist()))
 
+    def pair_set(self, ids) -> "PairSet":
+        """The pairs (i, a) of the distinct pair ids `ids`, as a PairSet."""
+        ids = np.sort(np.asarray(ids, dtype=np.intp))
+        return PairSet(zip(self.owner[ids].tolist(), self.pair_actions(ids)),
+                       ids, self._key)
+
     def trans_row(self, i, a):
         """(successor ids, probabilities) of pair (i, a): the successors
         are read off the flat layout, the probabilities are the model
         row's own tuple."""
         self.check_state(i)
-        s = self.states[i][0]
-        at = self._edge_at.get((s, a))
-        if at is None:
+        s = self._s_of[i]
+        row = self._draw.get((s, a))
+        if row is None:
             raise ActionNotEnabled(f"action {a!r} not enabled in product state {i}")
         probs = self.m._rows[(s, a)][1]
-        lo = self._edge_base[i] + at
+        lo = self._edge_base[i] + row[3]
         return tuple(self._succ_at[lo:lo + len(probs)]), probs
 
     def lift(self, i, s2):
@@ -193,6 +210,30 @@ class ProductSmdp:
         if winning_pairs is not None:
             doc["winning_pairs"] = sorted([i, a] for i, a in winning_pairs)
         return doc
+
+
+class PairSet(frozenset):
+    """A frozenset of pairs (i, a) of one product that also holds their
+    pair ids, sorted and read-only, as `ids`. Made by
+    `ProductSmdp.pair_set`, it compares, hashes and iterates as the plain
+    frozenset does, and set operations on it give plain frozensets. Its
+    product's `pair_ids` returns `ids`; any other product reads the
+    tuples. A shallow copy belongs to the same product; a deep copy or an
+    unpickled set belongs to the product copied or pickled with it, if
+    any, and otherwise takes the tuple path.
+    """
+
+    __slots__ = ("ids", "_key")
+
+    def __new__(cls, pairs, ids, key):
+        self = super().__new__(cls, pairs)
+        self.ids = ids
+        self.ids.flags.writeable = False
+        self._key = key
+        return self
+
+    def __reduce__(self):
+        return type(self), (tuple(self), self.ids, self._key)
 
 
 def _offsets(lens) -> np.ndarray:
@@ -248,16 +289,21 @@ def build_product(m: Smdp, d: Dkcba) -> ProductSmdp:
 def sample_product_step(p: ProductSmdp, i, a, rng):
     """Draw one product transition; returns (j, tau, model_successor).
 
-    The model's draw (`sample_step`'s, with the same random draws) picks
-    position k of the model row; the product row lists its successors in
-    the model row's order, so its k-th entry is the lifted successor. This
-    is the simulator interface the learner sees, which never reads the
-    transition table directly.
+    One lookup finds the model pair's draw row, and `sample_step`'s draw
+    on it (the same random draws) picks position k of the model row; the
+    product row lists its successors in the model row's order, so its
+    k-th entry is the lifted successor. This is the simulator interface
+    the learner sees, which never reads the transition table directly.
     """
-    p.check_state(i)
-    s = p.states[i][0]
-    k, s2, tau = _draw_step(p.m, s, a, rng)
-    return p._succ_at[p._edge_base[i] + p._edge_at[(s, a)] + k], tau, s2
+    if not 0 <= i < p.n_states:
+        p.check_state(i)            # raises UnknownState
+    row = p._draw.get((p._s_of[i], a))
+    if row is None:
+        raise ActionNotEnabled(
+            f"action {a!r} not enabled in product state {i}")
+    cum, succs, samplers, off = row
+    k, tau = _draw(cum, samplers, rng)
+    return p._succ_at[p._edge_base[i] + off + k], tau, succs[k]
 
 
 def exact_winning_region(p: ProductSmdp):
@@ -267,16 +313,14 @@ def exact_winning_region(p: ProductSmdp):
     with probability one, and the state-action pairs whose whole successor
     support stays inside W. Exact; used as the reference the learner is
     measured against. `_safety_fixpoint` runs on the product's stored
-    flat layout, accepting states dead from the start; only the surviving
-    pairs are turned into (i, a) tuples.
+    flat layout, accepting states dead from the start; W_p is the
+    PairSet of the surviving pair ids.
     """
     dead = np.zeros(p.n_states, dtype=bool)
     dead[list(p.accepting)] = True
     alive, safe = _safety_fixpoint(p.owner, p.row_ptr, p.succ, dead)
-    safe = np.flatnonzero(safe)
-    w = frozenset(np.flatnonzero(alive).tolist())
-    w_p = frozenset(zip(p.owner[safe].tolist(), p.pair_actions(safe)))
-    return w, w_p
+    return frozenset(np.flatnonzero(alive).tolist()), \
+        p.pair_set(np.flatnonzero(safe))
 
 
 def _safety_fixpoint(owner, row_ptr, succ, dead):

@@ -11,6 +11,7 @@ of reaching the winning region.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +76,8 @@ class TransientQ:
     episodes: int
     updates: int
     cauchy_tail: float           # max |delta Q| over the last 10% of updates
-    deltas: list = field(repr=False, default_factory=list)
+    # |delta Q| of every update, in order, as C doubles
+    deltas: array = field(repr=False, default_factory=lambda: array("d"))
 
 
 def _greedy(q, p, i):
@@ -98,24 +100,27 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
     sink (value pinned to r_n), or at the step cap (truncated with plain
     bootstrap). The sink rows are never updated.
     """
-    w = frozenset(w)
     rng = np.random.default_rng(schedule.seed)
-    states = range(p.n_states)
-    # per-state lookups, hoisted out of the update loop; the values of a
-    # transient state's actions live in one list, in enabled order, so the
-    # greedy choice and the bootstrap maximum are single list scans
-    enabled = [p.enabled(i) for i in states]
-    in_w = [i in w for i in states]
-    ends = [in_w[i] or i in p.accepting for i in states]
-    rewards = [reward(p, i, spec) for i in states]
-    discounts = [discount(p, i, spec) for i in states]
-    transient = [i for i in states if not in_w[i]]
+    # per-state lookups, hoisted out of the update loop and read off the
+    # in-W and accepting masks; the values of a transient state's actions
+    # live in one list, in enabled order, so the greedy choice and the
+    # bootstrap maximum are single list scans
+    w_mask = np.zeros(p.n_states, dtype=bool)
+    w_mask[list(w)] = True
+    acc = np.zeros(p.n_states, dtype=bool)
+    acc[list(p.accepting)] = True
+    enabled = list(map(p.m._enabled.__getitem__, p._s_of))
+    in_w, is_acc = w_mask.tolist(), acc.tolist()
+    ends = (w_mask | acc).tolist()
+    rewards = np.where(acc, (1 - spec.gamma_acc) * spec.r_n, 0.0).tolist()
+    discounts = np.where(acc, spec.gamma_acc, spec.gamma).tolist()
+    transient = np.flatnonzero(~w_mask).tolist()
     values = [None] * p.n_states
     for i in transient:
-        values[i] = [spec.r_n if i in p.accepting else 0.0] * len(enabled[i])
-    starts = [i for i in transient if i not in p.accepting]
+        values[i] = [spec.r_n if is_acc[i] else 0.0] * len(enabled[i])
+    starts = [i for i in transient if not is_acc[i]]
     visits = {}
-    deltas = []
+    deltas = array("d")
     c = schedule.visit_offset
     epsilon = schedule.epsilon
     episodes = 0

@@ -143,10 +143,11 @@ class Smdp:
                 self.dwell[(s, a, s2)] = d
 
         # one draw row per pair: cumulative probabilities (the np.cumsum
-        # values, as Python floats), successors and their dwell objects
+        # values, as Python floats), successors and the bound `sample`
+        # methods of their dwell distributions
         self._draw = {
             (s, a): (np.cumsum(probs).tolist(), succs,
-                     tuple(self.dwell[(s, a, s2)] for s2 in succs))
+                     tuple(self.dwell[(s, a, s2)].sample for s2 in succs))
             for (s, a), (succs, probs) in self._rows.items()}
 
     def check_state(self, s):
@@ -176,29 +177,29 @@ def enabled_actions(m: Smdp, s) -> tuple:
     return m._enabled[s]
 
 
-def _draw_step(m: Smdp, s, a, rng):
-    """Draw one transition of (s, a): returns (k, s', tau), k being the
-    position of s' in the row.
+def _draw(cum, samplers, rng):
+    """Draw one transition from a draw row: returns (k, tau), k being the
+    position of the successor in the row.
 
-    One `rng.random()` picks the successor by inverse CDF (the first
-    cumulative probability above it, clamped to the last successor), then
-    the dwell distribution of the drawn transition samples tau.
+    One `rng.random()` picks the position by inverse CDF (the first
+    cumulative probability above it, clamped to the last position), then
+    the dwell sampler of that position draws tau.
     """
-    row = m._draw.get((s, a))
-    if row is None:
-        m.check_state(s)
-        raise ActionNotEnabled(f"action {a!r} not enabled in state {s}")
-    cum, succs, dwells = row
     k = bisect_right(cum, rng.random())
-    if k >= len(succs):
-        k = len(succs) - 1
-    return k, succs[k], dwells[k].sample(rng)
+    if k == len(cum):
+        k -= 1
+    return k, samplers[k](rng)
 
 
 def sample_step(m: Smdp, s, a, rng):
     """Draw s' ~ T(.|s,a), then tau ~ D(.|s,a,s'); deterministic under a seed."""
-    _, s2, tau = _draw_step(m, s, a, rng)
-    return s2, tau
+    row = m._draw.get((s, a))
+    if row is None:
+        m.check_state(s)
+        raise ActionNotEnabled(f"action {a!r} not enabled in state {s}")
+    cum, succs, samplers = row
+    k, tau = _draw(cum, samplers, rng)
+    return succs[k], tau
 
 
 def simulate(m: Smdp, policy, horizon, rng) -> Path:

@@ -12,6 +12,12 @@ least one such pair. Both shrink monotonically onto the exact winning
 region. Exploration mixes an entropy-seeking policy inside the region with
 a boundary-probing policy on its rim.
 
+The learner keys its bookkeeping by the product's pair ids (`ProductSmdp`
+numbers the pairs (i, a) of each state consecutively): W_p^k, the pairs
+still short of their tries, the tries themselves and the observed
+successors. The result hands W_p^k over as a `PairSet`, whose ids the
+planner reads without converting a tuple.
+
 The posteriors learn the model's own dynamics. Every product copy (s, f)
 of a model state s shares them, so each observation is stored under its
 model pair (s, a), whichever copy took the step, and stays there when the
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -30,9 +37,9 @@ from itertools import accumulate
 import numpy as np
 
 from .bayes import (
-    DirichletPosterior, GammaPosterior, ObservationStore, dwell_entropy,
-    predictive_successors, predictive_transition, transition_entropy,
-    update_posteriors,
+    DirichletPosterior, GammaPosterior, ObservationStore, _np_sum,
+    dwell_entropy, predictive_successors, predictive_transition,
+    transition_entropy, update_posteriors,
 )
 from .errors import (
     ConfigError, EmptyWinningCandidate, InvalidDistribution, NoAllowedAction,
@@ -46,26 +53,32 @@ UNSEEN_SCORE = 1e3
 
 
 class _IndexedSet:
-    """Set with O(1) add/discard and O(1) uniform sampling."""
+    """Set of ids in range(n) with O(1) add/discard and O(1) uniform
+    sampling: the ids in a C array (a discard moves the last one into the
+    freed slot), and each id's slot in it, or -1."""
 
-    def __init__(self, items=()):
-        self._items = list(items)
-        self._pos = dict(zip(self._items, range(len(self._items))))
+    def __init__(self, n, items=()):
+        items = np.asarray(items, dtype=np.int64)
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[items] = np.arange(len(items))
+        self._items = array("q", items.tobytes())
+        self._pos = array("q", pos.tobytes())
 
     def copy(self):
-        new = _IndexedSet()
-        new._items, new._pos = list(self._items), dict(self._pos)
+        new = _IndexedSet(0)
+        new._items, new._pos = self._items[:], self._pos[:]
         return new
 
     def add(self, x):
-        if x not in self._pos:
+        if self._pos[x] < 0:
             self._pos[x] = len(self._items)
             self._items.append(x)
 
     def discard(self, x):
         """Remove x by moving the last item into its slot."""
-        i = self._pos.pop(x, None)
-        if i is not None:
+        i = self._pos[x]
+        if i >= 0:
+            self._pos[x] = -1
             last = self._items.pop()
             if last != x:
                 self._items[i] = last
@@ -74,8 +87,12 @@ class _IndexedSet:
     def choice(self, rng):
         return self._items[int(rng.integers(len(self._items)))]
 
+    def ids(self) -> np.ndarray:
+        """The ids, in slot order, as a new array."""
+        return np.array(self._items, dtype=np.intp)
+
     def __contains__(self, x):
-        return x in self._pos
+        return 0 <= x < len(self._pos) and self._pos[x] >= 0
 
     def __len__(self):
         return len(self._items)
@@ -122,22 +139,11 @@ def softmax_policy(actions, scores, temperature, epsilon):
     return dict(zip(actions, _softmax_probs(scores, temperature, epsilon)))
 
 
-# The three functions below give bit for bit the values of the NumPy array
+# The two functions below give bit for bit the values of the NumPy array
 # expressions in their docstrings, on Python floats, which is several times
 # faster on vectors of a few actions: elementwise divisions, subtractions,
-# products and running sums are single IEEE operations either way, and
-# NumPy still computes the exponentials.
-
-def _np_sum(xs):
-    """`np.sum(xs)` for float64 entries: NumPy's pairwise summation adds
-    runs of fewer than eight entries left to right."""
-    if len(xs) >= 8:
-        return float(np.sum(xs))
-    total = 0.0
-    for x in xs:
-        total += x
-    return total
-
+# products and running sums are single IEEE operations either way, sums
+# follow `_np_sum`, and NumPy still computes the exponentials.
 
 def _softmax_probs(scores, temperature, epsilon):
     """The probability vector behind `softmax_policy`, as a list: with
@@ -151,13 +157,13 @@ def _softmax_probs(scores, temperature, epsilon):
     return [keep * (x / total) + mix for x in w]
 
 
-def _draw_index(probs, rng):
-    """Index drawn from the weights `probs` with one `rng.random()`.
-
-    The same arithmetic and the same draw as
-    `rng.choice(len(probs), p=probs / probs.sum())`: normalize, cumulative
-    sum, divide by its last entry, then the first entry above the uniform
-    draw. Like `choice`, refuses weights that are not a distribution.
+def _cdf(probs):
+    """Normalized cumulative weights of `probs`, as a list: the index
+    `bisect_right(cdf, rng.random())` is the one
+    `rng.choice(len(probs), p=probs / probs.sum())` draws, with the same
+    arithmetic and the same draw (normalize, cumulative sum, divide by its
+    last entry, then the first entry above the uniform draw). Like
+    `choice`, refuses weights that are not a distribution.
     """
     total = _np_sum(probs)
     if not (0.0 < total < math.inf and min(probs) >= 0.0):
@@ -165,7 +171,7 @@ def _draw_index(probs, rng):
             f"weights {probs} are not a probability distribution")
     cdf = list(accumulate([x / total for x in probs]))
     last = cdf[-1]
-    return bisect_right([c / last for c in cdf], rng.random())
+    return [c / last for c in cdf]
 
 
 def boundary(w, w_p, support):
@@ -185,6 +191,9 @@ def boundary(w, w_p, support):
 
 @dataclass
 class LearnerResult:
+    """W^k, W_p^k (a PairSet of (i, a) pairs that carries their ids), the
+    posteriors and store behind them, and the run's record."""
+
     w: frozenset
     w_p: frozenset
     transition_posterior: object
@@ -209,6 +218,11 @@ class WinningLearner:
     W^k and W_p^k are kept as sets, not as the paper's Q-table: an exit
     from W^k removes its pair from W_p^k at once, which is where the
     pair's first Q update would have put it (see the module docstring).
+    W_p^k holds pair ids, in the order an `_IndexedSet` keeps them, and
+    so do the coverage pool `_under`, the tries and the observed-successor
+    index; state i owns the ids `_lo[i]:_lo[i + 1]`, one per enabled
+    action, in the model's action order. The start-up reads them off the
+    product's `owner` and `pair_ptr` arrays.
 
     The learner touches the product only through sampling; the exact rows
     are never read. Observations are stored per model pair (pool), the
@@ -225,14 +239,16 @@ class WinningLearner:
         self.oracle_w_p = frozenset(oracle_w_p) if oracle_w_p else None
         self.rng = np.random.default_rng(cfg.seed)
 
-        # every non-accepting state and its pairs, in pair-id order
-        free = ~np.isin(np.arange(p.n_states), list(p.accepting))
+        # every non-accepting state and its pairs, in id order
+        free = np.ones(p.n_states, dtype=bool)
+        free[list(p.accepting)] = False
         states, pids = np.flatnonzero(free), np.flatnonzero(free[p.owner])
-        self.w = _IndexedSet(states.tolist())
-        self.w_p = _IndexedSet(zip(p.owner[pids].tolist(),
-                                   p.pair_actions(pids)))
+        self.w = _IndexedSet(p.n_states, states)
+        self.w_p = _IndexedSet(len(p.owner), pids)
         if len(self.w) == 0:
             raise EmptyWinningCandidate("no candidate winning state at start")
+        self._lo = p.pair_ptr.tolist()
+        self._enabled = list(map(p.m._enabled.__getitem__, p._s_of))
 
         # W_p^k actions per state (the paper's zero-valued ones), to detect
         # states leaving W^k in O(1)
@@ -244,22 +260,24 @@ class WinningLearner:
         self._preds_of = {}
         self._out_pairs = set()
         self._out_count = {}
-        self._dw = _IndexedSet()
+        self._dw = _IndexedSet(p.n_states)
 
         self.store = ObservationStore()
-        self.tries = {}
+        self.tries = [0] * len(p.owner)
         # winning-candidate pairs still short of min_tries; forced episode
         # starts draw from here so coverage is targeted, not accidental
         self._under = self.w_p.copy() if cfg.min_tries > 0 \
-            else _IndexedSet()
+            else _IndexedSet(len(p.owner))
         self.tpost = DirichletPosterior({})
         self.dpost = GammaPosterior({})
         # entropy scores are cached per model pair until its posterior row
-        # changes
+        # changes; the gammaln and psi values behind them per argument
         self._ent_cache = {}
-        # pi_ex's (acts, probs) per (state, outward), cleared on every
-        # refresh and every removal; outward is in the key because an
-        # observation can move a state onto the boundary without either
+        self._special = {}
+        # pi_ex's (pair ids, actions, probabilities, `_cdf`) per (state,
+        # outward), cleared on every refresh and every removal; outward is
+        # in the key because an observation can move a state onto the
+        # boundary without either
         self._draw_cache = {}
 
         self.episodes = 0
@@ -268,41 +286,46 @@ class WinningLearner:
         self._stable = 0
         self.converged = False
 
+    def _owner(self, k):
+        """The state of pair id k."""
+        return bisect_right(self._lo, k) - 1
+
     # --- set maintenance ---------------------------------------------------
 
-    def _note_observation(self, i, a, j):
-        succs = self._obs_succ.setdefault((i, a), set())
+    def _note_observation(self, i, k, j):
+        """Pair k, of state i, was seen to reach state j."""
+        succs = self._obs_succ.get(k)
+        if succs is None:
+            succs = self._obs_succ[k] = set()
         if j not in succs:
             succs.add(j)
-            self._preds_of.setdefault(j, set()).add((i, a))
-            if (i, a) in self.w_p and j not in self.w:
-                self._add_out_pair((i, a))
+            self._preds_of.setdefault(j, set()).add(k)
+            if k in self.w_p and j not in self.w:
+                self._add_out_pair(i, k)
 
-    def _add_out_pair(self, pair):
-        if pair not in self._out_pairs:
-            self._out_pairs.add(pair)
-            s = pair[0]
-            self._out_count[s] = self._out_count.get(s, 0) + 1
-            if s in self.w:
-                self._dw.add(s)
+    def _add_out_pair(self, i, k):
+        if k not in self._out_pairs:
+            self._out_pairs.add(k)
+            self._out_count[i] = self._out_count.get(i, 0) + 1
+            if i in self.w:
+                self._dw.add(i)
 
-    def _drop_out_pair(self, pair):
-        if pair in self._out_pairs:
-            self._out_pairs.discard(pair)
-            s = pair[0]
-            self._out_count[s] -= 1
-            if self._out_count[s] == 0:
-                self._dw.discard(s)
+    def _drop_out_pair(self, i, k):
+        if k in self._out_pairs:
+            self._out_pairs.discard(k)
+            self._out_count[i] -= 1
+            if self._out_count[i] == 0:
+                self._dw.discard(i)
 
-    def _remove_pair(self, pair):
-        """An observed exit from W^k: the pair leaves W_p^k, maybe dragging
+    def _remove_pair(self, k):
+        """An observed exit from W^k: pair k leaves W_p^k, maybe dragging
         its state out of W^k. The pair is in W_p^k, since episodes start
         and act only on W_p^k pairs."""
         self._draw_cache.clear()
-        self.w_p.discard(pair)
-        self._under.discard(pair)
-        self._drop_out_pair(pair)
-        i = pair[0]
+        self.w_p.discard(k)
+        self._under.discard(k)
+        i = self._owner(k)
+        self._drop_out_pair(i, k)
         self._zero_actions[i] -= 1
         if self._zero_actions[i] == 0:
             self._remove_state(i)
@@ -312,9 +335,9 @@ class WinningLearner:
         self._dw.discard(i)
         # pairs known to reach i now have an observed way out of W; sorted
         # so the boundary set fills in one order regardless of hash seed
-        for pair in sorted(self._preds_of.get(i, ())):
-            if pair in self.w_p:
-                self._add_out_pair(pair)
+        for k in sorted(self._preds_of.get(i, ())):
+            if k in self.w_p:
+                self._add_out_pair(self._owner(k), k)
 
     def _refresh_posteriors(self):
         """Rebuild the rows of the pools observed since the last refresh
@@ -333,20 +356,25 @@ class WinningLearner:
     # --- exploration policies ------------------------------------------------
 
     def _allowed(self, i):
-        acts = [a for a in self.p.enabled(i) if (i, a) in self.w_p]
-        if not acts:
+        """W_p^k's pair ids at state i, in action order."""
+        self.p.check_state(i)
+        slot = self.w_p._pos
+        pids = [k for k in range(self._lo[i], self._lo[i + 1])
+                if slot[k] >= 0]
+        if not pids:
             raise NoAllowedAction(f"state {i} has no winning-candidate action")
-        return acts
+        return pids
 
     def _ent_score(self, s, a):
         """Posterior entropy of a model pair; huge bonus when unexplored."""
         hit = self._ent_cache.get((s, a))
         if hit is not None:
             return hit
+        memo = self._special
         try:
-            h = transition_entropy(self.tpost, s, a)
+            h = transition_entropy(self.tpost, s, a, memo)
             cands = predictive_successors(self.tpost, s, a)
-            h += sum(dwell_entropy(self.dpost, s, a, c)
+            h += sum(dwell_entropy(self.dpost, s, a, c, memo)
                      for c in cands) / len(cands)
         except UntrackedPair:
             h = UNSEEN_SCORE
@@ -355,7 +383,7 @@ class WinningLearner:
 
     def _out_score(self, i, a):
         """Predictive probability that the pair leaves the current W^k."""
-        s = self.p.states[i][0]
+        s = self.p._s_of[i]
         try:
             cands = predictive_successors(self.tpost, s, a)
             row = predictive_transition(self.tpost, s, a)
@@ -369,17 +397,20 @@ class WinningLearner:
         return out
 
     def _policy(self, i, outward):
-        """Allowed actions at i and their softmax probabilities, scored by
-        predictive mass leaving W^k (outward) or by posterior entropy: the
-        one computation behind the exploration policies and the draw."""
-        acts = self._allowed(i)
+        """Allowed pair ids at i, their actions and their softmax
+        probabilities, scored by predictive mass leaving W^k (outward) or
+        by posterior entropy: the one computation behind the exploration
+        policies and the draw."""
+        pids = self._allowed(i)
+        lo, enabled = self._lo[i], self._enabled[i]
+        acts = [enabled[k - lo] for k in pids]
         if outward:
             scores = [self._out_score(i, a) for a in acts]
         else:
-            s = self.p.states[i][0]
+            s = self.p._s_of[i]
             scores = [self._ent_score(s, a) for a in acts]
-        return acts, _softmax_probs(scores, self.cfg.temperature,
-                                    self.cfg.epsilon)
+        return pids, acts, _softmax_probs(scores, self.cfg.temperature,
+                                          self.cfg.epsilon)
 
     def _explore(self, i):
         """`_policy` of pi_ex: outward on the boundary, entropy inside."""
@@ -389,58 +420,66 @@ class WinningLearner:
 
     def pi_ent(self, i):
         """Prefer pairs whose posterior is still uncertain."""
-        return dict(zip(*self._policy(i, False)))
+        return dict(zip(*self._policy(i, False)[1:]))
 
     def pi_wperp(self, i):
         """Prefer pairs with high predictive mass leaving W^k."""
-        return dict(zip(*self._policy(i, True)))
+        return dict(zip(*self._policy(i, True)[1:]))
 
     def pi_ex(self, i):
         """Boundary states probe outward; interior states chase entropy."""
-        return dict(zip(*self._explore(i)))
+        return dict(zip(*self._explore(i)[1:]))
 
     def _sample_action(self, i):
+        """Draw pi_ex's pair id and action at i: one uniform draw on the
+        memoized `_cdf`."""
         key = (i, i in self._dw)
         hit = self._draw_cache.get(key)
         if hit is None:
-            hit = self._draw_cache[key] = self._explore(i)
-        acts, probs = hit
+            pids, acts, probs = self._explore(i)
+            hit = self._draw_cache[key] = (pids, acts, probs, _cdf(probs))
+        pids, acts, probs, cdf = hit
         if self.cfg.debug_checks:
             self._check_action_probs(i, acts, probs)
-        return acts[_draw_index(probs, self.rng)]
+        c = bisect_right(cdf, self.rng.random())
+        return pids[c], acts[c]
 
     # --- episode loop --------------------------------------------------------
 
     def _sample_start(self):
+        """An episode's first state and, on a forced start, its pair id."""
         if len(self.w_p) and self.rng.random() < self.cfg.cover_start_prob:
             pool = self._under if len(self._under) else self.w_p
-            return pool.choice(self.rng)
+            k = pool.choice(self.rng)
+            return self._owner(k), k
         if len(self._dw):
             return self._dw.choice(self.rng), None
         return self.w.choice(self.rng), None
 
     def run_episode(self):
         """One exploration episode; removes at most one pair from W_p^k."""
-        cfg, states = self.cfg, self.p.states
+        cfg, p, rng = self.cfg, self.p, self.rng
+        s_of, tries, w = p._s_of, self.tries, self.w
         t0 = time.perf_counter()
-        i, forced = self._sample_start()
+        i, k = self._sample_start()
+        if k is not None:
+            a = self._enabled[i][k - self._lo[i]]
         exit_pair = None
         steps = 0
         for _ in range(cfg.step_cap):
-            a = forced if forced is not None else self._sample_action(i)
-            forced = None
-            j, tau, model_s2 = sample_product_step(self.p, i, a, self.rng)
+            if k is None:
+                k, a = self._sample_action(i)
+            j, tau, model_s2 = sample_product_step(p, i, a, rng)
             steps += 1
-            self.store.append(states[i][0], a, model_s2, tau)
-            n = self.tries.get((i, a), 0) + 1
-            self.tries[(i, a)] = n
+            self.store.append(s_of[i], a, model_s2, tau)
+            n = tries[k] = tries[k] + 1
             if n >= cfg.min_tries:
-                self._under.discard((i, a))
-            self._note_observation(i, a, j)
-            if j not in self.w:
-                exit_pair = (i, a)
+                self._under.discard(k)
+            self._note_observation(i, k, j)
+            if j not in w:
+                exit_pair = k
                 break
-            i = j
+            i, k = j, None
 
         before_wp = len(self.w_p)
         before_w = len(self.w)
@@ -473,11 +512,11 @@ class WinningLearner:
     def _check_consistency(self):
         """Re-derive W^k, the per-state W_p^k action counts and the boundary
         from W_p^k and compare them with the incremental state, and check
-        that the store holds one observation per step taken. Raises
-        AssertionError explicitly, so the checks also run under
-        `python -O`."""
+        that the store holds one observation per step taken. Pairs are
+        compared as (state, pair id). Raises AssertionError explicitly, so
+        the checks also run under `python -O`."""
         p = self.p
-        w_p = set(self.w_p)
+        w_p = {(self._owner(k), k) for k in self.w_p}
         w = {i for i, _ in w_p}
         if w & p.accepting:
             raise AssertionError("accepting state in the W estimate")
@@ -489,7 +528,9 @@ class WinningLearner:
         if counts != self._zero_actions:
             raise AssertionError("per-state action counts out of sync "
                                  "with W_p")
-        if set(self._dw) != boundary(w, w_p, self._obs_succ):
+        support = {(self._owner(k), k): succs
+                   for k, succs in self._obs_succ.items()}
+        if set(self._dw) != boundary(w, w_p, support):
             raise AssertionError("boundary out of sync with observations")
         if len(self.store) != sum(row["steps"] for row in self.progress):
             raise AssertionError("store size differs from the steps taken")
@@ -526,7 +567,8 @@ class WinningLearner:
                 break
         self._refresh_posteriors()
         return LearnerResult(
-            w=frozenset(self.w), w_p=frozenset(self.w_p),
+            w=frozenset(self.w),
+            w_p=self.p.pair_set(self.w_p.ids()),
             transition_posterior=self.tpost, dwell_posterior=self.dpost,
             store=self.store, episodes=self.episodes,
             converged=self.converged,

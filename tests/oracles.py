@@ -6,6 +6,7 @@ expected values and property sweeps check the implementation from the
 outside.
 """
 
+import bisect
 import itertools
 from collections import deque
 
@@ -544,6 +545,22 @@ def softmax_policy_reference(actions, scores, temperature, epsilon):
             for a, wi in zip(actions, w)}
 
 
+def draw_index_reference(probs, rng):
+    """Index drawn from the weights `probs` with one `rng.random()`, the
+    cumulative sums built afresh on every call: normalize, cumulative sum,
+    divide by its last entry, then the first entry above the uniform draw.
+    Refuses weights that are not a distribution, drawing nothing."""
+    from smdpsynth.errors import InvalidDistribution
+
+    total = float(np.sum(np.array(probs, dtype=float)))
+    if not (0.0 < total < float("inf") and min(probs) >= 0.0):
+        raise InvalidDistribution(
+            f"weights {probs} are not a probability distribution")
+    cdf = list(itertools.accumulate([x / total for x in probs]))
+    last = cdf[-1]
+    return bisect.bisect_right([c / last for c in cdf], rng.random())
+
+
 def choice_action_reference(dist, rng):
     """Index of the action drawn from an action -> probability dict by
     `Generator.choice`: the learner's reference action draw."""
@@ -670,6 +687,25 @@ class ObservationStoreReference:
             return 0, 0.0
         n, total = b["dwell"][s2]
         return n, total
+
+
+def transition_entropy_reference(conc):
+    """Differential entropy of Dirichlet(conc) by the SciPy array formula."""
+    from scipy.special import gammaln, psi
+
+    conc = np.asarray(conc, dtype=float)
+    k, total = len(conc), conc.sum()
+    return float(gammaln(conc).sum() - gammaln(total)
+                 + (total - k) * psi(total)
+                 - ((conc - 1.0) * psi(conc)).sum())
+
+
+def dwell_entropy_reference(shape, rate):
+    """Differential entropy of Gamma(shape, rate) by the SciPy formula."""
+    from scipy.special import gammaln, psi
+
+    return float(shape - np.log(rate) + gammaln(shape)
+                 + (1.0 - shape) * psi(shape))
 
 
 def update_posteriors_reference(store, pairs, pool=None,

@@ -15,7 +15,10 @@ from smdpsynth.errors import (
     InvalidObservation, SmdpsynthError, UntrackedPair, UntrackedTriple,
 )
 
-from oracles import ObservationStoreReference, update_posteriors_reference
+from oracles import (
+    ObservationStoreReference, dwell_entropy_reference,
+    transition_entropy_reference, update_posteriors_reference,
+)
 
 
 def store_of(*obs):
@@ -262,6 +265,41 @@ def test_dirichlet_entropy_matches_scipy():
     _, conc = post.row(0, "a")
     assert transition_entropy(post, 0, "a") == pytest.approx(
         stats.dirichlet(conc).entropy())
+
+
+def random_concentrations(rng):
+    """Dirichlet concentrations of one to twelve candidates: the prior plus
+    counts, as the learner builds them, or fractional values."""
+    k = int(rng.integers(1, 13))
+    if rng.random() < 0.5:
+        return 1.0 + rng.poisson(rng.uniform(0.0, 40.0), size=k)
+    return rng.uniform(0.05, 60.0, size=k)
+
+
+def test_entropies_match_scipy_array_formula_bitwise():
+    """Both entropies equal the SciPy array expressions bit for bit on
+    100,000 random rows each, with a memo shared across calls and
+    without one; rows of eight or more candidates take NumPy's pairwise
+    sum."""
+    rng = np.random.default_rng(41)
+    memo, long_rows = {}, 0
+    for _ in range(100_000):
+        conc = random_concentrations(rng)
+        long_rows += len(conc) >= 8
+        post = DirichletPosterior({(0, "a"): (tuple(range(len(conc))), conc)})
+        want = transition_entropy_reference(conc).hex()
+        assert transition_entropy(post, 0, "a", memo).hex() == want
+        if rng.random() < 0.1:
+            assert transition_entropy(post, 0, "a").hex() == want
+        shape = 2.0 + float(rng.integers(0, 60)) if rng.random() < 0.5 \
+            else float(rng.uniform(0.05, 60.0))
+        rate = float(rng.uniform(0.01, 500.0))
+        gpost = GammaPosterior({(0, "a", 1): (shape, rate)})
+        want = dwell_entropy_reference(shape, rate).hex()
+        assert dwell_entropy(gpost, 0, "a", 1, memo).hex() == want
+        if rng.random() < 0.1:
+            assert dwell_entropy(gpost, 0, "a", 1).hex() == want
+    assert long_rows > 10_000
 
 
 def test_gamma_entropy_closed_form():

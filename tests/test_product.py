@@ -1,17 +1,19 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 import smdpsynth.product
 from smdpsynth import (
-    ActionNotEnabled, AlphabetMismatch, Exponential, NotConverged,
+    ActionNotEnabled, AlphabetMismatch, Empirical, Exponential, NotConverged,
     OmegaAutomaton, Smdp, UnknownState, build_pipeline, desk_config,
-    determinize_kcba, ltl_to_cba, paper_config, parse_ltl,
+    determinize_kcba, ltl_to_cba, paper_config, parse_ltl, sample_step,
 )
 from smdpsynth.product import (
-    build_product, exact_max_reach_probability, exact_winning_region,
-    policy_reach_probability, sample_product_step,
+    PairSet, build_product, exact_max_reach_probability,
+    exact_winning_region, policy_reach_probability, sample_product_step,
 )
 
 from conftest import (
@@ -147,6 +149,55 @@ def test_sampler_errors():
         .bit_generator.state
 
 
+def mixed_dwell_product(rng):
+    """A random product whose dwells mix Exponential and Empirical
+    distributions, against the K=0 monitor of "G !c"; states enable a
+    prefix of three actions."""
+    n, actions = int(rng.integers(3, 8)), ("x", "y", "z")
+    trans, dwell = {}, {}
+    for s in range(n):
+        for a in actions[:int(rng.integers(1, 4))]:
+            k = int(rng.integers(1, 4))
+            succs = [int(t) for t in rng.choice(n, size=k, replace=False)]
+            trans[(s, a)] = list(zip(succs, rng.dirichlet(np.ones(k))))
+            for t in succs:
+                dwell[(s, a, t)] = Exponential(rng.uniform(0.1, 5.0)) \
+                    if rng.random() < 0.5 else Empirical(
+                        rng.uniform(0.0, 3.0, size=int(rng.integers(1, 5))))
+    labels = [int(rng.random() < 0.3) for _ in range(n)]
+    m = Smdp(n, actions, trans, dwell, 0, ("c",), labels)
+    return build_product(m, safety_monitor())
+
+
+def test_sampler_matches_model_sampler_on_random_products():
+    """Every product draw is the model's draw from the copy's model state,
+    lifted: the same successor, dwell and generator state after every
+    draw, Empirical dwells included, and the same typed error, drawing
+    nothing, for a bad state or action."""
+    gen = np.random.default_rng(8)
+    for seed in range(200):
+        p = mixed_dwell_product(gen)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = [(i, a) for i in range(p.n_states) for a in p.enabled(i)]
+        for k in gen.integers(len(pairs), size=40).tolist():
+            i, a = pairs[k]
+            j, tau, s2 = sample_product_step(p, i, a, rng)
+            assert (s2, tau) == sample_step(p.m, p.states[i][0], a, ref)
+            assert j == p.lift(i, s2) and type(j) is int
+            assert rng.bit_generator.state == ref.bit_generator.state
+        for i, s, a in [(p.n_states, p.m.n_states, "x"), (-1, -1, "x"),
+                        (0, 0, "nope")] + [
+                (i, p.states[i][0], b) for i in range(p.n_states)
+                for b in ("y", "z") if b not in p.enabled(i)][:2]:
+            for draw, args in [(sample_product_step, (p, i, a, rng)),
+                               (sample_step, (p.m, s, a, ref))]:
+                with pytest.raises((UnknownState, ActionNotEnabled)) as err:
+                    draw(*args)
+                assert err.type is (UnknownState if a == "x"
+                                    else ActionNotEnabled)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_build_deterministic():
     p1, p2 = grid4_product(K=5), grid4_product(K=5)
     assert p1.states == p2.states
@@ -271,6 +322,46 @@ def test_pair_ids_name_the_first_bad_pair():
         p.pair_ids(good + [(sink, "b"), (p.n_states, "a")])
     with pytest.raises(ActionNotEnabled, match="action 'nope' not enabled"):
         p.pair_ids(good + [(0, "nope")])
+
+
+def test_pair_set_hands_its_ids_to_pair_ids():
+    """A PairSet is the frozenset of its pairs and carries their sorted
+    ids, which its own product's `pair_ids` returns as the tuple path
+    would, sorted; another product, or a set operation, reads tuples."""
+    rng = np.random.default_rng(17)
+    products = [build_pipeline(desk_config())[1]] + list(
+        varied_products(40, seed=53))
+    for p, other in zip(products, products[1:] + products[:1]):
+        ids = rng.permutation(len(p.owner))[:int(rng.integers(len(p.owner)
+                                                              + 1))]
+        ws = p.pair_set(ids)
+        pairs = [(int(p.owner[k]), p.pair_actions([k])[0]) for k in ids]
+        assert type(ws) is PairSet and ws == frozenset(pairs)
+        assert p.pair_ids(ws) is ws.ids and not ws.ids.flags.writeable
+        assert ws.ids.tolist() == sorted(ids.tolist()) \
+            == sorted(p.pair_ids(list(ws)).tolist())
+        assert type(ws | frozenset()) is frozenset
+        # another product looks the tuples up in its own layout
+        try:
+            want = other.pair_ids(list(ws))
+        except (UnknownState, ActionNotEnabled) as exc:
+            with pytest.raises(type(exc)):
+                other.pair_ids(ws)
+        else:
+            assert other.pair_ids(ws).tolist() == want.tolist()
+        # copies keep the pairs and the ids
+        for twin in (copy.copy(ws), copy.deepcopy(ws),
+                     pickle.loads(pickle.dumps(ws))):
+            assert type(twin) is PairSet and twin == ws
+            assert twin.ids.tolist() == ws.ids.tolist()
+            assert np.sort(p.pair_ids(twin)).tolist() == ws.ids.tolist()
+        assert p.pair_ids(copy.copy(ws)) is ws.ids
+        q, twin = pickle.loads(pickle.dumps((p, ws)))
+        assert q.pair_ids(twin) is twin.ids
+    w_p = exact_winning_region(products[0])[1]
+    assert type(w_p) is PairSet
+    assert w_p.ids.tolist() == sorted(products[0].pair_ids(list(w_p))
+                                      .tolist())
 
 
 def test_flat_build_of_a_deep_chain_matches_reference():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from smdpsynth import (
     paper_config, parse_ltl, run_algorithm1, softmax_policy,
 )
 from smdpsynth.product import build_product
-from smdpsynth.winning import (
-    UNSEEN_SCORE, _draw_index, _np_sum, _softmax_probs,
-)
+from smdpsynth.winning import UNSEEN_SCORE, _cdf, _np_sum, _softmax_probs
 
 from conftest import (
     FixedRng, grid4_product, m1_model, m1_product, random_product,
 )
+
+
+def pid(p, i, a):
+    """The pair id of (i, a)."""
+    return int(p.pair_ids([(i, a)])[0])
 
 
 def c_monitor(K=0):
@@ -91,7 +95,9 @@ def test_softmax_no_actions():
 
 # --- action draw ---------------------------------------------------------------
 # The draw must consume the generator exactly as the Generator.choice draw
-# it replaced, or every seeded run (and the demo07 bundle) changes.
+# it replaced, or every seeded run (and the demo07 bundle) changes. The
+# learner draws `bisect_right(_cdf(probs), rng.random())`, with `_cdf`
+# memoized; `draw_index_reference` rebuilds the cumulative sums per draw.
 
 def random_scores(rng, k):
     """Score vectors of the shapes the learner produces: ties, unexplored
@@ -117,7 +123,10 @@ def test_np_sum_matches_numpy_bitwise():
 
 
 def test_action_draw_matches_choice_reference():
-    from oracles import choice_action_reference, softmax_policy_reference
+    from oracles import (
+        choice_action_reference, draw_index_reference,
+        softmax_policy_reference,
+    )
     gen = np.random.default_rng(7)
     for seed in range(5):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -132,15 +141,20 @@ def test_action_draw_matches_choice_reference():
             assert softmax_policy(acts, scores, temperature, epsilon) == dist
             probs = _softmax_probs(scores, temperature, epsilon)
             assert probs == list(dist.values())
-            assert _draw_index(probs, rng) == choice_action_reference(dist,
-                                                                      ref)
-            assert rng.bit_generator.state == ref.bit_generator.state
+            twin = np.random.default_rng()
+            twin.bit_generator.state = rng.bit_generator.state
+            got = bisect_right(_cdf(probs), rng.random())
+            assert got == choice_action_reference(dist, ref)
+            assert got == draw_index_reference(probs, twin)
+            assert rng.bit_generator.state == ref.bit_generator.state \
+                == twin.bit_generator.state
 
 
 def test_action_draw_on_cumulative_boundaries():
     """A uniform draw exactly on a cumulative probability, or one ulp to
     either side, picks the index `Generator.choice` would: the same
     cumulative values, bit for bit, searched from the right."""
+    from oracles import draw_index_reference
     gen = np.random.default_rng(11)
     for _ in range(300):
         k = int(gen.integers(1, 5))
@@ -150,9 +164,11 @@ def test_action_draw_on_cumulative_boundaries():
         p = np.array(probs) / np.array(probs).sum()
         cdf = p.cumsum()
         cdf /= cdf[-1]
+        assert _cdf(probs) == cdf.tolist()
         for c in cdf[:-1]:
             for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)):
-                assert _draw_index(probs, FixedRng(float(u))) \
+                assert bisect_right(_cdf(probs), float(u)) \
+                    == draw_index_reference(probs, FixedRng(float(u))) \
                     == int(cdf.searchsorted(u, side="right"))
 
 
@@ -166,9 +182,10 @@ def test_learner_action_draw_matches_choice_reference():
     learner.rng = np.random.default_rng(3)
     ref = np.random.default_rng(3)
     for i in sorted(learner.w) * 5:
-        a = learner._sample_action(i)
+        k, a = learner._sample_action(i)
         dist = learner.pi_ex(i)
         assert a == list(dist)[choice_action_reference(dist, ref)]
+        assert k == pid(p, i, a)
         assert learner.rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -216,11 +233,13 @@ def test_action_draw_memo_skips_recomputation_bit_identically():
     learner = CountingLearner(p, cfg)
     i = next(i for i in learner.w if i not in learner._dw)
     learner._sample_action(i)
-    learner._add_out_pair((i, learner._allowed(i)[0]))
+    learner._add_out_pair(i, learner._allowed(i)[0])
     assert i in learner._dw
     learner._sample_action(i)
     assert learner.computed == 2
-    assert learner._draw_cache[(i, True)] == learner._policy(i, True)
+    pids, acts, probs = learner._policy(i, True)
+    assert learner._draw_cache[(i, True)] == (pids, acts, probs, _cdf(probs))
+    assert pids == [pid(p, i, a) for a in acts]
 
     # debug_checks recompute pi_ex beside every draw, memoized or not
     checked = CountingLearner(p, dataclasses.replace(cfg, debug_checks=True))
@@ -233,9 +252,12 @@ def test_action_draw_memo_skips_recomputation_bit_identically():
                                      [float("inf"), 1.0],
                                      [0.6, -0.1, 0.5], [0.0, 0.0]])
 def test_action_draw_rejects_invalid_weights(weights):
+    from oracles import draw_index_reference
+    with pytest.raises(InvalidDistribution):
+        _cdf(weights)
     rng = np.random.default_rng(0)
     with pytest.raises(InvalidDistribution):
-        _draw_index(weights, rng)
+        draw_index_reference(weights, rng)
     assert rng.bit_generator.state == np.random.default_rng(0) \
         .bit_generator.state
     probs = np.array(weights)
@@ -272,17 +294,17 @@ def test_q_update_fixed_point():
     for _ in range(50):
         learner.run_episode()
     i0 = p.initial
-    assert (i0, "a") in learner.w_p and i0 in learner.w
+    assert pid(p, i0, "a") in learner.w_p and i0 in learner.w
 
 
 def test_q_update_exit_drops_pair():
     """An episode that leaves W^k removes the pair it left by."""
     p, learner, mid, _ = exit_learner()
-    learner._sample_start = lambda: (mid, "a")
+    learner._sample_start = lambda: (mid, pid(p, mid, "a"))
     learner.run_episode()
     assert learner.progress[-1]["steps"] == 1
-    assert (mid, "a") not in learner.w_p and mid not in learner.w
-    assert (p.initial, "a") in learner.w_p and p.initial in learner.w
+    assert pid(p, mid, "a") not in learner.w_p and mid not in learner.w
+    assert pid(p, p.initial, "a") in learner.w_p and p.initial in learner.w
     assert learner._zero_actions[mid] == 0
     learner._check_consistency()
 
@@ -292,11 +314,11 @@ def test_exit_keeps_pool_data_and_posterior_row():
     pair that exits leaves W_p^k, but its pool keeps the counts and the
     posterior row built from them."""
     p, learner, mid, _ = exit_learner()
-    learner._sample_start = lambda: (mid, "a")
+    learner._sample_start = lambda: (mid, pid(p, mid, "a"))
     learner.run_episode()
     learner._refresh_posteriors()
-    assert (mid, "a") not in learner.w_p
-    (j,) = learner._obs_succ[(mid, "a")]
+    assert pid(p, mid, "a") not in learner.w_p
+    (j,) = learner._obs_succ[pid(p, mid, "a")]
     s, s2 = p.states[mid][0], p.states[j][0]
     assert learner.store.successor_counts(s, "a") == {s2: 1}
     row = learner.tpost.to_json_dict()[f"{s}/a"]
@@ -316,9 +338,17 @@ def test_q_update_boundary_refresh():
     observe(learner, i0, "a", 0, i0)
     observe(learner, i0, "b", 1, mid)
     assert set(learner._dw) == set()
-    learner._remove_pair((mid, "a"))
-    assert set(learner._dw) == boundary(set(learner.w), set(learner.w_p),
-                                        learner._obs_succ) == {i0}
+    learner._remove_pair(pid(p, mid, "a"))
+    assert set(learner._dw) == boundary_of(learner) == {i0}
+
+
+def boundary_of(learner):
+    """`boundary` of the learner's sets, its pairs as (state, pair id)."""
+    p = learner.p
+    pairs = {k: (int(p.owner[k]), k) for k in range(len(p.owner))}
+    return boundary(set(learner.w), {pairs[k] for k in learner.w_p},
+                    {pairs[k]: succs
+                     for k, succs in learner._obs_succ.items()})
 
 
 # --- boundary ----------------------------------------------------------------
@@ -353,7 +383,7 @@ def test_init_excludes_exactly_accepting():
     p = m1_product()
     learner = WinningLearner(p, LearnerConfig(seed=0))
     assert set(learner.w) == set(range(p.n_states)) - p.accepting
-    assert set(learner.w_p) == {(i, a) for i in range(p.n_states)
+    assert set(learner.w_p) == {pid(p, i, a) for i in range(p.n_states)
                                 if i not in p.accepting
                                 for a in p.enabled(i)}
 
@@ -387,11 +417,15 @@ def test_init_sets_match_nested_loop_construction():
                  for c_prob in (0.0, 0.3, 0.6) for _ in range(20)]
     checked = 0
     for p in products:
-        w, w_p, zero = [], [], {}
+        w, w_p, zero, k = [], [], {}, 0
         for i in range(p.n_states):
+            for a in p.enabled(i):
+                if i not in p.accepting:
+                    w_p.append(k)
+                    assert p.pair_ids([(i, a)]).tolist() == [k]
+                k += 1
             if i not in p.accepting:
                 w.append(i)
-                w_p += [(i, a) for a in p.enabled(i)]
                 zero[i] = len(p.enabled(i))
         if not w:
             continue
@@ -400,7 +434,7 @@ def test_init_sets_match_nested_loop_construction():
         assert list(learner._under) == w_p
         assert list(learner._zero_actions.items()) == list(zero.items())
         assert all(type(i) is int for i in learner.w)
-        assert all(type(i) is int for i, _ in learner.w_p)
+        assert all(type(k) is int for k in learner.w_p)
         learner._under.discard(w_p[0])
         assert w_p[0] in learner.w_p and list(learner.w_p) == w_p
         checked += 1
@@ -412,9 +446,9 @@ def test_init_sets_match_nested_loop_construction():
 
 # --- exploration policies on a live learner -------------------------------------
 
-def observe(learner, i, a, model_s2, pid2, tau=1.0):
+def observe(learner, i, a, model_s2, j, tau=1.0):
     learner.store.append(learner.p.states[i][0], a, model_s2, tau)
-    learner._note_observation(i, a, pid2)
+    learner._note_observation(i, pid(learner.p, i, a), j)
 
 
 def test_pi_ent_prefers_unseen():
@@ -440,7 +474,7 @@ def test_pi_wperp_prefers_outgoing_mass():
     learner = WinningLearner(p, LearnerConfig(seed=0))
     i0 = p.initial
     mid = doomed_m1_state(p)
-    learner._remove_pair((mid, "a"))
+    learner._remove_pair(pid(p, mid, "a"))
     observe(learner, i0, "a", 0, i0)
     observe(learner, i0, "b", 1, mid)
     learner._refresh_posteriors()
@@ -466,7 +500,7 @@ def test_pi_ex_dispatches_on_boundary():
     assert i0 not in learner._dw
     assert learner.pi_ex(i0) == learner.pi_ent(i0)
     observe(learner, i0, "b", 1, mid)
-    learner._remove_pair((mid, "a"))
+    learner._remove_pair(pid(p, mid, "a"))
     learner._refresh_posteriors()
     assert i0 in learner._dw
     assert learner.pi_ex(i0) == learner.pi_wperp(i0)
@@ -587,7 +621,7 @@ def test_consistency_check_flags_action_count_drift():
 def test_consistency_check_flags_accepting_state():
     p, learner, _, acc = exit_learner()
     learner.w.add(acc)
-    learner.w_p.add((acc, p.enabled(acc)[0]))
+    learner.w_p.add(pid(p, acc, p.enabled(acc)[0]))
     with pytest.raises(AssertionError, match="accepting"):
         learner._check_consistency()
 
@@ -611,12 +645,13 @@ def test_learner_sound_on_random_products():
             res = learner.run()
             assert res.w >= w and res.w_p >= w_p
             assert res.monotone_violations == 0
+            assert p.pair_ids(res.w_p).tolist() == sorted(learner.w_p)
             for i in set(range(p.n_states)) - p.accepting:
                 for a in p.enabled(i):
                     if (i, a) not in res.w_p:
                         removed += 1
-                        assert any(j not in res.w
-                                   for j in learner._obs_succ[(i, a)])
+                        assert any(j not in res.w for j in
+                                   learner._obs_succ[pid(p, i, a)])
             seed += 1
     assert removed > 0
 
