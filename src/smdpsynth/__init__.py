@@ -39,8 +39,8 @@ from .winning import (
     softmax_policy, ind_k,
 )
 from .reach import (
-    RewardDiscountSpec, QLearnSchedule, TransientQ, reward, discount,
-    qlearn_transient, extract_pi_tr,
+    RewardDiscountSpec, QLearnSchedule, TransientQ, qlearn_transient,
+    extract_pi_tr,
 )
 from .risk import (
     RiskModel, RiskQ, build_risk_model, risk_model_from_product,

@@ -308,7 +308,6 @@ def export_sample_paths(p, policy, n, horizon, rng) -> list:
     policy; JSONL-ready records, header first."""
     records = [{"record": "header", "paths": n, "horizon": horizon,
                 "initial": p.initial}]
-    pick = policy.__getitem__ if hasattr(policy, "__getitem__") else policy
     m = p.m
     # per model state: its name and its label list
     state_names = m.names
@@ -320,7 +319,7 @@ def export_sample_paths(p, policy, n, horizon, rng) -> list:
         labels = [list(state_labels[s])]
         actions, dwells = [], []
         for _ in range(horizon):
-            a = pick(i)
+            a = policy[i]
             j, tau, s2 = sample_product_step(p, i, a, rng)
             actions.append(a)
             dwells.append(float(tau))

@@ -422,12 +422,19 @@ def _state_rows(p: ProductSmdp, states):
     states = np.asarray(states, dtype=np.intp)
     n_pairs = p.pair_ptr[states + 1] - p.pair_ptr[states]
     pairs = _ranges(p.pair_ptr[states], n_pairs)
-    lens = p.row_ptr[pairs + 1] - p.row_ptr[pairs]
-    edges = _ranges(p.row_ptr[pairs], lens)
+    lens, edges = _pair_rows(p, pairs)
     succ = _pad(lens, p.succ[edges], 0, np.intp)
     prob = _pad(lens, p.model_prob[p.edge[edges]], 0.0, float)
     group = _pad(n_pairs, np.arange(len(pairs)), len(pairs), np.intp)
     return acts, succ, prob, group
+
+
+def _pair_rows(p: ProductSmdp, pids):
+    """The rows of the pair ids `pids`, gathered from the flat layout:
+    their lengths, and the positions of their entries in `succ` and
+    `edge`, one row after another in row order."""
+    lens = p.row_ptr[pids + 1] - p.row_ptr[pids]
+    return lens, _ranges(p.row_ptr[pids], lens)
 
 
 def _row_values(succ, prob, v) -> np.ndarray:
@@ -458,67 +465,55 @@ def _pad(lens, flat, fill, dtype) -> np.ndarray:
 
 
 def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
-    """Pr(reach target from each state) under a fixed positional policy.
+    """Pr(reach target from each state) under a fixed positional policy,
+    indexed by state, that gives every non-target state an action.
 
-    The unknowns are the non-target states that can reach the target under
-    the policy (one backward search over its predecessor lists); every
-    other state gets 0 and target states 1. Their system
+    Its rows, one pair per non-target state, come from one gather of the
+    flat layout. The unknowns are the states that die in `_safety_fixpoint`
+    over those rows with the target dead: exactly those that can reach the
+    target. Every other state gets 0 and target states 1. The unknowns'
+    system
     v_i = sum_{j in target} P(j|i) + sum_{j unknown} P(j|i) v_j is solved
-    exactly by `_solve_by_components`, over the policy's rows, one strongly
-    connected component at a time: memory grows with rows × successors plus
-    the square of the largest component, never with n².
+    exactly by `_solve_by_components`, one strongly connected component at
+    a time: memory grows with rows × successors plus the square of the
+    largest component, never with n².
     """
     target = set(target)
     for i in target:
         p.check_state(i)
-    succ_of = {}
-    for i in range(p.n_states):
-        if i in target:
-            continue
-        a = policy[i] if hasattr(policy, "__getitem__") else policy(i)
-        succ_of[i] = p.trans_row(i, a)
+    dead = np.zeros(p.n_states, dtype=bool)
+    dead[list(target)] = True
+    states = np.flatnonzero(~dead)
+    pids = p.pair_ids([(i, policy[i]) for i in states.tolist()])
+    lens, edges = _pair_rows(p, pids)
+    succ = p.succ[edges]
+    alive, _ = _safety_fixpoint(states, _offsets(lens), succ, dead)
 
-    # backward search from the target over the policy's predecessor lists
-    preds = {}
-    for i, (succs, _) in succ_of.items():
-        for j in succs:
-            preds.setdefault(j, []).append(i)
-    can = set(target)
-    stack = list(target)
-    while stack:
-        for i in preds.get(stack.pop(), ()):
-            if i not in can:
-                can.add(i)
-                stack.append(i)
+    # unknown i's entries in row order: a target successor adds its
+    # probability to the constant, an unknown one is a coefficient, any
+    # other (value 0) drops out
+    unknown = ~alive & ~dead
+    n_unknown = int(np.count_nonzero(unknown))
+    pos = np.full(p.n_states, -1, dtype=np.intp)
+    pos[unknown] = np.arange(n_unknown)
+    row = np.repeat(pos[states], lens)
+    prob = p.model_prob[p.edge[edges]]
+    hit, var = (row >= 0) & dead[succ], (row >= 0) & (pos[succ] >= 0)
+    const = np.bincount(row[hit], weights=prob[hit], minlength=n_unknown)
 
-    unknown = sorted(can - target)
-    pos = {i: k for k, i in enumerate(unknown)}
-    succs, coefs, const = [], [], []
-    for i in unknown:
-        row_succ, row_coef, c = [], [], 0.0
-        for j, pr in zip(*succ_of[i]):
-            if j in target:
-                c += pr
-            elif j in pos:
-                row_succ.append(pos[j])
-                row_coef.append(pr)
-        succs.append(row_succ)
-        coefs.append(row_coef)
-        const.append(c)
-
-    v = np.zeros(p.n_states)
-    for i in target:
-        v[i] = 1.0
-    v[unknown] = _solve_by_components(succs, coefs, const)
+    v = dead.astype(float)
+    v[unknown] = _solve_by_components(row[var], pos[succ[var]], prob[var],
+                                      const)
     return v
 
 
-def _solve_by_components(succs, coefs, const) -> list:
-    """Solve v_i = const[i] + sum_k coefs[i][k] v_{succs[i][k]} exactly;
-    returns v as a list of floats.
+def _solve_by_components(row, col, coef, const) -> list:
+    """Solve v_i = const[i] + sum_e coef[e] v_{col[e]} over the entries e
+    of row i exactly; returns v as a list of floats.
 
-    The system is given by its sparse rows: unknown i depends on the
-    unknowns listed in succs[i] with the matching coefficients. It is
+    The system is given as flat arrays of its sparse entries, `row` in
+    ascending order: unknown i depends on the unknowns `col[e]` of its
+    entries, with coefficients `coef[e]`, in the order given. It is
     solved one strongly connected component of that dependency graph at a
     time, sinks first, so every unknown a component refers to outside
     itself is already known. A single unknown is the closed form
@@ -527,8 +522,13 @@ def _solve_by_components(succs, coefs, const) -> list:
     largest component k. The system must be nonsingular on every
     component (a discounted or target-reaching policy system is).
     """
-    v = [0.0] * len(const)
-    for comp in sccs(range(len(const)), succs.__getitem__):
+    n = len(const)
+    ptr = _offsets(np.bincount(row, minlength=n)).tolist()
+    col, coef, const = col.tolist(), coef.tolist(), const.tolist()
+    succs = [col[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+    coefs = [coef[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+    v = [0.0] * n
+    for comp in sccs(range(n), succs.__getitem__):
         if len(comp) == 1:
             i = comp[0]
             rhs, diag = const[i], 0.0
@@ -543,13 +543,13 @@ def _solve_by_components(succs, coefs, const) -> list:
         mat = np.eye(len(comp))
         rhs = np.array([const[i] for i in comp])
         for i in comp:
-            row = local[i]
+            at = local[i]
             for j, a in zip(succs[i], coefs[i]):
                 k = local.get(j)
                 if k is None:
-                    rhs[row] += a * v[j]
+                    rhs[at] += a * v[j]
                 else:
-                    mat[row, k] -= a
+                    mat[at, k] -= a
         for i, x in zip(comp, np.linalg.solve(mat, rhs).tolist()):
             v[i] = x
     return v

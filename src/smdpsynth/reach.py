@@ -57,16 +57,6 @@ class QLearnSchedule:
             raise ConfigError("epsilon must be in [0,1]")
 
 
-def reward(p: ProductSmdp, i, spec: RewardDiscountSpec) -> float:
-    """(1-gamma_acc)*r_n on the losing sink, 0 elsewhere."""
-    return (1 - spec.gamma_acc) * spec.r_n if i in p.accepting else 0.0
-
-
-def discount(p: ProductSmdp, i, spec: RewardDiscountSpec) -> float:
-    """gamma_acc on the losing sink, gamma elsewhere."""
-    return spec.gamma_acc if i in p.accepting else spec.gamma
-
-
 @dataclass
 class TransientQ:
     """Learned action values on the states outside the winning region."""

@@ -23,7 +23,7 @@ from .errors import (
     NonfiniteRisk, NotConverged, PolicyLeavesW, UntrackedPair,
 )
 from .product import (
-    ProductSmdp, _offsets, _pad, _ranges, _solve_by_components,
+    ProductSmdp, _offsets, _pad, _pair_rows, _ranges, _solve_by_components,
 )
 
 # sweeps after which risk value iteration gives up with NotConverged
@@ -218,8 +218,7 @@ def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
     """
     w = frozenset(w)
     pids = np.sort(p.pair_ids(w_p))
-    lens = p.row_ptr[pids + 1] - p.row_ptr[pids]
-    edges = _ranges(p.row_ptr[pids], lens)
+    lens, edges = _pair_rows(p, pids)
     succ = p.succ[edges]
     row = np.repeat(np.arange(len(pids)), lens)
     leaving = row[~np.isin(np.arange(p.n_states), list(w))[succ]]
@@ -363,29 +362,34 @@ def combine_policy(p: ProductSmdp, w, pi_win, pi_tr) -> dict:
 def evaluate_policy_risk(p: ProductSmdp, pi, risk, gamma_r) -> dict:
     """Exact discounted risk of a region-preserving policy, per state.
 
-    `risk` is a callable (i, a, j) -> value on product ids. The system
+    `pi` maps each state of its domain to an action; `risk` is a callable
+    (i, a, j) -> value on product ids, called once per transition of the
+    policy, in sorted-state, row order. The policy's rows are gathered
+    from the flat layout in one pass, and the system
     v_i = sum_j P(j|i) risk(i, pi_i, j) + gamma_r sum_j P(j|i) v_j over the
     policy's states is solved exactly by `_solve_by_components`, one
     strongly connected component of the policy's graph at a time: memory
     grows with rows × successors plus the square of the largest component,
-    never with n². Raises PolicyLeavesW if any chosen action has successor
-    mass outside the policy's domain.
+    never with n². Raises PolicyLeavesW at the first transition, in the
+    same order, whose successor is outside the policy's domain.
     """
     if not 0 <= gamma_r < 1:
         raise InvalidRiskModel(f"gamma_r must be in [0,1), got {gamma_r}")
     states = sorted(pi)
-    idx = {i: k for k, i in enumerate(states)}
-    succs, coefs, const = [], [], []
-    for i in states:
-        row_succ, row_coef, c = [], [], 0.0
-        for j, pr in zip(*p.trans_row(i, pi[i])):
-            if j not in idx:
-                raise PolicyLeavesW(
-                    f"action {pi[i]} at state {i} reaches {j} outside W")
-            c += pr * risk(i, pi[i], j)
-            row_succ.append(idx[j])
-            row_coef.append(gamma_r * pr)
-        succs.append(row_succ)
-        coefs.append(row_coef)
-        const.append(c)
-    return dict(zip(states, _solve_by_components(succs, coefs, const)))
+    lens, edges = _pair_rows(p, p.pair_ids([(i, pi[i]) for i in states]))
+    succ, owner = p.succ[edges], np.repeat(states, lens).astype(np.intp)
+    pos = np.full(p.n_states, -1, dtype=np.intp)
+    pos[states] = np.arange(len(states))
+    leaving = np.flatnonzero(pos[succ] < 0)
+    if leaving.size:
+        i, j = int(owner[leaving[0]]), int(succ[leaving[0]])
+        raise PolicyLeavesW(
+            f"action {pi[i]} at state {i} reaches {j} outside W")
+    prob = p.model_prob[p.edge[edges]]
+    i_of = owner.tolist()
+    risks = np.array(list(map(risk, i_of, map(pi.__getitem__, i_of),
+                              succ.tolist())), dtype=float)
+    row = pos[owner]
+    const = np.bincount(row, weights=prob * risks, minlength=len(states))
+    return dict(zip(states, _solve_by_components(
+        row, pos[succ], gamma_r * prob, const)))

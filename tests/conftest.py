@@ -166,24 +166,25 @@ def random_product(rng, n=6, actions=("x", "y"), c_prob=0.0):
     return build_product(m, d)
 
 
-class ChainSystem:
-    """A chain of n states under one action: state i stays with
-    probability q and moves on to i + 1 otherwise; the last state
-    absorbs. Supplies the part of the product interface the fixed-policy
-    solves read."""
+def chain_product(n):
+    """n model states in a line, each staying or stepping on with even
+    odds; the last one is labeled c. Under "G !c" every state loses, but
+    only because its successor does: the cascade is as deep as the
+    chain."""
+    from smdpsynth import (
+        Exponential, Smdp, determinize_kcba, ltl_to_cba, parse_ltl,
+    )
+    from smdpsynth.product import build_product
 
-    def __init__(self, n, q):
-        self.n_states = n
-        self.q = q
-
-    def check_state(self, i):
-        if not 0 <= i < self.n_states:
-            raise IndexError(i)
-
-    def trans_row(self, i, a):
-        if i == self.n_states - 1:
-            return (i,), (1.0,)
-        return (i, i + 1), (self.q, 1.0 - self.q)
+    trans, dwell = {}, {}
+    for s in range(n - 1):
+        trans[(s, "x")] = [(s, 0.5), (s + 1, 0.5)]
+        dwell[(s, "x", s)] = dwell[(s, "x", s + 1)] = Exponential(1.0)
+    trans[(n - 1, "x")] = [(n - 1, 1.0)]
+    dwell[(n - 1, "x", n - 1)] = Exponential(1.0)
+    m = Smdp(n, ("x",), trans, dwell, 0, ("c",), [0] * (n - 1) + [1])
+    d = determinize_kcba(ltl_to_cba(parse_ltl("G !c"), ap=("c",)), 0)
+    return build_product(m, d)
 
 
 class FixedRng:

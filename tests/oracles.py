@@ -512,6 +512,116 @@ def greedy_transient_reference(p, w, v_opt, tol=1e-9):
     return values, best_actions
 
 
+
+def policy_reach_probability_reference(p, policy, target):
+    """Pr(reach target) under a fixed positional policy, by one
+    `trans_row` call per non-target state, a backward search over dict
+    predecessor lists and a solve over lists of rows: the reference the
+    library's flat-layout solve must match bit for bit."""
+    target = set(target)
+    for i in target:
+        p.check_state(i)
+    succ_of = {}
+    for i in range(p.n_states):
+        if i not in target:
+            succ_of[i] = p.trans_row(i, policy[i])
+
+    preds = {}
+    for i, (succs, _) in succ_of.items():
+        for j in succs:
+            preds.setdefault(j, []).append(i)
+    can = set(target)
+    stack = list(target)
+    while stack:
+        for i in preds.get(stack.pop(), ()):
+            if i not in can:
+                can.add(i)
+                stack.append(i)
+
+    unknown = sorted(can - target)
+    pos = {i: k for k, i in enumerate(unknown)}
+    succs, coefs, const = [], [], []
+    for i in unknown:
+        row_succ, row_coef, c = [], [], 0.0
+        for j, pr in zip(*succ_of[i]):
+            if j in target:
+                c += pr
+            elif j in pos:
+                row_succ.append(pos[j])
+                row_coef.append(pr)
+        succs.append(row_succ)
+        coefs.append(row_coef)
+        const.append(c)
+
+    v = np.zeros(p.n_states)
+    for i in target:
+        v[i] = 1.0
+    v[unknown] = solve_by_components_reference(succs, coefs, const)
+    return v
+
+
+def evaluate_policy_risk_reference(p, pi, risk, gamma_r):
+    """Exact discounted policy risk by one `trans_row` call per state of
+    the policy, in sorted order, calling `risk` per transition and raising
+    PolicyLeavesW at the first successor outside the domain: the reference
+    the library's flat-layout solve must match bit for bit."""
+    from smdpsynth.errors import InvalidRiskModel, PolicyLeavesW
+
+    if not 0 <= gamma_r < 1:
+        raise InvalidRiskModel(f"gamma_r must be in [0,1), got {gamma_r}")
+    states = sorted(pi)
+    idx = {i: k for k, i in enumerate(states)}
+    succs, coefs, const = [], [], []
+    for i in states:
+        row_succ, row_coef, c = [], [], 0.0
+        for j, pr in zip(*p.trans_row(i, pi[i])):
+            if j not in idx:
+                raise PolicyLeavesW(
+                    f"action {pi[i]} at state {i} reaches {j} outside W")
+            c += pr * risk(i, pi[i], j)
+            row_succ.append(idx[j])
+            row_coef.append(gamma_r * pr)
+        succs.append(row_succ)
+        coefs.append(row_coef)
+        const.append(c)
+    return dict(zip(states, solve_by_components_reference(succs, coefs,
+                                                          const)))
+
+
+def solve_by_components_reference(succs, coefs, const):
+    """v_i = const[i] + sum_k coefs[i][k] v_{succs[i][k]} over lists of
+    rows, one component of `automata.sccs` at a time, sinks first: a
+    single unknown by its closed form, a larger component by a dense
+    solve in the component's order."""
+    from smdpsynth.automata import sccs
+
+    v = [0.0] * len(const)
+    for comp in sccs(range(len(const)), succs.__getitem__):
+        if len(comp) == 1:
+            i = comp[0]
+            rhs, diag = const[i], 0.0
+            for j, a in zip(succs[i], coefs[i]):
+                if j == i:
+                    diag += a
+                else:
+                    rhs += a * v[j]
+            v[i] = rhs / (1.0 - diag)
+            continue
+        local = {i: k for k, i in enumerate(comp)}
+        mat = np.eye(len(comp))
+        rhs = np.array([const[i] for i in comp])
+        for i in comp:
+            row = local[i]
+            for j, a in zip(succs[i], coefs[i]):
+                k = local.get(j)
+                if k is None:
+                    rhs[row] += a * v[j]
+                else:
+                    mat[row, k] -= a
+        for i, x in zip(comp, np.linalg.solve(mat, rhs).tolist()):
+            v[i] = x
+    return v
+
 # --- simulator draws -----------------------------------------------------------
 
 def sample_step_reference(m, s, a, rng):

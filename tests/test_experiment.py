@@ -259,13 +259,6 @@ def test_export_paths_edge_cases():
         assert rec["names"] == [p.m.names[p.states[p.initial][0]]]
 
 
-def test_export_paths_accepts_callable_policy():
-    p = grid4_product()
-    rng = np.random.default_rng(1)
-    recs = export_sample_paths(p, lambda i: p.enabled(i)[0], 2, 15, rng)
-    assert all(len(r["actions"]) == 15 for r in recs[1:])
-
-
 def pools_of(p, w_p):
     """The model pairs (s, a) whose product copies (i, a) are in w_p."""
     return {(p.states[i][0], a) for i, a in w_p}

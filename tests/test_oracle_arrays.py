@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 
 import smdpsynth.experiment as E
-from smdpsynth import (
-    Exponential, Smdp, build_pipeline, desk_config, determinize_kcba,
-    ltl_to_cba, paper_config, parse_ltl,
-)
+from smdpsynth import build_pipeline, desk_config, paper_config
 from smdpsynth.bayes import MeanPlusSigma, risk_of
 from smdpsynth.product import (
-    _best_actions, _pad, _row_values, _state_rows, build_product,
+    _best_actions, _pad, _row_values, _state_rows,
     exact_max_reach_probability, exact_winning_region,
 )
 
-from conftest import grid4_product, product_rows, random_product
+from conftest import chain_product, grid4_product, product_rows, \
+    random_product
 from oracles import exact_winning_region_reference, greedy_transient_reference
 
 
@@ -65,22 +63,6 @@ def test_winning_region_edge_products():
     assert w_p == frozenset(product_rows(free))
     for p in (doomed, free):
         assert exact_winning_region(p) == exact_winning_region_reference(p)
-
-
-def chain_product(n):
-    """n model states in a line, each staying or stepping on with even
-    odds; the last one is labeled c. Under "G !c" every state loses, but
-    only because its successor does: the cascade is as deep as the
-    chain."""
-    trans, dwell = {}, {}
-    for s in range(n - 1):
-        trans[(s, "x")] = [(s, 0.5), (s + 1, 0.5)]
-        dwell[(s, "x", s)] = dwell[(s, "x", s + 1)] = Exponential(1.0)
-    trans[(n - 1, "x")] = [(n - 1, 1.0)]
-    dwell[(n - 1, "x", n - 1)] = Exponential(1.0)
-    m = Smdp(n, ("x",), trans, dwell, 0, ("c",), [0] * (n - 1) + [1])
-    d = determinize_kcba(ltl_to_cba(parse_ltl("G !c"), ap=("c",)), 0)
-    return build_product(m, d)
 
 
 def test_safety_fixpoint_is_linear_on_a_deep_cascade():

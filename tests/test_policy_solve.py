@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smdpsynth import build_pipeline, desk_config, paper_config
+from smdpsynth import ActionNotEnabled, PolicyLeavesW, ProductSmdp, \
+    UnknownState, build_pipeline, desk_config, paper_config
 from smdpsynth.automata import sccs
 from smdpsynth.experiment import oracle_reference, parse_functional, \
     true_risk_fn
@@ -21,7 +22,9 @@ from smdpsynth.risk import evaluate_policy_risk, extract_pi_win, \
     risk_model_from_product, risk_value_iteration
 
 from conftest import grid4_product, product_rows, random_product
-from oracles import reach_probability_under_policy, risk_value_of_policy
+from oracles import evaluate_policy_risk_reference, \
+    policy_reach_probability_reference, reach_probability_under_policy, \
+    risk_value_of_policy
 
 RTOL = 1e-12
 
@@ -40,20 +43,48 @@ def dense_risk(p, pi, risk, gamma):
     return risk_value_of_policy(rows, pi, gamma, pi)
 
 
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
 def check_reach(p, policy, target):
+    """The library's solve equals the pre-layout loops bit for bit, and
+    the dense solve to RTOL."""
     got = policy_reach_probability(p, policy, target)
+    assert hexes(got) == hexes(
+        policy_reach_probability_reference(p, policy, target))
     ref = dense_reach(p, policy, target)
     np.testing.assert_allclose(got, ref, rtol=RTOL, atol=0)
     return ref
 
 
 def check_risk(p, pi, risk, gamma):
-    got = evaluate_policy_risk(p, pi, risk, gamma)
+    """As check_reach, and `risk` is called on the same transitions in
+    the same order."""
+    calls = {"got": [], "ref": []}
+
+    def logged(name):
+        def fn(i, a, j):
+            calls[name].append((i, a, j))
+            return risk(i, a, j)
+        return fn
+
+    got = evaluate_policy_risk(p, pi, logged("got"), gamma)
+    bitwise = evaluate_policy_risk_reference(p, pi, logged("ref"), gamma)
+    assert list(got) == list(bitwise) == sorted(pi)
+    assert hexes(got.values()) == hexes(bitwise.values())
+    assert calls["got"] == calls["ref"]
     ref = dense_risk(p, pi, risk, gamma)
-    assert list(got) == sorted(pi)
     np.testing.assert_allclose([got[i] for i in got], [ref[i] for i in got],
                                rtol=RTOL, atol=0)
     return got
+
+
+def raised(fn, *args):
+    """The type and message of the exception `fn(*args)` raises."""
+    with pytest.raises(Exception) as exc:
+        fn(*args)
+    return exc.type, str(exc.value)
 
 
 def components(p, policy, states):
@@ -112,14 +143,38 @@ def test_policy_solves_match_dense_on_oracle_policies(make):
     assert max(sizes) > 1
 
 
+def test_exact_side_reads_only_the_flat_layout(monkeypatch):
+    """The desk oracle and both fixed-policy solves never ask the product
+    for a row tuple: every row they read is gathered from the flat
+    layout."""
+    def no_row_tuples(self, i, a):
+        raise AssertionError(f"trans_row({i}, {a!r}) called")
+
+    monkeypatch.setattr(ProductSmdp, "trans_row", no_row_tuples)
+    cfg = desk_config()
+    p = build_pipeline(cfg)[1]
+    oracle = oracle_reference(p, parse_functional(cfg.functional),
+                              cfg.gamma_r)
+    reach = policy_reach_probability(p, oracle["pi_tr"], oracle["w"])
+    monkeypatch.undo()
+    assert hexes(reach) == hexes(policy_reach_probability_reference(
+        p, oracle["pi_tr"], oracle["w"]))
+
+
 def test_policy_solves_match_dense_on_random_products():
     """Random products, random policies: components of several states and
-    single states with self-loops both occur in both systems."""
+    single states with self-loops both occur in both systems. Both solves
+    also raise what the pre-layout loops raise for a policy that leaves
+    its domain, an unknown state and a disabled action."""
     rng = np.random.default_rng(12)
+    # the partial domains come from their own stream, so the products and
+    # policies stay those of the dense comparison alone
+    sub = np.random.default_rng(13)
     seen = {"reach": [0, 0], "risk": [0, 0]}
+    leaves = disabled = 0
+    actions = ("x", "y", "z")
     for _ in range(150):
-        p = random_product(rng, n=int(rng.integers(3, 16)),
-                           actions=("x", "y", "z"))
+        p = random_product(rng, n=int(rng.integers(3, 16)), actions=actions)
         policy = {i: p.enabled(i)[int(rng.integers(len(p.enabled(i))))]
                   for i in range(p.n_states)}
         k = int(rng.integers(1, p.n_states + 1))
@@ -133,15 +188,50 @@ def test_policy_solves_match_dense_on_random_products():
         def risk(i, a, j):
             return float(scale[j]) * (1 + "xyz".index(a)) + 0.25 * i
 
-        check_risk(p, policy, risk, float(rng.uniform(0.0, 0.99)))
+        gamma = float(rng.uniform(0.0, 0.99))
+        check_risk(p, policy, risk, gamma)
         for name, states in (("reach", unknown),
                              ("risk", set(range(p.n_states)))):
             if states:
                 sizes, loops = components(p, policy, states)
                 seen[name][0] = max(seen[name][0], max(sizes))
                 seen[name][1] += loops
+
+        domain = sub.choice(p.n_states,
+                            size=int(sub.integers(1, p.n_states + 1)),
+                            replace=False).tolist()
+        part = {i: policy[i] for i in domain}
+        if all(j in part for i in domain for j in p.trans_row(i, part[i])[0]):
+            check_risk(p, part, risk, gamma)
+        else:
+            leaves += 1
+            got = raised(evaluate_policy_risk, p, part, risk, gamma)
+            assert got[0] is PolicyLeavesW
+            assert got == raised(evaluate_policy_risk_reference, p, part,
+                                 risk, gamma)
+        cases = [(evaluate_policy_risk, evaluate_policy_risk_reference,
+                  (p, {**policy, p.n_states: "x"}, risk, gamma)),
+                 (policy_reach_probability,
+                  policy_reach_probability_reference,
+                  (p, policy, target | {p.n_states}))]
+        off = [i for i in range(p.n_states)
+               if i not in target and len(p.enabled(i)) < len(actions)]
+        if off:
+            disabled += 1
+            i = off[0]
+            bad = {**policy, i: actions[len(p.enabled(i))]}
+            cases += [(evaluate_policy_risk, evaluate_policy_risk_reference,
+                       (p, bad, risk, gamma)),
+                      (policy_reach_probability,
+                       policy_reach_probability_reference,
+                       (p, bad, target))]
+        for fn, reference, args in cases:
+            got = raised(fn, *args)
+            assert got[0] in (UnknownState, ActionNotEnabled)
+            assert got == raised(reference, *args)
     for largest, loops in seen.values():
         assert largest >= 4 and loops > 0
+    assert leaves > 50 and disabled > 50
 
 
 def run_python(code):
@@ -161,16 +251,17 @@ def run_python(code):
 CHAIN_SOLVES = """
 import json, resource, time
 import numpy as np
-from conftest import ChainSystem
+from conftest import chain_product
 from smdpsynth.product import policy_reach_probability
 from smdpsynth.risk import evaluate_policy_risk
 
-n, gamma = 70_000, 0.9
-chain = ChainSystem(n, 0.5)
+gamma = 0.9
+p = chain_product(70_000)
+n = p.n_states
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 t0 = time.process_time()
-reach = policy_reach_probability(chain, [None] * n, {n - 1})
-v = evaluate_policy_risk(chain, dict.fromkeys(range(n)),
+reach = policy_reach_probability(p, ["x"] * n, p.accepting)
+v = evaluate_policy_risk(p, dict.fromkeys(range(n), "x"),
                          lambda i, a, j: 1.0, gamma)
 cpu = time.process_time() - t0
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -178,21 +269,22 @@ v = np.fromiter(v.values(), float, len(v))
 print(json.dumps({
     "reach_exact": bool(np.array_equal(reach, np.ones(n))),
     "risk_rel_err": float(np.max(np.abs(v * (1 - gamma) - 1.0))),
-    "risk_len": len(v), "cpu_s": cpu, "rss_growth_mb": (after - before) / 1024,
+    "risk_len": len(v), "n_states": n, "cpu_s": cpu,
+    "rss_growth_mb": (after - before) / 1024,
 }))
 """
 
 
 def test_fixed_policy_solves_scale_with_rows_not_n_squared():
-    """70,000 unknowns, in a fresh process: the dense matrix of the same
-    system would take 70,000² × 8 bytes = 39 GB. Solved component by
-    component, the peak resident memory grows by about 1 kB per row (74 MB
-    measured for both solves; the bound allows twice that) and the solves
-    take about a second, and both answers match their closed forms: reach
-    probability 1 everywhere, and risk 1/(1 - gamma) when every step
-    costs 1."""
+    """The 70,001 states of `chain_product(70_000)`, in a fresh process:
+    the dense matrix of either system would take 70,001² × 8 bytes =
+    39 GB. Solved component by component, the peak resident memory grows
+    by about 35 MB for both solves (the bound allows four times that) and
+    the solves take about 1.5 s of CPU, and both answers match their closed
+    forms: reach probability 1 everywhere, the target being the chain's
+    accepting end, and risk 1/(1 - gamma) when every step costs 1."""
     got = json.loads(run_python(CHAIN_SOLVES))
-    assert got["reach_exact"] and got["risk_len"] == 70_000
+    assert got["reach_exact"] and got["risk_len"] == got["n_states"] == 70_001
     assert got["risk_rel_err"] <= 1e-12
     assert got["rss_growth_mb"] < 150
     assert got["cpu_s"] < 30

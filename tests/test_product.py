@@ -607,10 +607,10 @@ def test_policy_reach_matches_oracle():
 
 
 def test_policy_reach_bitwise_on_grid4():
-    """The backward search finds the same states as the oracle's, and the
-    reach values under both policies are dyadic (0, 1/8, 1/4, 1/2, 1), so
-    the component-wise solve and the oracle's dense solve agree to the
-    bit."""
+    """The safety fixpoint's dying states are the oracle's states that can
+    reach the target, and the reach values under both policies are dyadic
+    (0, 1/8, 1/4, 1/2, 1), so the component-wise solve and the oracle's
+    dense solve agree to the bit."""
     from oracles import reach_probability_under_policy
     p = grid4_product(K=5)
     w, _ = exact_winning_region(p)

@@ -8,8 +8,8 @@ from smdpsynth import (
 )
 from smdpsynth.product import build_product
 from smdpsynth.reach import (
-    QLearnSchedule, RewardDiscountSpec, TransientQ, discount, extract_pi_tr,
-    qlearn_transient, reward,
+    QLearnSchedule, RewardDiscountSpec, TransientQ, extract_pi_tr,
+    qlearn_transient,
 )
 
 from conftest import grid4_product, random_product, risky3_product
@@ -27,15 +27,6 @@ def test_spec_validation():
                 dict(epsilon=1.5)]:
         with pytest.raises(ValueError):
             QLearnSchedule(**bad)
-
-
-def test_reward_and_discount_values():
-    p = risky3_product()
-    acc = next(iter(p.accepting))
-    assert reward(p, acc, SPEC) == pytest.approx(-0.1)
-    assert discount(p, acc, SPEC) == 0.9
-    assert reward(p, p.initial, SPEC) == 0.0
-    assert discount(p, p.initial, SPEC) == SPEC.gamma
 
 
 def test_sure_entry_to_winning_learns_zero():
