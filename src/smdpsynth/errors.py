@@ -26,7 +26,7 @@ class EmptyCycle(SmdpsynthError):
 
 
 class UnknownState(SmdpsynthError):
-    """State id outside the model."""
+    """State id outside the model, or pair id outside the product."""
 
 
 class ActionNotEnabled(SmdpsynthError):

@@ -15,8 +15,11 @@ a boundary-probing policy on its rim.
 The learner keys its bookkeeping by the product's pair ids (`ProductSmdp`
 numbers the pairs (i, a) of each state consecutively): W_p^k, the pairs
 still short of their tries, the tries themselves and the observed
-successors. The result hands W_p^k over as a `PairSet`, whose ids the
-planner reads without converting a tuple.
+successors. The result hands W_p^k over as a `PairSet` of the product:
+a read-only set view over the surviving ids, sorted, which builds no
+(i, a) tuple unless it is iterated. The planner reads its ids through
+`pair_ids`, and a superset check against the exact region's PairSet
+compares the two id arrays.
 
 The posteriors learn the model's own dynamics. Every product copy (s, f)
 of a model state s shares them, so each observation is stored under its
@@ -45,7 +48,7 @@ from .errors import (
     ConfigError, EmptyWinningCandidate, InvalidDistribution, NoAllowedAction,
     UntrackedPair,
 )
-from .product import ProductSmdp, sample_product_step
+from .product import PairSet, ProductSmdp, sample_product_step
 
 # softmax score handed to pairs with no data yet; dwarfs any real entropy
 # so unexplored actions are preferred, and the stable softmax keeps it finite
@@ -191,11 +194,11 @@ def boundary(w, w_p, support):
 
 @dataclass
 class LearnerResult:
-    """W^k, W_p^k (a PairSet of (i, a) pairs that carries their ids), the
+    """W^k, W_p^k (a PairSet: the (i, a) pairs as their pair ids), the
     posteriors and store behind them, and the run's record."""
 
     w: frozenset
-    w_p: frozenset
+    w_p: PairSet
     transition_posterior: object
     dwell_posterior: object
     store: ObservationStore
@@ -236,7 +239,8 @@ class WinningLearner:
     def __init__(self, p: ProductSmdp, cfg: LearnerConfig, oracle_w_p=None):
         self.p = p
         self.cfg = cfg
-        self.oracle_w_p = frozenset(oracle_w_p) if oracle_w_p else None
+        # the exact W_p, as given: only its size is read
+        self.oracle_w_p = oracle_w_p if oracle_w_p else None
         self.rng = np.random.default_rng(cfg.seed)
 
         # every non-accepting state and its pairs, in id order
@@ -583,6 +587,8 @@ def run_algorithm1(p: ProductSmdp, cfg: LearnerConfig,
     Runs episodes until the winning-pair estimate has been stable for
     `patience` episodes with every surviving pair tried at least
     `min_tries` times, or the episode budget runs out (the result is then
-    flagged converged=False and carries the best estimate so far).
+    flagged converged=False and carries the best estimate so far). An
+    `oracle_w_p`, the exact W_p as a set of distinct pairs, is read only
+    for its size: each progress row then records `ind`.
     """
     return WinningLearner(p, cfg, oracle_w_p=oracle_w_p).run()

@@ -9,7 +9,8 @@ import smdpsynth.product
 from smdpsynth import (
     ActionNotEnabled, AlphabetMismatch, Empirical, Exponential, NotConverged,
     OmegaAutomaton, Smdp, UnknownState, build_pipeline, desk_config,
-    determinize_kcba, ltl_to_cba, paper_config, parse_ltl, sample_step,
+    determinize_kcba, ltl_to_cba, paper_config, parse_ltl, run_algorithm1,
+    sample_step,
 )
 from smdpsynth.product import (
     PairSet, build_product, exact_max_reach_probability,
@@ -324,10 +325,11 @@ def test_pair_ids_name_the_first_bad_pair():
         p.pair_ids(good + [(0, "nope")])
 
 
-def test_pair_set_hands_its_ids_to_pair_ids():
-    """A PairSet is the frozenset of its pairs and carries their sorted
-    ids, which its own product's `pair_ids` returns as the tuple path
-    would, sorted; another product, or a set operation, reads tuples."""
+def test_pair_set_hands_its_ids_to_pair_ids(monkeypatch):
+    """A PairSet equals and hashes as the frozenset of its pairs and
+    carries their sorted ids, which its own product's `pair_ids` returns
+    as the tuple path would, sorted; another product, or a set operation,
+    reads tuples. Comparisons within one product read no tuple."""
     rng = np.random.default_rng(17)
     products = [build_pipeline(desk_config())[1]] + list(
         varied_products(40, seed=53))
@@ -337,10 +339,19 @@ def test_pair_set_hands_its_ids_to_pair_ids():
         ws = p.pair_set(ids)
         pairs = [(int(p.owner[k]), p.pair_actions([k])[0]) for k in ids]
         assert type(ws) is PairSet and ws == frozenset(pairs)
+        assert hash(ws) == hash(frozenset(ws)) == hash(frozenset(pairs))
         assert p.pair_ids(ws) is ws.ids and not ws.ids.flags.writeable
         assert ws.ids.tolist() == sorted(ids.tolist()) \
             == sorted(p.pair_ids(list(ws)).tolist())
         assert type(ws | frozenset()) is frozenset
+        # membership: exactly the pairs, and False for anything else
+        assert all(pair in ws for pair in pairs)
+        assert not any(pair in ws
+                       for pair in set(product_rows(p)) - set(pairs))
+        for stranger in (0, "0a", None, (0,), (0, "x", 0), (0, "nope"),
+                         (-1, p.enabled(0)[0]),
+                         (p.n_states, p.enabled(0)[0])):
+            assert stranger not in ws
         # another product looks the tuples up in its own layout
         try:
             want = other.pair_ids(list(ws))
@@ -358,10 +369,50 @@ def test_pair_set_hands_its_ids_to_pair_ids():
         assert p.pair_ids(copy.copy(ws)) is ws.ids
         q, twin = pickle.loads(pickle.dumps((p, ws)))
         assert q.pair_ids(twin) is twin.ids
-    w_p = exact_winning_region(products[0])[1]
+        # repeated ids count once; ids outside the product are refused
+        assert p.pair_set(np.concatenate([ids, ids])) == ws
+        assert len(p.pair_set(np.concatenate([ids, ids]))) == len(ws)
+        for bad in (-1, len(p.owner)):
+            with pytest.raises(UnknownState, match=f"pair id {bad} "):
+                p.pair_set([0, bad, -7])
+    desk = products[0]
+    w_p = exact_winning_region(desk)[1]
     assert type(w_p) is PairSet
-    assert w_p.ids.tolist() == sorted(products[0].pair_ids(list(w_p))
-                                      .tolist())
+    assert w_p.ids.tolist() == sorted(desk.pair_ids(list(w_p)).tolist())
+    # a pickled set carries its ids, never its product: `run_experiment`
+    # ships the exact W_p to every worker
+    assert len(pickle.dumps(w_p)) * 10 < len(pickle.dumps(desk))
+
+    # within one product, comparisons and `pair_ids` never iterate
+    every = desk.pair_set(np.arange(len(desk.owner)))
+    cfg = desk_config()
+    learned = run_algorithm1(desk, cfg.learner_config(0),
+                             oracle_w_p=w_p).w_p
+
+    def no_tuples(self):
+        raise AssertionError("a PairSet was iterated")
+
+    monkeypatch.setattr(PairSet, "__iter__", no_tuples)
+    assert learned >= w_p and w_p <= learned and every > w_p
+    assert w_p < every and not every <= w_p and not w_p > every
+    assert w_p == desk.pair_set(w_p.ids[::-1]) and w_p != every
+    assert desk.pair_ids(w_p) is w_p.ids
+
+
+def test_pair_set_of_every_paper_pair_peaks_under_1_mib():
+    """The PairSet of all 22,388 paper pairs holds arrays, not tuples: a
+    frozenset of those tuples peaks at about 4.7 MiB to build."""
+    import tracemalloc
+
+    p = build_pipeline(paper_config())[1]
+    ids = np.arange(len(p.owner))
+    tracemalloc.start()
+    try:
+        ws = p.pair_set(ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ws) == 22_388 and peak < 1 << 20
 
 
 def test_flat_build_of_a_deep_chain_matches_reference():
