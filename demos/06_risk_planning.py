@@ -13,9 +13,10 @@ import numpy as np
 from smdpsynth import (
     GridConfig, LearnerConfig, MeanPlusSigma, build_gridworld,
     build_risk_model, determinize_kcba, evaluate_policy_risk,
-    extract_pi_win, ltl_to_cba, parse_ltl, risk_of, risk_value_iteration,
+    extract_pi_win, ltl_to_cba, parse_ltl, risk_value_iteration,
     run_algorithm1,
 )
+from smdpsynth.experiment import true_risk_fn
 from smdpsynth.product import build_product, sample_product_step
 
 m = build_gridworld(GridConfig(width=4, height=4, initial=(4, 4),
@@ -35,8 +36,8 @@ pi_win = extract_pi_win(rm, rq)
 print(f"risk model over {len(rm.allowed)} winning states, "
       f"VI residual {rq.residual:.1e} after {rq.iterations} sweeps")
 
-def true_risk(i, a, j):
-    return risk_of(p.dwell_of(i, a, j), functional)
+# the functional on the model's actual dwell of each transition
+true_risk = true_risk_fn(p, functional)
 
 v = evaluate_policy_risk(p, pi_win, true_risk, 0.9)
 start = min(res.w)

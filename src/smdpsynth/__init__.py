@@ -16,12 +16,11 @@ from .ltl import (
 )
 from .tableau import ltl_to_cba
 from .automata import (
-    OmegaAutomaton, Dkcba, lasso_accepted_cba, lasso_accepted_kcba,
-    determinize_kcba,
+    OmegaAutomaton, Dkcba, lasso_accepted_kcba, determinize_kcba,
 )
 from .smdp import (
-    Smdp, Path, Exponential, Empirical, GridConfig, GRID_ACTIONS,
-    enabled_actions, sample_step, simulate, build_gridworld, load_scenario,
+    Smdp, Exponential, Empirical, GridConfig, GRID_ACTIONS, sample_step,
+    build_gridworld, load_scenario,
 )
 from .product import (
     ProductSmdp, build_product, exact_winning_region,
@@ -35,8 +34,7 @@ from .bayes import (
     dwell_entropy, risk_of,
 )
 from .winning import (
-    LearnerConfig, LearnerResult, WinningLearner, run_algorithm1, boundary,
-    softmax_policy, ind_k,
+    LearnerConfig, LearnerResult, WinningLearner, run_algorithm1, ind_k,
 )
 from .reach import (
     RewardDiscountSpec, QLearnSchedule, TransientQ, qlearn_transient,

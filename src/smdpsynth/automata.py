@@ -116,33 +116,6 @@ def _check_lasso(aut, stem, cycle):
             raise ValueError(f"letter {s} outside alphabet of size {nl}")
 
 
-def lasso_accepted_cba(aut: OmegaAutomaton, stem, cycle) -> bool:
-    """Co-Buchi acceptance of stem.cycle^omega.
-
-    Walks the finite run graph over (state, position-in-lasso) nodes and
-    rejects iff some reachable cycle of it passes through an accepting state:
-    such a loop is a run visiting that state infinitely often. The search
-    stops at the first cyclic component holding an accepting state.
-    """
-    _check_lasso(aut, stem, cycle)
-    word = list(stem) + list(cycle)
-    L = len(word)
-    wrap = len(stem)
-    delta = aut.delta
-    acc = aut.accepting
-
-    start = aut.initial * L          # node id = x * L + pos
-
-    def succs(node):
-        x, pos = divmod(node, L)
-        npos = pos + 1 if pos + 1 < L else wrap
-        return [y * L + npos for y in delta[x][word[pos]]]
-
-    return not any(node // L in acc
-                   for comp in sccs([start], succs) if is_cyclic(comp, succs)
-                   for node in comp)
-
-
 def sccs(roots, succs):
     """Strongly connected components, sinks first, lazily.
 

@@ -180,11 +180,11 @@ def true_risk_fn(p, functional):
     callable (i, a, j) on product ids. The risk of a transition depends
     only on the dwell of its model triple (s, a, s'), so it is computed
     once per triple and then looked up."""
-    states, dwell = p.states, p.m.dwell
+    s_of, dwell = p._s_of, p.m.dwell
     risks = {}
 
     def fn(i, a, j):
-        key = (states[i][0], a, states[j][0])
+        key = (s_of[i], a, s_of[j])
         r = risks.get(key)
         if r is None:
             r = risks[key] = risk_of(dwell[key], functional)
@@ -239,7 +239,7 @@ def top_up_observations(p, w_p, store, target, rng):
     Every draw goes through `sample_product_step`."""
     pid = np.sort(p.pair_ids(w_p))
     pid = pid[np.sort(np.unique(p.pair_model[pid], return_index=True)[1])]
-    reps = [(i, p.states[i][0], a)
+    reps = [(i, p._s_of[i], a)
             for i, a in zip(p.owner[pid].tolist(), p.pair_actions(pid))]
     for i, s, a in reps:
         if (s, a) not in store:
@@ -314,7 +314,7 @@ def export_sample_paths(p, policy, n, horizon, rng) -> list:
     state_labels = [m.labels_of(s) for s in range(m.n_states)]
     for _ in range(n):
         i = p.initial
-        s = p.states[i][0]
+        s = p._s_of[i]
         states, names = [i], [state_names[s]]
         labels = [list(state_labels[s])]
         actions, dwells = [], []

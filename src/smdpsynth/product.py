@@ -13,7 +13,8 @@ import numpy as np
 
 from .automata import Dkcba, sccs
 from .errors import (
-    ActionNotEnabled, AlphabetMismatch, NotConverged, UnknownState,
+    ActionNotEnabled, AlphabetMismatch, DomainGap, NotConverged,
+    UnknownState,
 )
 from .smdp import Smdp, _draw
 
@@ -31,8 +32,10 @@ class ProductSmdp:
     component is accepting; staying outside it forever is the safety
     objective the learner works toward.
 
-    States get ids in breadth-first discovery order (`states[i]` is the
-    (model state, automaton state) pair of id i, `index` its inverse).
+    States get ids in breadth-first discovery order. `states[i]` is the
+    (model state, automaton state) pair of id i; the package itself reads
+    only the model state, through `_s_of`, and keeps `states` for callers
+    outside it (benchmarks, demos, scripts) that want the tuples.
     The transitions are stored once, as flat arrays in pair-id order. A
     pair is a state with one of its enabled actions; pair ids run through
     the states in id order and, within a state, through its actions in
@@ -52,6 +55,11 @@ class ProductSmdp:
     A product row never lists a successor twice: model rows refuse
     duplicates, and two distinct model successors lift to two distinct
     product states.
+
+    The automaton is known, so a model step (s, a, s') taken from state i
+    has one product successor, its lift: the entry of pair (i, a)'s row at
+    the position of s' in the model row, `succ[row_ptr[k] + c]`. The
+    sampler, the learner and the risk-model assembly all lift this way.
 
     `pair_set` turns pair ids into a `PairSet`: a read-only set of the
     pairs (i, a) that holds only their sorted ids, owner states and
@@ -117,7 +125,6 @@ class ProductSmdp:
         s_of, f_of = np.divmod(keys, d.n_states)
         self._model_state = s_of
         self.states = tuple(zip(s_of.tolist(), f_of.tolist()))
-        self.index = dict(zip(self.states, range(self.n_states)))
         self.accepting = frozenset(np.flatnonzero(
             np.isin(f_of, list(d.accepting))).tolist())
 
@@ -143,7 +150,7 @@ class ProductSmdp:
 
     def enabled(self, i):
         self.check_state(i)
-        return self.m._enabled[self.states[i][0]]
+        return self.m._enabled[self._s_of[i]]
 
     def pair_ids(self, pairs) -> np.ndarray:
         """Ids of the pairs (i, a) of `pairs`, in the order given, as an
@@ -188,49 +195,6 @@ class ProductSmdp:
         return PairSet(ids, self.owner[ids],
                        self._model_code[self.pair_model[ids]],
                        self.m.actions, self._key)
-
-    def trans_row(self, i, a):
-        """(successor ids, probabilities) of pair (i, a): the successors
-        are read off the flat layout, the probabilities are the model
-        row's own tuple."""
-        self.check_state(i)
-        s = self._s_of[i]
-        row = self._draw.get((s, a))
-        if row is None:
-            raise ActionNotEnabled(f"action {a!r} not enabled in product state {i}")
-        probs = self.m._rows[(s, a)][1]
-        lo = self._edge_base[i] + row[3]
-        return tuple(self._succ_at[lo:lo + len(probs)]), probs
-
-    def lift(self, i, s2):
-        """Product successor of state i when the model moves to s2: the
-        automaton reads the label of s2. None if that pair was never
-        reached (a successor no transition of i can produce)."""
-        f2 = self.d.step(self.states[i][1], self.m.letter_of(s2))
-        return self.index.get((s2, f2))
-
-    def dwell_of(self, i, a, j):
-        s, _ = self.states[i]
-        s2, _ = self.states[j]
-        return self.m.dwell[(s, a, s2)]
-
-    def to_json_dict(self, winning=None, winning_pairs=None):
-        doc = {
-            "states": [[self.m.names[s], f] for s, f in self.states],
-            "actions": list(self.m.actions),
-            "initial": self.initial,
-            "accepting": sorted(self.accepting),
-            "transitions": {
-                f"{i}/{a}": {str(j): p for j, p in zip(*self.trans_row(i, a))}
-                for i, a in sorted((i, a) for i in range(self.n_states)
-                                   for a in self.enabled(i))
-            },
-        }
-        if winning is not None:
-            doc["winning_states"] = sorted(winning)
-        if winning_pairs is not None:
-            doc["winning_pairs"] = sorted([i, a] for i, a in winning_pairs)
-        return doc
 
 
 class PairSet(Set):
@@ -494,8 +458,8 @@ def _state_rows(p: ProductSmdp, states):
     positions of each state's rows among them, padded with the number of
     rows, the trailing slot of `_row_values`.
     """
-    enabled, of = p.m._enabled, p.states
-    acts = [enabled[of[i][0]] for i in states]
+    enabled, of = p.m._enabled, p._s_of
+    acts = [enabled[of[i]] for i in states]
     states = np.asarray(states, dtype=np.intp)
     n_pairs = p.pair_ptr[states + 1] - p.pair_ptr[states]
     pairs = _ranges(p.pair_ptr[states], n_pairs)
@@ -543,7 +507,8 @@ def _pad(lens, flat, fill, dtype) -> np.ndarray:
 
 def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
     """Pr(reach target from each state) under a fixed positional policy,
-    indexed by state, that gives every non-target state an action.
+    indexed by state, that gives every non-target state an action;
+    DomainGap names the first non-target state it leaves out.
 
     Its rows, one pair per non-target state, come from one gather of the
     flat layout. The unknowns are the states that die in `_safety_fixpoint`
@@ -561,7 +526,13 @@ def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
     dead = np.zeros(p.n_states, dtype=bool)
     dead[list(target)] = True
     states = np.flatnonzero(~dead)
-    pids = p.pair_ids([(i, policy[i]) for i in states.tolist()])
+    pairs = []
+    for i in states.tolist():
+        try:
+            pairs.append((i, policy[i]))
+        except (KeyError, IndexError):
+            raise DomainGap(f"state {i} has no policy entry") from None
+    pids = p.pair_ids(pairs)
     lens, edges = _pair_rows(p, pids)
     succ = p.succ[edges]
     alive, _ = _safety_fixpoint(states, _offsets(lens), succ, dead)

@@ -189,7 +189,7 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
         i, a = _pair(p, pid[copy[e]])
         if is_risk:
             risk[cand[e]] = _checked(risk_of(predictive_dwell(
-                dpost, p.states[i][0], a, slot_succ[cand[e]]), functional),
+                dpost, p._s_of[i], a, slot_succ[cand[e]]), functional),
                 i, a, int(lifted[e]))
         else:
             escaped[(i, a)] = lost[copy[e]]

@@ -64,23 +64,6 @@ class Empirical:
         return f"Empirical({len(self.samples)} samples)"
 
 
-@dataclass(frozen=True)
-class Path:
-    """Realized finite path s_0 a_0 tau_0 s_1 ... with recorded dwell times."""
-
-    states: tuple
-    actions: tuple
-    dwells: tuple
-
-    def __post_init__(self):
-        if not (len(self.actions) == len(self.dwells) == len(self.states) - 1):
-            raise ValueError("path fields must interleave s a tau s ...")
-
-    @property
-    def n_steps(self):
-        return len(self.actions)
-
-
 class Smdp:
     """Finite SMDP (S, A, T, D, s^I, AP, L) over dense integer states.
 
@@ -171,12 +154,6 @@ class Smdp:
         return tuple(atom for i, atom in enumerate(self.ap) if mask >> i & 1)
 
 
-def enabled_actions(m: Smdp, s) -> tuple:
-    """Actions with some positive-probability successor at s."""
-    m.check_state(s)
-    return m._enabled[s]
-
-
 def _draw(cum, samplers, rng):
     """Draw one transition from a draw row: returns (k, tau), k being the
     position of the successor in the row.
@@ -200,29 +177,6 @@ def sample_step(m: Smdp, s, a, rng):
     cum, succs, samplers = row
     k, tau = _draw(cum, samplers, rng)
     return succs[k], tau
-
-
-def simulate(m: Smdp, policy, horizon, rng) -> Path:
-    """Roll the policy for exactly `horizon` steps from the initial state.
-
-    `policy` is either a mapping state -> action or a callable
-    (state, rng) -> action.
-    """
-    if hasattr(policy, "__getitem__"):
-        pick = lambda s, rng: policy[s]
-    else:
-        pick = policy
-    states = [m.initial]
-    actions = []
-    dwells = []
-    for _ in range(int(horizon)):
-        s = states[-1]
-        a = pick(s, rng)
-        s2, tau = sample_step(m, s, a, rng)
-        states.append(s2)
-        actions.append(a)
-        dwells.append(tau)
-    return Path(tuple(states), tuple(actions), tuple(dwells))
 
 
 GRID_ACTIONS = ("UL", "UR", "DL", "DR")

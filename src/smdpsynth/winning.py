@@ -10,7 +10,10 @@ sets themselves, which give the same estimates: W_p^k is the non-accepting
 pairs with no observed exit from W^k, and W^k the states that keep at
 least one such pair. Both shrink monotonically onto the exact winning
 region. Exploration mixes an entropy-seeking policy inside the region with
-a boundary-probing policy on its rim.
+a boundary-probing policy on its rim. The boundary-probing score is the
+predictive mass of a pair's candidates whose lift leaves W^k; the learner
+reads a product row only there, at the entry of an observed model
+successor, which is that successor's lift (see `ProductSmdp`).
 
 The learner keys its bookkeeping by the product's pair ids (`ProductSmdp`
 numbers the pairs (i, a) of each state consecutively): W_p^k, the pairs
@@ -135,13 +138,6 @@ class LearnerConfig:
             raise ConfigError("min_tries must be nonnegative")
 
 
-def softmax_policy(actions, scores, temperature, epsilon):
-    """(1-eps) * softmax(score/T) + eps * uniform, numerically stable."""
-    if not actions:
-        raise NoAllowedAction("no allowed action to choose from")
-    return dict(zip(actions, _softmax_probs(scores, temperature, epsilon)))
-
-
 # The two functions below give bit for bit the values of the NumPy array
 # expressions in their docstrings, on Python floats, which is several times
 # faster on vectors of a few actions: elementwise divisions, subtractions,
@@ -149,10 +145,11 @@ def softmax_policy(actions, scores, temperature, epsilon):
 # follow `_np_sum`, and NumPy still computes the exponentials.
 
 def _softmax_probs(scores, temperature, epsilon):
-    """The probability vector behind `softmax_policy`, as a list: with
-    `z = scores / T - max(scores / T)` and `w = exp(z) / sum(exp(z))`,
-    `(1 - eps) * w + eps * (1 / n)`. The maximum of scores / T is
-    max(scores) / T, since rounding a division by T > 0 keeps the order."""
+    """The exploration policies' softmax, (1 - eps) * softmax(score / T)
+    + eps * uniform, as a list: with `z = scores / T - max(scores / T)`
+    and `w = exp(z) / sum(exp(z))`, `(1 - eps) * w + eps * (1 / n)`. The
+    maximum of scores / T is max(scores) / T, since rounding a division by
+    T > 0 keeps the order."""
     top = max(scores) / temperature
     w = np.exp(np.array([x / temperature - top for x in scores])).tolist()
     total = _np_sum(w)
@@ -175,21 +172,6 @@ def _cdf(probs):
     cdf = list(accumulate([x / total for x in probs]))
     last = cdf[-1]
     return [c / last for c in cdf]
-
-
-def boundary(w, w_p, support):
-    """States of w having a winning pair with known mass leaving w.
-
-    `support` maps each pair to the successors it is known to reach: the
-    observed ones plus any predictive support above threshold. The true
-    transition function is unknown while learning, so this estimate stands
-    in for it.
-    """
-    out = set()
-    for (s, a) in w_p:
-        if s in w and any(s2 not in w for s2 in support.get((s, a), ())):
-            out.add(s)
-    return frozenset(out)
 
 
 @dataclass
@@ -227,13 +209,14 @@ class WinningLearner:
     action, in the model's action order. The start-up reads them off the
     product's `owner` and `pair_ptr` arrays.
 
-    The learner touches the product only through sampling; the exact rows
-    are never read. Observations are stored per model pair (pool), the
-    dynamics all copies of a model state share, and an exit keeps them.
-    Data only grow, so a refresh rebuilds just the rows of the pools
-    observed since the last one, from each pool's aggregates, and writes
-    them over the old rows: a full rebuild from the store gives the same
-    posteriors, bit for bit.
+    The learner touches the product only through sampling and lifting:
+    its rows are read only at observed model successors, to lift them,
+    and their probabilities never. Observations are stored per model pair
+    (pool), the dynamics all copies of a model state share, and an exit
+    keeps them. Data only grow, so a refresh rebuilds just the rows of the
+    pools observed since the last one, from each pool's aggregates, and
+    writes them over the old rows: a full rebuild from the store gives the
+    same posteriors, bit for bit.
     """
 
     def __init__(self, p: ProductSmdp, cfg: LearnerConfig, oracle_w_p=None):
@@ -278,10 +261,10 @@ class WinningLearner:
         # changes; the gammaln and psi values behind them per argument
         self._ent_cache = {}
         self._special = {}
-        # pi_ex's (pair ids, actions, probabilities, `_cdf`) per (state,
-        # outward), cleared on every refresh and every removal; outward is
-        # in the key because an observation can move a state onto the
-        # boundary without either
+        # `_explore`'s (pair ids, actions, probabilities, `_cdf`) per
+        # (state, outward), cleared on every refresh and every removal;
+        # outward is in the key because an observation can move a state
+        # onto the boundary without either
         self._draw_cache = {}
 
         self.episodes = 0
@@ -386,17 +369,22 @@ class WinningLearner:
         return h
 
     def _out_score(self, i, a):
-        """Predictive probability that the pair leaves the current W^k."""
-        s = self.p._s_of[i]
+        """Predictive probability that the pair leaves the current W^k.
+        The candidates are observed model successors, so each is in the
+        model row, and its lift is the entry of the pair's product row at
+        its position there."""
+        p = self.p
+        s = p._s_of[i]
         try:
             cands = predictive_successors(self.tpost, s, a)
             row = predictive_transition(self.tpost, s, a)
         except UntrackedPair:
-            cands, row = (), ()
+            return 0.0
+        _, succs, _, off = p._draw[(s, a)]
+        base, succ_at, w = p._edge_base[i] + off, p._succ_at, self.w
         out = 0.0
         for c, pr in zip(cands, row):
-            j = self.p.lift(i, c)
-            if j is None or j not in self.w:
+            if succ_at[base + succs.index(c)] not in w:
                 out += pr
         return out
 
@@ -417,26 +405,15 @@ class WinningLearner:
                                           self.cfg.epsilon)
 
     def _explore(self, i):
-        """`_policy` of pi_ex: outward on the boundary, entropy inside."""
+        """`_policy` of the exploration policy: outward on the boundary,
+        entropy inside."""
         if i not in self.w:
             raise NoAllowedAction(f"state {i} is outside the candidate region")
         return self._policy(i, i in self._dw)
 
-    def pi_ent(self, i):
-        """Prefer pairs whose posterior is still uncertain."""
-        return dict(zip(*self._policy(i, False)[1:]))
-
-    def pi_wperp(self, i):
-        """Prefer pairs with high predictive mass leaving W^k."""
-        return dict(zip(*self._policy(i, True)[1:]))
-
-    def pi_ex(self, i):
-        """Boundary states probe outward; interior states chase entropy."""
-        return dict(zip(*self._explore(i)[1:]))
-
     def _sample_action(self, i):
-        """Draw pi_ex's pair id and action at i: one uniform draw on the
-        memoized `_cdf`."""
+        """Draw the exploration policy's pair id and action at i: one
+        uniform draw on the memoized `_cdf`."""
         key = (i, i in self._dw)
         hit = self._draw_cache.get(key)
         if hit is None:
@@ -517,8 +494,10 @@ class WinningLearner:
         """Re-derive W^k, the per-state W_p^k action counts and the boundary
         from W_p^k and compare them with the incremental state, and check
         that the store holds one observation per step taken. Pairs are
-        compared as (state, pair id). Raises AssertionError explicitly, so
-        the checks also run under `python -O`."""
+        compared as (state, pair id); the boundary is the states owning a
+        W_p^k pair with an observed successor outside W^k. Raises
+        AssertionError explicitly, so the checks also run under
+        `python -O`."""
         p = self.p
         w_p = {(self._owner(k), k) for k in self.w_p}
         w = {i for i, _ in w_p}
@@ -532,21 +511,20 @@ class WinningLearner:
         if counts != self._zero_actions:
             raise AssertionError("per-state action counts out of sync "
                                  "with W_p")
-        support = {(self._owner(k), k): succs
-                   for k, succs in self._obs_succ.items()}
-        if set(self._dw) != boundary(w, w_p, support):
+        obs = self._obs_succ
+        dw = {i for i, k in w_p if any(j not in w for j in obs.get(k, ()))}
+        if set(self._dw) != dw:
             raise AssertionError("boundary out of sync with observations")
         if len(self.store) != sum(row["steps"] for row in self.progress):
             raise AssertionError("store size differs from the steps taken")
 
     def _check_action_probs(self, i, acts, probs):
-        """Compare the drawn action's probability vector with pi_ex's dict,
-        exactly; draws nothing. Raises AssertionError explicitly, so the
-        check also runs under `python -O`."""
-        dist = self.pi_ex(i)
-        if list(dist) != acts or list(dist.values()) != probs:
+        """Compare the drawn action's probability vector with an uncached
+        `_explore(i)`, exactly; draws nothing. Raises AssertionError
+        explicitly, so the check also runs under `python -O`."""
+        if self._explore(i)[1:] != (acts, probs):
             raise AssertionError(f"action draw at state {i} differs from "
-                                 "pi_ex")
+                                 "the exploration policy")
 
     def _check_posteriors(self):
         """Compare the refreshed posteriors with a full rebuild from the

@@ -205,9 +205,30 @@ class FixedRng:
 def product_rows(p):
     """Every row of a product as {(i, a): (successors, probabilities)}, in
     pair-id order: state by state, each state's actions in the model's
-    order."""
-    return {(i, a): p.trans_row(i, a)
-            for i in range(p.n_states) for a in p.enabled(i)}
+    order. Read off the flat layout: pair k's entries are
+    `row_ptr[k]:row_ptr[k + 1]` of `succ`, and of `model_prob[edge]` for
+    their probabilities; tuples of Python numbers."""
+    succ, prob = p.succ.tolist(), p.model_prob[p.edge].tolist()
+    ptr = p.row_ptr.tolist()
+    acts = [p.model_pairs[q][1] for q in p.pair_model.tolist()]
+    return {(i, a): (tuple(succ[lo:hi]), tuple(prob[lo:hi]))
+            for i, a, lo, hi in zip(p.owner.tolist(), acts, ptr, ptr[1:])}
+
+
+def product_row(p, i, a):
+    """The row of pair (i, a) as (successors, probabilities), read off the
+    flat layout like `product_rows`; UnknownState or ActionNotEnabled
+    if (i, a) is not a pair of the product."""
+    k = int(p.pair_ids([(i, a)])[0])
+    lo, hi = int(p.row_ptr[k]), int(p.row_ptr[k + 1])
+    return (tuple(p.succ[lo:hi].tolist()),
+            tuple(p.model_prob[p.edge[lo:hi]].tolist()))
+
+
+def product_dwell(p, i, a, j):
+    """The dwell distribution of product transition (i, a, j): the
+    model's, for the model triple it lifts."""
+    return p.m.dwell[(p.states[i][0], a, p.states[j][0])]
 
 
 def risk_model(trans, risks, allowed, gamma_r=0.9, escaped=None):

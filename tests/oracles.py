@@ -8,6 +8,7 @@ outside.
 
 import bisect
 import itertools
+import weakref
 from collections import deque
 
 import numpy as np
@@ -247,6 +248,28 @@ def cyclic_sccs_reference(root, succs):
                     yield comp
 
 
+def lasso_accepted_cba(aut, stem, cycle):
+    """Co-Buchi acceptance of stem.cycle^omega: rejects iff some cycle of
+    the finite run graph over (state, position-in-lasso) nodes, reachable
+    from the initial node, passes through an accepting state, found with
+    `cyclic_sccs_reference`. An empty cycle raises EmptyCycle."""
+    from smdpsynth.errors import EmptyCycle
+
+    if not cycle:
+        raise EmptyCycle("cycle part of a lasso must be nonempty")
+    word = list(stem) + list(cycle)
+    n, wrap = len(word), len(stem)
+
+    def succs(node):
+        x, pos = divmod(node, n)
+        nxt = pos + 1 if pos + 1 < n else wrap
+        return [y * n + nxt for y in aut.delta[x][word[pos]]]
+
+    return not any(node // n in aut.accepting
+                   for comp in cyclic_sccs_reference(aut.initial * n, succs)
+                   for node in comp)
+
+
 def reachable_from(x, succs):
     """Every node reachable from x, x included."""
     seen = {x}
@@ -446,6 +469,21 @@ def product_reference(m, d):
     return tuple(states), index, accepting, rows
 
 
+# state index of each product, built on the first `lift_reference` call
+_STATE_INDEX = weakref.WeakKeyDictionary()
+
+
+def lift_reference(p, i, s2):
+    """Product successor of state i when the model moves to s2: the
+    automaton steps on the label of s2 and the (s2, automaton state) pair
+    is looked up in a dict over `p.states`. None if the product has no
+    such state. Reads nothing of the flat layout."""
+    index = _STATE_INDEX.get(p)
+    if index is None:
+        index = _STATE_INDEX[p] = {st: j for j, st in enumerate(p.states)}
+    return index.get((s2, p.d.step(p.states[i][1], p.m.letter_of(s2))))
+
+
 # --- exact oracle references ---------------------------------------------------
 
 def exact_winning_region_reference(p):
@@ -498,13 +536,15 @@ def greedy_transient_reference(p, w, v_opt, tol=1e-9):
     `np.dot` per row, and the actions within tol of the best, in enabled
     order. Returns {state: [(action, value), ...]} and
     {state: [near-best actions]}."""
+    from conftest import product_row
+
     values, best_actions = {}, {}
     for i in range(p.n_states):
         if i in w:
             continue
         vals = []
         for a in p.enabled(i):
-            succs, probs = p.trans_row(i, a)
+            succs, probs = product_row(p, i, a)
             vals.append((a, float(np.dot(probs, v_opt[list(succs)]))))
         best = max(v for _, v in vals)
         values[i] = vals
@@ -515,16 +555,18 @@ def greedy_transient_reference(p, w, v_opt, tol=1e-9):
 
 def policy_reach_probability_reference(p, policy, target):
     """Pr(reach target) under a fixed positional policy, by one
-    `trans_row` call per non-target state, a backward search over dict
+    `product_row` read per non-target state, a backward search over dict
     predecessor lists and a solve over lists of rows: the reference the
     library's flat-layout solve must match bit for bit."""
+    from conftest import product_row
+
     target = set(target)
     for i in target:
         p.check_state(i)
     succ_of = {}
     for i in range(p.n_states):
         if i not in target:
-            succ_of[i] = p.trans_row(i, policy[i])
+            succ_of[i] = product_row(p, i, policy[i])
 
     preds = {}
     for i, (succs, _) in succ_of.items():
@@ -561,11 +603,13 @@ def policy_reach_probability_reference(p, policy, target):
 
 
 def evaluate_policy_risk_reference(p, pi, risk, gamma_r):
-    """Exact discounted policy risk by one `trans_row` call per state of
+    """Exact discounted policy risk by one `product_row` read per state of
     the policy, in sorted order, calling `risk` per transition and raising
     PolicyLeavesW at the first successor outside the domain: the reference
     the library's flat-layout solve must match bit for bit."""
     from smdpsynth.errors import InvalidRiskModel, PolicyLeavesW
+
+    from conftest import product_row
 
     if not 0 <= gamma_r < 1:
         raise InvalidRiskModel(f"gamma_r must be in [0,1), got {gamma_r}")
@@ -574,7 +618,7 @@ def evaluate_policy_risk_reference(p, pi, risk, gamma_r):
     succs, coefs, const = [], [], []
     for i in states:
         row_succ, row_coef, c = [], [], 0.0
-        for j, pr in zip(*p.trans_row(i, pi[i])):
+        for j, pr in zip(*product_row(p, i, pi[i])):
             if j not in idx:
                 raise PolicyLeavesW(
                     f"action {pi[i]} at state {i} reaches {j} outside W")
@@ -637,10 +681,12 @@ def sample_product_step_reference(p, i, a, rng):
     """One product transition drawn from a fresh cumulative sum of the
     product row on every call, then the dwell of the drawn transition:
     the sampler's reference semantics. Returns (j, tau, model successor)."""
-    succs, probs = p.trans_row(i, a)
+    from conftest import product_dwell, product_row
+
+    succs, probs = product_row(p, i, a)
     k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     j = succs[min(k, len(succs) - 1)]
-    return j, p.dwell_of(i, a, j).sample(rng), p.states[j][0]
+    return j, product_dwell(p, i, a, j).sample(rng), p.states[j][0]
 
 
 def softmax_policy_reference(actions, scores, temperature, epsilon):
@@ -653,6 +699,14 @@ def softmax_policy_reference(actions, scores, temperature, epsilon):
     u = 1.0 / len(actions)
     return {a: float((1 - epsilon) * wi + epsilon * u)
             for a, wi in zip(actions, w)}
+
+
+def boundary_reference(w, w_p, support):
+    """States of w having a winning pair with known mass leaving w, over
+    tuples: `support` maps each pair of `w_p` to the successors it is
+    known to reach."""
+    return frozenset(s for (s, a) in w_p if s in w and any(
+        s2 not in w for s2 in support.get((s, a), ())))
 
 
 def draw_index_reference(probs, rng):
@@ -876,9 +930,10 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
                                gamma_r=0.9):
     """The planner's model built one product copy at a time: every copy
     recomputes its pool's predictive row, checks that each candidate is in
-    the model row, lifts it with `p.lift` and evaluates one risk per
-    successor, warning (attributed to the caller) about renormalized mass:
-    the reference the library's pooled assembly must match bit for bit."""
+    the model row, lifts it with `lift_reference` and evaluates one risk
+    per successor, warning (attributed to the caller) about renormalized
+    mass: the reference the library's pooled assembly must match bit for
+    bit."""
     import math
     import warnings
 
@@ -907,7 +962,7 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
                     f"pair ({i},{a}): candidate successor {s2} is not in "
                     f"the row of model pair ({s},{a})")
         for s2, pr in zip(cands, predictive_transition(tpost, s, a)):
-            j = p.lift(i, s2)
+            j = lift_reference(p, i, s2)
             if j not in w:
                 lost += pr
             else:

@@ -16,7 +16,7 @@ from smdpsynth import (
     Exponential, LearnerConfig, MeanPlusSigma, ObservationStore,
     QLearnSchedule, RewardDiscountSpec, Smdp, build_pipeline,
     build_risk_model, combine_policy, evaluate_policy_risk,
-    enabled_actions, exact_max_reach_probability, exact_winning_region,
+    exact_max_reach_probability, exact_winning_region,
     extract_pi_tr, extract_pi_win, lasso_accepted_kcba, determinize_kcba,
     ltl_to_cba,
     paper_config, parse_ltl, policy_reach_probability, predictive_dwell,
@@ -181,7 +181,7 @@ def test_gate3_large_preset_agreement_curve():
 
 
 def _posterior_errors(m, rng, n=10_000):
-    pairs = [(s, a) for s in range(m.n_states) for a in enabled_actions(m, s)]
+    pairs = [(s, a) for s in range(m.n_states) for a in m._enabled[s]]
     store = ObservationStore()
     for s, a in pairs:
         for _ in range(n):

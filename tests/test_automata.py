@@ -7,7 +7,6 @@ from smdpsynth import (
     EmptyCycle,
     OmegaAutomaton,
     determinize_kcba,
-    lasso_accepted_cba,
     lasso_accepted_kcba,
 )
 from smdpsynth.automata import is_cyclic, sccs
@@ -15,7 +14,7 @@ from smdpsynth.automata import is_cyclic, sccs
 from conftest import random_cba
 from oracles import (
     all_lassos, cba_accepts_by_run_enumeration, cyclic_sccs_reference,
-    kcba_accepts_by_run_enumeration, reachable_from,
+    kcba_accepts_by_run_enumeration, lasso_accepted_cba, reachable_from,
 )
 
 

@@ -15,8 +15,8 @@ from smdpsynth.product import (
     exact_max_reach_probability, exact_winning_region,
 )
 
-from conftest import chain_product, grid4_product, product_rows, \
-    random_product
+from conftest import chain_product, grid4_product, product_dwell, \
+    product_row, product_rows, random_product
 from oracles import exact_winning_region_reference, greedy_transient_reference
 
 
@@ -98,7 +98,7 @@ def test_row_values_equal_np_dot_on_presets(presets):
         states = list(range(p.n_states))
         acts, succ, prob, _ = _state_rows(p, states)
         vals = _row_values(succ, prob, v)
-        rows = [p.trans_row(i, a) for i, row_acts in zip(states, acts)
+        rows = [product_row(p, i, a) for i, row_acts in zip(states, acts)
                 for a in row_acts]
         assert vals[-1] == -np.inf and len(vals) == len(rows) + 1
         for got, (succs, probs) in zip(vals.tolist(), rows):
@@ -166,7 +166,7 @@ def test_true_risk_computed_once_per_model_triple(presets, monkeypatch):
     for (i, a), (succs, _) in rows.items():
         for j in succs:
             got = fn(i, a, j)
-            assert got == risk_of(p.dwell_of(i, a, j), functional)
+            assert got == risk_of(product_dwell(p, i, a, j), functional)
             triples.add((p.states[i][0], a, p.states[j][0]))
     assert len(calls) == len(triples) < sum(
         len(succs) for succs, _ in rows.values())

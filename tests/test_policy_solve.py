@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smdpsynth import ActionNotEnabled, PolicyLeavesW, ProductSmdp, \
+from smdpsynth import ActionNotEnabled, DomainGap, PolicyLeavesW, Smdp, \
     UnknownState, build_pipeline, desk_config, paper_config
 from smdpsynth.automata import sccs
 from smdpsynth.experiment import oracle_reference, parse_functional, \
@@ -21,7 +21,8 @@ from smdpsynth.product import exact_max_reach_probability, \
 from smdpsynth.risk import evaluate_policy_risk, extract_pi_win, \
     risk_model_from_product, risk_value_iteration
 
-from conftest import grid4_product, product_rows, random_product
+from conftest import grid4_product, product_dwell, product_row, \
+    product_rows, random_product
 from oracles import evaluate_policy_risk_reference, \
     policy_reach_probability_reference, reach_probability_under_policy, \
     risk_value_of_policy
@@ -38,7 +39,7 @@ def dense_reach(p, policy, target):
 def dense_risk(p, pi, risk, gamma):
     rows = {}
     for i, a in pi.items():
-        succs, probs = p.trans_row(i, a)
+        succs, probs = product_row(p, i, a)
         rows[(i, a)] = (succs, probs, [risk(i, a, j) for j in succs])
     return risk_value_of_policy(rows, pi, gamma, pi)
 
@@ -91,7 +92,7 @@ def components(p, policy, states):
     """Sizes of the policy graph's components restricted to `states`, and
     how many single states loop back to themselves."""
     def succs(i):
-        return [j for j in p.trans_row(i, policy[i])[0] if j in states]
+        return [j for j in product_row(p, i, policy[i])[0] if j in states]
 
     comps = list(sccs(sorted(states), succs))
     loops = sum(1 for c in comps if len(c) == 1 and c[0] in succs(c[0]))
@@ -106,8 +107,8 @@ def test_policy_solves_match_dense_on_grid4():
     greedy = {}
     for i in range(p.n_states):
         acts = p.enabled(i)
-        vals = [float(np.dot(p.trans_row(i, a)[1],
-                             v_opt[list(p.trans_row(i, a)[0])]))
+        vals = [float(np.dot(product_row(p, i, a)[1],
+                             v_opt[list(product_row(p, i, a)[0])]))
                 for a in acts]
         greedy[i] = acts[int(np.argmax(vals))]
     uniform = {i: p.enabled(i)[int(rng.integers(len(p.enabled(i))))]
@@ -116,7 +117,7 @@ def test_policy_solves_match_dense_on_grid4():
         check_reach(p, policy, w)
 
     def risk(i, a, j):
-        return 2.0 * p.dwell_of(i, a, j).mean()
+        return 2.0 * product_dwell(p, i, a, j).mean()
 
     rm = risk_model_from_product(p, w, w_p, risk, gamma_r=0.9)
     pi_win = extract_pi_win(rm, risk_value_iteration(rm))
@@ -144,13 +145,13 @@ def test_policy_solves_match_dense_on_oracle_policies(make):
 
 
 def test_exact_side_reads_only_the_flat_layout(monkeypatch):
-    """The desk oracle and both fixed-policy solves never ask the product
-    for a row tuple: every row they read is gathered from the flat
-    layout."""
-    def no_row_tuples(self, i, a):
-        raise AssertionError(f"trans_row({i}, {a!r}) called")
+    """The desk oracle and both fixed-policy solves never ask the model
+    for a row tuple, its only one left: every row they read is gathered
+    from the product's flat layout."""
+    def no_row_tuples(self, s, a):
+        raise AssertionError(f"trans_row({s}, {a!r}) called")
 
-    monkeypatch.setattr(ProductSmdp, "trans_row", no_row_tuples)
+    monkeypatch.setattr(Smdp, "trans_row", no_row_tuples)
     cfg = desk_config()
     p = build_pipeline(cfg)[1]
     oracle = oracle_reference(p, parse_functional(cfg.functional),
@@ -201,7 +202,8 @@ def test_policy_solves_match_dense_on_random_products():
                             size=int(sub.integers(1, p.n_states + 1)),
                             replace=False).tolist()
         part = {i: policy[i] for i in domain}
-        if all(j in part for i in domain for j in p.trans_row(i, part[i])[0]):
+        if all(j in part for i in domain
+               for j in product_row(p, i, part[i])[0]):
             check_risk(p, part, risk, gamma)
         else:
             leaves += 1
@@ -232,6 +234,22 @@ def test_policy_solves_match_dense_on_random_products():
     for largest, loops in seen.values():
         assert largest >= 4 and loops > 0
     assert leaves > 50 and disabled > 50
+
+
+def test_policy_reach_names_a_state_without_an_action():
+    """A policy with no entry for some non-target state raises DomainGap
+    naming the first such state, as `combine_policy` does, instead of a
+    bare KeyError; target states need no entry."""
+    p = build_pipeline(desk_config())[1]
+    with pytest.raises(DomainGap, match=r"^state 1 has no policy entry$"):
+        policy_reach_probability(p, {}, {0})
+    policy = {i: p.enabled(i)[0] for i in range(p.n_states)}
+    del policy[7]
+    with pytest.raises(DomainGap, match=r"^state 7 has no policy entry$"):
+        policy_reach_probability(p, policy, {0})
+    del policy[0]
+    v = policy_reach_probability(p, policy, {0, 7})
+    assert v[0] == v[7] == 1.0
 
 
 def run_python(code):

@@ -1,5 +1,4 @@
 import copy
-import json
 import pickle
 
 import numpy as np
@@ -18,9 +17,10 @@ from smdpsynth.product import (
 )
 
 from conftest import (
-    grid4_model, grid4_product, m1_model, m1_product, product_rows,
-    random_product,
+    grid4_model, grid4_product, m1_model, m1_product, product_row,
+    product_rows, random_product,
 )
+from oracles import lift_reference
 
 
 def safety_monitor(ap=("c",), K=0):
@@ -44,8 +44,8 @@ def test_m1_product_shape():
     assert p.initial == 0
     assert p.states[0][0] == 0
     # entering s1 reads the c label and trips the monitor
-    assert any((s, f) in p.index and i in p.accepting
-               for i, (s, f) in enumerate(p.states) if s == 1)
+    assert any(i in p.accepting for i, (s, _) in enumerate(p.states)
+               if s == 1)
 
 
 def test_m1_winning_region_exact():
@@ -91,16 +91,27 @@ def test_grid_product_rows_stochastic():
 
 def test_product_dwell_inherited():
     p = m1_product()
-    (succs, _) = p.trans_row(p.initial, "b")
-    d = p.dwell_of(p.initial, "b", succs[0])
+    (succs, _) = product_row(p, p.initial, "b")
+    s, s2 = p._s_of[p.initial], p._s_of[succs[0]]
+    d = p.m.dwell[(s, "b", s2)]
     assert d.kind == "exponential" and d.rate == 2.0
 
 
+def assert_row_lift_matches_reference(p):
+    """The lift of position c of a pair's model row, the entry at c of
+    its product row, is `lift_reference`'s, for every pair and every model
+    successor in its row."""
+    for k, q in enumerate(p.pair_model.tolist()):
+        i, lo = int(p.owner[k]), p.model_row_ptr[q]
+        for c, s2 in enumerate(
+                p.model_succ[lo:p.model_row_ptr[q + 1]].tolist()):
+            assert int(p.succ[p.row_ptr[k] + c]) == lift_reference(p, i, s2)
+
+
 def test_lift_matches_product_rows():
-    p = grid4_product(K=5)
-    for (i, a), (succs, _) in product_rows(p).items():
-        for j in succs:
-            assert p.lift(i, p.states[j][0]) == j
+    """On grid4; `assert_matches_fifo_reference` checks the presets and
+    the random products."""
+    assert_row_lift_matches_reference(grid4_product(K=5))
 
 
 def assert_sampler_matches_reference(p, pairs, seed, draws):
@@ -184,7 +195,7 @@ def test_sampler_matches_model_sampler_on_random_products():
             i, a = pairs[k]
             j, tau, s2 = sample_product_step(p, i, a, rng)
             assert (s2, tau) == sample_step(p.m, p.states[i][0], a, ref)
-            assert j == p.lift(i, s2) and type(j) is int
+            assert j == lift_reference(p, i, s2) and type(j) is int
             assert rng.bit_generator.state == ref.bit_generator.state
         for i, s, a in [(p.n_states, p.m.n_states, "x"), (-1, -1, "x"),
                         (0, 0, "nope")] + [
@@ -225,19 +236,14 @@ def varied_products(n_products, seed):
 
 def assert_matches_fifo_reference(p):
     from oracles import product_reference
-    states, index, accepting, rows = product_reference(p.m, p.d)
+    states, _, accepting, rows = product_reference(p.m, p.d)
     assert p.states == states
-    assert list(p.index.items()) == list(index.items())
     assert p.n_states == len(states) and p.accepting == accepting
     got = product_rows(p)
     assert list(got.items()) == list(rows.items())
     for (i, a), (succs, probs) in rows.items():
         assert all(type(j) is int for j in got[(i, a)][0])
-        assert got[(i, a)][1] is p.m.trans_row(p.states[i][0], a)[1]
-    for i, (_, f) in enumerate(states):
-        for s2 in range(p.m.n_states):
-            key = (s2, p.d.step(f, p.m.letter_of(s2)))
-            assert p.lift(i, s2) == index.get(key)
+    assert_row_lift_matches_reference(p)
 
 
 def assert_layout_invariants(p):
@@ -499,12 +505,12 @@ def test_winning_region_disjoint_from_accepting_and_closed():
     assert not (w & p.accepting)
     for i in w:
         safe = [a for a in p.enabled(i)
-                if all(j in w for j in p.trans_row(i, a)[0])]
+                if all(j in w for j in product_row(p, i, a)[0])]
         assert safe, f"state {i} in W has no safe action"
         assert {(i, a) for a in safe} <= w_p
     for (i, a) in w_p:
         assert i in w
-        assert all(j in w for j in p.trans_row(i, a)[0])
+        assert all(j in w for j in product_row(p, i, a)[0])
 
 
 def test_safe_walk_never_accepting():
@@ -517,7 +523,7 @@ def test_safe_walk_never_accepting():
     i = p.initial
     for _ in range(100_000):
         a = safe_actions[i][int(rng.integers(len(safe_actions[i])))]
-        succs, probs = p.trans_row(i, a)
+        succs, probs = product_row(p, i, a)
         i = succs[int(np.searchsorted(np.cumsum(probs), rng.random()))]
         assert i not in p.accepting
         assert i in w
@@ -670,8 +676,8 @@ def test_policy_reach_bitwise_on_grid4():
     greedy = {}
     for i in range(p.n_states):
         acts = p.enabled(i)
-        vals = [float(np.dot(p.trans_row(i, a)[1],
-                             v_opt[list(p.trans_row(i, a)[0])]))
+        vals = [float(np.dot(product_row(p, i, a)[1],
+                             v_opt[list(product_row(p, i, a)[0])]))
                 for a in acts]
         greedy[i] = acts[int(np.argmax(vals))]
     uniform = {i: p.enabled(i)[int(rng.integers(len(p.enabled(i))))]
@@ -694,19 +700,3 @@ def test_policy_reach_never_beats_optimum():
         assert np.all(vp <= v + 1e-9)
         best = np.maximum(best, vp)
     assert np.allclose(best, v, atol=1e-9)
-
-
-# export
-
-def test_json_export_roundtrips():
-    p = m1_product()
-    w, w_p = exact_winning_region(p)
-    doc = p.to_json_dict(winning=w, winning_pairs=w_p)
-    text = json.dumps(doc)
-    back = json.loads(text)
-    assert back["states"][0] == ["s0", p.states[0][1]]
-    assert back["initial"] == 0
-    assert back["winning_states"] == sorted(w)
-    assert back["winning_pairs"] == [[p.initial, "a"]]
-    assert set(back["transitions"]) == {f"{i}/{a}"
-                                        for (i, a) in product_rows(p)}

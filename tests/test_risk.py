@@ -22,10 +22,10 @@ from smdpsynth.risk import (
 )
 
 from conftest import (
-    cycle4_product, grid4_product, m1_product, random_product,
-    risk_model, risk_rows, risky3_product, trivial_monitor,
+    cycle4_product, grid4_product, m1_product, product_dwell, product_row,
+    random_product, risk_model, risk_rows, risky3_product, trivial_monitor,
 )
-from oracles import build_risk_model_reference
+from oracles import build_risk_model_reference, lift_reference
 
 
 def loop1(gamma_r=0.9, risk=1.0):
@@ -44,7 +44,7 @@ def two_arms():
 def true_risk(p):
     # mean plus one sigma; sigma equals the mean for exponential dwells
     def f(i, a, j):
-        return 2.0 * p.dwell_of(i, a, j).mean()
+        return 2.0 * product_dwell(p, i, a, j).mean()
     return f
 
 
@@ -278,7 +278,7 @@ def exact_model_reference(p, w, w_p, risk_fn, gamma_r=0.9):
     model's action order, as are the allowed tuples."""
     pairs = sorted(w_p, key=lambda pair: (pair[0],
                                           p.enabled(pair[0]).index(pair[1])))
-    trans = {pair: p.trans_row(*pair) for pair in pairs}
+    trans = {pair: product_row(p, *pair) for pair in pairs}
     risks = {(i, a, j): risk_fn(i, a, j) for (i, a), (succs, _) in
              trans.items() for j in succs}
     acts = {}
@@ -303,7 +303,7 @@ def test_exact_model_gathers_one_risk_per_model_edge():
 
         def fn(i, a, j):
             calls.append((p.states[i][0], a, p.states[j][0]))
-            return 2.0 * p.dwell_of(i, a, j).mean() + 0.1 * len(str(a))
+            return 2.0 * product_dwell(p, i, a, j).mean() + 0.1 * len(str(a))
         got = risk_model_from_product(p, w, w_p, fn, gamma_r=0.8)
         assert len(calls) == len(set(calls))
         want = exact_model_reference(p, w, w_p, fn, gamma_r=0.8)
@@ -614,7 +614,7 @@ def test_build_work_is_once_per_pool_and_per_kept_triple(monkeypatch):
         if (i, a) == (4700, "DL"):
             break
         for s2 in tpost.row(s, a)[0]:
-            if p.lift(i, s2) in res.w and (s, a, s2) not in triples:
+            if lift_reference(p, i, s2) in res.w and (s, a, s2) not in triples:
                 triples.append((s, a, s2))
 
     calls = {"successors": [], "transition": [], "dwell": [], "risk": 0}
@@ -757,7 +757,7 @@ def test_evaluate_zero_discount_is_one_step_risk():
     risk = true_risk(p)
     v = evaluate_policy_risk(p, pi, risk, 0.0)
     for i in range(p.n_states):
-        j = p.trans_row(i, "s")[0][0]
+        j = product_row(p, i, "s")[0][0]
         assert v[i] == pytest.approx(risk(i, "s", j))
 
 

@@ -3,9 +3,12 @@ import pytest
 
 from smdpsynth import (
     ActionNotEnabled, ConfigError, Empirical, Exponential, GridConfig,
-    GRID_ACTIONS, Path, Smdp, UnknownState, build_gridworld, enabled_actions,
-    load_scenario, sample_step, simulate,
+    GRID_ACTIONS, Smdp, UnknownState, build_gridworld, export_sample_paths,
+    load_scenario, sample_step,
 )
+from smdpsynth.product import build_product
+
+from conftest import trivial_monitor
 
 
 def sid(x, y, w=5):
@@ -94,26 +97,30 @@ def test_duplicate_successors_rejected():
         Smdp(1, ("a",), trans, dwell, 0, (), [0])
 
 
-# enabled_actions
+# enabled actions: the model's `_enabled`, read by product states through
+# `ProductSmdp.enabled`
 
 def test_enabled_actions_grid_interior_and_corner():
     m = build_gridworld()
-    assert enabled_actions(m, sid(5, 5)) == GRID_ACTIONS
-    assert enabled_actions(m, sid(1, 1)) == GRID_ACTIONS
+    assert m._enabled[sid(5, 5)] == GRID_ACTIONS
+    assert m._enabled[sid(1, 1)] == GRID_ACTIONS
 
 
 def test_enabled_actions_partial():
     m = two_state()
-    assert enabled_actions(m, 0) == ("a", "b")
-    assert enabled_actions(m, 1) == ("a",)
+    assert m._enabled[0] == ("a", "b")
+    assert m._enabled[1] == ("a",)
+    p = build_product(m, trivial_monitor())
+    assert [p.enabled(i) for i in range(p.n_states)] \
+        == [m._enabled[s] for s, _ in p.states]
 
 
 def test_enabled_actions_unknown_state():
-    m = two_state()
+    p = build_product(two_state(), trivial_monitor())
     with pytest.raises(UnknownState):
-        enabled_actions(m, 2)
+        p.enabled(p.n_states)
     with pytest.raises(UnknownState):
-        enabled_actions(m, -1)
+        p.enabled(-1)
 
 
 # sample_step
@@ -190,43 +197,35 @@ def test_sample_step_unknown_state():
         sample_step(two_state(), 2, "a", np.random.default_rng(0))
 
 
-# simulate
+# policy rollouts: `export_sample_paths` on the product with the
+# never-accepting monitor
 
-def test_simulate_zero_horizon():
-    m = two_state()
-    p = simulate(m, {0: "a", 1: "a"}, 0, np.random.default_rng(0))
-    assert p.states == (0,) and p.actions == () and p.dwells == ()
-    assert p.n_steps == 0
+def rollout(m, policy, horizon, seed):
+    """One sample path of `policy` (keyed by product state) on m's product
+    with the never-accepting monitor: (product states, model states,
+    actions, dwells)."""
+    p = build_product(m, trivial_monitor(m.ap))
+    _, rec = export_sample_paths(p, policy, 1, horizon,
+                                 np.random.default_rng(seed))
+    return (rec["states"], [p.states[i][0] for i in rec["states"]],
+            rec["actions"], rec["dwells"])
 
 
 def test_simulate_exact_horizon_and_absorption():
-    m = two_state()
-    p = simulate(m, {0: "b", 1: "a"}, 50, np.random.default_rng(3))
-    assert p.n_steps == 50
-    assert len(p.states) == 51
-    assert p.states[0] == 0 and p.states[1] == 1
-    assert all(s == 1 for s in p.states[1:])
-    assert all(t >= 0 for t in p.dwells)
-
-
-def test_simulate_callable_policy():
-    m = two_state()
-    p = simulate(m, lambda s, rng: "a", 20, np.random.default_rng(5))
-    assert p.n_steps == 20
-    assert set(p.actions) == {"a"}
+    states, model_states, actions, dwells = rollout(
+        two_state(), {0: "b", 1: "a"}, 50, 3)
+    assert len(actions) == len(dwells) == 50 and len(states) == 51
+    assert model_states[0] == 0 and model_states[1] == 1
+    assert all(s == 1 for s in model_states[1:])
+    assert all(t >= 0 for t in dwells)
 
 
 def test_simulate_determinism():
     m = build_gridworld()
-    pol = lambda s, rng: GRID_ACTIONS[int(rng.integers(4))]
-    p1 = simulate(m, pol, 200, np.random.default_rng(99))
-    p2 = simulate(m, pol, 200, np.random.default_rng(99))
-    assert p1 == p2
-
-
-def test_path_shape_validated():
-    with pytest.raises(ValueError):
-        Path((0, 1), ("a",), (0.5, 0.5))
+    rng = np.random.default_rng(99)
+    n = build_product(m, trivial_monitor(m.ap)).n_states
+    pol = {i: GRID_ACTIONS[int(rng.integers(4))] for i in range(n)}
+    assert rollout(m, pol, 200, 99) == rollout(m, pol, 200, 99)
 
 
 # gridworld construction
@@ -279,7 +278,7 @@ def test_grid_single_cell_absorbing():
 def test_grid_rows_are_stochastic_everywhere():
     m = build_gridworld()
     for s in range(m.n_states):
-        for a in enabled_actions(m, s):
+        for a in m._enabled[s]:
             _, probs = m.trans_row(s, a)
             assert abs(sum(probs) - 1.0) < 1e-12
 
@@ -359,8 +358,8 @@ def test_scenario_generic_tables():
     m = load_scenario(doc)
     assert m.n_states == 2
     assert m.ap == ("goal",)
-    assert enabled_actions(m, 0) == ("go", "stay")
-    assert enabled_actions(m, 1) == ("stay",)
+    assert m._enabled[0] == ("go", "stay")
+    assert m._enabled[1] == ("stay",)
     assert m.labels_of(1) == ("goal",)
     assert m.dwell[(0, "go", 1)].kind == "empirical"
 

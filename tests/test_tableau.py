@@ -12,13 +12,14 @@ from smdpsynth import (
     AlphabetMismatch,
     CapacityExceeded,
     determinize_kcba,
-    lasso_accepted_cba,
     lasso_accepted_kcba,
     ltl_to_cba,
     parse_ltl,
 )
 
-from oracles import all_lassos, eval_ltl_on_lasso, random_formula
+from oracles import (
+    all_lassos, eval_ltl_on_lasso, lasso_accepted_cba, random_formula,
+)
 
 PHI_EX = "G F a & G F b & G !c"
 

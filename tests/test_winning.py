@@ -8,9 +8,9 @@ import pytest
 
 from smdpsynth import (
     EmptyWinningCandidate, Exponential, InvalidDistribution, LearnerConfig,
-    NoAllowedAction, Smdp, WinningLearner, boundary, build_pipeline,
-    desk_config, determinize_kcba, exact_winning_region, ind_k, ltl_to_cba,
-    paper_config, parse_ltl, run_algorithm1, softmax_policy,
+    NoAllowedAction, Smdp, WinningLearner, build_pipeline, desk_config,
+    determinize_kcba, exact_winning_region, ind_k, ltl_to_cba, paper_config,
+    parse_ltl, run_algorithm1,
 )
 from smdpsynth.product import build_product
 from smdpsynth.winning import UNSEEN_SCORE, _cdf, _np_sum, _softmax_probs
@@ -18,6 +18,7 @@ from smdpsynth.winning import UNSEEN_SCORE, _cdf, _np_sum, _softmax_probs
 from conftest import (
     FixedRng, grid4_product, m1_model, m1_product, random_product,
 )
+from oracles import boundary_reference
 
 
 def pid(p, i, a):
@@ -52,24 +53,29 @@ def test_config_validation():
 
 # --- softmax policy helper ---------------------------------------------------
 
+def softmax(actions, scores, temperature, epsilon):
+    """`_softmax_probs` keyed by action."""
+    return dict(zip(actions, _softmax_probs(scores, temperature, epsilon)))
+
+
 def test_softmax_equal_scores_no_mixing():
-    dist = softmax_policy(["a", "b"], [3.0, 3.0], 1.0, 0.0)
+    dist = softmax(["a", "b"], [3.0, 3.0], 1.0, 0.0)
     assert dist == {"a": pytest.approx(0.5), "b": pytest.approx(0.5)}
 
 
 def test_softmax_monotone_in_score():
-    dist = softmax_policy(["a", "b", "c"], [1.0, 2.0, 0.5], 1.0, 0.05)
+    dist = softmax(["a", "b", "c"], [1.0, 2.0, 0.5], 1.0, 0.05)
     assert dist["b"] > dist["a"] > dist["c"]
 
 
 def test_softmax_low_temperature_concentrates():
-    dist = softmax_policy(["hi", "lo"], [1.0, 0.0], 1e-6, 0.0)
+    dist = softmax(["hi", "lo"], [1.0, 0.0], 1e-6, 0.0)
     assert dist["hi"] == pytest.approx(1.0)
     assert dist["lo"] == pytest.approx(0.0)
 
 
 def test_softmax_outmass_example():
-    dist = softmax_policy(["out", "in"], [1.0, 0.0], 0.1, 0.0)
+    dist = softmax(["out", "in"], [1.0, 0.0], 0.1, 0.0)
     assert dist["in"] < 1e-4
     assert dist["out"] > 0.999
 
@@ -80,7 +86,7 @@ def test_softmax_is_distribution_with_mixing():
         k = int(rng.integers(1, 6))
         scores = rng.normal(size=k) * 10
         acts = list(range(k))
-        dist = softmax_policy(acts, scores, float(rng.uniform(0.05, 5)), 0.05)
+        dist = softmax(acts, scores, float(rng.uniform(0.05, 5)), 0.05)
         assert sum(dist.values()) == pytest.approx(1.0)
         assert all(v >= 0.05 / k - 1e-12 for v in dist.values())
         order = sorted(acts, key=lambda a: scores[a])
@@ -89,8 +95,15 @@ def test_softmax_is_distribution_with_mixing():
 
 
 def test_softmax_no_actions():
-    with pytest.raises(NoAllowedAction):
-        softmax_policy([], [], 1.0, 0.05)
+    """A state whose pairs have all left W_p^k gets no policy to draw
+    from: `_policy` raises before any softmax."""
+    p = m1_product()
+    learner = WinningLearner(p, LearnerConfig(seed=0))
+    mid = doomed_m1_state(p)
+    learner.w_p.discard(pid(p, mid, "a"))
+    for outward in (False, True):
+        with pytest.raises(NoAllowedAction):
+            learner._policy(mid, outward)
 
 
 # --- action draw ---------------------------------------------------------------
@@ -138,7 +151,6 @@ def test_action_draw_matches_choice_reference():
             epsilon = (0.0, 0.05, float(gen.random()))[int(gen.integers(3))]
             dist = softmax_policy_reference(acts, scores, temperature,
                                             epsilon)
-            assert softmax_policy(acts, scores, temperature, epsilon) == dist
             probs = _softmax_probs(scores, temperature, epsilon)
             assert probs == list(dist.values())
             twin = np.random.default_rng()
@@ -183,7 +195,7 @@ def test_learner_action_draw_matches_choice_reference():
     ref = np.random.default_rng(3)
     for i in sorted(learner.w) * 5:
         k, a = learner._sample_action(i)
-        dist = learner.pi_ex(i)
+        dist = explore(learner, i)
         assert a == list(dist)[choice_action_reference(dist, ref)]
         assert k == pid(p, i, a)
         assert learner.rng.bit_generator.state == ref.bit_generator.state
@@ -241,7 +253,7 @@ def test_action_draw_memo_skips_recomputation_bit_identically():
     assert learner._draw_cache[(i, True)] == (pids, acts, probs, _cdf(probs))
     assert pids == [pid(p, i, a) for a in acts]
 
-    # debug_checks recompute pi_ex beside every draw, memoized or not
+    # debug_checks recompute the policy beside every draw, memoized or not
     checked = CountingLearner(p, dataclasses.replace(cfg, debug_checks=True))
     for _ in range(300):
         checked.run_episode()
@@ -343,12 +355,13 @@ def test_q_update_boundary_refresh():
 
 
 def boundary_of(learner):
-    """`boundary` of the learner's sets, its pairs as (state, pair id)."""
+    """`boundary_reference` of the learner's sets, its pairs as (state,
+    pair id)."""
     p = learner.p
     pairs = {k: (int(p.owner[k]), k) for k in range(len(p.owner))}
-    return boundary(set(learner.w), {pairs[k] for k in learner.w_p},
-                    {pairs[k]: succs
-                     for k, succs in learner._obs_succ.items()})
+    return boundary_reference(set(learner.w), {pairs[k] for k in learner.w_p},
+                              {pairs[k]: succs
+                               for k, succs in learner._obs_succ.items()})
 
 
 # --- boundary ----------------------------------------------------------------
@@ -356,11 +369,12 @@ def boundary_of(learner):
 def test_boundary_absorbing_is_empty():
     w = {0, 1}
     w_p = {(0, "a"), (1, "a")}
-    assert boundary(w, w_p, {(0, "a"): {1}, (1, "a"): {0, 1}}) == frozenset()
+    assert boundary_reference(w, w_p, {(0, "a"): {1}, (1, "a"): {0, 1}}) \
+        == frozenset()
 
 
 def test_boundary_empty_w():
-    assert boundary(set(), set(), {}) == frozenset()
+    assert boundary_reference(set(), set(), {}) == frozenset()
 
 
 def test_boundary_m1_exit_pair():
@@ -368,13 +382,15 @@ def test_boundary_m1_exit_pair():
     w, w_p = exact_winning_region(p)
     acc = next(iter(p.accepting))
     support = {(p.initial, "a"): {p.initial}, (p.initial, "b"): {acc}}
-    assert boundary(w, {(p.initial, "a"), (p.initial, "b")}, support) \
-        == frozenset({p.initial})
-    assert boundary(w, w_p, {(p.initial, "a"): {p.initial}}) == frozenset()
+    assert boundary_reference(w, {(p.initial, "a"), (p.initial, "b")},
+                              support) == frozenset({p.initial})
+    assert boundary_reference(w, w_p, {(p.initial, "a"): {p.initial}}) \
+        == frozenset()
 
 
 def test_boundary_ignores_pairs_outside_w():
-    assert boundary({0}, {(5, "a")}, {(5, "a"): {9}}) == frozenset()
+    assert boundary_reference({0}, {(5, "a")}, {(5, "a"): {9}}) \
+        == frozenset()
 
 
 # --- learner initialization ----------------------------------------------------
@@ -446,6 +462,17 @@ def test_init_sets_match_nested_loop_construction():
 
 # --- exploration policies on a live learner -------------------------------------
 
+def policy(learner, i, outward):
+    """`_policy` at i as {action: probability}: scored by predictive mass
+    leaving W^k (outward) or by posterior entropy."""
+    return dict(zip(*learner._policy(i, outward)[1:]))
+
+
+def explore(learner, i):
+    """`_explore` at i as {action: probability}."""
+    return dict(zip(*learner._explore(i)[1:]))
+
+
 def observe(learner, i, a, model_s2, j, tau=1.0):
     learner.store.append(learner.p.states[i][0], a, model_s2, tau)
     learner._note_observation(i, pid(learner.p, i, a), j)
@@ -458,7 +485,7 @@ def test_pi_ent_prefers_unseen():
     for _ in range(20):
         observe(learner, i0, "a", 0, i0)
     learner._refresh_posteriors()
-    dist = learner.pi_ent(i0)
+    dist = policy(learner, i0, False)
     assert dist["b"] > dist["a"]
     assert sum(dist.values()) == pytest.approx(1.0)
 
@@ -478,14 +505,14 @@ def test_pi_wperp_prefers_outgoing_mass():
     observe(learner, i0, "a", 0, i0)
     observe(learner, i0, "b", 1, mid)
     learner._refresh_posteriors()
-    dist = learner.pi_wperp(i0)
+    dist = policy(learner, i0, True)
     assert dist["b"] > dist["a"]
 
 
 def test_pi_wperp_no_data_uniform():
     p = m1_product()
     learner = WinningLearner(p, LearnerConfig(seed=0, epsilon=0.0))
-    dist = learner.pi_wperp(p.initial)
+    dist = policy(learner, p.initial, True)
     assert dist["a"] == pytest.approx(0.5)
     assert dist["b"] == pytest.approx(0.5)
 
@@ -498,19 +525,19 @@ def test_pi_ex_dispatches_on_boundary():
     observe(learner, i0, "a", 0, i0)
     learner._refresh_posteriors()
     assert i0 not in learner._dw
-    assert learner.pi_ex(i0) == learner.pi_ent(i0)
+    assert explore(learner, i0) == policy(learner, i0, False)
     observe(learner, i0, "b", 1, mid)
     learner._remove_pair(pid(p, mid, "a"))
     learner._refresh_posteriors()
     assert i0 in learner._dw
-    assert learner.pi_ex(i0) == learner.pi_wperp(i0)
+    assert explore(learner, i0) == policy(learner, i0, True)
 
 
 def test_pi_ex_outside_region_raises():
     p = m1_product()
     learner = WinningLearner(p, LearnerConfig(seed=0))
     with pytest.raises(NoAllowedAction):
-        learner.pi_ex(next(iter(p.accepting)))
+        learner._explore(next(iter(p.accepting)))
 
 
 # --- full runs -------------------------------------------------------------------
@@ -732,9 +759,9 @@ def test_policies_stay_valid_during_learning():
     states = list(learner.w)
     for _ in range(12):
         i = states[int(rng.integers(len(states)))]
-        for dist, score in [(learner.pi_ent(i),
-                             lambda a: learner._ent_score(p.states[i][0], a)),
-                            (learner.pi_wperp(i),
+        for dist, score in [(policy(learner, i, False),
+                             lambda a: learner._ent_score(p._s_of[i], a)),
+                            (policy(learner, i, True),
                              lambda a: learner._out_score(i, a))]:
             assert sum(dist.values()) == pytest.approx(1.0)
             acts = sorted(dist, key=score)
@@ -751,11 +778,19 @@ def test_debug_checks_compare_action_draw_without_drawing(monkeypatch):
     assert [row["steps"] for row in checked.progress] \
         == [row["steps"] for row in plain.progress]
 
-    learner = WinningLearner(p, dataclasses.replace(cfg, debug_checks=True))
-    exact = learner.pi_ex
-    monkeypatch.setattr(learner, "pi_ex", lambda i: {
-        a: float(np.nextafter(v, 2.0)) for a, v in exact(i).items()})
+    # a memoized draw that no longer matches a fresh `_explore` is caught
+    # before the draw
+    learner = WinningLearner(p, dataclasses.replace(cfg))
+    learner._sample_action(p.initial)
+    learner.cfg.debug_checks = True
+    exact = learner._explore
+
+    def nudged(i):
+        pids, acts, probs = exact(i)
+        return pids, acts, [float(np.nextafter(v, 2.0)) for v in probs]
+
+    monkeypatch.setattr(learner, "_explore", nudged)
     state = learner.rng.bit_generator.state
-    with pytest.raises(AssertionError, match="pi_ex"):
+    with pytest.raises(AssertionError, match="exploration policy"):
         learner._sample_action(p.initial)
     assert learner.rng.bit_generator.state == state
