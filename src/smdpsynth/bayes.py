@@ -3,6 +3,12 @@ predictive, entropy, and risk queries.
 
 Transition rows get Dirichlet-categorical updates; exponential dwell rates
 get Gamma updates, whose posterior predictive is a Lomax distribution.
+
+The entropies need log-gamma and digamma. They come from `_special`, a
+pure-Python port of the Cephes routines `lgam` and `psi` (Moshier, 1989)
+that returns bit for bit what SciPy's `special.gammaln` and `special.psi`
+return for x > 0 (`tests/test_special.py` checks this), so the package
+runs on NumPy alone.
 """
 
 from __future__ import annotations
@@ -11,11 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, psi
 
+from ._special import gammaln, psi
 from .errors import (
-    ConfigError, InvalidObservation, MomentUndefined, UntrackedPair,
-    UntrackedTriple,
+    ConfigError, InvalidDistribution, InvalidObservation, MomentUndefined,
+    UntrackedPair, UntrackedTriple,
 )
 
 DIRICHLET_PRIOR = 1.0
@@ -220,10 +226,16 @@ def _np_sum(xs):
 
 
 def _gammaln_psi(x, memo):
-    """(gammaln(x), psi(x)) as Python floats, kept in the dict `memo`."""
+    """(gammaln(x), psi(x)) as Python floats, kept in the dict `memo`.
+    InvalidDistribution names an `x` that is not finite and positive."""
     hit = memo.get(x)
     if hit is None:
-        hit = memo[x] = (float(gammaln(x)), float(psi(x)))
+        x = float(x)
+        if not 0.0 < x < math.inf:
+            raise InvalidDistribution(
+                f"gammaln/psi argument {x!r} is not a finite positive "
+                "number (a Dirichlet concentration or Gamma shape)")
+        hit = memo[x] = (gammaln(x), psi(x))
     return hit
 
 

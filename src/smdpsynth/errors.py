@@ -81,7 +81,7 @@ class InvalidObservation(SmdpsynthError, ValueError):
 
 class InvalidDistribution(SmdpsynthError, ValueError):
     """Weights to draw from have a NaN, infinite or negative entry, or no
-    mass."""
+    mass; or a posterior parameter is not finite and positive."""
 
 
 class NotConverged(SmdpsynthError):

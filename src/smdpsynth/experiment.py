@@ -24,7 +24,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import cycle, islice
 
@@ -35,8 +34,9 @@ from .bayes import MeanPlusSigma, Quantile, risk_of, update_posteriors
 from .errors import ConfigError
 from .ltl import parse_ltl
 from .product import (
-    _best_actions, build_product, exact_max_reach_probability,
-    exact_winning_region, policy_reach_probability, sample_product_step,
+    _best_actions, _first_positions, build_product,
+    exact_max_reach_probability, exact_winning_region,
+    policy_reach_probability, sample_product_step,
 )
 from .reach import (
     QLearnSchedule, RewardDiscountSpec, extract_pi_tr, qlearn_transient,
@@ -238,7 +238,7 @@ def top_up_observations(p, w_p, store, target, rng):
     `p.pair_ids` of `w_p`, and pools go in the order of those copies.
     Every draw goes through `sample_product_step`."""
     pid = np.sort(p.pair_ids(w_p))
-    pid = pid[np.sort(np.unique(p.pair_model[pid], return_index=True)[1])]
+    pid = pid[_first_positions(p.pair_model[pid], len(p.model_pairs))]
     reps = [(i, p._s_of[i], a)
             for i, a in zip(p.owner[pid].tolist(), p.pair_actions(pid))]
     for i, s, a in reps:
@@ -265,9 +265,10 @@ def _run_rep(job):
     top_up_observations(p, res.w_p, store, cfg.min_observations,
                         np.random.default_rng(topup_seed))
     if len(store) != before:
-        pools = np.unique(p.pair_model[p.pair_ids(res.w_p)]).tolist()
+        pools = p.pair_model[p.pair_ids(res.w_p)]
+        pools = np.sort(pools[_first_positions(pools, len(p.model_pairs))])
         tpost, dpost = update_posteriors(
-            store, [p.model_pairs[q] for q in pools])
+            store, [p.model_pairs[q] for q in pools.tolist()])
 
     tq = qlearn_transient(p, res.w, cfg.reward_spec(),
                           cfg.schedule(reach_seed))
@@ -430,6 +431,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
 
     workers = cfg.workers or min(cfg.repetitions, os.cpu_count() or 1)
     if workers > 1 and cfg.repetitions > 1:
+        # imported here: it loads multiprocessing (about 1.1 MB resident)
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             reps = list(ex.map(_run_rep, jobs))
     else:

@@ -23,7 +23,8 @@ from .errors import (
     NonfiniteRisk, NotConverged, PolicyLeavesW, UntrackedPair,
 )
 from .product import (
-    ProductSmdp, _offsets, _pad, _pair_rows, _ranges, _solve_by_components,
+    ProductSmdp, _first_positions, _offsets, _pad, _pair_rows, _ranges,
+    _solve_by_components,
 )
 
 # sweeps after which risk value iteration gives up with NotConverged
@@ -140,7 +141,7 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     lo, n = np.zeros((2, len(p.model_pairs)), dtype=np.intp)
     slot_succ, slot_at, slot_pr = [], [], []
     stop, err = len(pid), None
-    for k in np.sort(np.unique(pool, return_index=True)[1]).tolist():
+    for k in _first_positions(pool, len(p.model_pairs)).tolist():
         s, a = p.model_pairs[pool[k]]
         at = {s2: c for c, s2 in enumerate(p.m._rows[(s, a)][0])}
         try:

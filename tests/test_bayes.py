@@ -12,7 +12,8 @@ from smdpsynth.bayes import (
     transition_entropy, update_posteriors,
 )
 from smdpsynth.errors import (
-    InvalidObservation, SmdpsynthError, UntrackedPair, UntrackedTriple,
+    InvalidDistribution, InvalidObservation, SmdpsynthError, UntrackedPair,
+    UntrackedTriple,
 )
 
 from oracles import (
@@ -300,6 +301,21 @@ def test_entropies_match_scipy_array_formula_bitwise():
         if rng.random() < 0.1:
             assert dwell_entropy(gpost, 0, "a", 1).hex() == want
     assert long_rows > 10_000
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.5, np.nan, np.inf])
+def test_entropies_reject_parameters_outside_the_domain(bad):
+    """A concentration or shape that is not finite and positive raises
+    InvalidDistribution naming it, where it used to give an inf or NaN
+    entropy that failed only later, in the learner's action draw."""
+    post = DirichletPosterior({(0, "a"): ((0, 1), np.array([2.0, bad]))})
+    with pytest.raises(InvalidDistribution, match=f"argument {bad!r} "):
+        transition_entropy(post, 0, "a")
+    gpost = GammaPosterior({(0, "a", 1): (bad, 1.0)})
+    memo = {}
+    with pytest.raises(InvalidDistribution, match=f"argument {bad!r} "):
+        dwell_entropy(gpost, 0, "a", 1, memo)
+    assert memo == {}
 
 
 def test_gamma_entropy_closed_form():

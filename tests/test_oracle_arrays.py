@@ -11,7 +11,7 @@ import smdpsynth.experiment as E
 from smdpsynth import build_pipeline, desk_config, paper_config
 from smdpsynth.bayes import MeanPlusSigma, risk_of
 from smdpsynth.product import (
-    _best_actions, _pad, _row_values, _state_rows,
+    _best_actions, _first_positions, _pad, _row_values, _state_rows,
     exact_max_reach_probability, exact_winning_region,
 )
 
@@ -148,6 +148,17 @@ def test_padded_min_max_equal_reduceat(name, ufunc, fill):
         padded = np.append(values, fill)[_pad(lens, members, n, np.intp)]
         got = getattr(padded, name)(axis=0)
         assert got.tobytes() == ref.tobytes()
+
+
+def test_first_positions_equal_sorted_np_unique():
+    """The pool representatives of the top-up and the planner: positions
+    of first occurrences, as `np.unique(return_index=True)` gives them."""
+    rng = np.random.default_rng(6)
+    for size in [0, 1, 2, 7] + rng.integers(1, 3000, 200).tolist():
+        n = int(rng.integers(1, 120))
+        keys = rng.integers(0, rng.integers(1, n + 1), size)
+        want = np.sort(np.unique(keys, return_index=True)[1])
+        assert np.array_equal(_first_positions(keys, n), want)
 
 
 def test_true_risk_computed_once_per_model_triple(presets, monkeypatch):
