@@ -31,8 +31,9 @@ pi_tr = extract_pi_tr(p, w, tq)
 
 v_star = exact_max_reach_probability(p, w)
 v_pi = policy_reach_probability(p, pi_tr, w)
-transient = [i for i in range(p.n_states) if i not in w]
-gaps = [v_star[i] - v_pi[i] for i in transient]
+# a policy array: the chosen pair id of each transient state, -1 inside W
+transient = np.flatnonzero(pi_tr >= 0)
+gaps = v_star[transient] - v_pi[transient]
 
 print(f"trained on {len(transient)} transient states "
       f"(update tail {tq.cauchy_tail:.2e})")
@@ -40,4 +41,4 @@ print(f"reach probability at the start: policy {v_pi[p.initial]:.4f} "
       f"vs optimal {v_star[p.initial]:.4f}")
 print(f"largest gap over transient states: {max(gaps):.4f}")
 print(f"states within 0.02 of optimal: "
-      f"{int(np.sum(np.array(gaps) <= 0.02))}/{len(transient)}")
+      f"{int(np.sum(gaps <= 0.02))}/{len(transient)}")

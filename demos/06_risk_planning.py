@@ -32,8 +32,10 @@ rm = build_risk_model(p, res.w, res.w_p, res.transition_posterior,
                       res.dwell_posterior, functional=functional,
                       gamma_r=0.9)
 rq = risk_value_iteration(rm)
+# rows are winning pair ids in ascending order, so each state's rows are
+# consecutive; the policy array holds the chosen pair id per state
 pi_win = extract_pi_win(rm, rq)
-print(f"risk model over {len(rm.allowed)} winning states, "
+print(f"risk model over {len(np.unique(rm.owner))} winning states, "
       f"VI residual {rq.residual:.1e} after {rq.iterations} sweeps")
 
 # the functional on the model's actual dwell of each transition
@@ -45,17 +47,19 @@ print(f"exact discounted risk of the greedy policy at state {start}: "
       f"{v[start]:.3f}")
 
 rng = np.random.default_rng(3)
+action = p.pair_actions(np.arange(len(p.owner)))   # name of each pair id
 def rollout_risk(choose, steps=5000):
     i, total = start, 0.0
     for _ in range(steps):
-        a = choose(i)
+        a = action[choose(i)]
         j, tau, _ = sample_product_step(p, i, a, rng)
         total += true_risk(i, a, j)
         i = j
     return total / steps
 
 greedy = rollout_risk(lambda i: pi_win[i])
-uniform = rollout_risk(lambda i: rm.allowed[i][rng.integers(
-    len(rm.allowed[i]))])
+# a uniform draw among the rows of state i: its group of the model's rows
+uniform = rollout_risk(lambda i: rm.ids[rng.integers(
+    *np.searchsorted(rm.owner, (i, i + 1)))])
 print(f"mean per-step risk over 5000 steps: greedy {greedy:.3f} "
       f"vs uniform winning {uniform:.3f}")

@@ -196,12 +196,11 @@ def _check_learner_exact():
 
 
 def _check_risk_closed_form():
-    rm = RiskModel(pairs=[(0, "a")], row_ptr=[0, 1], succ=[0], prob=[1.0],
-                   risk=[1.0], allowed={0: ("a",)}, gamma_r=0.9)
+    rm = RiskModel(ids=[0], pair_ptr=[0, 1], row_ptr=[0, 1], succ=[0],
+                   prob=[1.0], risk=[1.0], gamma_r=0.9)
     rq = risk_value_iteration(rm, tol=1e-12)
-    _expect(abs(rq.q[(0, "a")] - 10.0) < 1e-9,
-            f"Q = {rq.q[(0, 'a')]!r}, not 10")
-    _expect(extract_pi_win(rm, rq) == {0: "a"}, "greedy policy is not a")
+    _expect(abs(rq.q[0] - 10.0) < 1e-9, f"Q = {rq.q[0]!r}, not 10")
+    _expect(extract_pi_win(rm, rq).tolist() == [0], "greedy policy is not a")
 
 
 def _check_experiment_smoke():

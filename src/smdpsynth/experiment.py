@@ -34,8 +34,8 @@ from .bayes import MeanPlusSigma, Quantile, risk_of, update_posteriors
 from .errors import ConfigError
 from .ltl import parse_ltl
 from .product import (
-    _best_actions, _first_positions, build_product,
-    exact_max_reach_probability, exact_winning_region,
+    _best_actions, _first_positions, _greedy_policy, _policy_pairs,
+    build_product, exact_max_reach_probability, exact_winning_region,
     policy_reach_probability, sample_product_step,
 )
 from .reach import (
@@ -194,8 +194,9 @@ def true_risk_fn(p, functional):
 
 def oracle_reference(p, functional, gamma_r) -> dict:
     """Exact winning structure, best reach probabilities, the optimal
-    combined policy with its exact risk values, and per-state sets of
-    optimal actions (ties included) for agreement scoring.
+    combined policy with its exact risk values (policies are policy
+    arrays), and the optimal actions (ties included) for agreement
+    scoring, as one mask over the product's pair ids.
 
     Outside W the optimal actions are those within 1e-9 of the best
     one-step reach value, taken for every transient state at once from
@@ -205,20 +206,18 @@ def oracle_reference(p, functional, gamma_r) -> dict:
     minimum. Every risk is computed once per model triple."""
     w, w_p = exact_winning_region(p)
     v_opt = exact_max_reach_probability(p, w)
-    pi_tr = {}
-    optimal = {}
     transient = [i for i in range(p.n_states) if i not in w]
-    for i, acts in zip(transient, _best_actions(p, transient, v_opt, 1e-9)):
-        pi_tr[i] = acts[0]
-        optimal[i] = frozenset(acts)
+    pairs, keep = _best_actions(p, transient, v_opt, 1e-9)
+    optimal = np.zeros(len(p.owner), dtype=bool)
+    optimal[pairs] = keep
+    pi_tr = _greedy_policy(p.owner[pairs], pairs, ~keep, p.n_states)
     risk = true_risk_fn(p, functional)
     rm = risk_model_from_product(p, w, w_p, risk, gamma_r=gamma_r)
     rq = risk_value_iteration(rm)
     pi_win = extract_pi_win(rm, rq)
-    for i, acts in rm.allowed.items():
-        best = min(rq.q[(i, a)] for a in acts)
-        tol = 1e-8 * max(1.0, abs(best))
-        optimal[i] = frozenset(a for a in acts if rq.q[(i, a)] <= best + tol)
+    # each row's state minimum: the Q of the row pi_win chooses there
+    best = rq.q[np.searchsorted(rm.ids, pi_win[rm.owner])]
+    optimal[rm.ids] = rq.q <= best + 1e-8 * np.maximum(1.0, np.abs(best))
     return {
         "w": w, "w_p": w_p, "v_opt": v_opt,
         "pi": combine_policy(p, w, pi_win, pi_tr),
@@ -283,18 +282,18 @@ def _run_rep(job):
 
     reach = policy_reach_probability(p, pi_tr, res.w)
     risk = true_risk_fn(p, functional)
-    v_risk = evaluate_policy_risk(p, pi_win, risk, cfg.gamma_r) if res.w else {}
+    v_risk = evaluate_policy_risk(p, pi_win, risk, cfg.gamma_r)
 
     return {
         "rep": rep, "learn_seed": learn_seed, "reach_seed": reach_seed,
         "episodes": res.episodes, "converged": res.converged,
         "monotone_violations": res.monotone_violations,
         "observations": len(store),
-        "w": sorted(res.w), "w_p": sorted(res.w_p),
-        "policy": {str(i): a for i, a in sorted(pi.items())},
+        "w": sorted(res.w), "w_p": sorted(res.w_p), "pi": pi,
+        "policy": dict(zip(map(str, range(p.n_states)), p.pair_actions(pi))),
         "vi_residual": float(rq.residual),
         "vi_iterations": rq.iterations,
-        "escaped_mass": float(sum(rm.escaped.values())),
+        "escaped_mass": float(rm.escaped.sum()),
         "qlearn_tail": float(tq.cauchy_tail),
         "reach": {str(i): float(reach[i]) for i in range(p.n_states)
                   if i not in res.w},
@@ -305,11 +304,12 @@ def _run_rep(job):
 
 
 def export_sample_paths(p, policy, n, horizon, rng) -> list:
-    """Labeled sample paths from the initial state under a total positional
-    policy; JSONL-ready records, header first."""
+    """Labeled sample paths from the initial state under a policy array
+    that chooses at every state; JSONL-ready records, header first."""
     records = [{"record": "header", "paths": n, "horizon": horizon,
                 "initial": p.initial}]
     m = p.m
+    acts = p.pair_actions(_policy_pairs(p, policy, np.arange(p.n_states)))
     # per model state: its name and its label list
     state_names = m.names
     state_labels = [m.labels_of(s) for s in range(m.n_states)]
@@ -320,9 +320,8 @@ def export_sample_paths(p, policy, n, horizon, rng) -> list:
         labels = [list(state_labels[s])]
         actions, dwells = [], []
         for _ in range(horizon):
-            a = policy[i]
-            j, tau, s2 = sample_product_step(p, i, a, rng)
-            actions.append(a)
+            j, tau, s2 = sample_product_step(p, i, acts[i], rng)
+            actions.append(acts[i])
             dwells.append(float(tau))
             states.append(j)
             names.append(state_names[s2])
@@ -352,13 +351,15 @@ def _sha256(path) -> str:
 
 
 def _strip_rep(rep: dict) -> dict:
-    out = {k: v for k, v in rep.items() if k not in ("progress", "wall")}
+    out = {k: v for k, v in rep.items()
+           if k not in ("progress", "wall", "pi")}
     ind_rows = [row["ind"] for row in rep["progress"] if "ind" in row]
     out["ind_final"] = float(ind_rows[-1]) if ind_rows else None
     return out
 
 
-def _aggregate(reps, oracle, n_states) -> dict:
+def _aggregate(reps, policies, oracle) -> dict:
+    """Metrics of the stripped `reps`, whose policy arrays are `policies`."""
     agg = {
         "episodes_mean": float(np.mean([r["episodes"] for r in reps])),
         "observations_total": int(sum(r["observations"] for r in reps)),
@@ -383,14 +384,10 @@ def _aggregate(reps, oracle, n_states) -> dict:
         gaps.append(gap)
     agg["reach_gap_max_mean"] = float(np.mean(gaps))
 
-    pi0 = oracle["pi"]
     agg["policy_agreement_mean"] = float(np.mean(
-        [np.mean([r["policy"][str(i)] == pi0[i] for i in range(n_states)])
-         for r in reps]))
-    opt = oracle["optimal"]
+        [np.mean(pi == oracle["pi"]) for pi in policies]))
     agg["policy_optimal_frac_mean"] = float(np.mean(
-        [np.mean([r["policy"][str(i)] in opt[i] for i in range(n_states)])
-         for r in reps]))
+        [np.mean(oracle["optimal"][pi]) for pi in policies]))
 
     rels = []
     for r in reps:
@@ -490,9 +487,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
         fh.write(_dumps(policy_doc) + "\n")
 
     paths_rng = np.random.default_rng(seqs[-1])
-    pi0 = {int(i): a for i, a in rep0["policy"].items()}
     with open(files["paths.jsonl"], "w") as fh:
-        for rec in export_sample_paths(p, pi0, cfg.paths, cfg.horizon,
+        for rec in export_sample_paths(p, rep0["pi"], cfg.paths, cfg.horizon,
                                        paths_rng):
             fh.write(json.dumps(rec, sort_keys=True,
                                 separators=(",", ":")) + "\n")
@@ -515,7 +511,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
         "n_product_states": p.n_states,
         "oracle": oracle_doc,
         "repetitions": stripped,
-        "aggregate": _aggregate(stripped, oracle, p.n_states),
+        "aggregate": _aggregate(stripped, [rep["pi"] for rep in reps],
+                                oracle),
         "artifacts": {name: _sha256(files[name])
                       for name in ("policy.json", "indk.csv", "paths.jsonl")},
     }

@@ -368,8 +368,7 @@ def exact_winning_region(p: ProductSmdp):
     flat layout, accepting states dead from the start; W_p is the
     PairSet of the surviving pair ids.
     """
-    dead = np.zeros(p.n_states, dtype=bool)
-    dead[list(p.accepting)] = True
+    dead = np.isin(np.arange(p.n_states), list(p.accepting))
     alive, safe = _safety_fixpoint(p.owner, p.row_ptr, p.succ, dead)
     return frozenset(np.flatnonzero(alive).tolist()), \
         p.pair_set(np.flatnonzero(safe))
@@ -430,12 +429,9 @@ def exact_max_reach_probability(p: ProductSmdp, target) -> np.ndarray:
     target = set(target)
     for i in target:
         p.check_state(i)
-    v = np.zeros(p.n_states)
-    for i in target:
-        v[i] = 1.0
-    states = [i for i in range(p.n_states) if i not in target]
+    v = np.isin(np.arange(p.n_states), list(target)).astype(float)
+    states = np.flatnonzero(v == 0.0)
     _, succ, prob, group = _state_rows(p, states)
-    states = np.array(states, dtype=np.intp)
 
     for _ in range(MAX_SWEEPS):
         best = _row_values(succ, prob, v)[group].max(axis=0)
@@ -446,31 +442,27 @@ def exact_max_reach_probability(p: ProductSmdp, target) -> np.ndarray:
     raise NotConverged("max-reach value iteration", residual, MAX_SWEEPS)
 
 
-def _best_actions(p: ProductSmdp, states, v, tol) -> list:
-    """Per state of `states`, its enabled actions whose row value
-    sum_j P(j|i,a) v_j is at least the state's best value minus `tol`, in
-    the model's action order. The values of all the rows come from one
-    column-major pass, as in `exact_max_reach_probability`."""
-    acts, succ, prob, group = _state_rows(p, states)
+def _best_actions(p: ProductSmdp, states, v, tol):
+    """The pair ids of `states`, each state's in the model's action order,
+    and a mask of those whose row value sum_j P(j|i,a) v_j is at least
+    their state's best value minus `tol`. The values of all the rows come
+    from one column-major pass, as in `exact_max_reach_probability`."""
+    pairs, succ, prob, group = _state_rows(p, states)
     vals = _row_values(succ, prob, v)
-    best = vals[group].max(axis=0)
-    keep = iter((vals[:-1] >= np.repeat(best - tol, list(map(len, acts))))
-                .tolist())
-    return [[a for a in row_acts if next(keep)] for row_acts in acts]
+    best = vals[group].max(axis=0) - tol
+    return pairs, vals[:-1] >= np.repeat(best, np.diff(p.pair_ptr)[states])
 
 
 def _state_rows(p: ProductSmdp, states):
     """The rows of every enabled action of `states`, padded for sweeps.
 
-    Returns (acts, succ, prob, group): each state's enabled actions in the
-    model's order; the successor and probability arrays of those rows, one
-    state's rows after another, gathered from the flat layout and padded
-    by `_pad` (index 0, probability 0.0); and the (width, len(states))
-    positions of each state's rows among them, padded with the number of
-    rows, the trailing slot of `_row_values`.
+    Returns (pairs, succ, prob, group): the pair ids of `states`, one
+    state's after another; the successor and probability arrays of their
+    rows, gathered from the flat layout and padded by `_pad` (index 0,
+    probability 0.0); and the (width, len(states)) positions of each
+    state's rows among them, padded with the number of rows, the trailing
+    slot of `_row_values`.
     """
-    enabled, of = p.m._enabled, p._s_of
-    acts = [enabled[of[i]] for i in states]
     states = np.asarray(states, dtype=np.intp)
     n_pairs = p.pair_ptr[states + 1] - p.pair_ptr[states]
     pairs = _ranges(p.pair_ptr[states], n_pairs)
@@ -478,7 +470,7 @@ def _state_rows(p: ProductSmdp, states):
     succ = _pad(lens, p.succ[edges], 0, np.intp)
     prob = _pad(lens, p.model_prob[p.edge[edges]], 0.0, float)
     group = _pad(n_pairs, np.arange(len(pairs)), len(pairs), np.intp)
-    return acts, succ, prob, group
+    return pairs, succ, prob, group
 
 
 def _pair_rows(p: ProductSmdp, pids):
@@ -517,9 +509,8 @@ def _pad(lens, flat, fill, dtype) -> np.ndarray:
 
 
 def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
-    """Pr(reach target from each state) under a fixed positional policy,
-    indexed by state, that gives every non-target state an action;
-    DomainGap names the first non-target state it leaves out.
+    """Pr(reach target from each state) under a policy array that chooses
+    at every non-target state, as `_policy_pairs` checks.
 
     Its rows, one pair per non-target state, come from one gather of the
     flat layout. The unknowns are the states that die in `_safety_fixpoint`
@@ -534,16 +525,9 @@ def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
     target = set(target)
     for i in target:
         p.check_state(i)
-    dead = np.zeros(p.n_states, dtype=bool)
-    dead[list(target)] = True
+    dead = np.isin(np.arange(p.n_states), list(target))
     states = np.flatnonzero(~dead)
-    pairs = []
-    for i in states.tolist():
-        try:
-            pairs.append((i, policy[i]))
-        except (KeyError, IndexError):
-            raise DomainGap(f"state {i} has no policy entry") from None
-    pids = p.pair_ids(pairs)
+    pids = _policy_pairs(p, policy, states)
     lens, edges = _pair_rows(p, pids)
     succ = p.succ[edges]
     alive, _ = _safety_fixpoint(states, _offsets(lens), succ, dead)
@@ -564,6 +548,37 @@ def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
     v[unknown] = _solve_by_components(row[var], pos[succ[var]], prob[var],
                                       const)
     return v
+
+
+def _policy_pairs(p: ProductSmdp, policy, states) -> np.ndarray:
+    """The pair ids that the policy array `policy` chooses at `states`.
+    DomainGap if it has not one entry per state or leaves one of `states`
+    at -1, ActionNotEnabled if it chooses no pair of that state."""
+    policy = np.asarray(policy, dtype=np.intp)
+    if policy.shape != (p.n_states,):
+        raise DomainGap(f"policy has {len(policy)} entries for "
+                        f"{p.n_states} states")
+    pids = policy[states]
+    ok = (pids >= 0) & (pids < len(p.owner))
+    ok[ok] = p.owner[pids[ok]] == states[ok]
+    if not ok.all():
+        i, k = int(states[~ok][0]), int(pids[~ok][0])
+        if k == -1:
+            raise DomainGap(f"state {i} has no policy entry")
+        raise ActionNotEnabled(f"pair id {k} is not one of state {i}'s")
+    return pids
+
+
+def _greedy_policy(owner, ids, key, n_states) -> np.ndarray:
+    """The policy array over `n_states` states that gives each state in
+    `owner` (the state of each of the ascending pair ids `ids`) the first
+    of its ids of least `key`, found by a stable sort on (state, key), so
+    ties go to the action listed first; -1 to every other state."""
+    order = np.lexsort((key, owner))
+    first = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
+    policy = np.full(n_states, -1, dtype=np.intp)
+    policy[owner[first]] = ids[first]
+    return policy
 
 
 def _solve_by_components(row, col, coef, const) -> list:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .product import ProductSmdp, sample_product_step
+from .product import ProductSmdp, _greedy_policy, sample_product_step
 
 
 @dataclass
@@ -59,24 +59,17 @@ class QLearnSchedule:
 
 @dataclass
 class TransientQ:
-    """Learned action values on the states outside the winning region."""
+    """Learned action values on the states outside the winning region, as
+    arrays over the product's pair ids: the value and the update count of
+    each pair (0 for the pairs of winning states, never updated)."""
 
-    q: dict
-    visits: dict
+    q: np.ndarray
+    visits: np.ndarray
     episodes: int
     updates: int
     cauchy_tail: float           # max |delta Q| over the last 10% of updates
     # |delta Q| of every update, in order, as C doubles
     deltas: array = field(repr=False, default_factory=lambda: array("d"))
-
-
-def _greedy(q, p, i):
-    best, best_v = None, None
-    for a in p.enabled(i):
-        v = q[(i, a)]
-        if best_v is None or v > best_v:
-            best, best_v = a, v
-    return best
 
 
 def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
@@ -95,10 +88,8 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
     # in-W and accepting masks; the values of a transient state's actions
     # live in one list, in enabled order, so the greedy choice and the
     # bootstrap maximum are single list scans
-    w_mask = np.zeros(p.n_states, dtype=bool)
-    w_mask[list(w)] = True
-    acc = np.zeros(p.n_states, dtype=bool)
-    acc[list(p.accepting)] = True
+    w_mask = np.isin(np.arange(p.n_states), list(w))
+    acc = np.isin(np.arange(p.n_states), list(p.accepting))
     enabled = list(map(p.m._enabled.__getitem__, p._s_of))
     in_w, is_acc = w_mask.tolist(), acc.tolist()
     ends = (w_mask | acc).tolist()
@@ -109,7 +100,8 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
     for i in transient:
         values[i] = [spec.r_n if is_acc[i] else 0.0] * len(enabled[i])
     starts = [i for i in transient if not is_acc[i]]
-    visits = {}
+    base = p.pair_ptr.tolist()
+    visits = [0] * len(p.owner)
     deltas = array("d")
     c = schedule.visit_offset
     epsilon = schedule.epsilon
@@ -136,8 +128,8 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
                     target = 0.0
                 else:
                     target = rewards[j] + discounts[j] * max(values[j])
-                key = (i, a)
-                n = visits.get(key, 0)
+                key = base[i] + b
+                n = visits[key]
                 visits[key] = n + 1
                 alpha = c / (c + n)
                 old = vals[b]
@@ -148,19 +140,19 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
                     break
                 i = j
 
-    q = {(i, a): v for i in transient for a, v in zip(enabled[i], values[i])}
+    q = np.zeros(len(p.owner))
+    for i in transient:
+        q[base[i]:base[i + 1]] = values[i]
     tail = deltas[-max(1, len(deltas) // 10):] if deltas else [0.0]
-    return TransientQ(q=q, visits=visits, episodes=episodes,
-                      updates=len(deltas), cauchy_tail=max(tail),
-                      deltas=deltas)
+    return TransientQ(q=q, visits=np.array(visits, dtype=np.intp),
+                      episodes=episodes, updates=len(deltas),
+                      cauchy_tail=max(tail), deltas=deltas)
 
 
-def extract_pi_tr(p: ProductSmdp, w, tq: TransientQ) -> dict:
-    """Greedy positional policy on the transient states.
-
-    Ties break to the action listed first in the state's enabled tuple,
-    which follows the model's action order.
-    """
-    w = frozenset(w)
-    return {i: _greedy(tq.q, p, i)
-            for i in range(p.n_states) if i not in w}
+def extract_pi_tr(p: ProductSmdp, w, tq: TransientQ) -> np.ndarray:
+    """Greedy positional policy on the transient states, as a policy
+    array: each state outside `w` gets the pair id of its largest Q, ties
+    broken toward the action listed first in the model's order; the
+    states of `w` get -1."""
+    pairs = np.flatnonzero(~np.isin(p.owner, list(w)))
+    return _greedy_policy(p.owner[pairs], pairs, -tq.q[pairs], p.n_states)

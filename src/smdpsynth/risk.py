@@ -23,8 +23,8 @@ from .errors import (
     NonfiniteRisk, NotConverged, PolicyLeavesW, UntrackedPair,
 )
 from .product import (
-    ProductSmdp, _first_positions, _offsets, _pad, _pair_rows, _ranges,
-    _solve_by_components,
+    ProductSmdp, _first_positions, _greedy_policy, _offsets, _pad,
+    _pair_rows, _policy_pairs, _ranges, _solve_by_components,
 )
 
 # sweeps after which risk value iteration gives up with NotConverged
@@ -34,64 +34,67 @@ MAX_SWEEPS = 100_000
 @dataclass
 class RiskModel:
     """Estimated dynamics and risks restricted to the winning pairs, as
-    compressed sparse rows (CSR).
+    compressed sparse rows (CSR) keyed by product pair id.
 
-    Row k is the winning pair `pairs[k]` = (i, a). Its entries are
-    `row_ptr[k]:row_ptr[k + 1]` of the flat arrays `succ` (successor
-    product ids), `prob` (probabilities) and `risk` (the risk of each
-    transition). `allowed` maps every winning state to its actions that
-    have a row, in the model's action order; `escaped` maps a pair to the
-    predictive mass renormalized away from its row.
-
-    Construction checks the discount, that no allowed tuple is empty, and
-    that every row sums to one, stays among the allowed states and has
-    finite nonnegative risks, naming the first offending pair.
+    Row k is the winning pair `ids[k]`. The ids ascend, so a state's rows
+    are consecutive and in the model's action order; `owner[k]` is the
+    state of row k under the product's `pair_ptr`. Row k's entries are
+    `row_ptr[k]:row_ptr[k + 1]` of `succ` (successor product ids), `prob`
+    and `risk` (of each transition); `escaped[k]` is the predictive mass
+    renormalized away from it. Construction checks the discount, the CSR
+    shape, that the ids ascend, and that every row sums to one, stays
+    among the states that own rows and has finite nonnegative risks,
+    naming the first offending row.
     """
 
-    pairs: list
+    ids: np.ndarray
+    pair_ptr: np.ndarray
     row_ptr: np.ndarray
     succ: np.ndarray
     prob: np.ndarray
     risk: np.ndarray
-    allowed: dict
     gamma_r: float = 0.9
-    escaped: dict = field(default_factory=dict)
+    escaped: np.ndarray = None
+    owner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.gamma_r < 1:
             raise InvalidRiskModel(
                 f"gamma_r must be in [0,1), got {self.gamma_r}")
-        for i, acts in self.allowed.items():
-            if not acts:
-                raise InvalidRiskModel(f"state {i} has no allowed action")
-        self.row_ptr = np.asarray(self.row_ptr, dtype=np.intp)
-        self.succ = np.asarray(self.succ, dtype=np.intp)
+        self.ids, self.pair_ptr, self.row_ptr, self.succ = (
+            np.asarray(x, dtype=np.intp)
+            for x in (self.ids, self.pair_ptr, self.row_ptr, self.succ))
         self.prob = np.asarray(self.prob, dtype=float)
         self.risk = np.asarray(self.risk, dtype=float)
-        n, lens = len(self.pairs), np.diff(self.row_ptr)
+        n, lens = len(self.ids), np.diff(self.row_ptr)
+        self.escaped = np.zeros(n) if self.escaped is None else \
+            np.asarray(self.escaped, dtype=float)
         if (len(self.row_ptr) != n + 1 or self.row_ptr[0] != 0
-                or (lens < 0).any()
+                or (lens < 0).any() or len(self.escaped) != n
                 or not len(self.succ) == len(self.prob) == len(self.risk)
                 == self.row_ptr[-1]):
             raise InvalidRiskModel(
                 "rows must be compressed sparse rows, one per pair")
+        bad = np.flatnonzero((np.diff(self.ids, prepend=-1) <= 0)
+                             | (self.ids >= self.pair_ptr[-1]))
+        if bad.size:
+            raise InvalidRiskModel(
+                f"row {bad[0]} has pair id {self.ids[bad[0]]}: row ids must "
+                f"ascend in 0..{self.pair_ptr[-1] - 1}")
+        self.owner = np.searchsorted(self.pair_ptr, self.ids, "right") - 1
         row = np.repeat(np.arange(n), lens)
         # the same left-to-right sum per row as a loop over it
         off = np.abs(np.bincount(row, weights=self.prob, minlength=n)
                      - 1.0) > 1e-9
-        inside = np.zeros(max(self.allowed, default=-1) + 1, dtype=bool)
-        inside[list(self.allowed)] = True
-        known = (self.succ >= 0) & (self.succ < len(inside))
-        leaves = ~known
-        leaves[known] = ~inside[self.succ[known]]
+        leaves = ~np.isin(self.succ, self.owner)
         leaving = np.bincount(row[leaves], minlength=n) > 0
         bad = np.flatnonzero(off | leaving)
         if bad.size:
             k = int(bad[0])
-            i, a = self.pairs[k]
             raise InvalidRiskModel(
-                f"row ({i},{a}) does not sum to one" if off[k] else
-                f"row ({i},{a}) leaves the winning region")
+                f"row of pair {self.ids[k]} (state {self.owner[k]}) " + (
+                    "does not sum to one" if off[k] else
+                    "leaves the winning region"))
         _check_risks(self)
 
 
@@ -101,8 +104,10 @@ def _check_risks(rm):
     bad = np.flatnonzero(~((rm.risk >= 0) & (rm.risk < math.inf)))
     if bad.size:
         e = int(bad[0])
-        i, a = rm.pairs[int(np.searchsorted(rm.row_ptr, e, side="right")) - 1]
-        _checked(float(rm.risk[e]), i, a, int(rm.succ[e]))
+        k = int(np.searchsorted(rm.row_ptr, e, side="right")) - 1
+        raise NonfiniteRisk(
+            f"risk of pair {rm.ids[k]} (state {rm.owner[k]}) to "
+            f"{rm.succ[e]} is {float(rm.risk[e])!r}")
 
 
 def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
@@ -115,9 +120,9 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     warning; a pair left with no mass at all raises EmptyPredictiveRow.
     Risks must come out finite and nonnegative.
 
-    The copies (i, a) of W_p go in (state, action name) order. Copies of
-    a model pair (pool) share its posterior, so the work is split three
-    ways. Per pool, once, at its first copy: the predictive successors and
+    The copies (i, a) of W_p go in pair-id order, and copies of a model
+    pair (pool) share its posterior, so the work is split three ways. Per
+    pool, once, at its first copy: the predictive successors and
     probabilities, and each successor's position in the model row (one
     outside it raises InvalidRiskModel). Per copy, in array passes: each
     candidate is lifted through its position in the copy's product row
@@ -125,15 +130,11 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     copy that keeps every candidate gets its pool's normalized row and one
     that keeps some renormalizes them. Per model triple (s, a, s'): one
     risk of the predictive dwell, when a copy first keeps it. Warnings,
-    errors and risks come in the order of a loop over the copies, up to
-    the first error.
+    errors and risks come in the order of a loop over the copies.
     """
     functional = functional or MeanPlusSigma(1.0)
     w = frozenset(w)
-    pid = p.pair_ids(w_p)
-    rank = {n: r for r, n in enumerate(sorted({str(a) for a in p.m.actions}))}
-    rank = np.array([rank[str(a)] for _, a in p.model_pairs], dtype=np.intp)
-    pid = pid[np.lexsort((rank[p.pair_model[pid]], p.owner[pid]))]
+    pid = np.sort(p.pair_ids(w_p))
     pool = p.pair_model[pid]
 
     # pool q's candidates, positions and probabilities are the slots
@@ -183,7 +184,7 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     first = _offsets(lens[:stop])
     ke = np.flatnonzero(kept[:first[-1]])
     ke = ke[np.unique(cand[ke], return_index=True)[1]]
-    risk, escaped = np.zeros(len(slot_succ)), {}
+    risk = np.zeros(len(slot_succ))
     warn = first[:-1][lost[:stop] > 0.0]
     for e in np.sort(np.concatenate([2 * warn, 2 * ke + 1])).tolist():
         e, is_risk = divmod(e, 2)
@@ -193,15 +194,14 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
                 dpost, p._s_of[i], a, slot_succ[cand[e]]), functional),
                 i, a, int(lifted[e]))
         else:
-            escaped[(i, a)] = lost[copy[e]]
             # attributed to the caller of build_risk_model
             warnings.warn(
-                f"pair ({i},{a}): renormalized {escaped[(i, a)]:.3g} "
+                f"pair ({i},{a}): renormalized {lost[copy[e]]:.3g} "
                 "predictive mass escaping the winning region", stacklevel=2)
     if err is not None:
         raise err
     return _assemble(p, w, pid, n_kept, lifted[kept], (pr / total[copy])[kept],
-                     risk[cand[kept]], gamma_r, escaped)
+                     risk[cand[kept]], gamma_r, lost)
 
 
 def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
@@ -237,7 +237,7 @@ def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
         raise InvalidRiskModel("pair ({},{}) leaves the winning region"
                                .format(*_pair(p, pids[stop])))
     return _assemble(p, w, pids, lens, succ, p.model_prob[model_edge],
-                     risks[inverse], gamma_r, {})
+                     risks[inverse], gamma_r, None)
 
 
 def _pair(p, k):
@@ -256,29 +256,24 @@ def _checked(r, i, a, j):
 def _assemble(p, w, pids, lens, succ, prob, risk, gamma_r,
               escaped) -> RiskModel:
     """Shared core of both builders: the rows of the winning pairs with
-    product pair ids `pids`, of lengths `lens`, with their flat
-    successors, probabilities and checked risks, become a RiskModel with
-    an allowed action tuple for every winning state, in the model's
-    action order."""
-    # ties in the greedy policy break toward the earliest enabled action,
-    # so allowed tuples keep the model's action order, pair-id order
-    allowed, ids = {}, np.sort(pids)
-    for i, a in zip(p.owner[ids].tolist(), p.pair_actions(ids)):
-        allowed[i] = allowed.get(i, ()) + (a,)
+    the ascending product pair ids `pids`, of lengths `lens`, with their
+    flat successors, probabilities and checked risks, become a RiskModel;
+    NoAllowedAction names a winning state without a row."""
+    owned = set(p.owner[pids].tolist())
     for i in w:
-        if i not in allowed:
+        if i not in owned:
             raise NoAllowedAction(f"winning state {i} has no winning pair")
-    return RiskModel(
-        pairs=list(zip(p.owner[pids].tolist(), p.pair_actions(pids))),
-        row_ptr=_offsets(lens), succ=succ, prob=prob, risk=risk,
-        allowed=allowed, gamma_r=gamma_r, escaped=escaped)
+    return RiskModel(ids=pids, pair_ptr=p.pair_ptr, row_ptr=_offsets(lens),
+                     succ=succ, prob=prob, risk=risk, gamma_r=gamma_r,
+                     escaped=escaped)
 
 
 @dataclass
 class RiskQ:
-    """Fixed point of the discounted risk recursion on winning pairs."""
+    """Fixed point of the discounted risk recursion on winning pairs:
+    `q[k]` is the value of row k of the RiskModel it was solved on."""
 
-    q: dict
+    q: np.ndarray
     residual: float
     iterations: int
     residuals: list = field(repr=False, default_factory=list)
@@ -289,108 +284,92 @@ def risk_value_iteration(rm: RiskModel, tol=1e-9) -> RiskQ:
     to a sup-norm residual below tol; raises NotConverged after MAX_SWEEPS
     sweeps.
 
-    Each sweep updates every pair from the previous sweep's state minima
+    Each sweep updates every row from the previous sweep's state minima
     (Jacobi), as array operations over the model's rows, laid out by
     `_pad` straight from its CSR arrays: column k holds entry k of every
     row, so each row sums left to right as a loop over it would, and a
     padded entry (successor 0, probability and risk 0.0) adds exactly 0.0.
-    The minima come from a (width, states) array of each state's pairs
-    padded with +inf, exact like any minimum.
+    The state minima, exact like any minimum, come from a (width, states)
+    array of each state's consecutive rows padded with +inf.
     """
     if tol <= 0:
         raise InvalidRiskModel(f"tol must be positive, got {tol}")
     _check_risks(rm)
-    pairs = rm.pairs
-    state_of = np.zeros(max(rm.allowed, default=-1) + 1, dtype=np.intp)
-    state_of[list(rm.allowed)] = np.arange(len(rm.allowed))
-    pair_of = {pair: k for k, pair in enumerate(pairs)}
-    # each state's pairs in allowed order, padded with the +inf slot after
-    # the last pair, for the per-state minimum
-    group = _pad(np.fromiter(map(len, rm.allowed.values()), dtype=np.intp,
-                             count=len(rm.allowed)),
-                 [pair_of[(i, a)] for i, acts in rm.allowed.items()
-                  for a in acts], len(pairs), np.intp)
-    q_inf = np.full(len(pairs) + 1, np.inf)
+    first = np.flatnonzero(np.diff(rm.owner, prepend=-1))
+    states, n = rm.owner[first], len(rm.ids)
+    # each state's rows, padded with n: the +inf slot after the last row
+    group = _pad(np.diff(first, append=n), np.arange(n), n, np.intp)
+    q_inf = np.full(n + 1, np.inf)
     lens = np.diff(rm.row_ptr)
-    succ = _pad(lens, state_of[rm.succ], 0, np.intp)
+    succ = _pad(lens, rm.succ, 0, np.intp)
     prob = _pad(lens, rm.prob, 0.0, float)
     risk = _pad(lens, rm.risk, 0.0, float)
-    q = np.zeros(len(pairs))
-    best = np.zeros(len(rm.allowed))
+    q = np.zeros(n)
+    best = np.zeros(len(rm.pair_ptr) - 1)
     residuals = []
     for _ in range(MAX_SWEEPS):
-        new = np.zeros(len(pairs))
+        new = np.zeros(n)
         for k in range(len(succ)):
             new += prob[k] * (risk[k] + rm.gamma_r * best[succ[k]])
         residual = float(np.max(np.abs(new - q), initial=0.0))
-        q = new
-        q_inf[:-1] = q
-        best = q_inf[group].min(axis=0)
+        q = q_inf[:-1] = new
+        best[states] = q_inf[group].min(axis=0)
         residuals.append(residual)
         if residual < tol:
-            return RiskQ(q=dict(zip(pairs, q.tolist())), residual=residual,
-                         iterations=len(residuals), residuals=residuals)
+            return RiskQ(q=q, residual=residual, iterations=len(residuals),
+                         residuals=residuals)
     raise NotConverged("risk value iteration", residual, MAX_SWEEPS)
 
 
-def extract_pi_win(rm: RiskModel, rq: RiskQ) -> dict:
-    """Positional risk-greedy policy: argmin of Q over the allowed actions,
-    ties broken toward the action listed first."""
-    pi = {}
-    for i, acts in rm.allowed.items():
-        best, best_v = None, None
-        for a in acts:
-            v = rq.q[(i, a)]
-            if best_v is None or v < best_v:
-                best, best_v = a, v
-        pi[i] = best
-    return pi
+def extract_pi_win(rm: RiskModel, rq: RiskQ) -> np.ndarray:
+    """Risk-greedy policy array: each state with rows gets the pair id of
+    its row of least Q, ties broken toward the action listed first."""
+    return _greedy_policy(rm.owner, rm.ids, rq.q, len(rm.pair_ptr) - 1)
 
 
-def combine_policy(p: ProductSmdp, w, pi_win, pi_tr) -> dict:
-    """Case split: the risk policy inside the winning region, the
-    reachability policy outside it."""
-    w = frozenset(w)
-    combined = {}
-    for i in range(p.n_states):
-        src = pi_win if i in w else pi_tr
-        if i not in src:
-            raise DomainGap(f"state {i} has no policy entry")
-        combined[i] = src[i]
+def combine_policy(p: ProductSmdp, w, pi_win, pi_tr) -> np.ndarray:
+    """Case split of two policy arrays: the risk policy's choice inside
+    the winning region, the reachability policy's outside it. DomainGap
+    names the first state left without a choice."""
+    combined = np.where(np.isin(np.arange(p.n_states), list(w)), pi_win, pi_tr)
+    gap = np.flatnonzero(combined < 0)
+    if gap.size:
+        raise DomainGap(f"state {gap[0]} has no policy entry")
     return combined
 
 
 def evaluate_policy_risk(p: ProductSmdp, pi, risk, gamma_r) -> dict:
     """Exact discounted risk of a region-preserving policy, per state.
 
-    `pi` maps each state of its domain to an action; `risk` is a callable
-    (i, a, j) -> value on product ids, called once per transition of the
-    policy, in sorted-state, row order. The policy's rows are gathered
-    from the flat layout in one pass, and the system
-    v_i = sum_j P(j|i) risk(i, pi_i, j) + gamma_r sum_j P(j|i) v_j over the
-    policy's states is solved exactly by `_solve_by_components`, one
-    strongly connected component of the policy's graph at a time: memory
-    grows with rows × successors plus the square of the largest component,
-    never with n². Raises PolicyLeavesW at the first transition, in the
-    same order, whose successor is outside the policy's domain.
+    `pi` is a policy array, checked by `_policy_pairs`; its domain is the
+    states it gives a pair id. `risk` is a callable (i, a, j) -> value on
+    product ids and action names, called once per transition of the
+    policy, in state, row order. The policy's rows are gathered from the
+    flat layout in one pass, and the system
+    v_i = sum_j P(j|i) risk(i, pi_i, j) + gamma_r sum_j P(j|i) v_j is
+    solved exactly by `_solve_by_components`, one strongly connected
+    component at a time, as `policy_reach_probability`'s is. Returns
+    {state: value} over the domain; raises PolicyLeavesW at the first
+    transition, in the same order, that leaves it.
     """
     if not 0 <= gamma_r < 1:
         raise InvalidRiskModel(f"gamma_r must be in [0,1), got {gamma_r}")
-    states = sorted(pi)
-    lens, edges = _pair_rows(p, p.pair_ids([(i, pi[i]) for i in states]))
-    succ, owner = p.succ[edges], np.repeat(states, lens).astype(np.intp)
+    states = np.flatnonzero(np.asarray(pi) >= 0)
+    pids = _policy_pairs(p, pi, states)
+    lens, edges = _pair_rows(p, pids)
+    succ, owner = p.succ[edges], np.repeat(states, lens)
+    acts = p.pair_actions(np.repeat(pids, lens))
     pos = np.full(p.n_states, -1, dtype=np.intp)
     pos[states] = np.arange(len(states))
     leaving = np.flatnonzero(pos[succ] < 0)
     if leaving.size:
-        i, j = int(owner[leaving[0]]), int(succ[leaving[0]])
-        raise PolicyLeavesW(
-            f"action {pi[i]} at state {i} reaches {j} outside W")
+        e = leaving[0]
+        raise PolicyLeavesW(f"action {acts[e]} at state {owner[e]} reaches "
+                            f"{succ[e]} outside W")
     prob = p.model_prob[p.edge[edges]]
-    i_of = owner.tolist()
-    risks = np.array(list(map(risk, i_of, map(pi.__getitem__, i_of),
-                              succ.tolist())), dtype=float)
+    risks = np.array(list(map(risk, owner.tolist(), acts, succ.tolist())),
+                     dtype=float)
     row = pos[owner]
     const = np.bincount(row, weights=prob * risks, minlength=len(states))
-    return dict(zip(states, _solve_by_components(
+    return dict(zip(states.tolist(), _solve_by_components(
         row, pos[succ], gamma_r * prob, const)))

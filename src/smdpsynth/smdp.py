@@ -137,14 +137,6 @@ class Smdp:
         if not 0 <= s < self.n_states:
             raise UnknownState(f"state {s} not in 0..{self.n_states - 1}")
 
-    def trans_row(self, s, a):
-        """(successors, probabilities) of a positive row."""
-        self.check_state(s)
-        row = self._rows.get((s, a))
-        if row is None:
-            raise ActionNotEnabled(f"action {a!r} not enabled in state {s}")
-        return row
-
     def letter_of(self, s):
         self.check_state(s)
         return self.labels[s]
@@ -280,10 +272,14 @@ def load_scenario(doc: dict) -> Smdp:
 
     Either a {"grid": {...}, "dwell": ...} section or explicit
     {"states", "actions", "transitions", "dwell", "initial", "labels"}
-    tables for a generic SMDP.
+    tables for a generic SMDP. A malformed document raises ConfigError
+    naming the field at fault.
     """
     if "grid" in doc:
         g = doc["grid"]
+        for key in ("width", "height"):
+            if key not in g:
+                raise ConfigError(f"grid scenario missing {key!r}")
         dwell = doc.get("dwell", "default")
         if isinstance(dwell, dict):
             mode = dwell.get("map", "default")
@@ -307,24 +303,37 @@ def load_scenario(doc: dict) -> Smdp:
     except KeyError as e:
         raise ConfigError(f"scenario missing section {e.args[0]!r}") from None
     index = {name: i for i, name in enumerate(state_names)}
+
+    def state(name, where):
+        if name not in index:
+            raise ConfigError(f"{where} names unknown state {name!r}")
+        return index[name]
+
     labels_doc = doc.get("labels", {})
     ap = tuple(sorted({atom for atoms in labels_doc.values() for atom in atoms}))
     label_masks = [0] * len(state_names)
     for name, atoms in labels_doc.items():
         for atom in atoms:
-            label_masks[index[name]] |= 1 << ap.index(atom)
+            label_masks[state(name, "labels")] |= 1 << ap.index(atom)
 
     trans = {}
     for sname, by_action in trans_doc.items():
         for a, row in by_action.items():
-            trans[(index[sname], a)] = [(index[t], p) for t, p in row.items()]
+            trans[(state(sname, "transitions"), a)] = [
+                (state(t, f"transitions of {sname}/{a}"), p)
+                for t, p in row.items()]
     dwell = {}
     for key, spec in dwell_doc.items():
-        sname, a, tname = key.split("/")
-        dwell[(index[sname], a, index[tname])] = _parse_dwell(spec)
+        parts = key.split("/")
+        if len(parts) != 3:
+            raise ConfigError(f"dwell key {key!r} is not 'state/action/state'")
+        sname, a, tname = parts
+        dwell[(state(sname, f"dwell {key!r}"), a,
+               state(tname, f"dwell {key!r}"))] = _parse_dwell(key, spec)
 
+    initial = state(initial, "initial")
     try:
-        return Smdp(len(state_names), actions, trans, dwell, index[initial],
+        return Smdp(len(state_names), actions, trans, dwell, initial,
                     ap, label_masks, names=state_names)
     except ValueError as e:
         raise ConfigError(str(e)) from None
@@ -335,9 +344,15 @@ def _parse_cell(text):
     return int(x), int(y)
 
 
-def _parse_dwell(spec):
-    if spec.get("kind") == "exponential":
-        return Exponential(spec["rate"])
-    if spec.get("kind") == "empirical":
-        return Empirical(spec["samples"])
-    raise ConfigError(f"unknown dwell kind {spec.get('kind')!r}")
+def _parse_dwell(key, spec):
+    kind = spec.get("kind")
+    try:
+        if kind == "exponential":
+            return Exponential(spec["rate"])
+        if kind == "empirical":
+            return Empirical(spec["samples"])
+    except KeyError as e:
+        raise ConfigError(f"dwell {key!r} needs {e.args[0]!r}") from None
+    except ValueError as e:
+        raise ConfigError(f"dwell {key!r}: {e}") from None
+    raise ConfigError(f"unknown dwell kind {kind!r}")

@@ -231,28 +231,66 @@ def product_dwell(p, i, a, j):
     return p.m.dwell[(p.states[i][0], a, p.states[j][0])]
 
 
-def risk_model(trans, risks, allowed, gamma_r=0.9, escaped=None):
-    """A RiskModel from rows written out as dicts: `trans` maps (i, a) to
-    (successors, probabilities), `risks` maps (i, a, j) to the risk of
-    that transition. Rows keep the order of `trans`."""
+def model_row(m, s, a):
+    """The row of model pair (s, a) as (successors, probabilities)."""
+    return m._rows[(s, a)]
+
+
+def policy_array(p, policy):
+    """The policy array of a {state: action} dict: each state's pair id
+    for its action, -1 for a state the dict leaves out."""
+    pi = np.full(p.n_states, -1, dtype=np.intp)
+    states = list(policy)
+    pi[states] = p.pair_ids([(i, policy[i]) for i in states])
+    return pi
+
+
+def policy_dict(p, pi):
+    """The {state: action} dict of a policy array, over the states it
+    chooses at, in state order."""
+    states = [i for i, k in enumerate(pi.tolist()) if k >= 0]
+    return dict(zip(states, p.pair_actions(pi[states])))
+
+
+def risk_model(trans, risks, enabled, gamma_r=0.9, escaped=None):
+    """A RiskModel from rows written out as dicts. `enabled` maps each
+    state to its actions in order, which numbers the pairs as a product
+    does: state by state from 0, each state's actions in order (a state
+    it leaves out has none). `trans` maps (i, a) to (successors,
+    probabilities), `risks` maps (i, a, j) to the risk of that transition
+    and `escaped` (i, a) to its renormalized mass. Rows keep the order of
+    `trans`."""
     from smdpsynth.risk import RiskModel
 
-    row_ptr, succ, prob, risk = [0], [], [], []
+    n = max(enabled, default=-1) + 1
+    pair_ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum([len(enabled.get(i, ())) for i in range(n)], out=pair_ptr[1:])
+    escaped = escaped or {}
+    ids, row_ptr, succ, prob, risk = [], [0], [], [], []
     for (i, a), (succs, probs) in trans.items():
+        ids.append(int(pair_ptr[i]) + enabled[i].index(a))
         succ += succs
         prob += probs
         risk += [risks[(i, a, j)] for j in succs]
         row_ptr.append(len(succ))
-    return RiskModel(pairs=list(trans), row_ptr=row_ptr, succ=succ,
-                     prob=prob, risk=risk, allowed=allowed, gamma_r=gamma_r,
-                     escaped={} if escaped is None else escaped)
+    return RiskModel(ids=ids, pair_ptr=pair_ptr, row_ptr=row_ptr, succ=succ,
+                     prob=prob, risk=risk, gamma_r=gamma_r,
+                     escaped=[escaped.get(pair, 0.0) for pair in trans])
 
 
 def risk_rows(rm):
-    """The rows of a RiskModel as {(i, a): (successors, probabilities,
+    """The rows of a RiskModel as {pair id: (successors, probabilities,
     risks)}, tuples of Python numbers, in row order."""
     succ, prob, risk = rm.succ.tolist(), rm.prob.tolist(), rm.risk.tolist()
     ptr = rm.row_ptr.tolist()
-    return {pair: (tuple(succ[lo:hi]), tuple(prob[lo:hi]),
-                   tuple(risk[lo:hi]))
-            for pair, lo, hi in zip(rm.pairs, ptr, ptr[1:])}
+    return {k: (tuple(succ[lo:hi]), tuple(prob[lo:hi]), tuple(risk[lo:hi]))
+            for k, lo, hi in zip(rm.ids.tolist(), ptr, ptr[1:])}
+
+
+def risk_actions(p, rm):
+    """{state: its actions that have a row in the RiskModel `rm`}, in row
+    order, which is the model's action order."""
+    acts = {}
+    for i, a in zip(rm.owner.tolist(), p.pair_actions(rm.ids)):
+        acts[i] = acts.get(i, ()) + (a,)
+    return acts

@@ -387,24 +387,32 @@ def risk_value_of_policy(rows, policy, gamma, states):
 # --- scalar value iterations ---------------------------------------------------
 
 def risk_value_iteration_scalar(rm, tol=1e-9):
-    """Risk VI as one scalar loop per pair: the reference the library's
-    array sweeps must match bit for bit. Returns (q, residuals)."""
+    """Risk VI as one scalar loop per row, rows keyed by pair id and
+    grouped by the state that `rm.pair_ptr` gives each: the reference the
+    library's array sweeps must match bit for bit. Returns (q, residuals),
+    q in row order."""
     from conftest import risk_rows
 
+    ptr = rm.pair_ptr.tolist()
+    owner = {k: i for i in range(len(ptr) - 1) for k in range(ptr[i],
+                                                             ptr[i + 1])}
     rows = risk_rows(rm)
-    q = {pair: 0.0 for pair in rows}
-    best = {i: 0.0 for i in rm.allowed}
+    q = {k: 0.0 for k in rows}
+    groups = {}
+    for k in rows:
+        groups.setdefault(owner[k], []).append(k)
+    best = dict.fromkeys(groups, 0.0)
     residuals = []
     while not residuals or residuals[-1] >= tol:
         residual = 0.0
-        for (i, a), (succs, probs, risks) in rows.items():
+        for k, (succs, probs, risks) in rows.items():
             v = 0.0
             for j, pr, r in zip(succs, probs, risks):
                 v += pr * (r + rm.gamma_r * best[j])
-            residual = max(residual, abs(v - q[(i, a)]))
-            q[(i, a)] = v
-        for i, acts in rm.allowed.items():
-            best[i] = min(q[(i, a)] for a in acts)
+            residual = max(residual, abs(v - q[k]))
+            q[k] = v
+        for i, ks in groups.items():
+            best[i] = min(q[k] for k in ks)
         residuals.append(residual)
     return q, residuals
 
@@ -443,6 +451,8 @@ def product_reference(m, d):
     level-synchronous array build must match. Returns (states, index,
     accepting, rows), rows being {(i, a): (successor ids, the model row's
     probabilities)} in insertion order."""
+    from conftest import model_row
+
     f0 = d.step(d.initial, m.letter_of(m.initial))
     init = (m.initial, f0)
     index = {init: 0}
@@ -453,7 +463,7 @@ def product_reference(m, d):
         s, f = queue.popleft()
         pid = index[(s, f)]
         for a in m._enabled[s]:
-            succs, probs = m.trans_row(s, a)
+            succs, probs = model_row(m, s, a)
             pids = []
             for s2 in succs:
                 key = (s2, d.step(f, m.letter_of(s2)))
@@ -671,7 +681,9 @@ def solve_by_components_reference(succs, coefs, const):
 def sample_step_reference(m, s, a, rng):
     """One model transition drawn from a fresh cumulative sum of the row,
     then the dwell of the drawn transition. Returns (s', tau)."""
-    succs, probs = m.trans_row(s, a)
+    from conftest import model_row
+
+    succs, probs = model_row(m, s, a)
     k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     s2 = succs[min(k, len(succs) - 1)]
     return s2, m.dwell[(s, a, s2)].sample(rng)
@@ -928,12 +940,13 @@ def top_up_observations_reference(p, w_p, store, target, rng):
 
 def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
                                gamma_r=0.9):
-    """The planner's model built one product copy at a time: every copy
-    recomputes its pool's predictive row, checks that each candidate is in
-    the model row, lifts it with `lift_reference` and evaluates one risk
-    per successor, warning (attributed to the caller) about renormalized
-    mass: the reference the library's pooled assembly must match bit for
-    bit."""
+    """The planner's model built one product copy at a time, in pair-id
+    order (by state, then the action's place among the state's enabled
+    actions): every copy recomputes its pool's predictive row, checks that
+    each candidate is in the model row, lifts it with `lift_reference` and
+    evaluates one risk per successor, warning (attributed to the caller)
+    about renormalized mass: the reference the library's pooled assembly
+    must match bit for bit."""
     import math
     import warnings
 
@@ -945,7 +958,7 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
         EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction, NonfiniteRisk,
     )
 
-    from conftest import risk_model
+    from conftest import model_row, risk_model
 
     functional = functional or MeanPlusSigma(1.0)
     w = frozenset(w)
@@ -957,7 +970,7 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
         lost = 0.0
         cands = predictive_successors(tpost, s, a)
         for s2 in cands:
-            if s2 not in p.m.trans_row(s, a)[0]:
+            if s2 not in model_row(p.m, s, a)[0]:
                 raise InvalidRiskModel(
                     f"pair ({i},{a}): candidate successor {s2} is not in "
                     f"the row of model pair ({s},{a})")
@@ -979,8 +992,9 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
         total = sum(probs)
         return tuple(succs), tuple(pr / total for pr in probs)
 
-    trans, risks, allowed = {}, {}, {}
-    for (i, a) in sorted(w_p, key=lambda pair: (pair[0], str(pair[1]))):
+    trans, risks, allowed = {}, {}, set()
+    for (i, a) in sorted(w_p, key=lambda pair: (pair[0], p.enabled(pair[0])
+                                                .index(pair[1]))):
         succs, probs = row(i, a)
         trans[(i, a)] = (succs, probs)
         for j in succs:
@@ -989,11 +1003,10 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
             if not math.isfinite(r) or r < 0:
                 raise NonfiniteRisk(f"risk of ({i},{a},{j}) is {r!r}")
             risks[(i, a, j)] = r
-        allowed.setdefault(i, []).append(a)
+        allowed.add(i)
     for i in w:
         if i not in allowed:
             raise NoAllowedAction(f"winning state {i} has no winning pair")
-    allowed = {i: tuple(a for a in p.enabled(i) if a in acts)
-               for i, acts in allowed.items()}
-    return risk_model(trans, risks, allowed, gamma_r=gamma_r,
-                      escaped=escaped)
+    return risk_model(trans, risks,
+                      {i: p.enabled(i) for i in range(p.n_states)},
+                      gamma_r=gamma_r, escaped=escaped)

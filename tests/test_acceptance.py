@@ -28,8 +28,8 @@ from smdpsynth.experiment import oracle_reference, top_up_observations, \
     true_risk_fn
 
 from conftest import (
-    cycle4_product, grid4_product, m1_model, m1_product, random_cba,
-    risk_model,
+    cycle4_product, grid4_product, m1_model, m1_product, model_row,
+    policy_array, random_cba, risk_actions, risk_model,
 )
 
 
@@ -190,7 +190,7 @@ def _posterior_errors(m, rng, n=10_000):
     tpost, dpost = update_posteriors(store, pairs)
     worst_tv = worst_rel = 0.0
     for s, a in pairs:
-        succs, probs = m.trans_row(s, a)
+        succs, probs = model_row(m, s, a)
         est = dict(zip(predictive_successors(tpost, s, a),
                        predictive_transition(tpost, s, a)))
         true = dict(zip(succs, probs))
@@ -253,7 +253,7 @@ def test_gate6_risk_vi_exact_and_exhaustively_optimal():
     # the sweep stops at residual < tol, which leaves up to tol*g/(1-g)
     # to the fixed point; a tighter tol buys the closed-form match
     rq0 = risk_value_iteration(rm0, tol=1e-12)
-    assert abs(rq0.q[(0, "a")] - 10.0) < 1e-9
+    assert abs(rq0.q[0] - 10.0) < 1e-9
     assert rq0.residual < 1e-9
 
     checked = 0
@@ -266,10 +266,12 @@ def test_gate6_risk_vi_exact_and_exhaustively_optimal():
         pi_win = extract_pi_win(rm, rq)
         v_win = evaluate_policy_risk(p, pi_win, risk, 0.9)
         states = sorted(w)
-        n_pol = int(np.prod([len(rm.allowed[i]) for i in states]))
+        allowed = risk_actions(p, rm)
+        n_pol = int(np.prod([len(allowed[i]) for i in states]))
         assert n_pol <= 10_000
-        for choice in itertools.product(*(rm.allowed[i] for i in states)):
-            v = evaluate_policy_risk(p, dict(zip(states, choice)), risk, 0.9)
+        for choice in itertools.product(*(allowed[i] for i in states)):
+            v = evaluate_policy_risk(
+                p, policy_array(p, dict(zip(states, choice))), risk, 0.9)
             assert all(v_win[i] <= v[i] + 1e-9 for i in states)
             checked += 1
     print(f"PASS gate 6: residuals < 1e-9, self-loop value exact, greedy "
@@ -294,8 +296,7 @@ def test_gate7_pipeline_policy_stabilizes_with_data(desk_pipeline):
                               functional=functional, gamma_r=0.9)
         pi_win = extract_pi_win(rm, risk_value_iteration(rm))
         pi = combine_policy(p, w, pi_win, desk_pipeline["pi_tr"])
-        frac = float(np.mean([pi[i] in oracle["optimal"][i]
-                              for i in range(p.n_states)]))
+        frac = float(np.mean(oracle["optimal"][pi]))
         v = evaluate_policy_risk(p, pi_win, risk, 0.9)
         gap = max(abs(v[i] - oracle["v_risk"][i]) / abs(oracle["v_risk"][i])
                   for i in w)
@@ -317,13 +318,14 @@ def test_gate8_combined_policy_never_hits_accepting(desk_pipeline):
                           gamma_r=0.9)
     pi_win = extract_pi_win(rm, risk_value_iteration(rm))
     pi = combine_policy(p, w, pi_win, desk_pipeline["pi_tr"])
+    acts = p.pair_actions(pi)
     rng = np.random.default_rng(21)
     starts = sorted(w)
     hits = 0
     for r in range(1000):
         i = starts[r % len(starts)]
         for _ in range(1000):
-            i, _, _ = sample_product_step(p, i, pi[i], rng)
+            i, _, _ = sample_product_step(p, i, acts[i], rng)
             if i in p.accepting:
                 hits += 1
                 break

@@ -167,15 +167,24 @@ def _bad_input(tmp_path, case):
     path = tmp_path / "cfg.json"
     if case == "malformed file":
         path.write_text('{"formula": "G !c", ')
-    else:                   # an atom the scenario does not label
-        doc = desk_config().to_json_dict()
+        return ["run", str(path), "--out", str(tmp_path / "r")]
+    doc = desk_config().to_json_dict()
+    if case == "unknown atom":      # an atom the scenario does not label
         doc["formula"] = "G !d"
-        path.write_text(json.dumps(doc))
-    return ["run", str(path), "--out", str(tmp_path / "r")]
+    else:                           # an initial state the scenario lacks
+        doc["scenario"] = {
+            "states": ["s0"], "actions": ["a"], "initial": "zz",
+            "transitions": {"s0": {"a": {"s0": 1.0}}},
+            "dwell": {"s0/a/s0": {"kind": "exponential", "rate": 1.0}},
+            "labels": {"s0": ["c"]}}
+    path.write_text(json.dumps(doc))
+    return ["oracle" if case == "malformed scenario" else "run", str(path),
+            "--out", str(tmp_path / "r")]
 
 
 @pytest.mark.parametrize("case", ["negative seed", "missing file",
-                                  "malformed file", "unknown atom"])
+                                  "malformed file", "unknown atom",
+                                  "malformed scenario"])
 def test_bad_input_reports_error_without_traceback(tmp_path, case):
     """Bad command-line input ends in one `error:` line and exit status 2,
     before any output is written."""

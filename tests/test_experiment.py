@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 from smdpsynth import (
-    ConfigError, ExperimentConfig, MeanPlusSigma, ObservationStore, Quantile,
-    build_pipeline, config_fingerprint, desk_config, exact_winning_region,
-    export_sample_paths, oracle_reference, paper_config, parse_functional,
-    run_algorithm1, run_experiment, top_up_observations, update_posteriors,
+    ConfigError, DomainGap, ExperimentConfig, MeanPlusSigma, ObservationStore,
+    Quantile, build_pipeline, config_fingerprint, desk_config,
+    exact_winning_region, export_sample_paths, oracle_reference, paper_config,
+    parse_functional, run_algorithm1, run_experiment, top_up_observations,
+    update_posteriors,
 )
 from smdpsynth.experiment import true_risk_fn
-from smdpsynth.product import policy_reach_probability
+from smdpsynth.product import PairSet, ProductSmdp, \
+    policy_reach_probability
 from smdpsynth.risk import risk_model_from_product, risk_value_iteration
 
 from conftest import grid4_product
@@ -249,14 +251,43 @@ def test_distinct_seeds_distinct_reps(small_run):
 def test_export_paths_edge_cases():
     p = grid4_product()
     rng = np.random.default_rng(0)
-    only_header = export_sample_paths(p, {}, 0, 10, rng)
+    first = p.pair_ptr[:-1]             # each state's first action
+    only_header = export_sample_paths(p, first, 0, 10, rng)
     assert len(only_header) == 1 and only_header[0]["record"] == "header"
 
-    pinned = export_sample_paths(p, {}, 3, 0, rng)
+    pinned = export_sample_paths(p, first, 3, 0, rng)
     for rec in pinned[1:]:
         assert rec["states"] == [p.initial]
         assert rec["actions"] == [] and rec["dwells"] == []
         assert rec["names"] == [p.m.names[p.states[p.initial][0]]]
+
+    # a policy that leaves a state without a choice is refused, not read
+    # as the last pair's action
+    partial = first.copy()
+    partial[5] = -1
+    with pytest.raises(DomainGap, match="^state 5 has no policy entry$"):
+        export_sample_paths(p, partial, 1, 1, rng)
+
+
+def test_run_turns_no_tuple_into_a_pair_id(tmp_path, monkeypatch):
+    """A small desk run, oracle included, hands `ProductSmdp.pair_ids`
+    nothing but PairSets of its own product: the planners and every
+    policy hold pair ids, so no (i, a) tuple is converted back into
+    one."""
+    real = ProductSmdp.pair_ids
+    calls = []
+
+    def sets_only(self, pairs):
+        if not (isinstance(pairs, PairSet) and pairs._key is self._key):
+            raise AssertionError(f"pair_ids got a {type(pairs).__name__}")
+        calls.append(len(pairs))
+        return real(self, pairs)
+
+    monkeypatch.setattr(ProductSmdp, "pair_ids", sets_only)
+    art = run_experiment(desk_config(
+        learn_episodes=2000, reach_episodes=300, paths=2, horizon=5,
+        workers=1, out_dir=str(tmp_path)))
+    assert art.summary["oracle"] is not None and calls
 
 
 def pools_of(p, w_p):

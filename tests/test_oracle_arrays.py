@@ -15,8 +15,8 @@ from smdpsynth.product import (
     exact_max_reach_probability, exact_winning_region,
 )
 
-from conftest import chain_product, grid4_product, product_dwell, \
-    product_row, product_rows, random_product
+from conftest import chain_product, grid4_product, policy_dict, \
+    product_dwell, product_row, product_rows, random_product
 from oracles import exact_winning_region_reference, greedy_transient_reference
 
 
@@ -96,10 +96,10 @@ def test_row_values_equal_np_dot_on_presets(presets):
     for p, exact in products:
         v = np.random.default_rng(0).random(p.n_states)
         states = list(range(p.n_states))
-        acts, succ, prob, _ = _state_rows(p, states)
+        pairs, succ, prob, _ = _state_rows(p, states)
         vals = _row_values(succ, prob, v)
-        rows = [product_row(p, i, a) for i, row_acts in zip(states, acts)
-                for a in row_acts]
+        rows = [product_row(p, i, a) for i, a in zip(
+            p.owner[pairs].tolist(), p.pair_actions(pairs))]
         assert vals[-1] == -np.inf and len(vals) == len(rows) + 1
         for got, (succs, probs) in zip(vals.tolist(), rows):
             ref = float(np.dot(probs, v[list(succs)]))
@@ -119,8 +119,13 @@ def test_greedy_actions_match_np_dot_reference(presets):
         v_opt = exact_max_reach_probability(p, w)
         transient = [i for i in range(p.n_states) if i not in w]
         _, ref = greedy_transient_reference(p, w, v_opt)
-        got = _best_actions(p, transient, v_opt, 1e-9)
-        assert dict(zip(transient, got)) == ref
+        pairs, keep = _best_actions(p, transient, v_opt, 1e-9)
+        got = {i: [] for i in transient}
+        for i, a, near in zip(p.owner[pairs].tolist(),
+                              p.pair_actions(pairs), keep.tolist()):
+            if near:
+                got[i].append(a)
+        assert got == ref
 
 
 def test_oracle_transient_policy_matches_reference(presets):
@@ -129,8 +134,12 @@ def test_oracle_transient_policy_matches_reference(presets):
         p = presets[name]
         oracle = E.oracle_reference(p, functional, 0.9)
         _, ref = greedy_transient_reference(p, oracle["w"], oracle["v_opt"])
-        assert oracle["pi_tr"] == {i: acts[0] for i, acts in ref.items()}
-        assert {i: oracle["optimal"][i] for i in ref} \
+        assert policy_dict(p, oracle["pi_tr"]) \
+            == {i: acts[0] for i, acts in ref.items()}
+        optimal = oracle["optimal"].tolist()
+        assert {i: frozenset(a for k, a in enumerate(p.enabled(i),
+                                                     int(p.pair_ptr[i]))
+                             if optimal[k]) for i in ref} \
             == {i: frozenset(acts) for i, acts in ref.items()}
 
 

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smdpsynth import ActionNotEnabled, DomainGap, PolicyLeavesW, Smdp, \
-    UnknownState, build_pipeline, desk_config, paper_config
+from smdpsynth import ActionNotEnabled, DomainGap, PolicyLeavesW, \
+    build_pipeline, desk_config, paper_config
 from smdpsynth.automata import sccs
 from smdpsynth.experiment import oracle_reference, parse_functional, \
     true_risk_fn
@@ -21,8 +21,8 @@ from smdpsynth.product import exact_max_reach_probability, \
 from smdpsynth.risk import evaluate_policy_risk, extract_pi_win, \
     risk_model_from_product, risk_value_iteration
 
-from conftest import grid4_product, product_dwell, product_row, \
-    product_rows, random_product
+from conftest import grid4_product, policy_array, policy_dict, \
+    product_dwell, product_row, product_rows, random_product, risk_actions
 from oracles import evaluate_policy_risk_reference, \
     policy_reach_probability_reference, reach_probability_under_policy, \
     risk_value_of_policy
@@ -49,9 +49,10 @@ def hexes(values):
 
 
 def check_reach(p, policy, target):
-    """The library's solve equals the pre-layout loops bit for bit, and
-    the dense solve to RTOL."""
-    got = policy_reach_probability(p, policy, target)
+    """The library's solve of the {state: action} policy, as a policy
+    array, equals the pre-layout loops bit for bit, and the dense solve
+    to RTOL."""
+    got = policy_reach_probability(p, policy_array(p, policy), target)
     assert hexes(got) == hexes(
         policy_reach_probability_reference(p, policy, target))
     ref = dense_reach(p, policy, target)
@@ -70,7 +71,7 @@ def check_risk(p, pi, risk, gamma):
             return risk(i, a, j)
         return fn
 
-    got = evaluate_policy_risk(p, pi, logged("got"), gamma)
+    got = evaluate_policy_risk(p, policy_array(p, pi), logged("got"), gamma)
     bitwise = evaluate_policy_risk_reference(p, pi, logged("ref"), gamma)
     assert list(got) == list(bitwise) == sorted(pi)
     assert hexes(got.values()) == hexes(bitwise.values())
@@ -120,9 +121,9 @@ def test_policy_solves_match_dense_on_grid4():
         return 2.0 * product_dwell(p, i, a, j).mean()
 
     rm = risk_model_from_product(p, w, w_p, risk, gamma_r=0.9)
-    pi_win = extract_pi_win(rm, risk_value_iteration(rm))
+    pi_win = policy_dict(p, extract_pi_win(rm, risk_value_iteration(rm)))
     mixed = {i: acts[int(rng.integers(len(acts)))]
-             for i, acts in rm.allowed.items()}
+             for i, acts in risk_actions(p, rm).items()}
     for pi in (pi_win, mixed):
         check_risk(p, pi, risk, 0.9)
     sizes, _ = components(p, mixed, w)
@@ -136,43 +137,39 @@ def test_policy_solves_match_dense_on_oracle_policies(make):
     p = build_pipeline(cfg)[1]
     functional = parse_functional(cfg.functional)
     oracle = oracle_reference(p, functional, cfg.gamma_r)
-    check_reach(p, oracle["pi_tr"], oracle["w"])
-    got = check_risk(p, oracle["pi_win"], true_risk_fn(p, functional),
-                     cfg.gamma_r)
+    pi_win = policy_dict(p, oracle["pi_win"])
+    check_reach(p, policy_dict(p, oracle["pi_tr"]), oracle["w"])
+    got = check_risk(p, pi_win, true_risk_fn(p, functional), cfg.gamma_r)
     assert got == oracle["v_risk"]
-    sizes, _ = components(p, oracle["pi_win"], oracle["w"])
+    sizes, _ = components(p, pi_win, oracle["w"])
     assert max(sizes) > 1
 
 
-def test_exact_side_reads_only_the_flat_layout(monkeypatch):
-    """The desk oracle and both fixed-policy solves never ask the model
-    for a row tuple, its only one left: every row they read is gathered
-    from the product's flat layout."""
-    def no_row_tuples(self, s, a):
-        raise AssertionError(f"trans_row({s}, {a!r}) called")
-
-    monkeypatch.setattr(Smdp, "trans_row", no_row_tuples)
+def test_exact_side_reads_only_the_flat_layout():
+    """The desk oracle's transient policy solves to the pre-layout loops'
+    values bit for bit: every row it reads is gathered from the product's
+    flat layout."""
     cfg = desk_config()
     p = build_pipeline(cfg)[1]
     oracle = oracle_reference(p, parse_functional(cfg.functional),
                               cfg.gamma_r)
     reach = policy_reach_probability(p, oracle["pi_tr"], oracle["w"])
-    monkeypatch.undo()
     assert hexes(reach) == hexes(policy_reach_probability_reference(
-        p, oracle["pi_tr"], oracle["w"]))
+        p, policy_dict(p, oracle["pi_tr"]), oracle["w"]))
 
 
 def test_policy_solves_match_dense_on_random_products():
     """Random products, random policies: components of several states and
     single states with self-loops both occur in both systems. Both solves
     also raise what the pre-layout loops raise for a policy that leaves
-    its domain, an unknown state and a disabled action."""
+    its domain and for an unknown target state, and typed errors for a
+    choice that is no pair id or another state's pair."""
     rng = np.random.default_rng(12)
     # the partial domains come from their own stream, so the products and
     # policies stay those of the dense comparison alone
     sub = np.random.default_rng(13)
     seen = {"reach": [0, 0], "risk": [0, 0]}
-    leaves = disabled = 0
+    leaves = foreign = 0
     actions = ("x", "y", "z")
     for _ in range(150):
         p = random_product(rng, n=int(rng.integers(3, 16)), actions=actions)
@@ -207,47 +204,48 @@ def test_policy_solves_match_dense_on_random_products():
             check_risk(p, part, risk, gamma)
         else:
             leaves += 1
-            got = raised(evaluate_policy_risk, p, part, risk, gamma)
+            got = raised(evaluate_policy_risk, p, policy_array(p, part),
+                         risk, gamma)
             assert got[0] is PolicyLeavesW
             assert got == raised(evaluate_policy_risk_reference, p, part,
                                  risk, gamma)
-        cases = [(evaluate_policy_risk, evaluate_policy_risk_reference,
-                  (p, {**policy, p.n_states: "x"}, risk, gamma)),
-                 (policy_reach_probability,
-                  policy_reach_probability_reference,
-                  (p, policy, target | {p.n_states}))]
-        off = [i for i in range(p.n_states)
-               if i not in target and len(p.enabled(i)) < len(actions)]
-        if off:
-            disabled += 1
-            i = off[0]
-            bad = {**policy, i: actions[len(p.enabled(i))]}
-            cases += [(evaluate_policy_risk, evaluate_policy_risk_reference,
-                       (p, bad, risk, gamma)),
-                      (policy_reach_probability,
-                       policy_reach_probability_reference,
-                       (p, bad, target))]
-        for fn, reference, args in cases:
-            got = raised(fn, *args)
-            assert got[0] in (UnknownState, ActionNotEnabled)
-            assert got == raised(reference, *args)
+        assert raised(policy_reach_probability, p, policy_array(p, policy),
+                      target | {p.n_states}) == raised(
+            policy_reach_probability_reference, p, policy,
+            target | {p.n_states})
+        # state 0 choosing no pair id, or another state's pair
+        foreign += p.owner[-1] != 0
+        for k in (len(p.owner), len(p.owner) - 1):
+            if k == len(p.owner) or p.owner[k] != 0:
+                bad = policy_array(p, policy)
+                bad[0] = k
+                want = (ActionNotEnabled,
+                        f"pair id {k} is not one of state 0's")
+                assert raised(evaluate_policy_risk, p, bad, risk,
+                              gamma) == want
+                if 0 not in target:
+                    assert raised(policy_reach_probability, p, bad,
+                                  target) == want
     for largest, loops in seen.values():
         assert largest >= 4 and loops > 0
-    assert leaves > 50 and disabled > 50
+    assert leaves > 50 and foreign > 50
 
 
 def test_policy_reach_names_a_state_without_an_action():
-    """A policy with no entry for some non-target state raises DomainGap
-    naming the first such state, as `combine_policy` does, instead of a
-    bare KeyError; target states need no entry."""
+    """A policy array that leaves some non-target state at -1 raises
+    DomainGap naming the first such state, as `combine_policy` does, and
+    so does one without an entry per state; target states need no
+    entry."""
     p = build_pipeline(desk_config())[1]
     with pytest.raises(DomainGap, match=r"^state 1 has no policy entry$"):
-        policy_reach_probability(p, {}, {0})
-    policy = {i: p.enabled(i)[0] for i in range(p.n_states)}
-    del policy[7]
+        policy_reach_probability(p, np.full(p.n_states, -1), {0})
+    policy = p.pair_ptr[:-1].copy()
+    policy[7] = -1
     with pytest.raises(DomainGap, match=r"^state 7 has no policy entry$"):
         policy_reach_probability(p, policy, {0})
-    del policy[0]
+    with pytest.raises(DomainGap, match=r"^policy has 7 entries for "):
+        policy_reach_probability(p, policy[:7], {0})
+    policy[0] = -1
     v = policy_reach_probability(p, policy, {0, 7})
     assert v[0] == v[7] == 1.0
 
@@ -278,9 +276,8 @@ p = chain_product(70_000)
 n = p.n_states
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 t0 = time.process_time()
-reach = policy_reach_probability(p, ["x"] * n, p.accepting)
-v = evaluate_policy_risk(p, dict.fromkeys(range(n), "x"),
-                         lambda i, a, j: 1.0, gamma)
+reach = policy_reach_probability(p, p.pair_ptr[:-1], p.accepting)
+v = evaluate_policy_risk(p, p.pair_ptr[:-1], lambda i, a, j: 1.0, gamma)
 cpu = time.process_time() - t0
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 v = np.fromiter(v.values(), float, len(v))

@@ -17,8 +17,8 @@ from smdpsynth.product import (
 )
 
 from conftest import (
-    grid4_model, grid4_product, m1_model, m1_product, product_row,
-    product_rows, random_product,
+    grid4_model, grid4_product, m1_model, m1_product, model_row,
+    policy_array, product_row, product_rows, random_product,
 )
 from oracles import lift_reference
 
@@ -78,7 +78,7 @@ def test_trivial_monitor_product_isomorphic():
     assert p.n_states == m.n_states
     assert p.accepting == frozenset()
     for (i, a), (succs, probs) in product_rows(p).items():
-        ms, mp = m.trans_row(p.states[i][0], a)
+        ms, mp = model_row(m, p.states[i][0], a)
         assert tuple(p.states[j][0] for j in succs) == ms and probs == mp
 
 
@@ -657,7 +657,7 @@ def test_policy_reach_matches_oracle():
     target = {2}
     for policy in [{0: "x", 1: "x", 2: "x"}, {0: "y", 1: "y", 2: "x"},
                    {0: "y", 1: "x", 2: "x"}]:
-        v = policy_reach_probability(p, policy, target)
+        v = policy_reach_probability(p, policy_array(p, policy), target)
         ref = reach_probability_under_policy(as_trans_dict(p), policy, target,
                                              p.n_states)
         assert np.allclose(v, ref, atol=1e-12)
@@ -683,7 +683,7 @@ def test_policy_reach_bitwise_on_grid4():
     uniform = {i: p.enabled(i)[int(rng.integers(len(p.enabled(i))))]
                for i in range(p.n_states)}
     for policy in (greedy, uniform):
-        v = policy_reach_probability(p, policy, w)
+        v = policy_reach_probability(p, policy_array(p, policy), w)
         ref = reach_probability_under_policy(as_trans_dict(p), policy, w,
                                              p.n_states)
         assert np.array_equal(v, ref)
@@ -696,7 +696,7 @@ def test_policy_reach_never_beats_optimum():
     allowed = {i: p.enabled(i) for i in range(p.n_states)}
     best = np.zeros(p.n_states)
     for policy in enumerate_positional_policies(allowed):
-        vp = policy_reach_probability(p, policy, {2})
+        vp = policy_reach_probability(p, policy_array(p, policy), {2})
         assert np.all(vp <= v + 1e-9)
         best = np.maximum(best, vp)
     assert np.allclose(best, v, atol=1e-9)

@@ -18,6 +18,11 @@ from conftest import grid4_product, random_product, risky3_product
 SPEC = RewardDiscountSpec()
 
 
+def pid(p, i, a):
+    """The pair id of (i, a)."""
+    return int(p.pair_ids([(i, a)])[0])
+
+
 def test_spec_validation():
     for bad in [dict(gamma=0.0), dict(gamma=1.0), dict(gamma_acc=1.0),
                 dict(gamma_acc=0.0), dict(r_n=0.0), dict(r_n=1.0)]:
@@ -39,7 +44,7 @@ def test_sure_entry_to_winning_learns_zero():
     pid1 = next(i for i in range(p.n_states) if i != p.initial)
     tq = qlearn_transient(p, {pid1}, SPEC,
                           QLearnSchedule(episodes=50, step_cap=10, seed=0))
-    assert tq.q[(p.initial, "x")] == 0.0
+    assert tq.q[pid(p, p.initial, "x")] == 0.0
 
 
 def test_doomed_states_learn_penalty_level():
@@ -50,8 +55,8 @@ def test_doomed_states_learn_penalty_level():
     acc = next(iter(p.accepting))
     doomed = next(i for i in range(p.n_states)
                   if i not in w and i != p.initial and i != acc)
-    assert tq.q[(doomed, "x")] == pytest.approx(SPEC.r_n, abs=1e-9)
-    assert tq.q[(acc, "x")] == SPEC.r_n
+    assert tq.q[pid(p, doomed, "x")] == pytest.approx(SPEC.r_n, abs=1e-9)
+    assert tq.q[pid(p, acc, "x")] == SPEC.r_n
 
 
 def test_risky3_greedy_matches_oracle():
@@ -60,7 +65,7 @@ def test_risky3_greedy_matches_oracle():
     tq = qlearn_transient(p, w, SPEC,
                           QLearnSchedule(episodes=4000, step_cap=50, seed=0))
     pi = extract_pi_tr(p, w, tq)
-    assert pi[p.initial] == "x"
+    assert pi[p.initial] == pid(p, p.initial, "x")
     opt = exact_max_reach_probability(p, w)
     got = policy_reach_probability(p, pi, w)
     assert opt[p.initial] == pytest.approx(0.9)
@@ -74,7 +79,7 @@ def test_q_values_stay_in_range():
     w, _ = exact_winning_region(p)
     tq = qlearn_transient(p, w, SPEC,
                           QLearnSchedule(episodes=3000, step_cap=50, seed=2))
-    for v in tq.q.values():
+    for v in tq.q.tolist():
         assert SPEC.r_n <= v <= 0.0
     assert all(d >= 0.0 for d in tq.deltas)
 
@@ -86,20 +91,20 @@ def test_schedule_eventually_quiets_down():
                           QLearnSchedule(episodes=80_000, step_cap=50,
                                          seed=0))
     assert tq.cauchy_tail < 1e-3
-    assert tq.q[(p.initial, "x")] == pytest.approx(-0.1, abs=0.02)
+    assert tq.q[pid(p, p.initial, "x")] == pytest.approx(-0.1, abs=0.02)
 
 
 def test_extract_greedy_and_tiebreak():
     p = risky3_product()
     w, _ = exact_winning_region(p)
-    q = {(i, a): 0.0 for i in range(p.n_states) if i not in w
-         for a in p.enabled(i)}
-    q[(p.initial, "x")] = -0.5
-    q[(p.initial, "y")] = -0.1
-    tq = TransientQ(q=q, visits={}, episodes=0, updates=0, cauchy_tail=0.0)
-    assert extract_pi_tr(p, w, tq)[p.initial] == "y"
-    q[(p.initial, "x")] = -0.1
-    assert extract_pi_tr(p, w, tq)[p.initial] == "x"
+    x, y = pid(p, p.initial, "x"), pid(p, p.initial, "y")
+    q = np.zeros(len(p.owner))
+    q[[x, y]] = -0.5, -0.1
+    tq = TransientQ(q=q, visits=np.zeros(len(p.owner), dtype=np.intp),
+                    episodes=0, updates=0, cauchy_tail=0.0)
+    assert extract_pi_tr(p, w, tq)[p.initial] == y
+    q[x] = -0.1
+    assert extract_pi_tr(p, w, tq)[p.initial] == x
 
 
 def test_every_transient_pair_visited():
@@ -110,7 +115,7 @@ def test_every_transient_pair_visited():
     for i in range(p.n_states):
         if i not in w and i not in p.accepting:
             for a in p.enabled(i):
-                assert tq.visits.get((i, a), 0) > 0
+                assert tq.visits[pid(p, i, a)] > 0
 
 
 def test_empty_transient_set():
@@ -128,8 +133,8 @@ def test_empty_transient_set():
     w, _ = exact_winning_region(p)
     assert w == frozenset(range(p.n_states))
     tq = qlearn_transient(p, w, SPEC, QLearnSchedule(episodes=10, seed=0))
-    assert tq.q == {} and tq.episodes == 0
-    assert extract_pi_tr(p, w, tq) == {}
+    assert not tq.q.any() and not tq.visits.any() and tq.episodes == 0
+    assert extract_pi_tr(p, w, tq).tolist() == [-1] * p.n_states
 
 
 def test_grid4_policy_near_optimal_everywhere():
@@ -152,7 +157,7 @@ def test_learning_is_deterministic_per_seed():
     sched = QLearnSchedule(episodes=300, step_cap=20, seed=9)
     t1 = qlearn_transient(p, w, SPEC, sched)
     t2 = qlearn_transient(p, w, SPEC, sched)
-    assert t1.q == t2.q
+    assert t1.q.tobytes() == t2.q.tobytes()
     assert t1.updates == t2.updates
 
 
@@ -162,9 +167,13 @@ def assert_matches_reference_loop(p, w, schedule):
     tq = qlearn_transient(p, w, SPEC, schedule)
     q, visits, deltas = qlearn_transient_reference(p, w, SPEC, schedule)
     assert deltas, "the schedule should make updates"
-    assert {k: v.hex() for k, v in tq.q.items()} \
-        == {k: v.hex() for k, v in q.items()}
-    assert tq.visits == visits
+    ids = p.pair_ids(list(q))
+    assert [v.hex() for v in tq.q[ids].tolist()] \
+        == [v.hex() for v in q.values()]
+    assert np.delete(tq.q, ids).tolist() == [0.0] * (len(p.owner) - len(q))
+    want = np.zeros(len(p.owner), dtype=np.intp)
+    want[p.pair_ids(list(visits))] = list(visits.values())
+    assert tq.visits.tolist() == want.tolist()
     assert [d.hex() for d in tq.deltas] == [d.hex() for d in deltas]
     assert tq.updates == len(deltas)
     assert tq.cauchy_tail.hex() == max(deltas[-max(1, len(deltas) // 10):]) \

@@ -22,8 +22,9 @@ from smdpsynth.risk import (
 )
 
 from conftest import (
-    cycle4_product, grid4_product, m1_product, product_dwell, product_row,
-    random_product, risk_model, risk_rows, risky3_product, trivial_monitor,
+    cycle4_product, grid4_product, m1_product, model_row, policy_array,
+    policy_dict, product_dwell, product_row, random_product, risk_actions,
+    risk_model, risk_rows, risky3_product, trivial_monitor,
 )
 from oracles import build_risk_model_reference, lift_reference
 
@@ -54,7 +55,8 @@ def test_risk_model_validation():
     with pytest.raises(ValueError):
         loop1(gamma_r=1.0)
     with pytest.raises(ValueError):
-        risk_model({}, {}, {0: ()})
+        risk_model({(0, "b"): ((0,), (1.0,)), (0, "a"): ((0,), (1.0,))},
+                   {(0, "b", 0): 1.0, (0, "a", 0): 1.0}, {0: ("a", "b")})
     with pytest.raises(ValueError):
         risk_model({(0, "a"): ((0,), (0.5,))}, {(0, "a", 0): 1.0},
                    {0: ("a",)})
@@ -65,14 +67,17 @@ def test_risk_model_validation():
 
 def test_risk_model_validation_errors_are_typed():
     bad = [dict(trans={}, risks={}, allowed={0: ("a",)}, gamma_r=1.0),
-           dict(trans={}, risks={}, allowed={0: ()}),
+           dict(trans={(0, "b"): ((0,), (1.0,)), (0, "a"): ((0,), (1.0,))},
+                risks={(0, "b", 0): 1.0, (0, "a", 0): 1.0},
+                allowed={0: ("a", "b")}),
            dict(trans={(0, "a"): ((0,), (0.5,))}, risks={(0, "a", 0): 1.0},
                 allowed={0: ("a",)}),
            dict(trans={(0, "a"): ((7,), (1.0,))}, risks={(0, "a", 7): 1.0},
                 allowed={0: ("a",)})]
     for kwargs in bad:
         with pytest.raises(InvalidRiskModel) as err:
-            risk_model(**kwargs)
+            risk_model(kwargs.pop("trans"), kwargs.pop("risks"),
+                       kwargs.pop("allowed"), **kwargs)
         assert isinstance(err.value, SmdpsynthError)
         assert isinstance(err.value, ValueError)
 
@@ -94,13 +99,13 @@ def three_rows(changes):
 
 @pytest.mark.parametrize("changes, err_type, message", [
     ({(0, "y", 1): (0.5, 0.5), (1, "x", 1): (0.5, 3.0)},
-     InvalidRiskModel, "row (0,y) does not sum to one"),
+     InvalidRiskModel, "row of pair 1 (state 0) does not sum to one"),
     ({(0, "y", 2): (0.0, 0.5), (1, "x", 2): (0.0, 0.5)},
-     InvalidRiskModel, "row (0,y) leaves the winning region"),
+     InvalidRiskModel, "row of pair 1 (state 0) leaves the winning region"),
     ({(1, "x", 1): (0.75, 3.0), (0, "y", 1): (1.0, -1.0)},
-     NonfiniteRisk, "risk of (0,y,1) is -1.0"),
+     NonfiniteRisk, "risk of pair 1 (state 0) to 1 is -1.0"),
     ({(1, "x", 0): (0.25, float("nan")), (0, "x", 1): (0.5, math.inf)},
-     NonfiniteRisk, "risk of (0,x,1) is inf"),
+     NonfiniteRisk, "risk of pair 0 (state 0) to 1 is inf"),
 ])
 def test_risk_model_validation_names_first_offending_pair(
         changes, err_type, message):
@@ -112,8 +117,8 @@ def test_risk_model_validation_names_first_offending_pair(
 
 
 def test_risk_model_rejects_malformed_rows():
-    ok = dict(pairs=[(0, "a")], row_ptr=[0, 1], succ=[0], prob=[1.0],
-              risk=[1.0], allowed={0: ("a",)})
+    ok = dict(ids=[0], pair_ptr=[0, 1], row_ptr=[0, 1], succ=[0],
+              prob=[1.0], risk=[1.0])
     RiskModel(**ok)
     for change in (dict(row_ptr=[0, 2]), dict(row_ptr=[1, 1]),
                    dict(row_ptr=[0]), dict(risk=[1.0, 1.0]),
@@ -126,7 +131,7 @@ def test_risk_model_rejects_malformed_rows():
 
 def test_vi_self_loop_geometric():
     rq = risk_value_iteration(loop1(), tol=1e-9)
-    assert rq.q[(0, "a")] == pytest.approx(10.0, abs=2e-8)
+    assert rq.q[0] == pytest.approx(10.0, abs=2e-8)
     assert rq.residual < 1e-9
     assert rq.iterations == len(rq.residuals) >= 1
 
@@ -140,17 +145,15 @@ def test_vi_sweep_cap(monkeypatch):
 
 def test_vi_two_arms_and_greedy():
     rq = risk_value_iteration(two_arms())
-    assert rq.q[(0, "x")] == pytest.approx(1.0)
-    assert rq.q[(0, "y")] == pytest.approx(2.0)
-    assert extract_pi_win(two_arms(), rq)[0] == "x"
+    assert rq.q[0] == pytest.approx(1.0)         # pair 0 is (0, x)
+    assert rq.q[1] == pytest.approx(2.0)         # pair 1 is (0, y)
+    assert extract_pi_win(two_arms(), rq).tolist() == [0, 2]
 
 
 def test_greedy_tiebreak_first_allowed():
     rm = two_arms()
-    rq = RiskQ(q={(0, "x"): 1.0, (0, "y"): 1.0, (1, "z"): 0.0},
-               residual=0.0, iterations=0)
-    assert extract_pi_win(rm, rq)[0] == "x"
-    assert extract_pi_win(rm, rq)[1] == "z"
+    rq = RiskQ(q=np.array([1.0, 1.0, 0.0]), residual=0.0, iterations=0)
+    assert extract_pi_win(rm, rq).tolist() == [0, 2]
 
 
 def test_vi_residuals_contract():
@@ -178,13 +181,15 @@ def random_risk_model(rng, n=20, gamma_r=0.9):
 
 def horizon_reference(rm, horizon):
     rows = risk_rows(rm)
-    q = {pair: 0.0 for pair in rows}
+    owner = dict(zip(rm.ids.tolist(), rm.owner.tolist()))
+    q = {k: 0.0 for k in rows}
     for _ in range(horizon):
-        best = {i: min(q[(i, a)] for a in acts)
-                for i, acts in rm.allowed.items()}
-        q = {pair: sum(pr * (r + rm.gamma_r * best[j])
-                       for j, pr, r in zip(*row))
-             for pair, row in rows.items()}
+        best = {}
+        for k, v in q.items():
+            best[owner[k]] = min(v, best.get(owner[k], v))
+        q = {k: sum(pr * (r + rm.gamma_r * best[j])
+                    for j, pr, r in zip(*row))
+             for k, row in rows.items()}
     return q
 
 
@@ -201,8 +206,8 @@ def test_vi_matches_truncated_horizon_oracle():
     # VI stops within tol*gamma/(1-gamma) of the fixed point, the reference
     # within tol of it
     slack = tol * (1 + rm.gamma_r / (1 - rm.gamma_r))
-    for pair, v in rq.q.items():
-        assert v == pytest.approx(ref[pair], abs=slack)
+    for k, v in zip(rm.ids.tolist(), rq.q.tolist()):
+        assert v == pytest.approx(ref[k], abs=slack)
         assert 0.0 <= v <= maxrisk / (1 - rm.gamma_r)
 
 
@@ -219,8 +224,8 @@ def assert_matches_scalar_reference(rm):
     from oracles import risk_value_iteration_scalar
     rq = risk_value_iteration(rm)
     q, residuals = risk_value_iteration_scalar(rm)
-    assert list(rq.q.items()) == list(q.items())
-    assert all(type(v) is float for v in rq.q.values())
+    assert list(q) == rm.ids.tolist()
+    assert _hexes(rq.q.tolist()) == _hexes(q.values())
     assert rq.residuals == residuals
     assert rq.iterations == len(residuals)
     assert rq.residual == residuals[-1]
@@ -232,17 +237,22 @@ def test_vi_bitwise_on_hand_built_models():
     assert_matches_scalar_reference(two_arms())
     assert_matches_scalar_reference(random_risk_model(
         np.random.default_rng(5)))
-    # pairs listed out of state order, mixed row lengths and a state with
-    # one action: the per-state minimum must regroup them
-    interleaved = risk_model(
-        {(1, "y"): ((0, 2), (0.25, 0.75)), (0, "x"): ((1,), (1.0,)),
-         (2, "x"): ((2, 0, 1), (0.5, 0.125, 0.375)),
-         (1, "x"): ((1,), (1.0,))},
-        {(1, "y", 0): 0.3, (1, "y", 2): 1.7, (0, "x", 1): 0.1,
-         (2, "x", 2): 0.9, (2, "x", 0): 2.5, (2, "x", 1): 0.0,
-         (1, "x", 1): 1.1},
-        {2: ("x",), 0: ("x",), 1: ("x", "y")}, gamma_r=0.95)
-    assert_matches_scalar_reference(interleaved)
+    # mixed row lengths and states with one and with two actions; rows
+    # out of pair-id order, which no builder makes, are refused
+    rows = {(1, "y"): ((0, 2), (0.25, 0.75)), (0, "x"): ((1,), (1.0,)),
+            (2, "x"): ((2, 0, 1), (0.5, 0.125, 0.375)),
+            (1, "x"): ((1,), (1.0,))}
+    risks = {(1, "y", 0): 0.3, (1, "y", 2): 1.7, (0, "x", 1): 0.1,
+             (2, "x", 2): 0.9, (2, "x", 0): 2.5, (2, "x", 1): 0.0,
+             (1, "x", 1): 1.1}
+    enabled = {2: ("x",), 0: ("x",), 1: ("x", "y")}
+    with pytest.raises(InvalidRiskModel) as err:
+        risk_model(rows, risks, enabled, gamma_r=0.95)
+    assert str(err.value) == "row 1 has pair id 0: row ids must ascend in 0..3"
+    ordered = {pair: rows[pair]
+               for pair in sorted(rows, key=lambda pair: (pair[0], pair[1]))}
+    assert_matches_scalar_reference(risk_model(ordered, risks, enabled,
+                                               gamma_r=0.95))
 
 
 def test_vi_bitwise_on_desk_models():
@@ -268,30 +278,27 @@ def test_vi_bitwise_on_paper_oracle_model():
     p = build_pipeline(paper_config())[1]
     w, w_p = exact_winning_region(p)
     rm = risk_model_from_product(p, w, w_p, true_risk(p), gamma_r=0.9)
-    assert len(rm.pairs) == len(w_p) == 6554
+    assert len(rm.ids) == len(w_p) == 6554
     assert_matches_scalar_reference(rm)
 
 
 def exact_model_reference(p, w, w_p, risk_fn, gamma_r=0.9):
     """risk_model_from_product one winning pair at a time: its product
     row, one risk_fn call per transition, pairs by state and then in the
-    model's action order, as are the allowed tuples."""
+    model's action order."""
     pairs = sorted(w_p, key=lambda pair: (pair[0],
                                           p.enabled(pair[0]).index(pair[1])))
     trans = {pair: product_row(p, *pair) for pair in pairs}
     risks = {(i, a, j): risk_fn(i, a, j) for (i, a), (succs, _) in
              trans.items() for j in succs}
-    acts = {}
-    for i, a in pairs:
-        acts.setdefault(i, set()).add(a)
-    allowed = {i: tuple(a for a in p.enabled(i) if a in acts[i])
-               for i in sorted(acts)}
-    return risk_model(trans, risks, allowed, gamma_r=gamma_r)
+    return risk_model(trans, risks,
+                      {i: p.enabled(i) for i in range(p.n_states)},
+                      gamma_r=gamma_r)
 
 
 def test_exact_model_gathers_one_risk_per_model_edge():
-    """The same rows, risks (float.hex) and allowed tuples as the per-pair
-    reference, from one risk_fn call per model edge in the region."""
+    """The same rows and risks (float.hex) as the per-pair reference,
+    from one risk_fn call per model edge in the region."""
     products = [grid4_product(5), build_pipeline(desk_config())[1]]
     rng = np.random.default_rng(12)
     products += [random_product(rng, n=int(rng.integers(3, 8)),
@@ -307,12 +314,12 @@ def test_exact_model_gathers_one_risk_per_model_edge():
         got = risk_model_from_product(p, w, w_p, fn, gamma_r=0.8)
         assert len(calls) == len(set(calls))
         want = exact_model_reference(p, w, w_p, fn, gamma_r=0.8)
-        assert got.pairs == want.pairs
+        assert got.ids.tolist() == want.ids.tolist()
+        assert got.pair_ptr.tolist() == want.pair_ptr.tolist()
         assert got.row_ptr.tolist() == want.row_ptr.tolist()
         assert got.succ.tolist() == want.succ.tolist()
         assert _hexes(got.prob.tolist()) == _hexes(want.prob.tolist())
         assert _hexes(got.risk.tolist()) == _hexes(want.risk.tolist())
-        assert list(got.allowed.items()) == list(want.allowed.items())
 
 
 def test_exact_model_names_first_offending_pair():
@@ -347,7 +354,8 @@ def test_risk_errors_are_typed():
     with pytest.raises(InvalidRiskModel, match="tol must be positive"):
         risk_value_iteration(loop1(), tol=0.0)
     with pytest.raises(InvalidRiskModel, match=r"gamma_r must be in \[0,1\)"):
-        evaluate_policy_risk(p, {}, lambda i, a, j: 1.0, 1.0)
+        evaluate_policy_risk(p, np.full(p.n_states, -1),
+                             lambda i, a, j: 1.0, 1.0)
     for err_type in (SmdpsynthError, ValueError):
         assert issubclass(InvalidRiskModel, err_type)
 
@@ -360,10 +368,10 @@ def test_build_from_learned_m1():
                                           step_cap=25, seed=1))
     rm = build_risk_model(p, res.w, res.w_p, res.transition_posterior,
                           res.dwell_posterior)
-    assert rm.allowed == {p.initial: ("a",)}
-    succs, probs, (r,) = risk_rows(rm)[(p.initial, "a")]
+    assert risk_actions(p, rm) == {p.initial: ("a",)}
+    succs, probs, (r,) = risk_rows(rm)[rm.ids[0]]
     assert (succs, probs) == ((p.initial,), (1.0,))
-    assert rm.escaped == {}
+    assert not rm.escaped.any()
     # ample data on the unit-rate loop: mu + sigma approaches 2
     assert r == pytest.approx(2.0, rel=0.2)
 
@@ -392,8 +400,9 @@ def test_build_renormalizes_escaping_mass():
         store, w_p, pool=lambda pair: (p.states[pair[0]][0], pair[1]))
     with pytest.warns(UserWarning, match="renormalized"):
         rm = build_risk_model(p, w, w_p, tpost, dpost)
-    assert rm.escaped[(i0, "x")] == pytest.approx(2 / 12)
-    assert risk_rows(rm)[(i0, "x")][:2] == ((safe_pid,), (1.0,))
+    k = int(p.pair_ids([(i0, "x")])[0])
+    assert rm.escaped[rm.ids.tolist().index(k)] == pytest.approx(2 / 12)
+    assert risk_rows(rm)[k][:2] == ((safe_pid,), (1.0,))
 
 
 def test_build_rejects_fully_escaping_pair():
@@ -461,8 +470,8 @@ def _hexes(xs):
 
 
 def assert_same_as_reference(p, w, w_p, tpost, dpost, **kwargs):
-    """build_risk_model and the per-copy reference agree: trans, risks,
-    allowed and escaped with float.hex equality and in the same order, or
+    """build_risk_model and the per-copy reference agree: rows, risks
+    and escaped mass with float.hex equality and in the same order, or
     the same error; the same warnings in the same order, each attributed
     to this file. Returns the model (or the error) and the warnings."""
     got, got_warn = _capture(build_risk_model, p, w, w_p, tpost, dpost,
@@ -474,14 +483,13 @@ def assert_same_as_reference(p, w, w_p, tpost, dpost, **kwargs):
     if isinstance(want, tuple):
         assert got == want
         return got, got_warn
-    assert got.pairs == want.pairs
+    assert got.ids.tolist() == want.ids.tolist()
+    assert got.pair_ptr.tolist() == want.pair_ptr.tolist()
     assert got.row_ptr.tolist() == want.row_ptr.tolist()
     assert got.succ.tolist() == want.succ.tolist()
     assert _hexes(got.prob.tolist()) == _hexes(want.prob.tolist())
     assert _hexes(got.risk.tolist()) == _hexes(want.risk.tolist())
-    assert list(got.allowed.items()) == list(want.allowed.items())
-    assert list(got.escaped) == list(want.escaped)
-    assert _hexes(got.escaped.values()) == _hexes(want.escaped.values())
+    assert _hexes(got.escaped.tolist()) == _hexes(want.escaped.tolist())
     assert got.gamma_r == want.gamma_r
     return got, got_warn
 
@@ -548,7 +556,7 @@ def test_build_rejects_candidate_outside_model_row():
         (1, "x"): ((0, 1), np.array([1.0, 3.0]))})
     dpost = GammaPosterior({(s, "x", s2): (3.0 + s2, 1.5)
                             for s in (0, 1) for s2 in (0, 1, 2)})
-    assert 0 not in p.m.trans_row(1, "x")[0]
+    assert 0 not in model_row(p.m, 1, "x")[0]
     w = {i0, safe_pid}
     w_p = [(i0, "x"), (safe_pid, "x")]
     out, warned = assert_same_as_reference(p, w, w_p, tpost, dpost)
@@ -582,7 +590,7 @@ def test_build_matches_reference_on_paper_learner():
     out, warned = assert_same_as_reference(p, res.w, res.w_p, tpost, dpost,
                                            gamma_r=gamma_r)
     assert out == (EmptyPredictiveRow,
-                   "pair (4700,DL) has no predictive mass inside the region")
+                   "pair (4700,UL) has no predictive mass inside the region")
     assert warned == []
 
 
@@ -607,11 +615,12 @@ def test_build_work_is_once_per_pool_and_per_kept_triple(monkeypatch):
     copies first keep them."""
     p, res, tpost, dpost, gamma_r = paper_learned(1, 101)
     pools, triples = [], []
-    for i, a in sorted(res.w_p, key=lambda pair: (pair[0], str(pair[1]))):
+    for i, a in sorted(res.w_p, key=lambda pair: (
+            pair[0], p.enabled(pair[0]).index(pair[1]))):
         s = p.states[i][0]
         if (s, a) not in pools:
             pools.append((s, a))
-        if (i, a) == (4700, "DL"):
+        if (i, a) == (4700, "UL"):
             break
         for s2 in tpost.row(s, a)[0]:
             if lift_reference(p, i, s2) in res.w and (s, a, s2) not in triples:
@@ -637,7 +646,7 @@ def test_build_work_is_once_per_pool_and_per_kept_triple(monkeypatch):
                             recorded(name, getattr(smdpsynth.risk, attr)))
     monkeypatch.setattr(smdpsynth.risk, "risk_of",
                         counted(smdpsynth.risk.risk_of))
-    with pytest.raises(EmptyPredictiveRow, match=r"pair \(4700,DL\)"):
+    with pytest.raises(EmptyPredictiveRow, match=r"pair \(4700,UL\)"):
         build_risk_model(p, res.w, res.w_p, tpost, dpost, gamma_r=gamma_r)
     assert len(pools) <= len(p.model_pairs)
     assert calls["successors"] == calls["transition"] == pools
@@ -713,8 +722,8 @@ def test_build_of_an_empty_w_p():
     p = cycle4_product()
     tpost, dpost = ring_posteriors()
     out, warned = assert_same_as_reference(p, set(), [], tpost, dpost)
-    assert out.pairs == [] and out.row_ptr.tolist() == [0]
-    assert out.allowed == {} and warned == []
+    assert out.ids.tolist() == [] and out.row_ptr.tolist() == [0]
+    assert warned == []
     out, _ = assert_same_as_reference(p, {2}, [], tpost, dpost)
     assert out == (NoAllowedAction, "winning state 2 has no winning pair")
 
@@ -725,20 +734,21 @@ def test_combine_dispatch():
     p = risky3_product()
     w, _ = exact_winning_region(p)
     inside = next(iter(w))
-    pi_win = {inside: "x"}
-    pi_tr = {i: "x" for i in range(p.n_states) if i not in w}
+    pi_win = policy_array(p, {inside: "x"})
+    pi_tr = policy_array(p, {i: "x" for i in range(p.n_states)
+                             if i not in w})
     combined = combine_policy(p, w, pi_win, pi_tr)
-    assert combined[inside] == "x"
-    assert set(combined) == set(range(p.n_states))
-    with pytest.raises(DomainGap):
-        combine_policy(p, w, {}, pi_tr)
+    assert policy_dict(p, combined) == {i: "x" for i in range(p.n_states)}
+    with pytest.raises(DomainGap, match=f"^state {inside} has no policy"):
+        combine_policy(p, w, np.full(p.n_states, -1), pi_tr)
 
 
 def test_combine_full_winning_region():
     p = cycle4_product()
-    pi_win = {i: "f" for i in range(p.n_states)}
-    combined = combine_policy(p, set(range(p.n_states)), pi_win, {})
-    assert combined == pi_win
+    pi_win = policy_array(p, {i: "f" for i in range(p.n_states)})
+    combined = combine_policy(p, set(range(p.n_states)), pi_win,
+                              np.full(p.n_states, -1))
+    assert combined.tolist() == pi_win.tolist()
 
 
 # --- exact policy evaluation ---------------------------------------------------------
@@ -747,7 +757,8 @@ def test_evaluate_self_loop():
     m = Smdp(1, ("a",), {(0, "a"): [(0, 1.0)]},
              {(0, "a", 0): Exponential(1.0)}, 0, ("c",), [0])
     p = build_product(m, trivial_monitor())
-    v = evaluate_policy_risk(p, {0: "a"}, lambda i, a, j: 1.0, 0.9)
+    v = evaluate_policy_risk(p, policy_array(p, {0: "a"}),
+                             lambda i, a, j: 1.0, 0.9)
     assert v[0] == pytest.approx(10.0)
 
 
@@ -755,7 +766,7 @@ def test_evaluate_zero_discount_is_one_step_risk():
     p = cycle4_product()
     pi = {i: "s" for i in range(p.n_states)}
     risk = true_risk(p)
-    v = evaluate_policy_risk(p, pi, risk, 0.0)
+    v = evaluate_policy_risk(p, policy_array(p, pi), risk, 0.0)
     for i in range(p.n_states):
         j = product_row(p, i, "s")[0][0]
         assert v[i] == pytest.approx(risk(i, "s", j))
@@ -763,8 +774,10 @@ def test_evaluate_zero_discount_is_one_step_risk():
 
 def test_evaluate_rejects_leaving_policy():
     p = m1_product()
-    with pytest.raises(PolicyLeavesW):
-        evaluate_policy_risk(p, {p.initial: "b"}, lambda i, a, j: 1.0, 0.9)
+    with pytest.raises(PolicyLeavesW, match=f"^action b at state "
+                       f"{p.initial} reaches "):
+        evaluate_policy_risk(p, policy_array(p, {p.initial: "b"}),
+                             lambda i, a, j: 1.0, 0.9)
 
 
 def test_pi_win_exhaustively_optimal():
@@ -775,18 +788,17 @@ def test_pi_win_exhaustively_optimal():
     rm = risk_model_from_product(p, w, w_p, risk, gamma_r=0.9)
     rq = risk_value_iteration(rm, tol=1e-12)
     pi_win = extract_pi_win(rm, rq)
-    assert all(pi_win[i] == "f" for i in w)
+    assert policy_dict(p, pi_win) == {i: "f" for i in w}
     v_win = evaluate_policy_risk(p, pi_win, risk, 0.9)
     states = sorted(w)
-    for choice in itertools.product(*(rm.allowed[i] for i in states)):
-        pol = dict(zip(states, choice))
+    allowed = risk_actions(p, rm)
+    for choice in itertools.product(*(allowed[i] for i in states)):
+        pol = policy_array(p, dict(zip(states, choice)))
         v = evaluate_policy_risk(p, pol, risk, 0.9)
         for i in states:
             assert v_win[i] <= v[i] + 1e-9
     for i in states:
-        assert v_win[i] == pytest.approx(min(rq.q[(i, a)]
-                                             for a in rm.allowed[i]),
-                                         abs=1e-6)
+        assert v_win[i] == pytest.approx(rq.q[rm.owner == i].min(), abs=1e-6)
 
 
 def test_rollouts_under_pi_win_take_less_risk():
@@ -797,7 +809,8 @@ def test_rollouts_under_pi_win_take_less_risk():
     risk = true_risk(p)
     rm = risk_model_from_product(p, w, w_p, risk, gamma_r=0.9)
     rq = risk_value_iteration(rm)
-    pi_win = extract_pi_win(rm, rq)
+    pi_win = policy_dict(p, extract_pi_win(rm, rq))
+    allowed = risk_actions(p, rm)
 
     def rollout(policy, seed, steps=10_000):
         rng = np.random.default_rng(seed)
@@ -812,6 +825,6 @@ def test_rollouts_under_pi_win_take_less_risk():
 
     greedy = rollout(lambda i, rng: pi_win[i], seed=5)
     uniform = rollout(
-        lambda i, rng: rm.allowed[i][int(rng.integers(len(rm.allowed[i])))],
+        lambda i, rng: allowed[i][int(rng.integers(len(allowed[i])))],
         seed=5)
     assert greedy < uniform

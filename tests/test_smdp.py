@@ -8,7 +8,7 @@ from smdpsynth import (
 )
 from smdpsynth.product import build_product
 
-from conftest import trivial_monitor
+from conftest import model_row, policy_array, trivial_monitor
 
 
 def sid(x, y, w=5):
@@ -205,7 +205,7 @@ def rollout(m, policy, horizon, seed):
     with the never-accepting monitor: (product states, model states,
     actions, dwells)."""
     p = build_product(m, trivial_monitor(m.ap))
-    _, rec = export_sample_paths(p, policy, 1, horizon,
+    _, rec = export_sample_paths(p, policy_array(p, policy), 1, horizon,
                                  np.random.default_rng(seed))
     return (rec["states"], [p.states[i][0] for i in rec["states"]],
             rec["actions"], rec["dwells"])
@@ -249,7 +249,7 @@ def test_grid_labels():
 
 def test_grid_interior_action_splits():
     m = build_gridworld()
-    succs, probs = m.trans_row(sid(3, 3), "UR")
+    succs, probs = model_row(m, sid(3, 3), "UR")
     assert set(succs) == {sid(3, 4), sid(4, 3)}
     assert probs == (0.5, 0.5)
 
@@ -257,13 +257,13 @@ def test_grid_interior_action_splits():
 def test_grid_wall_redirects_whole_mass():
     m = build_gridworld()
     # at (5,5) the up component is blocked, so UL puts all mass on left
-    succs, probs = m.trans_row(sid(5, 5), "UL")
+    succs, probs = model_row(m, sid(5, 5), "UL")
     assert succs == (sid(4, 5),) and probs == (1.0,)
 
 
 def test_grid_double_block_self_loops():
     m = build_gridworld()
-    succs, probs = m.trans_row(sid(1, 1), "DL")
+    succs, probs = model_row(m, sid(1, 1), "DL")
     assert succs == (sid(1, 1),) and probs == (1.0,)
 
 
@@ -272,14 +272,14 @@ def test_grid_single_cell_absorbing():
                                    labels={}))
     assert m.n_states == 1
     for act in GRID_ACTIONS:
-        assert m.trans_row(0, act) == ((0,), (1.0,))
+        assert model_row(m, 0, act) == ((0,), (1.0,))
 
 
 def test_grid_rows_are_stochastic_everywhere():
     m = build_gridworld()
     for s in range(m.n_states):
         for a in m._enabled[s]:
-            _, probs = m.trans_row(s, a)
+            _, probs = model_row(m, s, a)
             assert abs(sum(probs) - 1.0) < 1e-12
 
 
@@ -364,27 +364,38 @@ def test_scenario_generic_tables():
     assert m.dwell[(0, "go", 1)].kind == "empirical"
 
 
-def test_scenario_missing_section():
-    with pytest.raises(ConfigError):
-        load_scenario({"states": ["s0"], "actions": ["a"], "initial": "s0",
-                       "transitions": {"s0": {"a": {"s0": 1.0}}}})
+def generic_scenario(**changes):
+    """A one-state generic scenario document with some sections replaced."""
+    doc = {"states": ["s0"], "actions": ["a"], "initial": "s0",
+           "transitions": {"s0": {"a": {"s0": 1.0}}},
+           "dwell": {"s0/a/s0": {"kind": "exponential", "rate": 1.0}}}
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
 
 
-def test_scenario_unknown_dwell_kind():
-    doc = {
-        "states": ["s0"], "actions": ["a"], "initial": "s0",
-        "transitions": {"s0": {"a": {"s0": 1.0}}},
-        "dwell": {"s0/a/s0": {"kind": "weibull", "shape": 2}},
-    }
-    with pytest.raises(ConfigError):
+@pytest.mark.parametrize("doc, message", [
+    (generic_scenario(dwell=None), "scenario missing section 'dwell'"),
+    (generic_scenario(dwell={"s0/a/s0": {"kind": "weibull", "shape": 2}}),
+     "unknown dwell kind 'weibull'"),
+    (generic_scenario(transitions={"s0": {"a": {"s0": 0.9}}}),
+     "row (0,a) sums to 0.9, not 1"),
+    (generic_scenario(initial="zz"), "initial names unknown state 'zz'"),
+    (generic_scenario(transitions={"s0": {"a": {"zz": 1.0}}}),
+     "transitions of s0/a names unknown state 'zz'"),
+    (generic_scenario(dwell={"s0/a": {"kind": "exponential", "rate": 1.0}}),
+     "dwell key 's0/a' is not 'state/action/state'"),
+    (generic_scenario(dwell={"s0/a/s0": {"kind": "exponential", "rate": 0}}),
+     "dwell 's0/a/s0': exponential rate must be positive, got 0.0"),
+    (generic_scenario(dwell={"s0/a/s0": {"kind": "empirical",
+                                         "samples": []}}),
+     "dwell 's0/a/s0': empirical dwell needs at least one sample"),
+    ({"grid": {"height": 4}}, "grid scenario missing 'width'"),
+], ids=["missing section", "unknown dwell kind", "row not stochastic",
+        "unknown initial", "unknown target", "short dwell key", "zero rate",
+        "no samples", "grid without width"])
+def test_malformed_scenario_raises_config_error(doc, message):
+    """A malformed scenario raises ConfigError naming the field at fault,
+    not a bare KeyError or ValueError."""
+    with pytest.raises(ConfigError) as err:
         load_scenario(doc)
-
-
-def test_scenario_invalid_rows_become_config_errors():
-    doc = {
-        "states": ["s0"], "actions": ["a"], "initial": "s0",
-        "transitions": {"s0": {"a": {"s0": 0.9}}},
-        "dwell": {"s0/a/s0": {"kind": "exponential", "rate": 1.0}},
-    }
-    with pytest.raises(ConfigError):
-        load_scenario(doc)
+    assert str(err.value) == message
