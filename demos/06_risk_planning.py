@@ -16,7 +16,7 @@ from smdpsynth import (
     extract_pi_win, ltl_to_cba, parse_ltl, risk_value_iteration,
     run_algorithm1,
 )
-from smdpsynth.experiment import true_risk_fn
+from smdpsynth.experiment import true_edge_risk
 from smdpsynth.product import build_product, sample_product_step
 
 m = build_gridworld(GridConfig(width=4, height=4, initial=(4, 4),
@@ -38,8 +38,9 @@ pi_win = extract_pi_win(rm, rq)
 print(f"risk model over {len(np.unique(rm.owner))} winning states, "
       f"VI residual {rq.residual:.1e} after {rq.iterations} sweeps")
 
-# the functional on the model's actual dwell of each transition
-true_risk = true_risk_fn(p, functional)
+# the functional on the model's actual dwell of each transition: one
+# float per model edge; product edge e lifts model edge p.edge[e]
+true_risk = true_edge_risk(p, functional)
 
 v = evaluate_policy_risk(p, pi_win, true_risk, 0.9)
 start = min(res.w)
@@ -51,9 +52,12 @@ action = p.pair_actions(np.arange(len(p.owner)))   # name of each pair id
 def rollout_risk(choose, steps=5000):
     i, total = start, 0.0
     for _ in range(steps):
-        a = action[choose(i)]
-        j, tau, _ = sample_product_step(p, i, a, rng)
-        total += true_risk(i, a, j)
+        k = choose(i)
+        j, tau, _ = sample_product_step(p, i, action[k], rng)
+        # the product edge taken: j's entry in the row of pair k
+        lo, hi = p.row_ptr[k], p.row_ptr[k + 1]
+        e = lo + np.flatnonzero(p.succ[lo:hi] == j)[0]
+        total += true_risk[p.edge[e]]
         i = j
     return total / steps
 

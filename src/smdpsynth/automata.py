@@ -57,14 +57,6 @@ class OmegaAutomaton:
     def n_letters(self):
         return 2 ** len(self.ap)
 
-    @property
-    def is_deterministic(self):
-        return all(len(succs) <= 1 for row in self.delta for succs in row)
-
-    @property
-    def is_complete(self):
-        return all(len(succs) >= 1 for row in self.delta for succs in row)
-
     def letter_atoms(self, letter):
         """Sorted atom names carried by a letter bitmask."""
         return [a for i, a in enumerate(self.ap) if letter >> i & 1]
@@ -240,10 +232,6 @@ class Dkcba:
 
     def step(self, state, letter):
         return self.delta[state][letter]
-
-    def to_omega_automaton(self):
-        rows = [[(y,) for y in row] for row in self.delta]
-        return OmegaAutomaton(self.ap, rows, self.initial, self.accepting)
 
 
 def determinize_kcba(aut: OmegaAutomaton, K: int, state_budget: int = 10 ** 6) -> Dkcba:

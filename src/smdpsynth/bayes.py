@@ -78,17 +78,6 @@ class ObservationStore:
     def pairs(self):
         return set(self._by_pair)
 
-    def successor_counts(self, s, a):
-        b = self._by_pair.get((s, a))
-        return {s2: n for s2, (n, _) in b.items()} if b else {}
-
-    def dwell_stats(self, s, a, s2):
-        b = self._by_pair.get((s, a))
-        if b is None or s2 not in b:
-            return 0, 0.0
-        n, total = b[s2]
-        return n, total
-
 
 class DirichletPosterior:
     """Per-pair Dirichlet concentrations over candidate successors."""
@@ -121,9 +110,6 @@ class GammaPosterior:
     def __init__(self, table):
         # table: (s, a, s') -> (shape, rate)
         self._table = table
-
-    def triples(self):
-        return set(self._table)
 
     def params(self, s, a, s2):
         p = self._table.get((s, a, s2))
@@ -200,9 +186,6 @@ class DwellPredictive:
 
     def std(self):
         return float(np.sqrt(self.variance()))
-
-    def survival(self, t):
-        return float((1.0 + t / self.scale) ** (-self.shape))
 
     def survival_quantile(self, q):
         """inf { t : Pr(tau > t) < q } for q in (0, 1]."""

@@ -175,21 +175,15 @@ def build_pipeline(cfg: ExperimentConfig):
     return model, build_product(model, determinize_kcba(aut, cfg.k))
 
 
-def true_risk_fn(p, functional):
-    """The risk functional evaluated on the model's actual dwells, as a
-    callable (i, a, j) on product ids. The risk of a transition depends
-    only on the dwell of its model triple (s, a, s'), so it is computed
-    once per triple and then looked up."""
-    s_of, dwell = p._s_of, p.m.dwell
-    risks = {}
-
-    def fn(i, a, j):
-        key = (s_of[i], a, s_of[j])
-        r = risks.get(key)
-        if r is None:
-            r = risks[key] = risk_of(dwell[key], functional)
-        return r
-    return fn
+def true_edge_risk(p, functional) -> np.ndarray:
+    """The risk functional on the model's actual dwells: one float per
+    model edge (s, a, s'), in the order of `p.model_succ`. A transition's
+    risk depends only on its model triple, so product edge e's risk is
+    entry `p.edge[e]`."""
+    dwell = p.m.dwell
+    return np.array([risk_of(dwell[(s, a, s2)], functional)
+                     for s, a in p.model_pairs
+                     for s2 in p.m._rows[(s, a)][0]], dtype=float)
 
 
 def oracle_reference(p, functional, gamma_r) -> dict:
@@ -203,7 +197,7 @@ def oracle_reference(p, functional, gamma_r) -> dict:
     one array pass over their rows (`product._best_actions`); the
     transient policy picks the first of them in the model's action order.
     Inside W they are the risk-VI actions within a relative 1e-8 of the
-    minimum. Every risk is computed once per model triple."""
+    minimum. Every risk is computed once per model edge."""
     w, w_p = exact_winning_region(p)
     v_opt = exact_max_reach_probability(p, w)
     transient = [i for i in range(p.n_states) if i not in w]
@@ -211,8 +205,8 @@ def oracle_reference(p, functional, gamma_r) -> dict:
     optimal = np.zeros(len(p.owner), dtype=bool)
     optimal[pairs] = keep
     pi_tr = _greedy_policy(p.owner[pairs], pairs, ~keep, p.n_states)
-    risk = true_risk_fn(p, functional)
-    rm = risk_model_from_product(p, w, w_p, risk, gamma_r=gamma_r)
+    risk_e = true_edge_risk(p, functional)
+    rm = risk_model_from_product(p, w, w_p, risk_e, gamma_r=gamma_r)
     rq = risk_value_iteration(rm)
     pi_win = extract_pi_win(rm, rq)
     # each row's state minimum: the Q of the row pi_win chooses there
@@ -222,7 +216,7 @@ def oracle_reference(p, functional, gamma_r) -> dict:
         "w": w, "w_p": w_p, "v_opt": v_opt,
         "pi": combine_policy(p, w, pi_win, pi_tr),
         "pi_win": pi_win, "pi_tr": pi_tr, "optimal": optimal,
-        "v_risk": evaluate_policy_risk(p, pi_win, risk, gamma_r),
+        "v_risk": evaluate_policy_risk(p, pi_win, risk_e, gamma_r),
         "vi_residual": rq.residual,
     }
 
@@ -281,8 +275,8 @@ def _run_rep(job):
     pi = combine_policy(p, res.w, pi_win, pi_tr)
 
     reach = policy_reach_probability(p, pi_tr, res.w)
-    risk = true_risk_fn(p, functional)
-    v_risk = evaluate_policy_risk(p, pi_win, risk, cfg.gamma_r)
+    v_risk = evaluate_policy_risk(p, pi_win, true_edge_risk(p, functional),
+                                  cfg.gamma_r)
 
     return {
         "rep": rep, "learn_seed": learn_seed, "reach_seed": reach_seed,

@@ -370,16 +370,3 @@ def _nnf(f, neg):
         return until(TRUE, _nnf(c, True)) if neg else release(FALSE, _nnf(c, False))
     raise ValueError(f"unknown formula kind {k!r}")
 
-
-def is_nnf(f: Formula) -> bool:
-    """True if negation occurs only on atoms and ->/F/G are absent."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g.kind in (KIND_IMPLIES, KIND_EVENTUALLY, KIND_GLOBALLY):
-            return False
-        if g.kind == KIND_NOT and g.children[0].kind != KIND_ATOM:
-            return False
-        if g.kind != KIND_NOT:
-            stack.extend(g.children)
-    return True

@@ -172,20 +172,18 @@ class ProductSmdp:
                 f"action {a!r} not enabled in product state {i}")
         return self.pair_ptr[i] + at
 
-    def pair_actions(self, pairs) -> list:
-        """The action of each pair id in `pairs`."""
+    def pair_actions(self, ids) -> list:
+        """The action of each pair id in `ids`. UnknownState names the
+        first id outside 0..len(owner) - 1."""
         acts = [a for _, a in self.model_pairs]
-        return list(map(acts.__getitem__, self.pair_model[pairs].tolist()))
+        return list(map(acts.__getitem__,
+                        self.pair_model[self._checked_ids(ids)].tolist()))
 
     def pair_set(self, ids) -> "PairSet":
         """The pairs (i, a) of the pair ids `ids`, as a PairSet; a
         repeated id counts once. UnknownState names the first id outside
         0..len(owner) - 1."""
-        ids = np.asarray(ids, dtype=np.intp)
-        bad = (ids < 0) | (ids >= len(self.owner))
-        if bad.any():
-            raise UnknownState(f"pair id {ids[np.argmax(bad)]} not in "
-                               f"0..{len(self.owner) - 1}")
+        ids = self._checked_ids(ids)
         # sorted, each id once; `np.unique` gives the same ids, but took
         # 4.2 ms against 0.2 ms for 22,388 ids under NumPy 2.4
         ids = np.sort(ids)
@@ -195,6 +193,16 @@ class ProductSmdp:
         return PairSet(ids, self.owner[ids],
                        self._model_code[self.pair_model[ids]],
                        self.m.actions, self._key)
+
+    def _checked_ids(self, ids) -> np.ndarray:
+        """`ids` as an intp array; UnknownState names the first id outside
+        0..len(owner) - 1."""
+        ids = np.asarray(ids, dtype=np.intp)
+        bad = (ids < 0) | (ids >= len(self.owner))
+        if bad.any():
+            raise UnknownState(f"pair id {ids[np.argmax(bad)]} not in "
+                               f"0..{len(self.owner) - 1}")
+        return ids
 
 
 class PairSet(Set):

@@ -118,7 +118,6 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     product states. Predictive mass on successors outside the winning
     region (possible under estimation noise) is renormalized away with a
     warning; a pair left with no mass at all raises EmptyPredictiveRow.
-    Risks must come out finite and nonnegative.
 
     The copies (i, a) of W_p go in pair-id order, and copies of a model
     pair (pool) share its posterior, so the work is split three ways. Per
@@ -128,19 +127,21 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     candidate is lifted through its position in the copy's product row
     and tested against W, and the kept mass is summed in row order, so a
     copy that keeps every candidate gets its pool's normalized row and one
-    that keeps some renormalizes them. Per model triple (s, a, s'): one
-    risk of the predictive dwell, when a copy first keeps it. Warnings,
-    errors and risks come in the order of a loop over the copies.
+    that keeps some renormalizes them. Per model edge (s, a, s') that a
+    copy keeps: one risk of its predictive dwell, in an array over the
+    model's flat edges that every kept entry gathers from. The warnings
+    come first, in copy order, then the error of the first failing copy,
+    if any, and only then the risks.
     """
     functional = functional or MeanPlusSigma(1.0)
     w = frozenset(w)
     pid = np.sort(p.pair_ids(w_p))
     pool = p.pair_model[pid]
 
-    # pool q's candidates, positions and probabilities are the slots
+    # pool q's candidates' positions and probabilities are the slots
     # lo[q]:lo[q] + n[q]; a pool that fails stops the copies at its first
     lo, n = np.zeros((2, len(p.model_pairs)), dtype=np.intp)
-    slot_succ, slot_at, slot_pr = [], [], []
+    slot_at, slot_pr = [], []
     stop, err = len(pid), None
     for k in _first_positions(pool, len(p.model_pairs)).tolist():
         s, a = p.model_pairs[pool[k]]
@@ -156,17 +157,17 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
                 f"pair ({p.owner[pid[k]]},{a}): candidate successor "
                 f"{outside[0]} is not in the row of model pair ({s},{a})")
             break
-        lo[pool[k]], n[pool[k]] = len(slot_succ), len(row)
-        slot_succ += row
+        lo[pool[k]], n[pool[k]] = len(slot_at), len(row)
         slot_at += [at[s2] for s2 in row]
         slot_pr += list(predictive_transition(tpost, s, a))
 
-    # one entry per candidate of each copy before the stop: its slot, and
-    # its successor in the copy's product row, tested against W
+    # one entry per candidate of each copy before the stop: its position
+    # in the model row, and its successor in the copy's product row,
+    # tested against W
     lens = n[pool[:stop]]
     cand = _ranges(lo[pool[:stop]], lens)
-    lifted = p.succ[np.repeat(p.row_ptr[pid[:stop]], lens)
-                    + np.array(slot_at, dtype=np.intp)[cand]]
+    at = np.array(slot_at, dtype=np.intp)[cand]
+    lifted = p.succ[np.repeat(p.row_ptr[pid[:stop]], lens) + at]
     kept = np.isin(np.arange(p.n_states), list(w))[lifted]
     copy = np.repeat(np.arange(stop), lens)
     pr = np.array(slot_pr, dtype=float)[cand]
@@ -178,66 +179,53 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
         stop = int(empty[0])
         err = EmptyPredictiveRow("pair ({},{}) has no predictive mass inside "
                                  "the region".format(*_pair(p, pid[stop])))
-
-    # in loop order: a partial copy's warning at its first entry, then the
-    # risk of each triple at the entry that first keeps it
-    first = _offsets(lens[:stop])
-    ke = np.flatnonzero(kept[:first[-1]])
-    ke = ke[np.unique(cand[ke], return_index=True)[1]]
-    risk = np.zeros(len(slot_succ))
-    warn = first[:-1][lost[:stop] > 0.0]
-    for e in np.sort(np.concatenate([2 * warn, 2 * ke + 1])).tolist():
-        e, is_risk = divmod(e, 2)
-        i, a = _pair(p, pid[copy[e]])
-        if is_risk:
-            risk[cand[e]] = _checked(risk_of(predictive_dwell(
-                dpost, p._s_of[i], a, slot_succ[cand[e]]), functional),
-                i, a, int(lifted[e]))
-        else:
-            # attributed to the caller of build_risk_model
-            warnings.warn(
-                f"pair ({i},{a}): renormalized {lost[copy[e]]:.3g} "
-                "predictive mass escaping the winning region", stacklevel=2)
+    for c in np.flatnonzero(lost[:stop] > 0.0).tolist():
+        # attributed to the caller of build_risk_model
+        warnings.warn("pair ({},{}): renormalized {:.3g} predictive mass "
+                      "escaping the winning region".format(
+                          *_pair(p, pid[c]), lost[c]), stacklevel=2)
     if err is not None:
         raise err
+
+    # the model edge of each kept entry, and one risk per such edge
+    edge = (p.model_row_ptr[pool[copy]] + at)[kept]
+    risk_e = np.zeros(len(p.model_succ))
+    used = np.flatnonzero(np.bincount(edge, minlength=len(risk_e)))
+    owner = np.searchsorted(p.model_row_ptr, used, side="right") - 1
+    for e, q, s2 in zip(used.tolist(), owner.tolist(),
+                        p.model_succ[used].tolist()):
+        s, a = p.model_pairs[q]
+        risk_e[e] = risk_of(predictive_dwell(dpost, s, a, s2), functional)
     return _assemble(p, w, pid, n_kept, lifted[kept], (pr / total[copy])[kept],
-                     risk[cand[kept]], gamma_r, lost)
+                     risk_e[edge], gamma_r, lost)
 
 
-def risk_model_from_product(p: ProductSmdp, w, w_p, risk_fn,
+def risk_model_from_product(p: ProductSmdp, w, w_p, risk_e,
                             gamma_r=0.9) -> RiskModel:
     """Exact-model counterpart of build_risk_model, for oracles and tests.
 
     Uses the product's true rows restricted to the winning pairs, gathered
-    from its flat layout, in pair-id order. `risk_fn` is a callable
-    (i, a, j) -> value on product ids that depends only on the model
-    triple (s, a, s') of the transition, like `true_risk_fn`'s: it is
-    called once per model edge, at the first product transition that lifts
-    it, and every product transition gets its model edge's risk. Winning
-    pairs whose true support leaves the region are rejected; errors name
-    the first offending pair in pair-id order.
+    from its flat layout, in pair-id order. `risk_e` holds one risk per
+    model edge, in the order of `p.model_succ` (`true_edge_risk` gives the
+    true ones): a transition's risk depends only on its model triple
+    (s, a, s'), so each product transition gathers its model edge's.
+    InvalidRiskModel names the first winning pair, in pair-id order, whose
+    true support leaves the region; RiskModel's own check names the first
+    risk that is not finite and nonnegative.
     """
     w = frozenset(w)
+    risk_e = _edge_array(p, risk_e)
     pids = np.sort(p.pair_ids(w_p))
     lens, edges = _pair_rows(p, pids)
     succ = p.succ[edges]
-    row = np.repeat(np.arange(len(pids)), lens)
-    leaving = row[~np.isin(np.arange(p.n_states), list(w))[succ]]
-    stop = int(leaving[0]) if leaving.size else len(pids)
-
-    model_edge = p.edge[edges]
-    uniq, first, inverse = np.unique(model_edge, return_index=True,
-                                     return_inverse=True)
-    risks = np.zeros(len(uniq))
-    for e in np.sort(first[row[first] < stop]).tolist():
-        i, a = _pair(p, pids[row[e]])
-        j = int(succ[e])
-        risks[inverse[e]] = _checked(risk_fn(i, a, j), i, a, j)
-    if stop < len(pids):
+    leaving = np.repeat(pids, lens)[
+        ~np.isin(np.arange(p.n_states), list(w))[succ]]
+    if leaving.size:
         raise InvalidRiskModel("pair ({},{}) leaves the winning region"
-                               .format(*_pair(p, pids[stop])))
+                               .format(*_pair(p, leaving[0])))
+    model_edge = p.edge[edges]
     return _assemble(p, w, pids, lens, succ, p.model_prob[model_edge],
-                     risks[inverse], gamma_r, None)
+                     risk_e[model_edge], gamma_r, None)
 
 
 def _pair(p, k):
@@ -245,19 +233,22 @@ def _pair(p, k):
     return int(p.owner[k]), p.model_pairs[p.pair_model[k]][1]
 
 
-def _checked(r, i, a, j):
-    """r itself if it is a finite nonnegative risk; NonfiniteRisk
-    otherwise."""
-    if not 0 <= r < math.inf:
-        raise NonfiniteRisk(f"risk of ({i},{a},{j}) is {r!r}")
-    return r
+def _edge_array(p, risk_e):
+    """`risk_e` as a float array, one entry per model edge of `p`;
+    InvalidRiskModel if its length is another."""
+    risk_e = np.asarray(risk_e, dtype=float)
+    if risk_e.shape != p.model_succ.shape:
+        raise InvalidRiskModel(
+            f"risks must be one per model edge: got shape {risk_e.shape} "
+            f"for {len(p.model_succ)} edges")
+    return risk_e
 
 
 def _assemble(p, w, pids, lens, succ, prob, risk, gamma_r,
               escaped) -> RiskModel:
     """Shared core of both builders: the rows of the winning pairs with
     the ascending product pair ids `pids`, of lengths `lens`, with their
-    flat successors, probabilities and checked risks, become a RiskModel;
+    flat successors, probabilities and risks, become a RiskModel;
     NoAllowedAction names a winning state without a row."""
     owned = set(p.owner[pids].tolist())
     for i in w:
@@ -338,38 +329,38 @@ def combine_policy(p: ProductSmdp, w, pi_win, pi_tr) -> np.ndarray:
     return combined
 
 
-def evaluate_policy_risk(p: ProductSmdp, pi, risk, gamma_r) -> dict:
+def evaluate_policy_risk(p: ProductSmdp, pi, risk_e, gamma_r) -> dict:
     """Exact discounted risk of a region-preserving policy, per state.
 
     `pi` is a policy array, checked by `_policy_pairs`; its domain is the
-    states it gives a pair id. `risk` is a callable (i, a, j) -> value on
-    product ids and action names, called once per transition of the
-    policy, in state, row order. The policy's rows are gathered from the
-    flat layout in one pass, and the system
+    states it gives a pair id. `risk_e` holds one risk per model edge, in
+    the order of `p.model_succ`, as for `risk_model_from_product`. The
+    policy's rows are gathered from the flat layout in one pass, each
+    transition's risk with them, and the system
     v_i = sum_j P(j|i) risk(i, pi_i, j) + gamma_r sum_j P(j|i) v_j is
     solved exactly by `_solve_by_components`, one strongly connected
     component at a time, as `policy_reach_probability`'s is. Returns
     {state: value} over the domain; raises PolicyLeavesW at the first
-    transition, in the same order, that leaves it.
+    transition, in state, row order, that leaves it.
     """
     if not 0 <= gamma_r < 1:
         raise InvalidRiskModel(f"gamma_r must be in [0,1), got {gamma_r}")
+    risk_e = _edge_array(p, risk_e)
     states = np.flatnonzero(np.asarray(pi) >= 0)
     pids = _policy_pairs(p, pi, states)
     lens, edges = _pair_rows(p, pids)
     succ, owner = p.succ[edges], np.repeat(states, lens)
-    acts = p.pair_actions(np.repeat(pids, lens))
     pos = np.full(p.n_states, -1, dtype=np.intp)
     pos[states] = np.arange(len(states))
+    row = pos[owner]
     leaving = np.flatnonzero(pos[succ] < 0)
     if leaving.size:
         e = leaving[0]
-        raise PolicyLeavesW(f"action {acts[e]} at state {owner[e]} reaches "
-                            f"{succ[e]} outside W")
-    prob = p.model_prob[p.edge[edges]]
-    risks = np.array(list(map(risk, owner.tolist(), acts, succ.tolist())),
-                     dtype=float)
-    row = pos[owner]
-    const = np.bincount(row, weights=prob * risks, minlength=len(states))
+        raise PolicyLeavesW(f"action {_pair(p, pids[row[e]])[1]} at state "
+                            f"{owner[e]} reaches {succ[e]} outside W")
+    model_edge = p.edge[edges]
+    prob = p.model_prob[model_edge]
+    const = np.bincount(row, weights=prob * risk_e[model_edge],
+                        minlength=len(states))
     return dict(zip(states.tolist(), _solve_by_components(
         row, pos[succ], gamma_r * prob, const)))

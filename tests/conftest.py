@@ -236,6 +236,22 @@ def model_row(m, s, a):
     return m._rows[(s, a)]
 
 
+def model_edges(m):
+    """The model's transitions (s, a, s') in the order of a product's
+    flat model edges `model_succ`: state by state, each state's enabled
+    actions in the model's order, each row in its own order."""
+    return [(s, a, s2) for s in range(m.n_states) for a in m._enabled[s]
+            for s2 in model_row(m, s, a)[0]]
+
+
+def edge_risk_fn(p, risk_e):
+    """The callable (i, a, j) -> risk on product ids that an array of one
+    risk per model edge defines: the entry of the model triple that the
+    transition lifts."""
+    at = dict(zip(model_edges(p.m), np.asarray(risk_e, dtype=float).tolist()))
+    return lambda i, a, j: at[(p.states[i][0], a, p.states[j][0])]
+
+
 def policy_array(p, policy):
     """The policy array of a {state: action} dict: each state's pair id
     for its action, -1 for a state the dict leaves out."""
@@ -294,3 +310,69 @@ def risk_actions(p, rm):
     for i, a in zip(rm.owner.tolist(), p.pair_actions(rm.ids)):
         acts[i] = acts.get(i, ()) + (a,)
     return acts
+
+
+# --- queries only the tests make ---------------------------------------------
+
+
+def is_nnf(f):
+    """True if negation occurs only on atoms and ->/F/G are absent."""
+    from smdpsynth.ltl import (
+        KIND_ATOM, KIND_EVENTUALLY, KIND_GLOBALLY, KIND_IMPLIES, KIND_NOT,
+    )
+
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g.kind in (KIND_IMPLIES, KIND_EVENTUALLY, KIND_GLOBALLY):
+            return False
+        if g.kind == KIND_NOT and g.children[0].kind != KIND_ATOM:
+            return False
+        if g.kind != KIND_NOT:
+            stack.extend(g.children)
+    return True
+
+
+def is_deterministic(aut):
+    """True if no state of the OmegaAutomaton has two successors on one
+    letter."""
+    return all(len(succs) <= 1 for row in aut.delta for succs in row)
+
+
+def is_complete(aut):
+    """True if every state of the OmegaAutomaton has a successor on every
+    letter."""
+    return all(len(succs) >= 1 for row in aut.delta for succs in row)
+
+
+def to_omega_automaton(d):
+    """The Dkcba `d` as an OmegaAutomaton with one successor per letter,
+    accepting exactly at its sink."""
+    rows = [[(y,) for y in row] for row in d.delta]
+    return OmegaAutomaton(d.ap, rows, d.initial, d.accepting)
+
+
+def successor_counts(store, s, a):
+    """{s': count} of model pair (s, a) in an ObservationStore."""
+    b = store._by_pair.get((s, a))
+    return {s2: n for s2, (n, _) in b.items()} if b else {}
+
+
+def dwell_stats(store, s, a, s2):
+    """(count, dwell sum) of model triple (s, a, s') in an
+    ObservationStore."""
+    b = store._by_pair.get((s, a))
+    if b is None or s2 not in b:
+        return 0, 0.0
+    n, total = b[s2]
+    return n, total
+
+
+def posterior_triples(post):
+    """The triples (s, a, s') of a GammaPosterior."""
+    return set(post._table)
+
+
+def lomax_survival(d, t):
+    """Pr(tau > t) under the DwellPredictive `d`."""
+    return float((1.0 + t / d.scale) ** (-d.shape))

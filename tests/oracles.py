@@ -944,10 +944,11 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
     order (by state, then the action's place among the state's enabled
     actions): every copy recomputes its pool's predictive row, checks that
     each candidate is in the model row, lifts it with `lift_reference` and
-    evaluates one risk per successor, warning (attributed to the caller)
-    about renormalized mass: the reference the library's pooled assembly
-    must match bit for bit."""
-    import math
+    warns (attributed to the caller) about renormalized mass. Once every
+    row is built, the risk of each model triple that a row keeps is
+    evaluated, in the model's edge order, and RiskModel's own check
+    rejects a risk that is not finite and nonnegative: the reference the
+    library's pooled assembly must match bit for bit."""
     import warnings
 
     from smdpsynth.bayes import (
@@ -955,10 +956,10 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
         predictive_transition, risk_of,
     )
     from smdpsynth.errors import (
-        EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction, NonfiniteRisk,
+        EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction,
     )
 
-    from conftest import model_row, risk_model
+    from conftest import model_edges, model_row, risk_model
 
     functional = functional or MeanPlusSigma(1.0)
     w = frozenset(w)
@@ -992,18 +993,17 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
         total = sum(probs)
         return tuple(succs), tuple(pr / total for pr in probs)
 
-    trans, risks, allowed = {}, {}, set()
+    trans, allowed = {}, set()
     for (i, a) in sorted(w_p, key=lambda pair: (pair[0], p.enabled(pair[0])
                                                 .index(pair[1]))):
-        succs, probs = row(i, a)
-        trans[(i, a)] = (succs, probs)
-        for j in succs:
-            r = risk_of(predictive_dwell(dpost, p.states[i][0], a,
-                                         p.states[j][0]), functional)
-            if not math.isfinite(r) or r < 0:
-                raise NonfiniteRisk(f"risk of ({i},{a},{j}) is {r!r}")
-            risks[(i, a, j)] = r
+        trans[(i, a)] = row(i, a)
         allowed.add(i)
+    triple = {(i, a, j): (p.states[i][0], a, p.states[j][0])
+              for (i, a), (succs, _) in trans.items() for j in succs}
+    kept = set(triple.values())
+    risk_at = {t: risk_of(predictive_dwell(dpost, *t), functional)
+               for t in model_edges(p.m) if t in kept}
+    risks = {key: risk_at[t] for key, t in triple.items()}
     for i in w:
         if i not in allowed:
             raise NoAllowedAction(f"winning state {i} has no winning pair")

@@ -25,7 +25,7 @@ from smdpsynth import (
     sample_product_step, sample_step, update_posteriors,
 )
 from smdpsynth.experiment import oracle_reference, top_up_observations, \
-    true_risk_fn
+    true_edge_risk
 
 from conftest import (
     cycle4_product, grid4_product, m1_model, m1_product, model_row,
@@ -259,7 +259,7 @@ def test_gate6_risk_vi_exact_and_exhaustively_optimal():
     checked = 0
     for p in (cycle4_product(), m1_product()):
         w, w_p = exact_winning_region(p)
-        risk = true_risk_fn(p, MeanPlusSigma(1.0))
+        risk = true_edge_risk(p, MeanPlusSigma(1.0))
         rm = risk_model_from_product(p, w, w_p, risk, gamma_r=0.9)
         rq = risk_value_iteration(rm)
         assert rq.residual < 1e-9
@@ -283,7 +283,7 @@ def test_gate7_pipeline_policy_stabilizes_with_data(desk_pipeline):
     p, w, w_p = (desk_pipeline[k] for k in ("p", "w", "w_p"))
     functional = desk_pipeline["functional"]
     oracle = desk_pipeline["oracle"]
-    risk = true_risk_fn(p, functional)
+    risk = true_edge_risk(p, functional)
     pool = lambda pair: (p.states[pair[0]][0], pair[1])
     by_scale = {}
     for scale in (100, 1000, 10_000):

@@ -11,7 +11,8 @@ from smdpsynth import (
 )
 from smdpsynth.automata import is_cyclic, sccs
 
-from conftest import random_cba
+from conftest import is_complete, is_deterministic, random_cba, \
+    to_omega_automaton
 from oracles import (
     all_lassos, cba_accepts_by_run_enumeration, cyclic_sccs_reference,
     kcba_accepts_by_run_enumeration, lasso_accepted_cba, reachable_from,
@@ -87,7 +88,7 @@ def test_determinize_empty_acc_has_no_sink():
         d = determinize_kcba(aut, K)
         assert d.sink is None
         assert d.accepting == frozenset()
-        omega = d.to_omega_automaton()
+        omega = to_omega_automaton(d)
         for stem, cyc in all_lassos(2, 4):
             assert lasso_accepted_kcba(omega, 0, stem, cyc) is True
 
@@ -104,7 +105,7 @@ def test_determinize_accepting_initial_state():
 def test_eq3_on_b1(b1):
     """Bounded counting semantics equals the 0-bounded check on the determinization."""
     for K in (0, 1, 2):
-        det = determinize_kcba(b1, K).to_omega_automaton()
+        det = to_omega_automaton(determinize_kcba(b1, K))
         for stem, cyc in all_lassos(2, 5):
             assert lasso_accepted_kcba(b1, K, stem, cyc) == \
                 lasso_accepted_kcba(det, 0, stem, cyc)
@@ -115,9 +116,9 @@ def test_determinize_deterministic_complete():
     for _ in range(60):
         aut = random_cba(rng)
         d = determinize_kcba(aut, int(rng.integers(0, 4)))
-        omega = d.to_omega_automaton()
-        assert omega.is_deterministic
-        assert omega.is_complete
+        omega = to_omega_automaton(d)
+        assert is_deterministic(omega)
+        assert is_complete(omega)
         for row in d.delta:
             assert len(row) == d.n_letters
             for tgt in row:
@@ -156,7 +157,7 @@ def is_sink_set(aut, states):
 
 def test_is_sink_set(b1):
     d = determinize_kcba(b1, 1)
-    omega = d.to_omega_automaton()
+    omega = to_omega_automaton(d)
     assert is_sink_set(omega, {d.sink}) is True
     assert is_sink_set(omega, set(range(omega.n_states))) is True
     assert is_sink_set(b1, {1}) is False    # x1 --0--> x0 leaves

@@ -18,12 +18,12 @@ from smdpsynth import (
     parse_functional, run_algorithm1, run_experiment, top_up_observations,
     update_posteriors,
 )
-from smdpsynth.experiment import true_risk_fn
+from smdpsynth.experiment import true_edge_risk
 from smdpsynth.product import PairSet, ProductSmdp, \
     policy_reach_probability
 from smdpsynth.risk import risk_model_from_product, risk_value_iteration
 
-from conftest import grid4_product
+from conftest import dwell_stats, grid4_product, successor_counts
 from oracles import ObservationStoreReference, top_up_observations_reference
 
 
@@ -101,7 +101,7 @@ def test_paper_preset_oracle():
     assert (len(w), len(oracle["w_p"])) == (2423, 6554)
     assert oracle["v_opt"][p.initial] == 1.0
     rm = risk_model_from_product(p, w, oracle["w_p"],
-                                 true_risk_fn(p, functional), cfg.gamma_r)
+                                 true_edge_risk(p, functional), cfg.gamma_r)
     rq = risk_value_iteration(rm)
     assert rq.iterations == 270 and rq.residual < 1e-9
     assert rq.residual == oracle["vi_residual"]
@@ -337,9 +337,9 @@ def test_top_up_matches_reference():
         assert store.pairs() == ref.pairs()
         assert store.take_touched() == ref.take_touched()
         for s, a in store.pairs():
-            assert store.successor_counts(s, a) == ref.successor_counts(s, a)
-            for s2 in store.successor_counts(s, a):
-                n, total = store.dwell_stats(s, a, s2)
+            assert successor_counts(store, s, a) == ref.successor_counts(s, a)
+            for s2 in successor_counts(store, s, a):
+                n, total = dwell_stats(store, s, a, s2)
                 n_ref, total_ref = ref.dwell_stats(s, a, s2)
                 assert n == n_ref and total.hex() == total_ref.hex()
 
@@ -372,7 +372,7 @@ def test_top_up_first_pass_draws_once_per_pool(preset, n_pools, monkeypatch):
                            key=lambda pair: (pair[0], p.enabled(pair[0])
                                              .index(pair[1])))
     assert len(store) == n_pools and store.pairs() == set(reps)
-    assert all(sum(store.successor_counts(*key).values()) == 1
+    assert all(sum(successor_counts(store, *key).values()) == 1
                for key in reps)
 
 

@@ -30,9 +30,9 @@ from smdpsynth.ltl import (
     KIND_GLOBALLY,
     KIND_IMPLIES,
     KIND_NOT,
-    is_nnf,
 )
 
+from conftest import is_nnf
 from oracles import eval_ltl_on_lasso, all_lassos, random_formula
 
 a, b, c = atom("a"), atom("b"), atom("c")

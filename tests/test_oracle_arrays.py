@@ -1,6 +1,6 @@
 """The exact oracle on flat arrays: the safety fixpoint, the greedy
 transient extraction, the padded per-state minimum and maximum, and the
-per-triple risks, against the scalar references in oracles.py."""
+per-edge risks, against the scalar references in oracles.py."""
 
 import time
 
@@ -171,6 +171,9 @@ def test_first_positions_equal_sorted_np_unique():
 
 
 def test_true_risk_computed_once_per_model_triple(presets, monkeypatch):
+    """`true_edge_risk` evaluates the functional once per model edge, on
+    that edge's dwell, and every product transition's risk is the entry
+    of the model edge it lifts."""
     p = presets["desk"]
     functional = MeanPlusSigma(1.0)
     calls = []
@@ -180,13 +183,10 @@ def test_true_risk_computed_once_per_model_triple(presets, monkeypatch):
         return risk_of(dist, f)
 
     monkeypatch.setattr(E, "risk_of", counted)
-    fn = E.true_risk_fn(p, functional)
-    triples = set()
-    rows = product_rows(p)
-    for (i, a), (succs, _) in rows.items():
-        for j in succs:
-            got = fn(i, a, j)
-            assert got == risk_of(product_dwell(p, i, a, j), functional)
-            triples.add((p.states[i][0], a, p.states[j][0]))
-    assert len(calls) == len(triples) < sum(
-        len(succs) for succs, _ in rows.values())
+    risk_e = E.true_edge_risk(p, functional)
+    assert risk_e.dtype == float and len(calls) == len(risk_e) \
+        == len(p.model_succ) < len(p.succ)
+    got = risk_e[p.edge].tolist()
+    want = [risk_of(product_dwell(p, i, a, j), functional)
+            for (i, a), (succs, _) in product_rows(p).items() for j in succs]
+    assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -15,14 +15,15 @@ from smdpsynth import ActionNotEnabled, DomainGap, PolicyLeavesW, \
     build_pipeline, desk_config, paper_config
 from smdpsynth.automata import sccs
 from smdpsynth.experiment import oracle_reference, parse_functional, \
-    true_risk_fn
+    true_edge_risk
 from smdpsynth.product import exact_max_reach_probability, \
     exact_winning_region, policy_reach_probability
 from smdpsynth.risk import evaluate_policy_risk, extract_pi_win, \
     risk_model_from_product, risk_value_iteration
 
-from conftest import grid4_product, policy_array, policy_dict, \
-    product_dwell, product_row, product_rows, random_product, risk_actions
+from conftest import edge_risk_fn, grid4_product, model_edges, \
+    policy_array, policy_dict, product_row, product_rows, random_product, \
+    risk_actions
 from oracles import evaluate_policy_risk_reference, \
     policy_reach_probability_reference, reach_probability_under_policy, \
     risk_value_of_policy
@@ -60,22 +61,15 @@ def check_reach(p, policy, target):
     return ref
 
 
-def check_risk(p, pi, risk, gamma):
-    """As check_reach, and `risk` is called on the same transitions in
-    the same order."""
-    calls = {"got": [], "ref": []}
-
-    def logged(name):
-        def fn(i, a, j):
-            calls[name].append((i, a, j))
-            return risk(i, a, j)
-        return fn
-
-    got = evaluate_policy_risk(p, policy_array(p, pi), logged("got"), gamma)
-    bitwise = evaluate_policy_risk_reference(p, pi, logged("ref"), gamma)
+def check_risk(p, pi, risk_e, gamma):
+    """As check_reach, for the policy risk under `risk_e`, one risk per
+    model edge; the references look each transition's risk up by its
+    model triple."""
+    risk = edge_risk_fn(p, risk_e)
+    got = evaluate_policy_risk(p, policy_array(p, pi), risk_e, gamma)
+    bitwise = evaluate_policy_risk_reference(p, pi, risk, gamma)
     assert list(got) == list(bitwise) == sorted(pi)
     assert hexes(got.values()) == hexes(bitwise.values())
-    assert calls["got"] == calls["ref"]
     ref = dense_risk(p, pi, risk, gamma)
     np.testing.assert_allclose([got[i] for i in got], [ref[i] for i in got],
                                rtol=RTOL, atol=0)
@@ -117,9 +111,7 @@ def test_policy_solves_match_dense_on_grid4():
     for policy in (greedy, uniform):
         check_reach(p, policy, w)
 
-    def risk(i, a, j):
-        return 2.0 * product_dwell(p, i, a, j).mean()
-
+    risk = np.array([2.0 * p.m.dwell[t].mean() for t in model_edges(p.m)])
     rm = risk_model_from_product(p, w, w_p, risk, gamma_r=0.9)
     pi_win = policy_dict(p, extract_pi_win(rm, risk_value_iteration(rm)))
     mixed = {i: acts[int(rng.integers(len(acts)))]
@@ -139,23 +131,10 @@ def test_policy_solves_match_dense_on_oracle_policies(make):
     oracle = oracle_reference(p, functional, cfg.gamma_r)
     pi_win = policy_dict(p, oracle["pi_win"])
     check_reach(p, policy_dict(p, oracle["pi_tr"]), oracle["w"])
-    got = check_risk(p, pi_win, true_risk_fn(p, functional), cfg.gamma_r)
+    got = check_risk(p, pi_win, true_edge_risk(p, functional), cfg.gamma_r)
     assert got == oracle["v_risk"]
     sizes, _ = components(p, pi_win, oracle["w"])
     assert max(sizes) > 1
-
-
-def test_exact_side_reads_only_the_flat_layout():
-    """The desk oracle's transient policy solves to the pre-layout loops'
-    values bit for bit: every row it reads is gathered from the product's
-    flat layout."""
-    cfg = desk_config()
-    p = build_pipeline(cfg)[1]
-    oracle = oracle_reference(p, parse_functional(cfg.functional),
-                              cfg.gamma_r)
-    reach = policy_reach_probability(p, oracle["pi_tr"], oracle["w"])
-    assert hexes(reach) == hexes(policy_reach_probability_reference(
-        p, policy_dict(p, oracle["pi_tr"]), oracle["w"]))
 
 
 def test_policy_solves_match_dense_on_random_products():
@@ -181,10 +160,11 @@ def test_policy_solves_match_dense_on_random_products():
         ref = check_reach(p, policy, target)
         unknown = {i for i in range(p.n_states)
                    if i not in target and ref[i] > 0}
+        # one risk per model edge; the product may not reach every model
+        # state, so the draws (one per product state) wrap around
         scale = rng.uniform(0.5, 3.0, size=p.n_states)
-
-        def risk(i, a, j):
-            return float(scale[j]) * (1 + "xyz".index(a)) + 0.25 * i
+        risk = np.array([float(scale[s2 % p.n_states]) * (1 + "xyz".index(a))
+                         + 0.25 * s for s, a, s2 in model_edges(p.m)])
 
         gamma = float(rng.uniform(0.0, 0.99))
         check_risk(p, policy, risk, gamma)
@@ -208,7 +188,7 @@ def test_policy_solves_match_dense_on_random_products():
                          risk, gamma)
             assert got[0] is PolicyLeavesW
             assert got == raised(evaluate_policy_risk_reference, p, part,
-                                 risk, gamma)
+                                 edge_risk_fn(p, risk), gamma)
         assert raised(policy_reach_probability, p, policy_array(p, policy),
                       target | {p.n_states}) == raised(
             policy_reach_probability_reference, p, policy,
@@ -277,7 +257,8 @@ n = p.n_states
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 t0 = time.process_time()
 reach = policy_reach_probability(p, p.pair_ptr[:-1], p.accepting)
-v = evaluate_policy_risk(p, p.pair_ptr[:-1], lambda i, a, j: 1.0, gamma)
+v = evaluate_policy_risk(p, p.pair_ptr[:-1], np.ones(len(p.model_succ)),
+                         gamma)
 cpu = time.process_time() - t0
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 v = np.fromiter(v.values(), float, len(v))

@@ -331,6 +331,19 @@ def test_pair_ids_name_the_first_bad_pair():
         p.pair_ids(good + [(0, "nope")])
 
 
+@pytest.mark.parametrize("bad", ["-1", "len(owner)"])
+def test_pair_actions_name_the_first_id_outside_the_product(bad):
+    """Desk's 820 pairs: an id below 0 does not wrap around to the last
+    pair, and one past the end is no bare IndexError; both are named."""
+    p = build_pipeline(desk_config())[1]
+    k = -1 if bad == "-1" else len(p.owner)
+    assert p.pair_actions([0, len(p.owner) - 1]) == [
+        p.enabled(0)[0], p.enabled(p.n_states - 1)[-1]]
+    with pytest.raises(UnknownState, match=f"^pair id {k} not in "
+                       f"0..{len(p.owner) - 1}$"):
+        p.pair_actions([0, k, -7])
+
+
 def test_pair_set_hands_its_ids_to_pair_ids(monkeypatch):
     """A PairSet equals and hashes as the frozenset of its pairs and
     carries their sorted ids, which its own product's `pair_ids` returns

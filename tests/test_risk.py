@@ -22,9 +22,9 @@ from smdpsynth.risk import (
 )
 
 from conftest import (
-    cycle4_product, grid4_product, m1_product, model_row, policy_array,
-    policy_dict, product_dwell, product_row, random_product, risk_actions,
-    risk_model, risk_rows, risky3_product, trivial_monitor,
+    cycle4_product, edge_risk_fn, grid4_product, m1_product, model_edges,
+    model_row, policy_array, policy_dict, product_row, random_product,
+    risk_actions, risk_model, risk_rows, risky3_product, trivial_monitor,
 )
 from oracles import build_risk_model_reference, lift_reference
 
@@ -43,10 +43,9 @@ def two_arms():
 
 
 def true_risk(p):
-    # mean plus one sigma; sigma equals the mean for exponential dwells
-    def f(i, a, j):
-        return 2.0 * product_dwell(p, i, a, j).mean()
-    return f
+    """Mean plus one sigma of each model edge's dwell, in the order of
+    `p.model_succ`; sigma equals the mean for exponential dwells."""
+    return np.array([2.0 * p.m.dwell[t].mean() for t in model_edges(p.m)])
 
 
 # --- model validation -----------------------------------------------------
@@ -298,7 +297,7 @@ def exact_model_reference(p, w, w_p, risk_fn, gamma_r=0.9):
 
 def test_exact_model_gathers_one_risk_per_model_edge():
     """The same rows and risks (float.hex) as the per-pair reference,
-    from one risk_fn call per model edge in the region."""
+    whose risk of each transition is looked up by its model triple."""
     products = [grid4_product(5), build_pipeline(desk_config())[1]]
     rng = np.random.default_rng(12)
     products += [random_product(rng, n=int(rng.integers(3, 8)),
@@ -306,14 +305,11 @@ def test_exact_model_gathers_one_risk_per_model_edge():
                  for _ in range(30)]
     for p in products:
         w, w_p = exact_winning_region(p)
-        calls = []
-
-        def fn(i, a, j):
-            calls.append((p.states[i][0], a, p.states[j][0]))
-            return 2.0 * product_dwell(p, i, a, j).mean() + 0.1 * len(str(a))
-        got = risk_model_from_product(p, w, w_p, fn, gamma_r=0.8)
-        assert len(calls) == len(set(calls))
-        want = exact_model_reference(p, w, w_p, fn, gamma_r=0.8)
+        risk_e = np.array([2.0 * p.m.dwell[(s, a, s2)].mean() + 0.1 * len(a)
+                           for s, a, s2 in model_edges(p.m)])
+        got = risk_model_from_product(p, w, w_p, risk_e, gamma_r=0.8)
+        want = exact_model_reference(p, w, w_p, edge_risk_fn(p, risk_e),
+                                     gamma_r=0.8)
         assert got.ids.tolist() == want.ids.tolist()
         assert got.pair_ptr.tolist() == want.pair_ptr.tolist()
         assert got.row_ptr.tolist() == want.row_ptr.tolist()
@@ -323,39 +319,46 @@ def test_exact_model_gathers_one_risk_per_model_edge():
 
 
 def test_exact_model_names_first_offending_pair():
-    """A bad risk in a pair sorted before the first pair that leaves the
-    region is reported; one sorted after it is not reached."""
+    """A pair that leaves the region is named before any risk is read;
+    without one, the model's own check names the first transition whose
+    risk is not finite."""
     p = risky3_product()
     w, w_p = exact_winning_region(p)
     safe = next(iter(w))
     leaving = w_p | {(p.initial, "x")}
     region = w | {p.initial}
     assert p.initial < safe
-
-    def bad_at(state):
-        def fn(i, a, j):
-            return math.inf if i == state else 1.0
-        return fn
+    # infinite on the safe state's self-loop, model edge (1, x, 1)
+    bad = np.where([t == (1, "x", 1) for t in model_edges(p.m)],
+                   math.inf, 1.0)
     with pytest.raises(InvalidRiskModel,
                        match=f"pair \\({p.initial},x\\) leaves"):
-        risk_model_from_product(p, region, leaving, bad_at(safe))
-    with pytest.raises(NonfiniteRisk, match=f"risk of \\({safe},x,{safe}\\)"):
-        risk_model_from_product(p, w, w_p, bad_at(safe))
+        risk_model_from_product(p, region, leaving, bad)
+    k = int(p.pair_ids([(safe, "x")])[0])
+    with pytest.raises(NonfiniteRisk, match=f"^risk of pair {k} \\(state "
+                       f"{safe}\\) to {safe} is inf$"):
+        risk_model_from_product(p, w, w_p, bad)
 
 
 def test_risk_errors_are_typed():
     p = risky3_product()
     w, w_p = exact_winning_region(p)
+    ones = np.ones(len(p.model_succ))
     # both of the initial state's actions can reach the c-labeled state
     leaving = {(p.initial, "x"), (p.initial, "y")}
     with pytest.raises(InvalidRiskModel, match="leaves the winning region"):
-        risk_model_from_product(p, w | {p.initial}, w_p | leaving,
-                                lambda i, a, j: 1.0)
+        risk_model_from_product(p, w | {p.initial}, w_p | leaving, ones)
     with pytest.raises(InvalidRiskModel, match="tol must be positive"):
         risk_value_iteration(loop1(), tol=0.0)
     with pytest.raises(InvalidRiskModel, match=r"gamma_r must be in \[0,1\)"):
-        evaluate_policy_risk(p, np.full(p.n_states, -1),
-                             lambda i, a, j: 1.0, 1.0)
+        evaluate_policy_risk(p, np.full(p.n_states, -1), ones, 1.0)
+    # exactly one risk per model edge
+    for build in (lambda r: risk_model_from_product(p, w, w_p, r),
+                  lambda r: evaluate_policy_risk(p, np.full(p.n_states, -1),
+                                                 r, 0.9)):
+        with pytest.raises(InvalidRiskModel, match=r"^risks must be one per "
+                           r"model edge: got shape \(5,\) for 6 edges$"):
+            build(ones[:5])
     for err_type in (SmdpsynthError, ValueError):
         assert issubclass(InvalidRiskModel, err_type)
 
@@ -609,24 +612,12 @@ def test_build_matches_reference_on_paper_learner_with_escaped_mass():
 
 
 def test_build_work_is_once_per_pool_and_per_kept_triple(monkeypatch):
-    """On the paper 100-episode region, the predictive row of a pool is
-    read once, at its first copy, and a risk is evaluated once per model
-    triple that a copy before the failing one keeps, in the order in which
-    copies first keep them."""
-    p, res, tpost, dpost, gamma_r = paper_learned(1, 101)
-    pools, triples = [], []
-    for i, a in sorted(res.w_p, key=lambda pair: (
-            pair[0], p.enabled(pair[0]).index(pair[1]))):
-        s = p.states[i][0]
-        if (s, a) not in pools:
-            pools.append((s, a))
-        if (i, a) == (4700, "UL"):
-            break
-        for s2 in tpost.row(s, a)[0]:
-            if lift_reference(p, i, s2) in res.w and (s, a, s2) not in triples:
-                triples.append((s, a, s2))
-
-    calls = {"successors": [], "transition": [], "dwell": [], "risk": 0}
+    """The predictive row of a pool is read once, at its first copy, and
+    a risk is evaluated once per model triple that a copy keeps, in the
+    model's edge order, after every row is built. On the paper 100-episode
+    region, which fails at copy (4700,UL), no risk is evaluated at all; on
+    the desk's exact region, topped up, every kept triple's is."""
+    calls = {}
 
     def recorded(name, fn):
         def wrapper(post, *key):
@@ -646,12 +637,42 @@ def test_build_work_is_once_per_pool_and_per_kept_triple(monkeypatch):
                             recorded(name, getattr(smdpsynth.risk, attr)))
     monkeypatch.setattr(smdpsynth.risk, "risk_of",
                         counted(smdpsynth.risk.risk_of))
+
+    def expected(p, w, w_p, tpost, last=None):
+        """Pools in first-copy order up to the copy `last`, and the model
+        triples the copies keep, in the model's edge order."""
+        pools, kept = [], set()
+        for i, a in sorted(w_p, key=lambda pair: (
+                pair[0], p.enabled(pair[0]).index(pair[1]))):
+            s = p.states[i][0]
+            if (s, a) not in pools:
+                pools.append((s, a))
+            if (i, a) == last:
+                break
+            kept |= {(s, a, s2) for s2 in tpost.row(s, a)[0]
+                     if lift_reference(p, i, s2) in w}
+        return pools, [t for t in model_edges(p.m) if t in kept]
+
+    p, res, tpost, dpost, gamma_r = paper_learned(1, 101)
+    pools, _ = expected(p, res.w, res.w_p, tpost, last=(4700, "UL"))
+    calls.update(successors=[], transition=[], dwell=[], risk=0)
     with pytest.raises(EmptyPredictiveRow, match=r"pair \(4700,UL\)"):
         build_risk_model(p, res.w, res.w_p, tpost, dpost, gamma_r=gamma_r)
     assert len(pools) <= len(p.model_pairs)
     assert calls["successors"] == calls["transition"] == pools
+    assert calls["dwell"] == [] and calls["risk"] == 0
+
+    p = build_pipeline(desk_config())[1]
+    w, w_p = exact_winning_region(p)
+    store = ObservationStore()
+    top_up_observations(p, w_p, store, 500, np.random.default_rng(3))
+    tpost, dpost = update_posteriors(store, sorted(w_p), pool=pooled(p))
+    pools, triples = expected(p, w, w_p, tpost)
+    calls.update(successors=[], transition=[], dwell=[], risk=0)
+    rm = build_risk_model(p, w, w_p, tpost, dpost)
+    assert calls["successors"] == calls["transition"] == pools
     assert calls["dwell"] == triples
-    assert calls["risk"] == len(triples)
+    assert calls["risk"] == len(triples) < len(rm.risk)
 
 
 def ring_posteriors(missing=(), no_variance=()):
@@ -676,20 +697,23 @@ NO_VARIANCE = (MomentUndefined, "Lomax variance needs shape > 2, got 1.5")
 
 @pytest.mark.parametrize("missing, no_variance, want", [
     # a risk error whose triple is first kept after the empty copy (1,f),
-    # and one whose triple is first kept before it
+    # and one whose triple is first kept before it: risks come after
+    # every row, so the empty copy is named either way
     ((), [(3, "f")], NO_MASS),
-    ((), [(0, "s")], NO_VARIANCE),
+    ((), [(0, "s")], NO_MASS),
     # a pool without a posterior row whose first copy comes after the
     # empty copy, and one whose first copy comes before it
     ([(3, "s")], (), NO_MASS),
     ([(0, "s")], (), (UntrackedPair, "pair (0,s) has no posterior")),
-    # a pool without a posterior row after a risk error
-    ([(3, "s")], [(0, "f")], NO_VARIANCE),
+    # a pool without a posterior row after a risk error, and one before
+    # a risk error
+    ([(3, "s")], [(0, "f")], NO_MASS),
+    ([(0, "s")], [(0, "f")], (UntrackedPair, "pair (0,s) has no posterior")),
 ])
 def test_build_raises_at_the_first_failing_copy(missing, no_variance, want):
     """Region {0, 1, 3} of cycle4: copy (1,f) keeps no candidate. The
-    build raises the error a loop over the copies (0,f), (0,s), (1,f),
-    (1,s), (3,f), (3,s) meets first."""
+    build raises the row error a loop over the copies (0,f), (0,s), (1,f),
+    (1,s), (3,f), (3,s) meets first, before any risk error."""
     p = cycle4_product()
     tpost, dpost = ring_posteriors(missing, no_variance)
     w = {0, 1, 3}
@@ -757,16 +781,15 @@ def test_evaluate_self_loop():
     m = Smdp(1, ("a",), {(0, "a"): [(0, 1.0)]},
              {(0, "a", 0): Exponential(1.0)}, 0, ("c",), [0])
     p = build_product(m, trivial_monitor())
-    v = evaluate_policy_risk(p, policy_array(p, {0: "a"}),
-                             lambda i, a, j: 1.0, 0.9)
+    v = evaluate_policy_risk(p, policy_array(p, {0: "a"}), [1.0], 0.9)
     assert v[0] == pytest.approx(10.0)
 
 
 def test_evaluate_zero_discount_is_one_step_risk():
     p = cycle4_product()
     pi = {i: "s" for i in range(p.n_states)}
-    risk = true_risk(p)
-    v = evaluate_policy_risk(p, policy_array(p, pi), risk, 0.0)
+    v = evaluate_policy_risk(p, policy_array(p, pi), true_risk(p), 0.0)
+    risk = edge_risk_fn(p, true_risk(p))
     for i in range(p.n_states):
         j = product_row(p, i, "s")[0][0]
         assert v[i] == pytest.approx(risk(i, "s", j))
@@ -777,7 +800,7 @@ def test_evaluate_rejects_leaving_policy():
     with pytest.raises(PolicyLeavesW, match=f"^action b at state "
                        f"{p.initial} reaches "):
         evaluate_policy_risk(p, policy_array(p, {p.initial: "b"}),
-                             lambda i, a, j: 1.0, 0.9)
+                             np.ones(len(p.model_succ)), 0.9)
 
 
 def test_pi_win_exhaustively_optimal():
@@ -806,11 +829,11 @@ def test_rollouts_under_pi_win_take_less_risk():
 
     p = grid4_product(5)
     w, w_p = exact_winning_region(p)
-    risk = true_risk(p)
-    rm = risk_model_from_product(p, w, w_p, risk, gamma_r=0.9)
+    rm = risk_model_from_product(p, w, w_p, true_risk(p), gamma_r=0.9)
     rq = risk_value_iteration(rm)
     pi_win = policy_dict(p, extract_pi_win(rm, rq))
     allowed = risk_actions(p, rm)
+    risk = edge_risk_fn(p, true_risk(p))
 
     def rollout(policy, seed, steps=10_000):
         rng = np.random.default_rng(seed)

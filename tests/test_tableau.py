@@ -17,6 +17,7 @@ from smdpsynth import (
     parse_ltl,
 )
 
+from conftest import to_omega_automaton
 from oracles import (
     all_lassos, eval_ltl_on_lasso, lasso_accepted_cba, random_formula,
 )
@@ -141,7 +142,7 @@ def test_translation_deterministic_across_hash_seeds():
 def test_counting_route_agrees_on_translated_automaton():
     aut = ltl_to_cba(parse_ltl(PHI_EX))
     for K in (0, 1):
-        det = determinize_kcba(aut, K).to_omega_automaton()
+        det = to_omega_automaton(determinize_kcba(aut, K))
         for stem, cyc in all_lassos(8, 3):
             assert lasso_accepted_kcba(aut, K, stem, cyc) == \
                 lasso_accepted_kcba(det, 0, stem, cyc)

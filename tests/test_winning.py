@@ -17,6 +17,7 @@ from smdpsynth.winning import UNSEEN_SCORE, _cdf, _np_sum, _softmax_probs
 
 from conftest import (
     FixedRng, grid4_product, m1_model, m1_product, random_product,
+    successor_counts,
 )
 from oracles import boundary_reference
 
@@ -332,14 +333,14 @@ def test_exit_keeps_pool_data_and_posterior_row():
     assert pid(p, mid, "a") not in learner.w_p
     (j,) = learner._obs_succ[pid(p, mid, "a")]
     s, s2 = p.states[mid][0], p.states[j][0]
-    assert learner.store.successor_counts(s, "a") == {s2: 1}
+    assert successor_counts(learner.store, s, "a") == {s2: 1}
     row = learner.tpost.to_json_dict()[f"{s}/a"]
     assert row == {"candidates": [s2], "concentration": [2.0]}
     learner._sample_start = lambda: (p.initial, None)
     for _ in range(20):
         learner.run_episode()
     learner._refresh_posteriors()
-    assert learner.store.successor_counts(s, "a") == {s2: 1}
+    assert successor_counts(learner.store, s, "a") == {s2: 1}
     assert learner.tpost.to_json_dict()[f"{s}/a"] == row
     learner._check_consistency()
 
