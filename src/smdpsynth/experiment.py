@@ -62,6 +62,13 @@ PAPER_SCENARIO = {
 
 RECURRENCE_FORMULA = "G F a & G F b & G !c"
 
+# the ExperimentConfig fields that hold a count, a budget, a cap or a seed
+_COUNT_FIELDS = (
+    "k", "posterior_period", "learn_episodes", "learn_step_cap", "patience",
+    "min_tries", "reach_episodes", "reach_step_cap", "min_observations",
+    "paths", "horizon", "repetitions", "seed", "workers", "oracle_cap",
+)
+
 
 @dataclass
 class ExperimentConfig:
@@ -94,6 +101,11 @@ class ExperimentConfig:
     oracle_cap: int = 50_000
 
     def __post_init__(self):
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(
+                    f"{name} must be an integer, got {value!r}")
         if self.functional is None:
             self.functional = {"kind": "mean_plus_sigma", "lam": 1.0}
         if self.repetitions < 1:
@@ -297,13 +309,16 @@ def _run_rep(job):
     }
 
 
-def export_sample_paths(p, policy, n, horizon, rng) -> list:
-    """Labeled sample paths from the initial state under a policy array
-    that chooses at every state; JSONL-ready records, header first."""
-    records = [{"record": "header", "paths": n, "horizon": horizon,
-                "initial": p.initial}]
-    m = p.m
+def export_sample_paths(p, policy, n, horizon, rng, out) -> None:
+    """Write `n` labeled sample paths from the initial state under a
+    policy array that chooses at every state to the text file `out`, as
+    JSONL: a header line, then one line per path, written as soon as the
+    path is drawn. A policy that does not choose at every state is
+    refused before anything is written."""
     acts = p.pair_actions(_policy_pairs(p, policy, np.arange(p.n_states)))
+    _write_jsonl(out, {"record": "header", "paths": n, "horizon": horizon,
+                       "initial": p.initial})
+    m = p.m
     # per model state: its name and its label list
     state_names = m.names
     state_labels = [m.labels_of(s) for s in range(m.n_states)]
@@ -321,10 +336,13 @@ def export_sample_paths(p, policy, n, horizon, rng) -> list:
             names.append(state_names[s2])
             labels.append(list(state_labels[s2]))
             i = j
-        records.append({"record": "path", "states": states, "names": names,
-                        "labels": labels, "actions": actions,
-                        "dwells": dwells})
-    return records
+        _write_jsonl(out, {"record": "path", "states": states,
+                           "names": names, "labels": labels,
+                           "actions": actions, "dwells": dwells})
+
+
+def _write_jsonl(out, rec):
+    out.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _dumps(doc) -> str:
@@ -340,8 +358,11 @@ def config_fingerprint(cfg_doc: dict) -> str:
 
 
 def _sha256(path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _strip_rep(rep: dict) -> dict:
@@ -482,10 +503,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
 
     paths_rng = np.random.default_rng(seqs[-1])
     with open(files["paths.jsonl"], "w") as fh:
-        for rec in export_sample_paths(p, rep0["pi"], cfg.paths, cfg.horizon,
-                                       paths_rng):
-            fh.write(json.dumps(rec, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+        export_sample_paths(p, rep0["pi"], cfg.paths, cfg.horizon,
+                            paths_rng, fh)
 
     oracle_doc = None
     if oracle is not None:

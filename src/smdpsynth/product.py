@@ -401,7 +401,9 @@ def _safety_fixpoint(owner, row_ptr, succ, dead):
     edge_pair = np.repeat(np.arange(n_pairs), np.diff(row_ptr))
     bad = np.bincount(edge_pair[dead[succ]], minlength=n_pairs)
     good = np.bincount(owner[bad == 0], minlength=n_states)
-    pred = edge_pair[np.argsort(succ, kind="stable")].tolist()
+    # an array, read one dying state's slice at a time: as a list, its
+    # Python ints would be the largest allocation of the solve
+    pred = edge_pair[np.argsort(succ, kind="stable")]
     pred_ptr = np.zeros(n_states + 1, dtype=np.intp)
     np.cumsum(np.bincount(succ, minlength=n_states), out=pred_ptr[1:])
     pred_ptr = pred_ptr.tolist()
@@ -413,7 +415,7 @@ def _safety_fixpoint(owner, row_ptr, succ, dead):
     bad, good, owner_of = bad.tolist(), good.tolist(), owner.tolist()
     queue = np.flatnonzero(dying).tolist()
     for j in queue:          # grows while it is read: a FIFO worklist
-        for k in pred[pred_ptr[j]:pred_ptr[j + 1]]:
+        for k in pred[pred_ptr[j]:pred_ptr[j + 1]].tolist():
             bad[k] += 1
             if bad[k] == 1:
                 i = owner_of[k]

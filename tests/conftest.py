@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -259,6 +262,15 @@ def policy_array(p, policy):
     states = list(policy)
     pi[states] = p.pair_ids([(i, policy[i]) for i in states])
     return pi
+
+
+def exported_paths(p, policy, n, horizon, rng):
+    """The records `export_sample_paths` writes, parsed line by line."""
+    from smdpsynth import export_sample_paths
+
+    out = io.StringIO()
+    export_sample_paths(p, policy, n, horizon, rng, out)
+    return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
 def policy_dict(p, pi):

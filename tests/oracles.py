@@ -8,6 +8,7 @@ outside.
 
 import bisect
 import itertools
+import json
 import weakref
 from collections import deque
 
@@ -699,6 +700,35 @@ def sample_product_step_reference(p, i, a, rng):
     k = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     j = succs[min(k, len(succs) - 1)]
     return j, product_dwell(p, i, a, j).sample(rng), p.states[j][0]
+
+
+def export_sample_paths_reference(p, policy, n, horizon, rng):
+    """The paths.jsonl text of `n` sample paths under a policy array that
+    chooses at every state, built whole before any of it is dumped: the
+    header record, then one record per path, each path drawn with the
+    per-call cumulative-sum sampler; one compact JSON line per record."""
+    m = p.m
+    acts = p.pair_actions(np.asarray(policy))
+    records = [{"record": "header", "paths": n, "horizon": horizon,
+                "initial": p.initial}]
+    for _ in range(n):
+        i = p.initial
+        s = p.states[i][0]
+        states, names, labels = [i], [m.names[s]], [list(m.labels_of(s))]
+        actions, dwells = [], []
+        for _ in range(horizon):
+            j, tau, s2 = sample_product_step_reference(p, i, acts[i], rng)
+            actions.append(acts[i])
+            dwells.append(float(tau))
+            states.append(j)
+            names.append(m.names[s2])
+            labels.append(list(m.labels_of(s2)))
+            i = j
+        records.append({"record": "path", "states": states, "names": names,
+                        "labels": labels, "actions": actions,
+                        "dwells": dwells})
+    return "".join(json.dumps(rec, sort_keys=True, separators=(",", ":"))
+                   + "\n" for rec in records)
 
 
 def softmax_policy_reference(actions, scores, temperature, epsilon):

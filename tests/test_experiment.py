@@ -3,28 +3,36 @@ determinism, sample-path export."""
 
 import csv
 import importlib.util
+import io
 import json
 import os
+import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smdpsynth import (
-    ConfigError, DomainGap, ExperimentConfig, MeanPlusSigma, ObservationStore,
-    Quantile, build_pipeline, config_fingerprint, desk_config,
-    exact_winning_region, export_sample_paths, oracle_reference, paper_config,
-    parse_functional, run_algorithm1, run_experiment, top_up_observations,
-    update_posteriors,
+    ActionNotEnabled, ConfigError, DomainGap, ExperimentConfig, MeanPlusSigma,
+    ObservationStore, Quantile, build_pipeline, config_fingerprint,
+    desk_config, exact_winning_region, export_sample_paths, oracle_reference,
+    paper_config, parse_functional, run_algorithm1, run_experiment,
+    top_up_observations, update_posteriors,
 )
 from smdpsynth.experiment import true_edge_risk
 from smdpsynth.product import PairSet, ProductSmdp, \
     policy_reach_probability
 from smdpsynth.risk import risk_model_from_product, risk_value_iteration
 
-from conftest import dwell_stats, grid4_product, successor_counts
-from oracles import ObservationStoreReference, top_up_observations_reference
+from conftest import (
+    dwell_stats, exported_paths, grid4_product, successor_counts,
+)
+from oracles import (
+    ObservationStoreReference, export_sample_paths_reference,
+    top_up_observations_reference,
+)
 
 
 SMALL = dict(learn_episodes=2000, reach_episodes=2000, paths=20, horizon=40,
@@ -51,6 +59,22 @@ def test_config_rejects_bad_fields():
         desk_config(paths=-1)
     with pytest.raises(ConfigError):
         desk_config(functional={"kind": "mystery"})
+
+
+COUNT_FIELDS = ("k", "posterior_period", "learn_episodes", "learn_step_cap",
+                "patience", "min_tries", "reach_episodes", "reach_step_cap",
+                "min_observations", "paths", "horizon", "repetitions",
+                "seed", "workers", "oracle_cap")
+
+
+@pytest.mark.parametrize("name", COUNT_FIELDS)
+def test_config_rejects_non_integer_counts(name):
+    """A count must be an int, and not a bool: the error names the field
+    and its value at config time, before any work is done."""
+    for bad in (2.5, 3.0, "3", True, None):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{name} must be an integer, got {bad!r}")):
+            desk_config(**{name: bad})
 
 
 def test_config_json_round_trip():
@@ -252,10 +276,11 @@ def test_export_paths_edge_cases():
     p = grid4_product()
     rng = np.random.default_rng(0)
     first = p.pair_ptr[:-1]             # each state's first action
-    only_header = export_sample_paths(p, first, 0, 10, rng)
+    only_header = exported_paths(p, first, 0, 10, rng)
     assert len(only_header) == 1 and only_header[0]["record"] == "header"
 
-    pinned = export_sample_paths(p, first, 3, 0, rng)
+    pinned = exported_paths(p, first, 3, 0, rng)
+    assert len(pinned) == 4
     for rec in pinned[1:]:
         assert rec["states"] == [p.initial]
         assert rec["actions"] == [] and rec["dwells"] == []
@@ -266,7 +291,75 @@ def test_export_paths_edge_cases():
     partial = first.copy()
     partial[5] = -1
     with pytest.raises(DomainGap, match="^state 5 has no policy entry$"):
-        export_sample_paths(p, partial, 1, 1, rng)
+        exported_paths(p, partial, 1, 1, rng)
+
+
+def _random_policy(p, rng):
+    """A policy array choosing a uniformly drawn action at every state."""
+    lo, hi = p.pair_ptr[:-1], p.pair_ptr[1:]
+    return lo + rng.integers(hi - lo)
+
+
+@pytest.mark.parametrize("n, horizon, seed", [
+    (0, 10, 0), (3, 0, 1), (1, 1, 2), (4, 30, 3), (6, 25, 4), (2, 80, 5),
+])
+def test_export_writes_the_reference_bytes(n, horizon, seed):
+    """Streamed path by path, the export writes the bytes of the records
+    built whole and then dumped, and leaves the generator where the
+    reference leaves it."""
+    p = grid4_product()
+    policy = _random_policy(p, np.random.default_rng(100 + seed))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = io.StringIO()
+    export_sample_paths(p, policy, n, horizon, rng, out)
+    assert out.getvalue() == export_sample_paths_reference(
+        p, policy, n, horizon, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_refused_policy_writes_nothing():
+    """The policy check runs before the header: a refused policy leaves
+    `out` empty and the generator untouched."""
+    p = grid4_product()
+    first = p.pair_ptr[:-1]
+    unset, foreign = first.copy(), first.copy()
+    unset[5] = -1
+    foreign[5] = p.pair_ptr[6]          # a pair of state 6
+    for error, policy in ((DomainGap, unset), (DomainGap, first[:-1]),
+                          (ActionNotEnabled, foreign)):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        out = io.StringIO()
+        with pytest.raises(error):
+            export_sample_paths(p, policy, 3, 10, rng, out)
+        assert out.getvalue() == ""
+        assert rng.bit_generator.state == before
+
+
+class _Discard:
+    """A text sink that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _export_peak(p, policy, n):
+    """tracemalloc's peak over one export of `n` paths of 200 steps."""
+    tracemalloc.start()
+    try:
+        export_sample_paths(p, policy, n, 200, np.random.default_rng(0),
+                            _Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_memory_does_not_grow_with_path_count():
+    _, p = build_pipeline(desk_config())
+    policy = _random_policy(p, np.random.default_rng(1))
+    _export_peak(p, policy, 1)          # builds the sampler's lazy tables
+    small, large = _export_peak(p, policy, 10), _export_peak(p, policy, 400)
+    assert abs(large - small) < 0.25 * 2 ** 20
 
 
 def test_run_turns_no_tuple_into_a_pair_id(tmp_path, monkeypatch):

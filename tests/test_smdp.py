@@ -3,12 +3,14 @@ import pytest
 
 from smdpsynth import (
     ActionNotEnabled, ConfigError, Empirical, Exponential, GridConfig,
-    GRID_ACTIONS, Smdp, UnknownState, build_gridworld, export_sample_paths,
-    load_scenario, sample_step,
+    GRID_ACTIONS, Smdp, UnknownState, build_gridworld, load_scenario,
+    sample_step,
 )
 from smdpsynth.product import build_product
 
-from conftest import model_row, policy_array, trivial_monitor
+from conftest import (
+    exported_paths, model_row, policy_array, trivial_monitor,
+)
 
 
 def sid(x, y, w=5):
@@ -205,8 +207,8 @@ def rollout(m, policy, horizon, seed):
     with the never-accepting monitor: (product states, model states,
     actions, dwells)."""
     p = build_product(m, trivial_monitor(m.ap))
-    _, rec = export_sample_paths(p, policy_array(p, policy), 1, horizon,
-                                 np.random.default_rng(seed))
+    _, rec = exported_paths(p, policy_array(p, policy), 1, horizon,
+                            np.random.default_rng(seed))
     return (rec["states"], [p.states[i][0] for i in rec["states"]],
             rec["actions"], rec["dwells"])
 
