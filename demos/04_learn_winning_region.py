@@ -1,9 +1,10 @@
 """Learning the winning region from samples only.
 
-The learner never reads the transition table: it simulates episodes from
-boundary states, keeps a pair as a candidate while nothing observed
-escapes the current region, and prunes greedily otherwise. Candidate sets
-only shrink, so the estimate converges to the exact region from above.
+The learner never reads the transition table: it simulates episodes
+inside the current region, drawing the actions it knows least about,
+keeps a pair as a candidate while nothing observed escapes the region,
+and prunes greedily otherwise. Candidate sets only shrink, so the
+estimate converges to the exact region from above.
 """
 
 from smdpsynth import (
@@ -24,10 +25,9 @@ res = run_algorithm1(p, LearnerConfig(episode_budget=20_000, step_cap=60,
                                       patience=250, min_tries=10, seed=0),
                      oracle_w_p=w_p)
 
-print("episode   candidates   boundary   agreement")
+print("episode   candidates   agreement")
 for row in res.progress[::200] + [res.progress[-1]]:
-    print(f"{row['episode']:7d}   {row['w_p']:10d}   {row['boundary']:8d}"
-          f"   {row['ind']:.3f}")
+    print(f"{row['episode']:7d}   {row['w_p']:10d}   {row['ind']:.3f}")
 
 print(f"\nconverged after {res.episodes} episodes "
       f"({len(res.store)} observations)")

@@ -22,6 +22,8 @@ import copy
 import csv
 import hashlib
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, fields
@@ -68,6 +70,18 @@ _COUNT_FIELDS = (
     "min_tries", "reach_episodes", "reach_step_cap", "min_observations",
     "paths", "horizon", "repetitions", "seed", "workers", "oracle_cap",
 )
+# the ExperimentConfig fields that hold a discount or a reward level
+_REAL_FIELDS = ("gamma", "gamma_acc", "r_n", "gamma_r")
+
+
+def _real(name, value):
+    """`value` if it is a finite real number and not a bool; else a
+    ConfigError naming the field."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite real number, "
+                          f"got {value!r}")
+    return value
 
 
 @dataclass
@@ -106,6 +120,14 @@ class ExperimentConfig:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(
                     f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            _real(name, getattr(self, name))
+        if not isinstance(self.formula, str):
+            raise ConfigError(
+                f"formula must be a string, got {self.formula!r}")
+        if not isinstance(self.scenario, dict):
+            raise ConfigError(
+                f"scenario must be a dict, got {self.scenario!r}")
         if self.functional is None:
             self.functional = {"kind": "mean_plus_sigma", "lam": 1.0}
         if self.repetitions < 1:
@@ -172,11 +194,15 @@ def paper_config(**overrides) -> ExperimentConfig:
 
 
 def parse_functional(doc: dict):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"functional must be a dict, got {doc!r}")
     kind = doc.get("kind")
     if kind == "mean_plus_sigma":
-        return MeanPlusSigma(float(doc.get("lam", 1.0)))
+        return MeanPlusSigma(float(_real("functional lam",
+                                         doc.get("lam", 1.0))))
     if kind == "quantile":
-        return Quantile(float(doc.get("alpha", 0.5)))
+        return Quantile(float(_real("functional alpha",
+                                    doc.get("alpha", 0.5))))
     raise ConfigError(f"unknown risk functional kind {kind!r}")
 
 
@@ -457,12 +483,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentArtifacts:
 
     with open(files["progress.csv"], "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["rep", "episode", "w", "w_p", "boundary", "steps",
-                     "wall", "ind"])
+        wr.writerow(["rep", "episode", "w", "w_p", "steps", "wall", "ind"])
         for rep in reps:
             for row in rep["progress"]:
                 wr.writerow([rep["rep"], row["episode"], row["w"],
-                             row["w_p"], row["boundary"], row["steps"],
+                             row["w_p"], row["steps"],
                              f"{row['wall']:.6f}",
                              f"{row['ind']:.6f}" if "ind" in row else ""])
 

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import ConfigError
 from .product import ProductSmdp, _greedy_policy, sample_product_step
 
+VISIT_OFFSET = 10.0   # learning rate alpha = offset / (offset + visits)
+EPSILON = 0.3         # behavior-policy exploration
+
 
 @dataclass
 class RewardDiscountSpec:
@@ -40,21 +43,16 @@ class RewardDiscountSpec:
 
 @dataclass
 class QLearnSchedule:
-    """Episode counts and the visit-decayed learning rate alpha."""
+    """Episode count, step cap and seed of transient Q-learning; its
+    learning rate decays with visits at `VISIT_OFFSET`."""
 
     episodes: int = 20_000
     step_cap: int = 4000
-    visit_offset: float = 10.0   # alpha = offset / (offset + visits)
-    epsilon: float = 0.3         # behavior-policy exploration
     seed: int = 0
 
     def __post_init__(self):
         if self.episodes < 1 or self.step_cap < 1:
             raise ConfigError("episodes and step_cap must be >= 1")
-        if self.visit_offset <= 0:
-            raise ConfigError("visit_offset must be positive")
-        if not 0 <= self.epsilon <= 1:
-            raise ConfigError("epsilon must be in [0,1]")
 
 
 @dataclass
@@ -103,8 +101,8 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
     base = p.pair_ptr.tolist()
     visits = [0] * len(p.owner)
     deltas = array("d")
-    c = schedule.visit_offset
-    epsilon = schedule.epsilon
+    c = VISIT_OFFSET
+    epsilon = EPSILON
     episodes = 0
     if starts:
         action_cursor = {i: 0 for i in starts}

@@ -185,7 +185,12 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
                       "escaping the winning region".format(
                           *_pair(p, pid[c]), lost[c]), stacklevel=2)
     if err is not None:
-        raise err
+        # cleared on the way out: the error's traceback holds this frame,
+        # and a frame that held the error would only die in a GC pass
+        try:
+            raise err
+        finally:
+            err = None
 
     # the model edge of each kept entry, and one risk per such edge
     edge = (p.model_row_ptr[pool[copy]] + at)[kept]

@@ -9,18 +9,17 @@ below 0, and no later update can bring it back. So this module keeps the
 sets themselves, which give the same estimates: W_p^k is the non-accepting
 pairs with no observed exit from W^k, and W^k the states that keep at
 least one such pair. Both shrink monotonically onto the exact winning
-region. Exploration mixes an entropy-seeking policy inside the region with
-a boundary-probing policy on its rim. The boundary-probing score is the
-predictive mass of a pair's candidates whose lift leaves W^k; the learner
-reads a product row only there, at the entry of an observed model
-successor, which is that successor's lift (see `ProductSmdp`).
+region. Exploration has one policy: a softmax over the posterior entropy
+of each allowed action's model pair, mixed with a uniform share, while a
+share of the episode starts is forced onto pairs still short of their
+tries.
 
 The learner keys its bookkeeping by the product's pair ids (`ProductSmdp`
 numbers the pairs (i, a) of each state consecutively): W_p^k, the pairs
-still short of their tries, the tries themselves and the observed
-successors. The result hands W_p^k over as a `PairSet` of the product:
-a read-only set view over the surviving ids, sorted, which builds no
-(i, a) tuple unless it is iterated. The planner reads its ids through
+still short of their tries and the tries themselves. The result hands
+W_p^k over as a `PairSet` of the product: a read-only set view over the
+surviving ids, sorted, which builds no (i, a) tuple unless it is
+iterated. The planner reads its ids through
 `pair_ids`, and a superset check against the exact region's PairSet
 compares the two id arrays.
 
@@ -44,9 +43,12 @@ import numpy as np
 
 from .bayes import (
     DirichletPosterior, GammaPosterior, ObservationStore, _np_sum,
-    dwell_entropy, predictive_successors, predictive_transition,
-    transition_entropy, update_posteriors,
+    dwell_entropy, predictive_successors, transition_entropy,
+    update_posteriors,
 )
+# not called here: the benchmark's tracer wraps the posterior queries by
+# their names in this module, and looks this one up too
+from .bayes import predictive_transition  # noqa: F401
 from .errors import (
     ConfigError, EmptyWinningCandidate, InvalidDistribution, NoAllowedAction,
     UntrackedPair,
@@ -56,6 +58,9 @@ from .product import PairSet, ProductSmdp, sample_product_step
 # softmax score handed to pairs with no data yet; dwarfs any real entropy
 # so unexplored actions are preferred, and the stable softmax keeps it finite
 UNSEEN_SCORE = 1e3
+TEMPERATURE = 1.0         # softmax temperature of the exploration policy
+EPSILON = 0.05            # its uniform mixing weight
+COVER_START_PROB = 0.25   # share of episode starts forced onto a pair
 
 
 class _IndexedSet:
@@ -118,11 +123,8 @@ class LearnerConfig:
     posterior_period: int = 10        # episodes between posterior refreshes
     episode_budget: int = 50_000
     step_cap: int = 4000              # per-episode exploration bound
-    temperature: float = 1.0          # softmax temperature of both policies
-    epsilon: float = 0.05             # uniform mixing weight
     patience: int = 500               # stable episodes required to stop
     min_tries: int = 10               # tries required of every surviving pair
-    cover_start_prob: float = 0.25    # episode starts forced onto a pair
     seed: int = 0
     debug_checks: bool = False
 
@@ -130,10 +132,6 @@ class LearnerConfig:
         if self.posterior_period < 1 or self.episode_budget < 1 \
                 or self.step_cap < 1 or self.patience < 1:
             raise ConfigError("periods, budgets, and caps must be >= 1")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if not 0 <= self.epsilon <= 1 or not 0 <= self.cover_start_prob <= 1:
-            raise ConfigError("mixing weights must be in [0,1]")
         if self.min_tries < 0:
             raise ConfigError("min_tries must be nonnegative")
 
@@ -145,7 +143,7 @@ class LearnerConfig:
 # follow `_np_sum`, and NumPy still computes the exponentials.
 
 def _softmax_probs(scores, temperature, epsilon):
-    """The exploration policies' softmax, (1 - eps) * softmax(score / T)
+    """The exploration policy's softmax, (1 - eps) * softmax(score / T)
     + eps * uniform, as a list: with `z = scores / T - max(scores / T)`
     and `w = exp(z) / sum(exp(z))`, `(1 - eps) * w + eps * (1 / n)`. The
     maximum of scores / T is max(scores) / T, since rounding a division by
@@ -204,14 +202,13 @@ class WinningLearner:
     from W^k removes its pair from W_p^k at once, which is where the
     pair's first Q update would have put it (see the module docstring).
     W_p^k holds pair ids, in the order an `_IndexedSet` keeps them, and
-    so do the coverage pool `_under`, the tries and the observed-successor
-    index; state i owns the ids `_lo[i]:_lo[i + 1]`, one per enabled
-    action, in the model's action order. The start-up reads them off the
+    so do the coverage pool `_under` and the tries; state i owns the ids
+    `_lo[i]:_lo[i + 1]`, one per enabled action, in the model's action
+    order. The start-up reads them off the
     product's `owner` and `pair_ptr` arrays.
 
-    The learner touches the product only through sampling and lifting:
-    its rows are read only at observed model successors, to lift them,
-    and their probabilities never. Observations are stored per model pair
+    The learner touches the product only through sampling: it reads no
+    product row and no probability. Observations are stored per model pair
     (pool), the dynamics all copies of a model state share, and an exit
     keeps them. Data only grow, so a refresh rebuilds just the rows of the
     pools observed since the last one, from each pool's aggregates, and
@@ -241,13 +238,6 @@ class WinningLearner:
         # states leaving W^k in O(1)
         self._zero_actions = dict(zip(states.tolist(),
                                       np.diff(p.pair_ptr)[states].tolist()))
-        # boundary bookkeeping: per-pair observed successors, reverse index,
-        # and the per-state count of winning pairs with an observed way out
-        self._obs_succ = {}
-        self._preds_of = {}
-        self._out_pairs = set()
-        self._out_count = {}
-        self._dw = _IndexedSet(p.n_states)
 
         self.store = ObservationStore()
         self.tries = [0] * len(p.owner)
@@ -262,9 +252,7 @@ class WinningLearner:
         self._ent_cache = {}
         self._special = {}
         # `_explore`'s (pair ids, actions, probabilities, `_cdf`) per
-        # (state, outward), cleared on every refresh and every removal;
-        # outward is in the key because an observation can move a state
-        # onto the boundary without either
+        # state, cleared on every refresh and every removal
         self._draw_cache = {}
 
         self.episodes = 0
@@ -279,31 +267,6 @@ class WinningLearner:
 
     # --- set maintenance ---------------------------------------------------
 
-    def _note_observation(self, i, k, j):
-        """Pair k, of state i, was seen to reach state j."""
-        succs = self._obs_succ.get(k)
-        if succs is None:
-            succs = self._obs_succ[k] = set()
-        if j not in succs:
-            succs.add(j)
-            self._preds_of.setdefault(j, set()).add(k)
-            if k in self.w_p and j not in self.w:
-                self._add_out_pair(i, k)
-
-    def _add_out_pair(self, i, k):
-        if k not in self._out_pairs:
-            self._out_pairs.add(k)
-            self._out_count[i] = self._out_count.get(i, 0) + 1
-            if i in self.w:
-                self._dw.add(i)
-
-    def _drop_out_pair(self, i, k):
-        if k in self._out_pairs:
-            self._out_pairs.discard(k)
-            self._out_count[i] -= 1
-            if self._out_count[i] == 0:
-                self._dw.discard(i)
-
     def _remove_pair(self, k):
         """An observed exit from W^k: pair k leaves W_p^k, maybe dragging
         its state out of W^k. The pair is in W_p^k, since episodes start
@@ -312,19 +275,9 @@ class WinningLearner:
         self.w_p.discard(k)
         self._under.discard(k)
         i = self._owner(k)
-        self._drop_out_pair(i, k)
         self._zero_actions[i] -= 1
         if self._zero_actions[i] == 0:
-            self._remove_state(i)
-
-    def _remove_state(self, i):
-        self.w.discard(i)
-        self._dw.discard(i)
-        # pairs known to reach i now have an observed way out of W; sorted
-        # so the boundary set fills in one order regardless of hash seed
-        for k in sorted(self._preds_of.get(i, ())):
-            if k in self.w_p:
-                self._add_out_pair(self._owner(k), k)
+            self.w.discard(i)
 
     def _refresh_posteriors(self):
         """Rebuild the rows of the pools observed since the last refresh
@@ -340,7 +293,7 @@ class WinningLearner:
         if self.cfg.debug_checks:
             self._check_posteriors()
 
-    # --- exploration policies ------------------------------------------------
+    # --- exploration policy --------------------------------------------------
 
     def _allowed(self, i):
         """W_p^k's pair ids at state i, in action order."""
@@ -368,57 +321,26 @@ class WinningLearner:
         self._ent_cache[(s, a)] = h
         return h
 
-    def _out_score(self, i, a):
-        """Predictive probability that the pair leaves the current W^k.
-        The candidates are observed model successors, so each is in the
-        model row, and its lift is the entry of the pair's product row at
-        its position there."""
-        p = self.p
-        s = p._s_of[i]
-        try:
-            cands = predictive_successors(self.tpost, s, a)
-            row = predictive_transition(self.tpost, s, a)
-        except UntrackedPair:
-            return 0.0
-        _, succs, _, off = p._draw[(s, a)]
-        base, succ_at, w = p._edge_base[i] + off, p._succ_at, self.w
-        out = 0.0
-        for c, pr in zip(cands, row):
-            if succ_at[base + succs.index(c)] not in w:
-                out += pr
-        return out
-
-    def _policy(self, i, outward):
-        """Allowed pair ids at i, their actions and their softmax
-        probabilities, scored by predictive mass leaving W^k (outward) or
-        by posterior entropy: the one computation behind the exploration
-        policies and the draw."""
+    def _explore(self, i):
+        """Allowed pair ids at i, their actions and their exploration
+        probabilities, a softmax over posterior entropy: the one
+        computation behind the exploration policy and its draw."""
+        if i not in self.w:
+            raise NoAllowedAction(f"state {i} is outside the candidate region")
         pids = self._allowed(i)
         lo, enabled = self._lo[i], self._enabled[i]
         acts = [enabled[k - lo] for k in pids]
-        if outward:
-            scores = [self._out_score(i, a) for a in acts]
-        else:
-            s = self.p._s_of[i]
-            scores = [self._ent_score(s, a) for a in acts]
-        return pids, acts, _softmax_probs(scores, self.cfg.temperature,
-                                          self.cfg.epsilon)
-
-    def _explore(self, i):
-        """`_policy` of the exploration policy: outward on the boundary,
-        entropy inside."""
-        if i not in self.w:
-            raise NoAllowedAction(f"state {i} is outside the candidate region")
-        return self._policy(i, i in self._dw)
+        s = self.p._s_of[i]
+        return pids, acts, _softmax_probs(
+            [self._ent_score(s, a) for a in acts], TEMPERATURE, EPSILON)
 
     def _sample_action(self, i):
         """Draw the exploration policy's pair id and action at i: one
         uniform draw on the memoized `_cdf`."""
-        key = (i, i in self._dw)
-        hit = self._draw_cache.get(key)
+        hit = self._draw_cache.get(i)
         if hit is None:
             pids, acts, probs = self._explore(i)
-            hit = self._draw_cache[key] = (pids, acts, probs, _cdf(probs))
+            hit = self._draw_cache[i] = (pids, acts, probs, _cdf(probs))
         pids, acts, probs, cdf = hit
         if self.cfg.debug_checks:
             self._check_action_probs(i, acts, probs)
@@ -429,12 +351,10 @@ class WinningLearner:
 
     def _sample_start(self):
         """An episode's first state and, on a forced start, its pair id."""
-        if len(self.w_p) and self.rng.random() < self.cfg.cover_start_prob:
+        if len(self.w_p) and self.rng.random() < COVER_START_PROB:
             pool = self._under if len(self._under) else self.w_p
             k = pool.choice(self.rng)
             return self._owner(k), k
-        if len(self._dw):
-            return self._dw.choice(self.rng), None
         return self.w.choice(self.rng), None
 
     def run_episode(self):
@@ -456,7 +376,6 @@ class WinningLearner:
             n = tries[k] = tries[k] + 1
             if n >= cfg.min_tries:
                 self._under.discard(k)
-            self._note_observation(i, k, j)
             if j not in w:
                 exit_pair = k
                 break
@@ -478,8 +397,8 @@ class WinningLearner:
             self._refresh_posteriors()
 
         row = {"episode": self.episodes, "w": len(self.w),
-               "w_p": len(self.w_p), "boundary": len(self._dw),
-               "steps": steps, "wall": time.perf_counter() - t0}
+               "w_p": len(self.w_p), "steps": steps,
+               "wall": time.perf_counter() - t0}
         if self.oracle_w_p is not None:
             row["ind"] = ind_k(self.oracle_w_p, self.w_p) if len(self.w_p) \
                 else float("nan")
@@ -491,13 +410,11 @@ class WinningLearner:
         return len(self._under) == 0
 
     def _check_consistency(self):
-        """Re-derive W^k, the per-state W_p^k action counts and the boundary
-        from W_p^k and compare them with the incremental state, and check
-        that the store holds one observation per step taken. Pairs are
-        compared as (state, pair id); the boundary is the states owning a
-        W_p^k pair with an observed successor outside W^k. Raises
-        AssertionError explicitly, so the checks also run under
-        `python -O`."""
+        """Re-derive W^k and the per-state W_p^k action counts from W_p^k
+        and compare them with the incremental state, and check that the
+        store holds one observation per step taken. Pairs are compared as
+        (state, pair id). Raises AssertionError explicitly, so the checks
+        also run under `python -O`."""
         p = self.p
         w_p = {(self._owner(k), k) for k in self.w_p}
         w = {i for i, _ in w_p}
@@ -511,10 +428,6 @@ class WinningLearner:
         if counts != self._zero_actions:
             raise AssertionError("per-state action counts out of sync "
                                  "with W_p")
-        obs = self._obs_succ
-        dw = {i for i, k in w_p if any(j not in w for j in obs.get(k, ()))}
-        if set(self._dw) != dw:
-            raise AssertionError("boundary out of sync with observations")
         if len(self.store) != sum(row["steps"] for row in self.progress):
             raise AssertionError("store size differs from the steps taken")
 

@@ -15,6 +15,7 @@ from collections import deque
 import numpy as np
 
 from smdpsynth import ltl as L
+from smdpsynth.reach import EPSILON, VISIT_OFFSET
 
 
 # --- LTL on lasso words ------------------------------------------------------
@@ -743,14 +744,6 @@ def softmax_policy_reference(actions, scores, temperature, epsilon):
             for a, wi in zip(actions, w)}
 
 
-def boundary_reference(w, w_p, support):
-    """States of w having a winning pair with known mass leaving w, over
-    tuples: `support` maps each pair of `w_p` to the successors it is
-    known to reach."""
-    return frozenset(s for (s, a) in w_p if s in w and any(
-        s2 not in w for s2 in support.get((s, a), ())))
-
-
 def draw_index_reference(probs, rng):
     """Index drawn from the weights `probs` with one `rng.random()`, the
     cumulative sums built afresh on every call: normalize, cumulative sum,
@@ -807,7 +800,7 @@ def qlearn_transient_reference(p, w, spec, schedule):
     starts = [i for i in transient if i not in p.accepting]
     visits = {}
     deltas = []
-    c = schedule.visit_offset
+    c = VISIT_OFFSET
     if starts:
         action_cursor = {i: 0 for i in starts}
         for k in range(schedule.episodes):
@@ -820,7 +813,7 @@ def qlearn_transient_reference(p, w, spec, schedule):
                 if forced is not None:
                     a = forced
                     forced = None
-                elif rng.random() < schedule.epsilon:
+                elif rng.random() < EPSILON:
                     acts = p.enabled(i)
                     a = acts[int(rng.integers(len(acts)))]
                 else:

@@ -107,6 +107,19 @@ def test_non_integer_count_returns_error_code(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_non_real_level_returns_error_code(tmp_path, capsys):
+    """A discount given as a string is refused at config time: exit 2, an
+    `error:` line naming the field, and no bundle."""
+    doc = desk_config().to_json_dict()
+    doc["gamma_r"] = "0.9"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gamma_r" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_unconverged_solver_returns_error_code(tmp_path, capsys,
                                               monkeypatch):
     cfg_file = _small_config_file(tmp_path)

@@ -77,6 +77,49 @@ def test_config_rejects_non_integer_counts(name):
             desk_config(**{name: bad})
 
 
+@pytest.mark.parametrize("name", ("gamma", "gamma_acc", "r_n", "gamma_r"))
+def test_config_rejects_non_real_levels(name):
+    """A discount or a reward level must be a finite real number, and not
+    a bool: the error names the field and its value at config time."""
+    for bad in ("0.5", None, True, float("nan"), float("inf"), [0.5]):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{name} must be a finite real number, got {bad!r}")):
+            desk_config(**{name: bad})
+
+
+@pytest.mark.parametrize("doc, field", [
+    ("x", "functional"), (["mean_plus_sigma"], "functional"),
+    ({"kind": "quantile", "alpha": "a"}, "functional alpha"),
+    ({"kind": "quantile", "alpha": None}, "functional alpha"),
+    ({"kind": "mean_plus_sigma", "lam": "0.5"}, "functional lam"),
+    ({"kind": "mean_plus_sigma", "lam": False}, "functional lam"),
+    ({"kind": "mean_plus_sigma", "lam": float("nan")}, "functional lam"),
+])
+def test_config_rejects_malformed_functional(doc, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be a"):
+        desk_config(functional=doc)
+    with pytest.raises(ConfigError, match=f"^{field} must be a"):
+        parse_functional(doc)
+
+
+def test_config_rejects_non_string_formula_and_non_dict_scenario():
+    for bad in (3, None, ["G !c"]):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"formula must be a string, got {bad!r}")):
+            desk_config(formula=bad)
+    for bad in ([], "grid", None):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"scenario must be a dict, got {bad!r}")):
+            desk_config(scenario=bad)
+
+
+def test_config_accepts_numeric_levels_of_any_real_type():
+    cfg = desk_config(gamma=np.float64(0.99), r_n=-2, gamma_r=0,
+                      functional={"kind": "quantile", "alpha": 1})
+    assert cfg.reward_spec().r_n == -2
+    assert parse_functional(cfg.functional) == Quantile(1.0)
+
+
 def test_config_json_round_trip():
     cfg = desk_config(seed=7, min_observations=50)
     doc = json.loads(json.dumps(cfg.to_json_dict()))

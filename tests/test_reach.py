@@ -28,8 +28,7 @@ def test_spec_validation():
                 dict(gamma_acc=0.0), dict(r_n=0.0), dict(r_n=1.0)]:
         with pytest.raises(ValueError):
             RewardDiscountSpec(**bad)
-    for bad in [dict(episodes=0), dict(step_cap=0), dict(visit_offset=0.0),
-                dict(epsilon=1.5)]:
+    for bad in [dict(episodes=0), dict(step_cap=0)]:
         with pytest.raises(ValueError):
             QLearnSchedule(**bad)
 

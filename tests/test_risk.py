@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import warnings
@@ -418,6 +419,30 @@ def test_build_rejects_fully_escaping_pair():
         build_risk_model(p, {i0}, [(i0, "x")], tpost, dpost)
 
 
+def test_failed_build_leaves_no_reference_cycle():
+    """A build that fails frees its arrays when the error is dropped, with
+    the cyclic GC off: no frame of the build outlives its traceback."""
+    p = risky3_product()
+    store, i0, safe_pid = split_store(p)
+    w_p = [(i0, "x"), (safe_pid, "x")]
+    tpost, dpost = update_posteriors(
+        store, w_p, pool=lambda pair: (p.states[pair[0]][0], pair[1]))
+    empty = DirichletPosterior({})
+    cases = [(EmptyPredictiveRow, ({i0}, [(i0, "x")], tpost)),
+             (UntrackedPair, ({i0, safe_pid}, w_p, empty))]
+    gc.collect()
+    gc.disable()
+    try:
+        for error, (w, pairs, post) in cases:
+            try:
+                build_risk_model(p, w, pairs, post, dpost)
+            except error:
+                pass
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_build_errors_are_typed():
     """A hand-built posterior whose only candidate lifts outside W, and a
     winning state without a winning pair: both raise package errors, which
@@ -601,12 +626,14 @@ def test_build_matches_reference_on_paper_learner_with_escaped_mass():
     """A paper learner seed whose failing copy comes after a copy that
     renormalizes escaping mass: the warning comes first, attributed to
     the caller."""
-    p, res, tpost, dpost, gamma_r = paper_learned(1841685271, 862057200)
+    p, res, tpost, dpost, gamma_r = paper_learned(2458183313, 1757219757)
     out, warned = assert_same_as_reference(p, res.w, res.w_p, tpost, dpost,
                                            gamma_r=gamma_r)
     assert out == (EmptyPredictiveRow,
                    "pair (4099,DR) has no predictive mass inside the region")
     assert [msg for _, msg, _ in warned] == [
+        "pair (4084,UR): renormalized 0.667 predictive mass escaping the "
+        "winning region",
         "pair (4099,DL): renormalized 0.5 predictive mass escaping the "
         "winning region"]
 

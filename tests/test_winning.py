@@ -6,6 +6,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+import smdpsynth.winning
 from smdpsynth import (
     EmptyWinningCandidate, Exponential, InvalidDistribution, LearnerConfig,
     NoAllowedAction, Smdp, WinningLearner, build_pipeline, desk_config,
@@ -19,7 +20,6 @@ from conftest import (
     FixedRng, grid4_product, m1_model, m1_product, random_product,
     successor_counts,
 )
-from oracles import boundary_reference
 
 
 def pid(p, i, a):
@@ -44,12 +44,10 @@ def relabeled_m1(labels):
 # --- config ----------------------------------------------------------------
 
 def test_config_validation():
-    for bad in [dict(temperature=0.0), dict(epsilon=-0.1), dict(epsilon=1.5),
-                dict(posterior_period=0), dict(step_cap=0),
-                dict(cover_start_prob=2.0), dict(min_tries=-1)]:
+    for bad in [dict(posterior_period=0), dict(step_cap=0),
+                dict(min_tries=-1)]:
         with pytest.raises(ValueError):
             LearnerConfig(**bad)
-    LearnerConfig(epsilon=0.0)
 
 
 # --- softmax policy helper ---------------------------------------------------
@@ -97,14 +95,13 @@ def test_softmax_is_distribution_with_mixing():
 
 def test_softmax_no_actions():
     """A state whose pairs have all left W_p^k gets no policy to draw
-    from: `_policy` raises before any softmax."""
+    from: `_explore` raises before any softmax."""
     p = m1_product()
     learner = WinningLearner(p, LearnerConfig(seed=0))
     mid = doomed_m1_state(p)
     learner.w_p.discard(pid(p, mid, "a"))
-    for outward in (False, True):
-        with pytest.raises(NoAllowedAction):
-            learner._policy(mid, outward)
+    with pytest.raises(NoAllowedAction):
+        learner._explore(mid)
 
 
 # --- action draw ---------------------------------------------------------------
@@ -114,9 +111,9 @@ def test_softmax_no_actions():
 # memoized; `draw_index_reference` rebuilds the cumulative sums per draw.
 
 def random_scores(rng, k):
-    """Score vectors of the shapes the learner produces: ties, unexplored
-    pairs mixed with small entropies, out-mass probabilities, wide
-    spreads."""
+    """Score vectors of the shapes the learner produces, and more: ties,
+    unexplored pairs mixed with small entropies, rounded values with
+    partial ties, wide spreads."""
     kind = int(rng.integers(4))
     if kind == 0:
         return [float(rng.uniform(-2, 2))] * k
@@ -191,7 +188,9 @@ def test_learner_action_draw_matches_choice_reference():
     learner = WinningLearner(p, LearnerConfig(seed=13, step_cap=40))
     for _ in range(200):
         learner.run_episode()
-    assert len(learner._dw) and len(learner._dw) < len(learner.w)
+    # some states have left W^k, and some still choose between actions
+    assert len(learner.w) < p.n_states - len(p.accepting)
+    assert any(len(learner._allowed(i)) > 1 for i in learner.w)
     learner.rng = np.random.default_rng(3)
     ref = np.random.default_rng(3)
     for i in sorted(learner.w) * 5:
@@ -241,17 +240,12 @@ def test_action_draw_memo_skips_recomputation_bit_identically():
     assert fresh.computed == len(fresh.draws)
     skipped = len(memo.draws) - memo.computed
     assert 0.4 * len(memo.draws) < skipped < len(memo.draws)
-    # an observation can put a state on the boundary without a refresh or
-    # a removal; the memo keys on that flag
+    # the memo holds the state's policy and its cumulative weights
     learner = CountingLearner(p, cfg)
-    i = next(i for i in learner.w if i not in learner._dw)
+    i = next(iter(learner.w))
     learner._sample_action(i)
-    learner._add_out_pair(i, learner._allowed(i)[0])
-    assert i in learner._dw
-    learner._sample_action(i)
-    assert learner.computed == 2
-    pids, acts, probs = learner._policy(i, True)
-    assert learner._draw_cache[(i, True)] == (pids, acts, probs, _cdf(probs))
+    pids, acts, probs = learner._explore(i)
+    assert learner._draw_cache[i] == (pids, acts, probs, _cdf(probs))
     assert pids == [pid(p, i, a) for a in acts]
 
     # debug_checks recompute the policy beside every draw, memoized or not
@@ -282,7 +276,7 @@ def test_action_draw_rejects_invalid_weights(weights):
 def test_nan_entropy_score_raises_instead_of_drawing(monkeypatch):
     p = grid4_product(5)
     learner = WinningLearner(p, LearnerConfig(seed=0))
-    i = next(i for i in learner.w if i not in learner._dw)
+    i = next(iter(learner.w))
     monkeypatch.setattr(learner, "_ent_score", lambda s, a: float("nan"))
     state = learner.rng.bit_generator.state
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):
@@ -322,16 +316,32 @@ def test_q_update_exit_drops_pair():
     learner._check_consistency()
 
 
-def test_exit_keeps_pool_data_and_posterior_row():
+def record_successors(monkeypatch):
+    """Make the learner's sampler record the product successors it draws,
+    as {(i, a): {j, ...}}, and return that dict."""
+    seen = {}
+    sample = smdpsynth.winning.sample_product_step
+
+    def recorded(p, i, a, rng):
+        step = sample(p, i, a, rng)
+        seen.setdefault((i, a), set()).add(step[0])
+        return step
+
+    monkeypatch.setattr(smdpsynth.winning, "sample_product_step", recorded)
+    return seen
+
+
+def test_exit_keeps_pool_data_and_posterior_row(monkeypatch):
     """Observations belong to the model pair, which every copy shares: the
     pair that exits leaves W_p^k, but its pool keeps the counts and the
     posterior row built from them."""
+    seen = record_successors(monkeypatch)
     p, learner, mid, _ = exit_learner()
     learner._sample_start = lambda: (mid, pid(p, mid, "a"))
     learner.run_episode()
     learner._refresh_posteriors()
     assert pid(p, mid, "a") not in learner.w_p
-    (j,) = learner._obs_succ[pid(p, mid, "a")]
+    (j,) = seen[(mid, "a")]
     s, s2 = p.states[mid][0], p.states[j][0]
     assert successor_counts(learner.store, s, "a") == {s2: 1}
     row = learner.tpost.to_json_dict()[f"{s}/a"]
@@ -343,55 +353,6 @@ def test_exit_keeps_pool_data_and_posterior_row():
     assert successor_counts(learner.store, s, "a") == {s2: 1}
     assert learner.tpost.to_json_dict()[f"{s}/a"] == row
     learner._check_consistency()
-
-
-def test_q_update_boundary_refresh():
-    p, learner, mid, _ = exit_learner()
-    i0 = p.initial
-    observe(learner, i0, "a", 0, i0)
-    observe(learner, i0, "b", 1, mid)
-    assert set(learner._dw) == set()
-    learner._remove_pair(pid(p, mid, "a"))
-    assert set(learner._dw) == boundary_of(learner) == {i0}
-
-
-def boundary_of(learner):
-    """`boundary_reference` of the learner's sets, its pairs as (state,
-    pair id)."""
-    p = learner.p
-    pairs = {k: (int(p.owner[k]), k) for k in range(len(p.owner))}
-    return boundary_reference(set(learner.w), {pairs[k] for k in learner.w_p},
-                              {pairs[k]: succs
-                               for k, succs in learner._obs_succ.items()})
-
-
-# --- boundary ----------------------------------------------------------------
-
-def test_boundary_absorbing_is_empty():
-    w = {0, 1}
-    w_p = {(0, "a"), (1, "a")}
-    assert boundary_reference(w, w_p, {(0, "a"): {1}, (1, "a"): {0, 1}}) \
-        == frozenset()
-
-
-def test_boundary_empty_w():
-    assert boundary_reference(set(), set(), {}) == frozenset()
-
-
-def test_boundary_m1_exit_pair():
-    p = m1_product()
-    w, w_p = exact_winning_region(p)
-    acc = next(iter(p.accepting))
-    support = {(p.initial, "a"): {p.initial}, (p.initial, "b"): {acc}}
-    assert boundary_reference(w, {(p.initial, "a"), (p.initial, "b")},
-                              support) == frozenset({p.initial})
-    assert boundary_reference(w, w_p, {(p.initial, "a"): {p.initial}}) \
-        == frozenset()
-
-
-def test_boundary_ignores_pairs_outside_w():
-    assert boundary_reference({0}, {(5, "a")}, {(5, "a"): {9}}) \
-        == frozenset()
 
 
 # --- learner initialization ----------------------------------------------------
@@ -461,22 +422,11 @@ def test_init_sets_match_nested_loop_construction():
         == []
 
 
-# --- exploration policies on a live learner -------------------------------------
-
-def policy(learner, i, outward):
-    """`_policy` at i as {action: probability}: scored by predictive mass
-    leaving W^k (outward) or by posterior entropy."""
-    return dict(zip(*learner._policy(i, outward)[1:]))
-
+# --- exploration policy on a live learner -------------------------------------
 
 def explore(learner, i):
     """`_explore` at i as {action: probability}."""
     return dict(zip(*learner._explore(i)[1:]))
-
-
-def observe(learner, i, a, model_s2, j, tau=1.0):
-    learner.store.append(learner.p.states[i][0], a, model_s2, tau)
-    learner._note_observation(i, pid(learner.p, i, a), j)
 
 
 def test_pi_ent_prefers_unseen():
@@ -484,9 +434,9 @@ def test_pi_ent_prefers_unseen():
     learner = WinningLearner(p, LearnerConfig(seed=0))
     i0 = p.initial
     for _ in range(20):
-        observe(learner, i0, "a", 0, i0)
+        learner.store.append(p.states[i0][0], "a", 0, 1.0)
     learner._refresh_posteriors()
-    dist = policy(learner, i0, False)
+    dist = explore(learner, i0)
     assert dist["b"] > dist["a"]
     assert sum(dist.values()) == pytest.approx(1.0)
 
@@ -495,43 +445,6 @@ def doomed_m1_state(p):
     """The pid of the model state that reached c: its lone action is losing."""
     return next(i for i in range(p.n_states)
                 if i not in p.accepting and i != p.initial)
-
-
-def test_pi_wperp_prefers_outgoing_mass():
-    p = m1_product()
-    learner = WinningLearner(p, LearnerConfig(seed=0))
-    i0 = p.initial
-    mid = doomed_m1_state(p)
-    learner._remove_pair(pid(p, mid, "a"))
-    observe(learner, i0, "a", 0, i0)
-    observe(learner, i0, "b", 1, mid)
-    learner._refresh_posteriors()
-    dist = policy(learner, i0, True)
-    assert dist["b"] > dist["a"]
-
-
-def test_pi_wperp_no_data_uniform():
-    p = m1_product()
-    learner = WinningLearner(p, LearnerConfig(seed=0, epsilon=0.0))
-    dist = policy(learner, p.initial, True)
-    assert dist["a"] == pytest.approx(0.5)
-    assert dist["b"] == pytest.approx(0.5)
-
-
-def test_pi_ex_dispatches_on_boundary():
-    p = m1_product()
-    learner = WinningLearner(p, LearnerConfig(seed=0))
-    i0 = p.initial
-    mid = doomed_m1_state(p)
-    observe(learner, i0, "a", 0, i0)
-    learner._refresh_posteriors()
-    assert i0 not in learner._dw
-    assert explore(learner, i0) == policy(learner, i0, False)
-    observe(learner, i0, "b", 1, mid)
-    learner._remove_pair(pid(p, mid, "a"))
-    learner._refresh_posteriors()
-    assert i0 in learner._dw
-    assert explore(learner, i0) == policy(learner, i0, True)
 
 
 def test_pi_ex_outside_region_raises():
@@ -609,7 +522,8 @@ def test_grid4_reaches_full_agreement():
 
 
 def test_grid4_incremental_sets_match_reference():
-    """debug_checks re-derives W^k, W_p^k and the boundary every episode."""
+    """debug_checks re-derives W^k and the per-state W_p^k action counts
+    every episode."""
     p = grid4_product(5)
     cfg = LearnerConfig(seed=7, episode_budget=300, step_cap=60,
                         debug_checks=True)
@@ -631,14 +545,6 @@ def test_paper_preset_refreshes_match_full_rebuild():
     assert len(res.store) > 0
 
 
-def test_consistency_check_flags_boundary_drift():
-    p, learner, _, _ = exit_learner()
-    learner._check_consistency()
-    learner._dw.add(p.initial)
-    with pytest.raises(AssertionError, match="boundary"):
-        learner._check_consistency()
-
-
 def test_consistency_check_flags_action_count_drift():
     p, learner, _, _ = exit_learner()
     learner._zero_actions[p.initial] += 1
@@ -654,10 +560,11 @@ def test_consistency_check_flags_accepting_state():
         learner._check_consistency()
 
 
-def test_learner_sound_on_random_products():
+def test_learner_sound_on_random_products(monkeypatch):
     """W^k contains W and W_p^k contains W_p, and every pair the learner
     dropped has an observed successor outside W^k: a removal needs a
     transition that really occurred."""
+    seen = record_successors(monkeypatch)
     rng = np.random.default_rng(2024)
     removed = 0
     for c_prob in (0.15, 0.3):
@@ -667,6 +574,7 @@ def test_learner_sound_on_random_products():
             if len(p.accepting) == p.n_states:
                 continue
             w, w_p = exact_winning_region(p)
+            seen.clear()
             learner = WinningLearner(p, LearnerConfig(
                 episode_budget=200, step_cap=30, seed=seed,
                 debug_checks=True))
@@ -678,8 +586,7 @@ def test_learner_sound_on_random_products():
                 for a in p.enabled(i):
                     if (i, a) not in res.w_p:
                         removed += 1
-                        assert any(j not in res.w for j in
-                                   learner._obs_succ[pid(p, i, a)])
+                        assert any(j not in res.w for j in seen[(i, a)])
             seed += 1
     assert removed > 0
 
@@ -695,20 +602,20 @@ def test_runs_are_deterministic_per_seed():
         == [row["steps"] for row in r2.progress]
 
 
-# Hashes of the per-episode (|W^k|, |W_p^k|, boundary size, steps) rows and
+# Hashes of the per-episode (|W^k|, |W_p^k|, steps) rows and
 # the final W_p^k of seeded runs. How the learner stores its sets may
 # change; which draws and removals it makes, and in what order, may not.
 PINNED_GRID4_TRAJECTORIES = {
-    0: "0399c6b188e77f38f2437b4e7431c0b93ce28fc936a1f75bcc22b82882ed2f0a",
-    1: "d1ca8eda7248e72e9ee50be15c2a6a4c937829ded12115e6459804b616a16376",
-    2: "df01beeec37b6eedaae55e15b93de3f965ea8f31562d6aee8525c6ac68202356",
+    0: "c5a00e18f242d1dca8e2809bcecf5f9929294ad4db9c0718af642271f4d1f527",
+    1: "9c8e7c7fca27be2bfa3c8d2bffcf37ffd3d2219c6094622b3019aea4955f1b1c",
+    2: "42667ebfd55e25a92898db66338850a6df8bb1acc97941017040a0d948be8a88",
 }
 PINNED_PAPER_TRAJECTORY = \
-    "bc9814efdec0aa5be8fba443eac2ad4f91fb904f3f2fe45463ad57d430578be0"
+    "5faadfc524492fdf454112c087f3f212bbb814e273657e1c8493f954cbc21d9b"
 
 
 def trajectory_digest(res):
-    doc = {"rows": [[row["w"], row["w_p"], row["boundary"], row["steps"]]
+    doc = {"rows": [[row["w"], row["w_p"], row["steps"]]
                     for row in res.progress],
            "w_p": sorted([i, a] for i, a in res.w_p)}
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
@@ -739,8 +646,7 @@ def test_progress_rows_schema():
                                           seed=2), oracle_w_p=w_p)
     assert len(res.progress) == res.episodes
     for row in res.progress:
-        assert {"episode", "w", "w_p", "boundary", "steps", "wall",
-                "ind"} <= set(row)
+        assert {"episode", "w", "w_p", "steps", "wall", "ind"} <= set(row)
         assert 0 < row["ind"] <= 1.0 or np.isnan(row["ind"])
 
 
@@ -760,14 +666,11 @@ def test_policies_stay_valid_during_learning():
     states = list(learner.w)
     for _ in range(12):
         i = states[int(rng.integers(len(states)))]
-        for dist, score in [(policy(learner, i, False),
-                             lambda a: learner._ent_score(p._s_of[i], a)),
-                            (policy(learner, i, True),
-                             lambda a: learner._out_score(i, a))]:
-            assert sum(dist.values()) == pytest.approx(1.0)
-            acts = sorted(dist, key=score)
-            probs = [dist[a] for a in acts]
-            assert all(x <= y + 1e-12 for x, y in zip(probs, probs[1:]))
+        dist = explore(learner, i)
+        assert sum(dist.values()) == pytest.approx(1.0)
+        acts = sorted(dist, key=lambda a: learner._ent_score(p._s_of[i], a))
+        probs = [dist[a] for a in acts]
+        assert all(x <= y + 1e-12 for x, y in zip(probs, probs[1:]))
 
 
 def test_debug_checks_compare_action_draw_without_drawing(monkeypatch):
