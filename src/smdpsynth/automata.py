@@ -57,46 +57,12 @@ class OmegaAutomaton:
     def n_letters(self):
         return 2 ** len(self.ap)
 
-    def letter_atoms(self, letter):
-        """Sorted atom names carried by a letter bitmask."""
-        return [a for i, a in enumerate(self.ap) if letter >> i & 1]
-
     def letter_from_atoms(self, names):
         mask = 0
         index = {a: i for i, a in enumerate(self.ap)}
         for nm in names:
             mask |= 1 << index[nm]
         return mask
-
-    def to_json_dict(self):
-        """Stable serialization: states, alphabet, transitions, initial, accepting."""
-        transitions = []
-        for x, row in enumerate(self.delta):
-            for letter in range(self.n_letters):
-                for y in row[letter]:
-                    transitions.append([x, self.letter_atoms(letter), y])
-        return {
-            "states": list(range(self.n_states)),
-            "alphabet": [self.letter_atoms(let) for let in range(self.n_letters)],
-            "ap": list(self.ap),
-            "transitions": transitions,
-            "initial": self.initial,
-            "accepting": sorted(self.accepting),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        ap = tuple(d["ap"])
-        n = len(d["states"])
-        nl = 2 ** len(ap)
-        index = {a: i for i, a in enumerate(ap)}
-        delta = [[set() for _ in range(nl)] for _ in range(n)]
-        for x, atoms, y in d["transitions"]:
-            mask = 0
-            for nm in atoms:
-                mask |= 1 << index[nm]
-            delta[x][mask].add(y)
-        return cls(ap, delta, d["initial"], d["accepting"])
 
 
 def _check_lasso(aut, stem, cycle):

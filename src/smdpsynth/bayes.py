@@ -277,36 +277,11 @@ class MeanPlusSigma:
                 f"deviation weight must be in [0,1], got {self.lam}")
 
 
-def _mean_std(dist):
-    if dist.kind == "exponential":
-        return 1.0 / dist.rate, 1.0 / dist.rate
-    if dist.kind == "empirical":
-        xs = np.asarray(dist.samples)
-        return float(xs.mean()), float(xs.std())
-    if dist.kind == "lomax":
-        return dist.mean(), dist.std()
-    raise TypeError(f"unsupported dwell distribution {dist!r}")
-
-
-def _survival_quantile(dist, q):
-    if dist.kind == "exponential":
-        return -np.log(q) / dist.rate
-    if dist.kind == "empirical":
-        xs = np.asarray(dist.samples)
-        for t in [0.0] + sorted(set(xs.tolist())):
-            if np.mean(xs > t) < q:
-                return t
-        return float(xs.max())
-    if dist.kind == "lomax":
-        return dist.survival_quantile(q)
-    raise TypeError(f"unsupported dwell distribution {dist!r}")
-
-
 def risk_of(dist, f) -> float:
-    """Evaluate a risk functional on a dwell distribution or predictive."""
+    """Evaluate a risk functional on a dwell distribution or predictive,
+    through its own `mean`, `std` and `survival_quantile`."""
     if isinstance(f, Quantile):
-        return float(_survival_quantile(dist, f.alpha))
+        return float(dist.survival_quantile(f.alpha))
     if isinstance(f, MeanPlusSigma):
-        mu, sigma = _mean_std(dist)
-        return float(mu + f.lam * sigma)
+        return float(dist.mean() + f.lam * dist.std())
     raise TypeError(f"unsupported risk functional {f!r}")

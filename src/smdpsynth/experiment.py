@@ -36,8 +36,8 @@ from .bayes import MeanPlusSigma, Quantile, risk_of, update_posteriors
 from .errors import ConfigError
 from .ltl import parse_ltl
 from .product import (
-    _best_actions, _first_positions, _greedy_policy, _policy_pairs,
-    build_product, exact_max_reach_probability, exact_winning_region,
+    _best_actions, _greedy_policy, _policy_pairs, _pool_copies, build_product,
+    exact_max_reach_probability, exact_winning_region,
     policy_reach_probability, sample_product_step,
 )
 from .reach import (
@@ -193,17 +193,22 @@ def paper_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+# each risk functional kind: its class, its one parameter and the default
+_FUNCTIONALS = {"mean_plus_sigma": (MeanPlusSigma, "lam", 1.0),
+                "quantile": (Quantile, "alpha", 0.5)}
+
+
 def parse_functional(doc: dict):
     if not isinstance(doc, dict):
         raise ConfigError(f"functional must be a dict, got {doc!r}")
     kind = doc.get("kind")
-    if kind == "mean_plus_sigma":
-        return MeanPlusSigma(float(_real("functional lam",
-                                         doc.get("lam", 1.0))))
-    if kind == "quantile":
-        return Quantile(float(_real("functional alpha",
-                                    doc.get("alpha", 0.5))))
-    raise ConfigError(f"unknown risk functional kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _FUNCTIONALS:
+        raise ConfigError(f"unknown risk functional kind {kind!r}")
+    cls, name, default = _FUNCTIONALS[kind]
+    extra = [key for key in doc if key not in ("kind", name)]
+    if extra:
+        raise ConfigError(f"unknown key {extra[0]!r} in a {kind} functional")
+    return cls(float(_real(f"functional {name}", doc.get(name, default))))
 
 
 def build_pipeline(cfg: ExperimentConfig):
@@ -219,9 +224,10 @@ def true_edge_risk(p, functional) -> np.ndarray:
     risk depends only on its model triple, so product edge e's risk is
     entry `p.edge[e]`."""
     dwell = p.m.dwell
-    return np.array([risk_of(dwell[(s, a, s2)], functional)
-                     for s, a in p.model_pairs
-                     for s2 in p.m._rows[(s, a)][0]], dtype=float)
+    pair = np.repeat(np.arange(len(p.model_pairs)), np.diff(p.model_row_ptr))
+    return np.array([risk_of(dwell[(*p.model_pairs[q], s2)], functional)
+                     for q, s2 in zip(pair.tolist(), p.model_succ.tolist())],
+                    dtype=float)
 
 
 def oracle_reference(p, functional, gamma_r) -> dict:
@@ -268,8 +274,7 @@ def top_up_observations(p, w_p, store, target, rng):
     Each pool draws through its copy of lowest pair id among the
     `p.pair_ids` of `w_p`, and pools go in the order of those copies.
     Every draw goes through `sample_product_step`."""
-    pid = np.sort(p.pair_ids(w_p))
-    pid = pid[_first_positions(p.pair_model[pid], len(p.model_pairs))]
+    pid = _pool_copies(p, w_p)[1]
     reps = [(i, p._s_of[i], a)
             for i, a in zip(p.owner[pid].tolist(), p.pair_actions(pid))]
     for i, s, a in reps:
@@ -296,8 +301,7 @@ def _run_rep(job):
     top_up_observations(p, res.w_p, store, cfg.min_observations,
                         np.random.default_rng(topup_seed))
     if len(store) != before:
-        pools = p.pair_model[p.pair_ids(res.w_p)]
-        pools = np.sort(pools[_first_positions(pools, len(p.model_pairs))])
+        pools = np.sort(p.pair_model[_pool_copies(p, res.w_p)[1]])
         tpost, dpost = update_posteriors(
             store, [p.model_pairs[q] for q in pools.tolist()])
 

@@ -304,6 +304,15 @@ def _first_positions(keys, n) -> np.ndarray:
     return np.sort(first[first < len(keys)])
 
 
+def _pool_copies(p: ProductSmdp, w_p):
+    """The ascending pair ids of the pairs `w_p`, and among them the
+    first copy (lowest id) of each pool, in pair-id order. A pool is a
+    model pair; its copies, the product pairs over it, share its
+    dynamics and its posterior."""
+    pid = np.sort(p.pair_ids(w_p))
+    return pid, pid[_first_positions(p.pair_model[pid], len(p.model_pairs))]
+
+
 def _ranges(starts, lens) -> np.ndarray:
     """The index ranges starts[r]:starts[r] + lens[r], concatenated."""
     shift = starts - (np.cumsum(lens) - lens)

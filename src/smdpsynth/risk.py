@@ -20,11 +20,11 @@ from .bayes import MeanPlusSigma, predictive_dwell, predictive_successors, \
     predictive_transition, risk_of
 from .errors import (
     DomainGap, EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction,
-    NonfiniteRisk, NotConverged, PolicyLeavesW, UntrackedPair,
+    NonfiniteRisk, NotConverged, PolicyLeavesW,
 )
 from .product import (
-    ProductSmdp, _first_positions, _greedy_policy, _offsets, _pad,
-    _pair_rows, _policy_pairs, _ranges, _solve_by_components,
+    ProductSmdp, _greedy_policy, _offsets, _pad, _pair_rows, _policy_pairs,
+    _pool_copies, _solve_by_components,
 )
 
 # sweeps after which risk value iteration gives up with NotConverged
@@ -33,18 +33,19 @@ MAX_SWEEPS = 100_000
 
 @dataclass
 class RiskModel:
-    """Estimated dynamics and risks restricted to the winning pairs, as
-    compressed sparse rows (CSR) keyed by product pair id.
+    """Dynamics and risks restricted to the winning pairs, as compressed
+    sparse rows (CSR) keyed by product pair id: the learned ones from
+    `build_risk_model`, the true ones from `risk_model_from_product`.
 
     Row k is the winning pair `ids[k]`. The ids ascend, so a state's rows
     are consecutive and in the model's action order; `owner[k]` is the
     state of row k under the product's `pair_ptr`. Row k's entries are
     `row_ptr[k]:row_ptr[k + 1]` of `succ` (successor product ids), `prob`
-    and `risk` (of each transition); `escaped[k]` is the predictive mass
-    renormalized away from it. Construction checks the discount, the CSR
-    shape, that the ids ascend, and that every row sums to one, stays
-    among the states that own rows and has finite nonnegative risks,
-    naming the first offending row.
+    and `risk` (of each transition), in product-row order; `escaped[k]`
+    is the predictive mass renormalized away from it. Construction checks
+    the discount, the CSR shape, that the ids ascend, and that every row
+    sums to one, stays among the states that own rows and has finite
+    nonnegative risks, naming the first offending row.
     """
 
     ids: np.ndarray
@@ -112,97 +113,73 @@ def _check_risks(rm):
 
 def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
                      functional=None, gamma_r=0.9) -> RiskModel:
-    """Assemble the planner's model from the learned posteriors.
+    """Assemble the planner's model from the learned posteriors, in the
+    layout the true model is read in (`risk_model_from_product`).
 
-    Posterior rows are keyed by model pair; successors are lifted back to
-    product states. Predictive mass on successors outside the winning
-    region (possible under estimation noise) is renormalized away with a
-    warning; a pair left with no mass at all raises EmptyPredictiveRow.
-
-    The copies (i, a) of W_p go in pair-id order, and copies of a model
-    pair (pool) share its posterior, so the work is split three ways. Per
-    pool, once, at its first copy: the predictive successors and
-    probabilities, and each successor's position in the model row (one
-    outside it raises InvalidRiskModel). Per copy, in array passes: each
-    candidate is lifted through its position in the copy's product row
-    and tested against W, and the kept mass is summed in row order, so a
-    copy that keeps every candidate gets its pool's normalized row and one
-    that keeps some renormalizes them. Per model edge (s, a, s') that a
-    copy keeps: one risk of its predictive dwell, in an array over the
-    model's flat edges that every kept entry gathers from. The warnings
-    come first, in copy order, then the error of the first failing copy,
-    if any, and only then the risks.
+    `_predictive_edges` turns the posteriors of W_p's pools into a
+    probability and a risk per model edge. The rows of W_p are then
+    gathered from the product's flat layout in pair-id order, and each
+    keeps, in product-row order, the entries of its observed edges
+    (positive probability) whose successor is in W. Mass on observed
+    successors outside W (possible under estimation noise) is
+    renormalized away, with one warning per such row in pair-id order;
+    then the first row left with no mass raises EmptyPredictiveRow. A
+    pool's own errors come before any of these.
     """
-    functional = functional or MeanPlusSigma(1.0)
     w = frozenset(w)
-    pid = np.sort(p.pair_ids(w_p))
-    pool = p.pair_model[pid]
-
-    # pool q's candidates' positions and probabilities are the slots
-    # lo[q]:lo[q] + n[q]; a pool that fails stops the copies at its first
-    lo, n = np.zeros((2, len(p.model_pairs)), dtype=np.intp)
-    slot_at, slot_pr = [], []
-    stop, err = len(pid), None
-    for k in _first_positions(pool, len(p.model_pairs)).tolist():
-        s, a = p.model_pairs[pool[k]]
-        at = {s2: c for c, s2 in enumerate(p.m._rows[(s, a)][0])}
-        try:
-            row = predictive_successors(tpost, s, a)
-        except UntrackedPair as exc:
-            stop, err = k, exc
-            break
-        outside = [s2 for s2 in row if s2 not in at]
-        if outside:
-            stop, err = k, InvalidRiskModel(
-                f"pair ({p.owner[pid[k]]},{a}): candidate successor "
-                f"{outside[0]} is not in the row of model pair ({s},{a})")
-            break
-        lo[pool[k]], n[pool[k]] = len(slot_at), len(row)
-        slot_at += [at[s2] for s2 in row]
-        slot_pr += list(predictive_transition(tpost, s, a))
-
-    # one entry per candidate of each copy before the stop: its position
-    # in the model row, and its successor in the copy's product row,
-    # tested against W
-    lens = n[pool[:stop]]
-    cand = _ranges(lo[pool[:stop]], lens)
-    at = np.array(slot_at, dtype=np.intp)[cand]
-    lifted = p.succ[np.repeat(p.row_ptr[pid[:stop]], lens) + at]
-    kept = np.isin(np.arange(p.n_states), list(w))[lifted]
-    copy = np.repeat(np.arange(stop), lens)
-    pr = np.array(slot_pr, dtype=float)[cand]
-    total = np.bincount(copy[kept], weights=pr[kept], minlength=stop)
-    lost = np.bincount(copy[~kept], weights=pr[~kept], minlength=stop)
-    n_kept = np.bincount(copy[kept], minlength=stop)
+    pid, firsts = _pool_copies(p, w_p)
+    prob_e, risk_e = _predictive_edges(p, tpost, dpost, firsts,
+                                       functional or MeanPlusSigma(1.0))
+    lens, edges = _pair_rows(p, pid)
+    succ, model_edge = p.succ[edges], p.edge[edges]
+    pr = prob_e[model_edge]
+    inside = np.isin(np.arange(p.n_states), list(w))[succ]
+    kept = inside & (pr > 0.0)
+    copy = np.repeat(np.arange(len(pid)), lens)
+    n_kept = np.bincount(copy[kept], minlength=len(pid))
+    total = np.bincount(copy[kept], weights=pr[kept], minlength=len(pid))
+    lost = np.bincount(copy[~inside], weights=pr[~inside], minlength=len(pid))
     empty = np.flatnonzero(n_kept == 0)
-    if empty.size:
-        stop = int(empty[0])
-        err = EmptyPredictiveRow("pair ({},{}) has no predictive mass inside "
-                                 "the region".format(*_pair(p, pid[stop])))
+    stop = empty[0] if empty.size else len(pid)
     for c in np.flatnonzero(lost[:stop] > 0.0).tolist():
         # attributed to the caller of build_risk_model
         warnings.warn("pair ({},{}): renormalized {:.3g} predictive mass "
                       "escaping the winning region".format(
                           *_pair(p, pid[c]), lost[c]), stacklevel=2)
-    if err is not None:
-        # cleared on the way out: the error's traceback holds this frame,
-        # and a frame that held the error would only die in a GC pass
-        try:
-            raise err
-        finally:
-            err = None
+    if empty.size:
+        raise EmptyPredictiveRow("pair ({},{}) has no predictive mass inside "
+                                 "the region".format(*_pair(p, pid[stop])))
+    return _assemble(p, w, pid, n_kept, succ[kept], (pr / total[copy])[kept],
+                     risk_e[model_edge[kept]], gamma_r, lost)
 
-    # the model edge of each kept entry, and one risk per such edge
-    edge = (p.model_row_ptr[pool[copy]] + at)[kept]
-    risk_e = np.zeros(len(p.model_succ))
-    used = np.flatnonzero(np.bincount(edge, minlength=len(risk_e)))
-    owner = np.searchsorted(p.model_row_ptr, used, side="right") - 1
-    for e, q, s2 in zip(used.tolist(), owner.tolist(),
-                        p.model_succ[used].tolist()):
+
+def _predictive_edges(p, tpost, dpost, pools, functional):
+    """The posteriors of the pools as two float arrays over the model's
+    edges, in the order of `p.model_succ`: on each observed edge (a
+    candidate successor of a pool's Dirichlet row) its Dirichlet mean and
+    the risk of its Lomax predictive dwell, 0.0 on every other edge.
+
+    `pools` holds the pair id of each pool's first copy, which the errors
+    name. The pools go in its order, and a pool raises UntrackedPair if it
+    has no posterior row, InvalidRiskModel if a candidate is outside its
+    model row, and whatever `risk_of` raises for a candidate's dwell.
+    """
+    prob_e, risk_e = np.zeros((2, len(p.model_succ)))
+    for k, q in zip(pools.tolist(), p.pair_model[pools].tolist()):
         s, a = p.model_pairs[q]
-        risk_e[e] = risk_of(predictive_dwell(dpost, s, a, s2), functional)
-    return _assemble(p, w, pid, n_kept, lifted[kept], (pr / total[copy])[kept],
-                     risk_e[edge], gamma_r, lost)
+        lo, hi = p.model_row_ptr[q:q + 2].tolist()
+        at = dict(zip(p.model_succ[lo:hi].tolist(), range(lo, hi)))
+        cands = predictive_successors(tpost, s, a)
+        outside = [s2 for s2 in cands if s2 not in at]
+        if outside:
+            raise InvalidRiskModel(
+                f"pair ({p.owner[k]},{a}): candidate successor {outside[0]} "
+                f"is not in the row of model pair ({s},{a})")
+        e = [at[s2] for s2 in cands]
+        prob_e[e] = predictive_transition(tpost, s, a)
+        risk_e[e] = [risk_of(predictive_dwell(dpost, s, a, s2), functional)
+                     for s2 in cands]
+    return prob_e, risk_e
 
 
 def risk_model_from_product(p: ProductSmdp, w, w_p, risk_e,

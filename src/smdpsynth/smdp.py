@@ -29,6 +29,13 @@ class Exponential:
     def mean(self):
         return 1.0 / self.rate
 
+    def std(self):
+        return 1.0 / self.rate
+
+    def survival_quantile(self, q):
+        """inf { t : Pr(tau > t) < q } for q in (0, 1]."""
+        return -np.log(q) / self.rate
+
     def sample(self, rng):
         return float(rng.exponential(1.0 / self.rate))
 
@@ -56,6 +63,18 @@ class Empirical:
 
     def mean(self):
         return float(np.mean(self.samples))
+
+    def std(self):
+        return float(np.std(self.samples))
+
+    def survival_quantile(self, q):
+        """inf { t : Pr(tau > t) < q } for q in (0, 1]: the least of 0 and
+        the samples at which the share of larger samples drops below q."""
+        xs = np.asarray(self.samples)
+        for t in [0.0] + sorted(set(self.samples)):
+            if np.mean(xs > t) < q:
+                return t
+        return float(xs.max())
 
     def sample(self, rng):
         return self.samples[int(rng.integers(len(self.samples)))]

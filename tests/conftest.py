@@ -38,6 +38,42 @@ def random_cba(rng, max_states=5, max_ap=2):
     return OmegaAutomaton(ap, delta, int(rng.integers(n)), acc)
 
 
+def letter_atoms(aut, letter):
+    """Sorted atom names that a letter bitmask of `aut` carries."""
+    return [a for i, a in enumerate(aut.ap) if letter >> i & 1]
+
+
+def automaton_to_json(aut):
+    """Stable serialization of an OmegaAutomaton: states, alphabet, ap,
+    transitions, initial, accepting."""
+    transitions = []
+    for x, row in enumerate(aut.delta):
+        for letter in range(aut.n_letters):
+            for y in row[letter]:
+                transitions.append([x, letter_atoms(aut, letter), y])
+    return {
+        "states": list(range(aut.n_states)),
+        "alphabet": [letter_atoms(aut, let) for let in range(aut.n_letters)],
+        "ap": list(aut.ap),
+        "transitions": transitions,
+        "initial": aut.initial,
+        "accepting": sorted(aut.accepting),
+    }
+
+
+def automaton_from_json(doc):
+    """The OmegaAutomaton that `automaton_to_json` wrote out."""
+    ap = tuple(doc["ap"])
+    index = {a: i for i, a in enumerate(ap)}
+    delta = [[set() for _ in range(2 ** len(ap))] for _ in doc["states"]]
+    for x, atoms, y in doc["transitions"]:
+        mask = 0
+        for nm in atoms:
+            mask |= 1 << index[nm]
+        delta[x][mask].add(y)
+    return OmegaAutomaton(ap, delta, doc["initial"], doc["accepting"])
+
+
 def m1_model():
     """Two-state model: staying put under `a` is safe, `b` enters the
     c-labeled absorbing state."""

@@ -965,13 +965,15 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
                                gamma_r=0.9):
     """The planner's model built one product copy at a time, in pair-id
     order (by state, then the action's place among the state's enabled
-    actions): every copy recomputes its pool's predictive row, checks that
-    each candidate is in the model row, lifts it with `lift_reference` and
-    warns (attributed to the caller) about renormalized mass. Once every
-    row is built, the risk of each model triple that a row keeps is
-    evaluated, in the model's edge order, and RiskModel's own check
-    rejects a risk that is not finite and nonnegative: the reference the
-    library's pooled assembly must match bit for bit."""
+    actions). First each pool (model pair), at its first copy: its
+    predictive row is read, each candidate is checked to be in the model
+    row and the risk of each candidate's dwell is evaluated. Then each
+    copy walks its model row in the model's order, lifts every candidate
+    with `lift_reference`, keeps those in W and warns (attributed to the
+    caller) about renormalized mass; a copy that keeps nothing raises
+    EmptyPredictiveRow. RiskModel's own check rejects a risk that is not
+    finite and nonnegative: the reference the library's array assembly
+    must match bit for bit."""
     import warnings
 
     from smdpsynth.bayes import (
@@ -982,51 +984,53 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
         EmptyPredictiveRow, InvalidRiskModel, NoAllowedAction,
     )
 
-    from conftest import model_edges, model_row, risk_model
+    from conftest import model_row, risk_model
 
     functional = functional or MeanPlusSigma(1.0)
     w = frozenset(w)
-    escaped = {}
-
-    def row(i, a):
+    copies = sorted(w_p, key=lambda pair: (pair[0], p.enabled(pair[0])
+                                           .index(pair[1])))
+    pools, risk_at = {}, {}
+    for i, a in copies:
         s = p.states[i][0]
-        succs, probs = [], []
-        lost = 0.0
+        if (s, a) in pools:
+            continue
         cands = predictive_successors(tpost, s, a)
         for s2 in cands:
             if s2 not in model_row(p.m, s, a)[0]:
                 raise InvalidRiskModel(
                     f"pair ({i},{a}): candidate successor {s2} is not in "
                     f"the row of model pair ({s},{a})")
-        for s2, pr in zip(cands, predictive_transition(tpost, s, a)):
+        pools[(s, a)] = dict(zip(cands, predictive_transition(tpost, s, a)))
+        for s2 in cands:
+            risk_at[(s, a, s2)] = risk_of(predictive_dwell(dpost, s, a, s2),
+                                          functional)
+
+    trans, risks, escaped = {}, {}, {}
+    for i, a in copies:
+        s = p.states[i][0]
+        succs, probs, lost = [], [], 0.0
+        for s2 in model_row(p.m, s, a)[0]:
+            if s2 not in pools[(s, a)]:
+                continue
             j = lift_reference(p, i, s2)
             if j not in w:
-                lost += pr
+                lost += pools[(s, a)][s2]
             else:
                 succs.append(j)
-                probs.append(pr)
+                probs.append(pools[(s, a)][s2])
+                risks[(i, a, j)] = risk_at[(s, a, s2)]
         if not succs:
             raise EmptyPredictiveRow(
                 f"pair ({i},{a}) has no predictive mass inside the region")
         if lost > 0.0:
             warnings.warn(
                 f"pair ({i},{a}): renormalized {lost:.3g} predictive mass "
-                "escaping the winning region", stacklevel=3)
+                "escaping the winning region", stacklevel=2)
             escaped[(i, a)] = lost
         total = sum(probs)
-        return tuple(succs), tuple(pr / total for pr in probs)
-
-    trans, allowed = {}, set()
-    for (i, a) in sorted(w_p, key=lambda pair: (pair[0], p.enabled(pair[0])
-                                                .index(pair[1]))):
-        trans[(i, a)] = row(i, a)
-        allowed.add(i)
-    triple = {(i, a, j): (p.states[i][0], a, p.states[j][0])
-              for (i, a), (succs, _) in trans.items() for j in succs}
-    kept = set(triple.values())
-    risk_at = {t: risk_of(predictive_dwell(dpost, *t), functional)
-               for t in model_edges(p.m) if t in kept}
-    risks = {key: risk_at[t] for key, t in triple.items()}
+        trans[(i, a)] = tuple(succs), tuple(pr / total for pr in probs)
+    allowed = {i for i, _ in trans}
     for i in w:
         if i not in allowed:
             raise NoAllowedAction(f"winning state {i} has no winning pair")

@@ -11,8 +11,8 @@ from smdpsynth import (
 )
 from smdpsynth.automata import is_cyclic, sccs
 
-from conftest import is_complete, is_deterministic, random_cba, \
-    to_omega_automaton
+from conftest import automaton_from_json, automaton_to_json, is_complete, \
+    is_deterministic, random_cba, to_omega_automaton
 from oracles import (
     all_lassos, cba_accepts_by_run_enumeration, cyclic_sccs_reference,
     kcba_accepts_by_run_enumeration, lasso_accepted_cba, reachable_from,
@@ -166,17 +166,17 @@ def test_is_sink_set(b1):
 def test_json_round_trip(b1):
     rng = np.random.default_rng(417)
     for aut in [b1] + [random_cba(rng) for _ in range(20)]:
-        doc = aut.to_json_dict()
-        back = OmegaAutomaton.from_json_dict(doc)
+        doc = automaton_to_json(aut)
+        back = automaton_from_json(doc)
         assert back.ap == aut.ap
         assert back.delta == aut.delta
         assert back.initial == aut.initial
         assert back.accepting == aut.accepting
-        assert back.to_json_dict() == doc
+        assert automaton_to_json(back) == doc
 
 
 def test_json_field_order_stable(b1):
-    assert list(b1.to_json_dict()) == ["states", "alphabet", "ap", "transitions", "initial", "accepting"]
+    assert list(automaton_to_json(b1)) == ["states", "alphabet", "ap", "transitions", "initial", "accepting"]
 
 
 def random_graph(rng):

@@ -135,6 +135,21 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_json_dict({"formula": "G !c"})
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"kind": "quantile", "alhpa": 0.9}, "alhpa"),
+    ({"kind": "quantile", "alpha": 0.9, "lam": 1.0}, "lam"),
+    ({"kind": "mean_plus_sigma", "alpha": 0.5}, "alpha"),
+])
+def test_config_rejects_unknown_functional_keys(doc, key):
+    """A misspelled or misplaced parameter is refused, not replaced by
+    the default."""
+    message = f"^unknown key {key!r} in a {doc['kind']} functional$"
+    with pytest.raises(ConfigError, match=message):
+        parse_functional(doc)
+    with pytest.raises(ConfigError, match=message):
+        desk_config(functional=doc)
+
+
 def test_parse_functional_dispatch():
     f = parse_functional({"kind": "mean_plus_sigma", "lam": 0.5})
     assert isinstance(f, MeanPlusSigma) and f.lam == 0.5

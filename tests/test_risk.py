@@ -27,7 +27,7 @@ from conftest import (
     model_row, policy_array, policy_dict, product_row, random_product,
     risk_actions, risk_model, risk_rows, risky3_product, trivial_monitor,
 )
-from oracles import build_risk_model_reference, lift_reference
+from oracles import build_risk_model_reference
 
 
 def loop1(gamma_r=0.9, risk=1.0):
@@ -575,7 +575,8 @@ def test_build_matches_reference_on_random_products():
 def test_build_rejects_candidate_outside_model_row():
     """Candidates are observed successors, so each lies in its model row.
     A hand-built posterior with one outside it is refused, naming the
-    first copy that reads it, as the per-copy reference does."""
+    first copy that reads it, as the per-copy reference does, before any
+    row is built: no warning for the copy before it that renormalizes."""
     p = risky3_product()
     i0 = p.initial
     safe_pid = next(i for i, (s, _f) in enumerate(p.states) if s == 1)
@@ -588,9 +589,7 @@ def test_build_rejects_candidate_outside_model_row():
     w = {i0, safe_pid}
     w_p = [(i0, "x"), (safe_pid, "x")]
     out, warned = assert_same_as_reference(p, w, w_p, tpost, dpost)
-    assert [msg for _, msg, _ in warned] == [
-        f"pair ({i0},x): renormalized 0.25 predictive mass escaping the "
-        "winning region"]
+    assert warned == []
     assert out == (InvalidRiskModel,
                    f"pair ({safe_pid},x): candidate successor 0 is not in "
                    "the row of model pair (1,x)")
@@ -638,12 +637,13 @@ def test_build_matches_reference_on_paper_learner_with_escaped_mass():
         "winning region"]
 
 
-def test_build_work_is_once_per_pool_and_per_kept_triple(monkeypatch):
-    """The predictive row of a pool is read once, at its first copy, and
-    a risk is evaluated once per model triple that a copy keeps, in the
-    model's edge order, after every row is built. On the paper 100-episode
-    region, which fails at copy (4700,UL), no risk is evaluated at all; on
-    the desk's exact region, topped up, every kept triple's is."""
+def test_build_work_is_once_per_pool_and_per_observed_edge(monkeypatch):
+    """The predictive row of a pool is read once, at its first copy, and a
+    risk is evaluated once per candidate of each pool, the pools in the
+    order of their first copies, before any row is built. So the paper
+    100-episode region, which fails at copy (4700,UL), evaluates the risk
+    of every observed edge of its pools, as the desk's exact region,
+    topped up, does."""
     calls = {}
 
     def recorded(name, fn):
@@ -665,36 +665,32 @@ def test_build_work_is_once_per_pool_and_per_kept_triple(monkeypatch):
     monkeypatch.setattr(smdpsynth.risk, "risk_of",
                         counted(smdpsynth.risk.risk_of))
 
-    def expected(p, w, w_p, tpost, last=None):
-        """Pools in first-copy order up to the copy `last`, and the model
-        triples the copies keep, in the model's edge order."""
-        pools, kept = [], set()
+    def expected(p, w_p, tpost):
+        """Pools in first-copy order, and each one's candidate triples."""
+        pools = []
         for i, a in sorted(w_p, key=lambda pair: (
                 pair[0], p.enabled(pair[0]).index(pair[1]))):
-            s = p.states[i][0]
-            if (s, a) not in pools:
-                pools.append((s, a))
-            if (i, a) == last:
-                break
-            kept |= {(s, a, s2) for s2 in tpost.row(s, a)[0]
-                     if lift_reference(p, i, s2) in w}
-        return pools, [t for t in model_edges(p.m) if t in kept]
+            if (p.states[i][0], a) not in pools:
+                pools.append((p.states[i][0], a))
+        return pools, [(s, a, s2) for s, a in pools
+                       for s2 in tpost.row(s, a)[0]]
 
     p, res, tpost, dpost, gamma_r = paper_learned(1, 101)
-    pools, _ = expected(p, res.w, res.w_p, tpost, last=(4700, "UL"))
+    pools, triples = expected(p, res.w_p, tpost)
     calls.update(successors=[], transition=[], dwell=[], risk=0)
     with pytest.raises(EmptyPredictiveRow, match=r"pair \(4700,UL\)"):
         build_risk_model(p, res.w, res.w_p, tpost, dpost, gamma_r=gamma_r)
     assert len(pools) <= len(p.model_pairs)
     assert calls["successors"] == calls["transition"] == pools
-    assert calls["dwell"] == [] and calls["risk"] == 0
+    assert calls["dwell"] == triples
+    assert calls["risk"] == len(triples) == 163
 
     p = build_pipeline(desk_config())[1]
     w, w_p = exact_winning_region(p)
     store = ObservationStore()
     top_up_observations(p, w_p, store, 500, np.random.default_rng(3))
     tpost, dpost = update_posteriors(store, sorted(w_p), pool=pooled(p))
-    pools, triples = expected(p, w, w_p, tpost)
+    pools, triples = expected(p, w_p, tpost)
     calls.update(successors=[], transition=[], dwell=[], risk=0)
     rm = build_risk_model(p, w, w_p, tpost, dpost)
     assert calls["successors"] == calls["transition"] == pools
@@ -717,30 +713,34 @@ def ring_posteriors(missing=(), no_variance=()):
     return tpost, dpost
 
 
-NO_MASS = (EmptyPredictiveRow,
-           "pair (1,f) has no predictive mass inside the region")
 NO_VARIANCE = (MomentUndefined, "Lomax variance needs shape > 2, got 1.5")
+UNTRACKED = {s: (UntrackedPair, f"pair ({s},s) has no posterior")
+             for s in (0, 3)}
 
 
 @pytest.mark.parametrize("missing, no_variance, want", [
-    # a risk error whose triple is first kept after the empty copy (1,f),
-    # and one whose triple is first kept before it: risks come after
-    # every row, so the empty copy is named either way
-    ((), [(3, "f")], NO_MASS),
-    ((), [(0, "s")], NO_MASS),
-    # a pool without a posterior row whose first copy comes after the
-    # empty copy, and one whose first copy comes before it
-    ([(3, "s")], (), NO_MASS),
-    ([(0, "s")], (), (UntrackedPair, "pair (0,s) has no posterior")),
+    # a risk error of a pool whose first copy comes after the empty copy
+    # (1,f), and of one whose first copy comes before it: a pool's errors
+    # come before any row, so the risk error is named either way
+    ((), [(3, "f")], NO_VARIANCE),
+    ((), [(0, "s")], NO_VARIANCE),
+    # the same for a pool without a posterior row
+    ([(3, "s")], (), UNTRACKED[3]),
+    ([(0, "s")], (), UNTRACKED[0]),
     # a pool without a posterior row after a risk error, and one before
-    # a risk error
-    ([(3, "s")], [(0, "f")], NO_MASS),
-    ([(0, "s")], [(0, "f")], (UntrackedPair, "pair (0,s) has no posterior")),
+    # a risk error: the pools go in the order of their first copies
+    ([(3, "s")], [(0, "f")], NO_VARIANCE),
+    ([(0, "s")], [(0, "f")], NO_VARIANCE),
+    ([(0, "s")], [(3, "f")], UNTRACKED[0]),
+    # every pool sound: the row error of the empty copy
+    ((), (), (EmptyPredictiveRow,
+              "pair (1,f) has no predictive mass inside the region")),
 ])
 def test_build_raises_at_the_first_failing_copy(missing, no_variance, want):
-    """Region {0, 1, 3} of cycle4: copy (1,f) keeps no candidate. The
-    build raises the row error a loop over the copies (0,f), (0,s), (1,f),
-    (1,s), (3,f), (3,s) meets first, before any risk error."""
+    """Region {0, 1, 3} of cycle4: copy (1,f) keeps no candidate. Every
+    copy here is the first of its pool, and the build raises the pool
+    error that a loop over the copies (0,f), (0,s), (1,f), (1,s), (3,f),
+    (3,s) meets first, before the row error of the empty copy."""
     p = cycle4_product()
     tpost, dpost = ring_posteriors(missing, no_variance)
     w = {0, 1, 3}
@@ -749,22 +749,115 @@ def test_build_raises_at_the_first_failing_copy(missing, no_variance, want):
     assert out == want and warned == []
 
 
-def test_build_warns_before_a_kept_successor_without_moments():
-    """A copy that renormalizes and keeps a successor whose dwell
-    predictive has no variance: the warning, then MomentUndefined."""
+def test_build_raises_a_pool_error_before_any_warning():
+    """The first copy renormalizes. With both pools sound it warns; when
+    the second pool has a dwell predictive without a variance, or no
+    posterior row, that error is raised and nothing is warned."""
     p = risky3_product()
     i0 = p.initial
     safe_pid = next(i for i, (s, _f) in enumerate(p.states) if s == 1)
-    tpost = DirichletPosterior({(0, "x"): ((1, 2), np.array([3.0, 1.0])),
-                                (1, "x"): ((1,), np.array([3.0]))})
-    dpost = GammaPosterior({(0, "x", 1): (1.5, 1.0), (0, "x", 2): (3.0, 1.0),
-                            (1, "x", 1): (3.0, 1.0)})
-    out, warned = assert_same_as_reference(
-        p, {i0, safe_pid}, [(i0, "x"), (safe_pid, "x")], tpost, dpost)
+    w, w_p = {i0, safe_pid}, [(i0, "x"), (safe_pid, "x")]
+    rows = {(0, "x"): ((1, 2), np.array([3.0, 1.0])),
+            (1, "x"): ((1,), np.array([3.0]))}
+    sound = {(0, "x", 1): (3.0, 1.0), (0, "x", 2): (3.0, 1.0),
+             (1, "x", 1): (3.0, 1.0)}
+    cases = [
+        (rows, sound, None),
+        (rows, {**sound, (1, "x", 1): (1.5, 1.0)}, NO_VARIANCE),
+        ({(0, "x"): rows[(0, "x")]}, sound,
+         (UntrackedPair, "pair (1,x) has no posterior")),
+    ]
+    for table, params, want in cases:
+        out, warned = assert_same_as_reference(
+            p, w, w_p, DirichletPosterior(table), GammaPosterior(params))
+        if want is None:
+            assert isinstance(out, RiskModel)
+            assert [msg for _, msg, _ in warned] == [
+                f"pair ({i0},x): renormalized 0.25 predictive mass escaping "
+                "the winning region"]
+        else:
+            assert (out, warned) == (want, [])
+
+
+def detour_product():
+    """Model state 0 moves by x to 2, 0 or 1 (its model row, in that
+    order) and by y to 1 or 2; states 1 and 2 return to 0, and 2 is
+    labeled c. Against the K=1 monitor of "G !c" the product states are
+    (0,0), (2,1), (1,0), (0,2), then three accepting ones, so model pair
+    (0,x) has the copies (0,x) and (3,x), whose rows lift the model row
+    to [1, 0, 2] and [4, 5, 6]."""
+    from smdpsynth import determinize_kcba, ltl_to_cba, parse_ltl
+
+    trans = {(0, "x"): [(2, 0.2), (0, 0.5), (1, 0.3)],
+             (0, "y"): [(1, 0.5), (2, 0.5)],
+             (1, "x"): [(0, 1.0)], (2, "x"): [(0, 1.0)]}
+    dwell = {(s, a, s2): Exponential(1.0)
+             for (s, a), row in trans.items() for s2, _ in row}
+    m = Smdp(3, ("x", "y"), trans, dwell, 0, ("c",), [0, 0, 1])
+    d = determinize_kcba(ltl_to_cba(parse_ltl("G !c"), ap=("c",)), 1)
+    return build_product(m, d)
+
+
+def test_build_from_a_hand_written_store():
+    """Observations written by hand, no learner: model pair (0,x) sees
+    successor 0 five times, 1 twice and 2 once (predictive 6/11, 3/11,
+    2/11), (0,y) sees 1 three times and 2 once (4/6, 2/6) and (1,x) sees
+    0 once. On region {0, 2, 3} copies (0,x) and (0,y) lose the mass of
+    model successor 2, which lifts to state 1, and warn in copy order;
+    then copy (3,x), whose whole row is accepting, raises
+    EmptyPredictiveRow. Without state 3 the model builds, its rows
+    renormalized."""
+    p = detour_product()
+    assert p.states[:4] == ((0, 0), (2, 1), (1, 0), (0, 2))
+    store = ObservationStore()
+    for s, a, s2, n in [(0, "x", 0, 5), (0, "x", 1, 2), (0, "x", 2, 1),
+                        (0, "y", 1, 3), (0, "y", 2, 1), (1, "x", 0, 1)]:
+        for _ in range(n):
+            store.append(s, a, s2, 0.5)
+    w_p = [(0, "x"), (0, "y"), (2, "x"), (3, "x")]
+    tpost, dpost = update_posteriors(store, w_p, pool=pooled(p))
+    out, warned = assert_same_as_reference(p, {0, 2, 3}, w_p, tpost, dpost)
     assert [msg for _, msg, _ in warned] == [
-        f"pair ({i0},x): renormalized 0.25 predictive mass escaping the "
+        "pair (0,x): renormalized 0.182 predictive mass escaping the "
+        "winning region",
+        "pair (0,y): renormalized 0.333 predictive mass escaping the "
         "winning region"]
-    assert out == NO_VARIANCE
+    assert out == (EmptyPredictiveRow,
+                   "pair (3,x) has no predictive mass inside the region")
+
+    rm, warned = assert_same_as_reference(p, {0, 2}, w_p[:3], tpost, dpost)
+    assert len(warned) == 2
+    kept = 6 / 11 + 3 / 11
+    assert {k: row[:2] for k, row in risk_rows(rm).items()} == {
+        0: ((0, 2), ((6 / 11) / kept, (3 / 11) / kept)),
+        1: ((2,), (1.0,)),
+        3: ((0,), (1.0,))}
+    assert rm.escaped.tolist() == [2 / 11, 2 / 6, 0.0]
+
+
+def test_both_builders_keep_product_row_order():
+    """Random products whose every model edge is observed, planned on the
+    whole product: the learned model and the true one list each row's
+    entries as the product row does, also the rows of three successors
+    that the posterior lists in another order (sorted)."""
+    unsorted = 0
+    for seed in range(6):
+        p = random_product(np.random.default_rng(seed), n=5)
+        store = ObservationStore()
+        for s, a, s2 in model_edges(p.m):
+            store.append(s, a, s2, 1.0)
+        w = set(range(p.n_states))
+        w_p = [(i, a) for i in sorted(w) for a in p.enabled(i)]
+        tpost, dpost = update_posteriors(store, w_p, pool=pooled(p))
+        learned = build_risk_model(p, w, w_p, tpost, dpost)
+        true = risk_model_from_product(p, w, w_p, np.ones(len(p.model_succ)))
+        assert learned.row_ptr.tolist() == true.row_ptr.tolist() \
+            == p.row_ptr.tolist()
+        assert learned.succ.tolist() == true.succ.tolist() == p.succ.tolist()
+        unsorted += sum(len(row) == 3 and list(row) != sorted(row)
+                        for row in (model_row(p.m, p.states[i][0], a)[0]
+                                    for i, a in w_p))
+    assert unsorted > 0
 
 
 def test_build_of_an_empty_w_p():

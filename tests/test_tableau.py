@@ -17,12 +17,13 @@ from smdpsynth import (
     parse_ltl,
 )
 
-from conftest import to_omega_automaton
+from conftest import automaton_to_json, to_omega_automaton
 from oracles import (
     all_lassos, eval_ltl_on_lasso, lasso_accepted_cba, random_formula,
 )
 
 PHI_EX = "G F a & G F b & G !c"
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def _letters_with(aut, *atoms):
@@ -118,17 +119,18 @@ def test_state_budget_guard():
 
 
 def test_translation_deterministic_in_process():
-    doc1 = ltl_to_cba(parse_ltl(PHI_EX)).to_json_dict()
-    doc2 = ltl_to_cba(parse_ltl(PHI_EX)).to_json_dict()
+    doc1 = automaton_to_json(ltl_to_cba(parse_ltl(PHI_EX)))
+    doc2 = automaton_to_json(ltl_to_cba(parse_ltl(PHI_EX)))
     assert doc1 == doc2
 
 
 def test_translation_deterministic_across_hash_seeds():
     """State numbering must not depend on interpreter hash randomization."""
     snippet = (
-        "import json;"
+        f"import json, sys; sys.path.insert(0, {TESTS!r});"
         "from smdpsynth import ltl_to_cba, parse_ltl;"
-        f"print(json.dumps(ltl_to_cba(parse_ltl({PHI_EX!r})).to_json_dict()))"
+        "from conftest import automaton_to_json;"
+        f"print(json.dumps(automaton_to_json(ltl_to_cba(parse_ltl({PHI_EX!r})))))"
     )
     docs = []
     for seed in ("0", "1", "31337"):
