@@ -32,7 +32,9 @@ print(f"product: {p.n_states} states, {len(p.accepting)} in the failure sink")
 
 s0 = p.states[p.initial][0]
 s2, tau = sample_step(m, s0, "DL", np.random.default_rng(0))
-j, _, _ = sample_product_step(p, p.initial, "DL", np.random.default_rng(0))
+# the simulator takes a pair id: the initial state's DL pair
+k = p.pair_ids([(p.initial, "DL")])[0]
+j, _, _ = sample_product_step(p, k, np.random.default_rng(0))
 print(f"a DL step from {m.names[s0]} (seed 0): cell {m.names[s2]} after "
       f"{tau:.3f}; in the product, state {j} = (cell "
       f"{m.names[p.states[j][0]]}, monitor state {p.states[j][1]})")

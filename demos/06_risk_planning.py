@@ -48,12 +48,11 @@ print(f"exact discounted risk of the greedy policy at state {start}: "
       f"{v[start]:.3f}")
 
 rng = np.random.default_rng(3)
-action = p.pair_actions(np.arange(len(p.owner)))   # name of each pair id
 def rollout_risk(choose, steps=5000):
     i, total = start, 0.0
     for _ in range(steps):
         k = choose(i)
-        j, tau, _ = sample_product_step(p, i, action[k], rng)
+        j, tau, _ = sample_product_step(p, k, rng)
         # the product edge taken: j's entry in the row of pair k
         lo, hi = p.row_ptr[k], p.row_ptr[k + 1]
         e = lo + np.flatnonzero(p.succ[lo:hi] == j)[0]

@@ -275,15 +275,15 @@ def top_up_observations(p, w_p, store, target, rng):
     `p.pair_ids` of `w_p`, and pools go in the order of those copies.
     Every draw goes through `sample_product_step`."""
     pid = _pool_copies(p, w_p)[1]
-    reps = [(i, p._s_of[i], a)
-            for i, a in zip(p.owner[pid].tolist(), p.pair_actions(pid))]
-    for i, s, a in reps:
+    reps = [(k, *p.model_pairs[q]) for k, q in
+            zip(pid.tolist(), p.pair_model[pid].tolist())]
+    for k, s, a in reps:
         if (s, a) not in store:
-            j, tau, s2 = sample_product_step(p, i, a, rng)
+            j, tau, s2 = sample_product_step(p, k, rng)
             store.append(s, a, s2, tau)
     # each append adds exactly one observation
-    for i, s, a in islice(cycle(reps), max(0, target - len(store))):
-        j, tau, s2 = sample_product_step(p, i, a, rng)
+    for k, s, a in islice(cycle(reps), max(0, target - len(store))):
+        j, tau, s2 = sample_product_step(p, k, rng)
         store.append(s, a, s2, tau)
 
 
@@ -345,7 +345,8 @@ def export_sample_paths(p, policy, n, horizon, rng, out) -> None:
     JSONL: a header line, then one line per path, written as soon as the
     path is drawn. A policy that does not choose at every state is
     refused before anything is written."""
-    acts = p.pair_actions(_policy_pairs(p, policy, np.arange(p.n_states)))
+    pids = _policy_pairs(p, policy, np.arange(p.n_states))
+    acts, pids = p.pair_actions(pids), pids.tolist()
     _write_jsonl(out, {"record": "header", "paths": n, "horizon": horizon,
                        "initial": p.initial})
     m = p.m
@@ -359,7 +360,7 @@ def export_sample_paths(p, policy, n, horizon, rng, out) -> None:
         labels = [list(state_labels[s])]
         actions, dwells = [], []
         for _ in range(horizon):
-            j, tau, s2 = sample_product_step(p, i, acts[i], rng)
+            j, tau, s2 = sample_product_step(p, pids[i], rng)
             actions.append(acts[i])
             dwells.append(float(tau))
             states.append(j)

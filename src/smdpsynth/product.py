@@ -56,10 +56,11 @@ class ProductSmdp:
     duplicates, and two distinct model successors lift to two distinct
     product states.
 
-    The automaton is known, so a model step (s, a, s') taken from state i
-    has one product successor, its lift: the entry of pair (i, a)'s row at
-    the position of s' in the model row, `succ[row_ptr[k] + c]`. The
-    sampler, the learner and the risk-model assembly all lift this way.
+    The automaton is known, so a model step (s, a, s') taken by pair k has
+    one product successor, its lift: the entry of pair k's row at the
+    position c of s' in the model row, `succ[row_ptr[k] + c]`. The risk
+    model's assembly lifts this way, and so does the sampler: it draws
+    position c from the draw row of model pair `pair_model[k]`.
 
     `pair_set` turns pair ids into a `PairSet`: a read-only set of the
     pairs (i, a) that holds only their sorted ids, owner states and
@@ -85,21 +86,17 @@ class ProductSmdp:
                                    dtype=np.intp)
         self.model_prob = np.array([pr for _, probs in rows for pr in probs])
         # (s, action code) -> offset of the pair among those of any state
-        # over s, or -1 (the last column takes unknown actions), and
-        # (s, a) -> the model's draw row plus the offset of its first edge
-        # among the edges of any state over s
+        # over s, or -1 (the last column takes unknown actions)
         code = self._code = dict(zip(m.actions, range(len(m.actions))))
         self._pair_at = np.full((m.n_states, len(code) + 1), -1, np.intp)
-        self._draw = {}
         # the action code of each model pair, for PairSets
         self._model_code = np.array(
             [code[a] for _, a in self.model_pairs],
             dtype=np.min_scalar_type(max(len(code) - 1, 0)))
         for q, (s, a) in enumerate(self.model_pairs):
-            lo = model_pair_ptr[s]
-            self._pair_at[s, code[a]] = q - lo
-            self._draw[(s, a)] = (*m._draw[(s, a)], int(
-                self.model_row_ptr[q] - self.model_row_ptr[lo]))
+            self._pair_at[s, code[a]] = q - model_pair_ptr[s]
+        # the model's draw row of each model pair
+        self._draw_rows = list(map(m._draw.__getitem__, self.model_pairs))
 
         # model state s owns the model edges edge_lo[s]:edge_lo[s + 1],
         # its rows one after another in action order
@@ -137,10 +134,13 @@ class ProductSmdp:
         self.edge, succ_key = succ_keys(s_of, f_of)
         self.succ = key_id[succ_key]
         # Python-int mirrors for the simulator's per-step lookups: the
-        # successors, and the model state and first edge of every state
+        # successors, the model pair and first edge of every pair, and the
+        # model state of every state
         self._succ_at = array("q", self.succ.astype(np.int64).tobytes())
+        self._model_at = array("q", self.pair_model.astype(np.int64)
+                               .tobytes())
+        self._row_at = array("q", self.row_ptr.astype(np.int64).tobytes())
         self._s_of = s_of.tolist()
-        self._edge_base = self.row_ptr[self.pair_ptr[:-1]].tolist()
         # marks the PairSets of this product
         self._key = object()
 
@@ -293,6 +293,19 @@ def _offsets(lens) -> np.ndarray:
     return out
 
 
+def _state_mask(p: ProductSmdp, states) -> np.ndarray:
+    """A boolean mask over the product states, True at the ids of the
+    iterable `states`; UnknownState names the first id outside
+    0..n_states - 1."""
+    ids = np.fromiter(states, dtype=np.intp)
+    bad = (ids < 0) | (ids >= p.n_states)
+    if bad.any():
+        p.check_state(int(ids[np.argmax(bad)]))
+    mask = np.zeros(p.n_states, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
 def _first_positions(keys, n) -> np.ndarray:
     """The position of the first occurrence of each distinct value of the
     integer array `keys` (values in 0..n - 1), in increasing order: the
@@ -355,24 +368,21 @@ def build_product(m: Smdp, d: Dkcba) -> ProductSmdp:
     return ProductSmdp(m, d)
 
 
-def sample_product_step(p: ProductSmdp, i, a, rng):
-    """Draw one product transition; returns (j, tau, model_successor).
+def sample_product_step(p: ProductSmdp, k, rng):
+    """Draw one transition of pair id k; returns (j, tau, model_successor).
 
-    One lookup finds the model pair's draw row, and `sample_step`'s draw
-    on it (the same random draws) picks position k of the model row; the
-    product row lists its successors in the model row's order, so its
-    k-th entry is the lifted successor. This is the simulator interface
-    the learner sees, which never reads the transition table directly.
+    `sample_step`'s draw (the same random draws) on the draw row of pair
+    k's model pair picks position c of the model row; the product row
+    lists its successors in the model row's order, so its c-th entry is
+    the lifted successor. UnknownState, drawing nothing, for an id outside
+    0..len(owner) - 1. This is the simulator interface the learner sees,
+    which never reads the transition table directly.
     """
-    if not 0 <= i < p.n_states:
-        p.check_state(i)            # raises UnknownState
-    row = p._draw.get((p._s_of[i], a))
-    if row is None:
-        raise ActionNotEnabled(
-            f"action {a!r} not enabled in product state {i}")
-    cum, succs, samplers, off = row
-    k, tau = _draw(cum, samplers, rng)
-    return p._succ_at[p._edge_base[i] + off + k], tau, succs[k]
+    if not 0 <= k < len(p._model_at):
+        raise UnknownState(f"pair id {k} not in 0..{len(p._model_at) - 1}")
+    cum, succs, samplers = p._draw_rows[p._model_at[k]]
+    c, tau = _draw(cum, samplers, rng)
+    return p._succ_at[p._row_at[k] + c], tau, succs[c]
 
 
 def exact_winning_region(p: ProductSmdp):
@@ -385,7 +395,7 @@ def exact_winning_region(p: ProductSmdp):
     flat layout, accepting states dead from the start; W_p is the
     PairSet of the surviving pair ids.
     """
-    dead = np.isin(np.arange(p.n_states), list(p.accepting))
+    dead = _state_mask(p, p.accepting)
     alive, safe = _safety_fixpoint(p.owner, p.row_ptr, p.succ, dead)
     return frozenset(np.flatnonzero(alive).tolist()), \
         p.pair_set(np.flatnonzero(safe))
@@ -441,19 +451,17 @@ def exact_max_reach_probability(p: ProductSmdp, target) -> np.ndarray:
 
     Target states are pinned at 1. Each sweep is a Jacobi update: every
     non-target row is evaluated against the previous sweep's values, then
-    each state takes the maximum over its rows. Iteration stops when the
-    sup-norm residual drops below 1e-12, and raises NotConverged after
-    MAX_SWEEPS sweeps.
+    each state takes the maximum over its rows (`_row_best`). Iteration
+    stops when the sup-norm residual drops below 1e-12, and raises
+    NotConverged after MAX_SWEEPS sweeps. UnknownState names the first
+    target outside the product.
     """
-    target = set(target)
-    for i in target:
-        p.check_state(i)
-    v = np.isin(np.arange(p.n_states), list(target)).astype(float)
+    v = _state_mask(p, target).astype(float)
     states = np.flatnonzero(v == 0.0)
-    _, succ, prob, group = _state_rows(p, states)
+    rows = _state_rows(p, states)
 
     for _ in range(MAX_SWEEPS):
-        best = _row_values(succ, prob, v)[group].max(axis=0)
+        best = _row_best(rows, v, len(states))[1]
         residual = float(np.max(np.abs(best - v[states]), initial=0.0))
         v[states] = best
         if residual < 1e-12:
@@ -464,32 +472,43 @@ def exact_max_reach_probability(p: ProductSmdp, target) -> np.ndarray:
 def _best_actions(p: ProductSmdp, states, v, tol):
     """The pair ids of `states`, each state's in the model's action order,
     and a mask of those whose row value sum_j P(j|i,a) v_j is at least
-    their state's best value minus `tol`. The values of all the rows come
-    from one column-major pass, as in `exact_max_reach_probability`."""
-    pairs, succ, prob, group = _state_rows(p, states)
-    vals = _row_values(succ, prob, v)
-    best = vals[group].max(axis=0) - tol
-    return pairs, vals[:-1] >= np.repeat(best, np.diff(p.pair_ptr)[states])
+    their state's best value minus `tol`, all from one `_row_best`
+    sweep, as in `exact_max_reach_probability`."""
+    rows = _state_rows(p, states)
+    vals, best = _row_best(rows, v, len(states))
+    pairs, group = rows[:2]
+    return pairs, vals >= (best - tol)[group]
 
 
 def _state_rows(p: ProductSmdp, states):
-    """The rows of every enabled action of `states`, padded for sweeps.
+    """The rows of every enabled action of `states`, read from the flat
+    layout.
 
-    Returns (pairs, succ, prob, group): the pair ids of `states`, one
-    state's after another; the successor and probability arrays of their
-    rows, gathered from the flat layout and padded by `_pad` (index 0,
-    probability 0.0); and the (width, len(states)) positions of each
-    state's rows among them, padded with the number of rows, the trailing
-    slot of `_row_values`.
+    Returns (pairs, group, row, succ, prob): the pair ids of `states`,
+    one state's after another; the position in `states` of each pair's
+    state; and, for each entry of their rows in row order, the position
+    of its row in `pairs`, its successor and its probability.
     """
     states = np.asarray(states, dtype=np.intp)
     n_pairs = p.pair_ptr[states + 1] - p.pair_ptr[states]
     pairs = _ranges(p.pair_ptr[states], n_pairs)
     lens, edges = _pair_rows(p, pairs)
-    succ = _pad(lens, p.succ[edges], 0, np.intp)
-    prob = _pad(lens, p.model_prob[p.edge[edges]], 0.0, float)
-    group = _pad(n_pairs, np.arange(len(pairs)), len(pairs), np.intp)
-    return pairs, succ, prob, group
+    return (pairs, np.repeat(np.arange(len(states)), n_pairs),
+            np.repeat(np.arange(len(pairs)), lens), p.succ[edges],
+            p.model_prob[p.edge[edges]])
+
+
+def _row_best(rows, v, n):
+    """One sweep over `_state_rows`' rows of n states: the value
+    sum_j P(j|row) v_j of every row, and the largest of each state's.
+    `bincount` adds each row's entries in input order, so a row sums left
+    to right as a loop over it would; a maximum is exact in any order, so
+    `maximum.at` into -inf gives `np.maximum.reduceat`'s bit for bit."""
+    pairs, group, row, succ, prob = rows
+    vals = np.bincount(row, weights=prob * v[succ], minlength=len(pairs))
+    best = np.full(n, -np.inf)
+    np.maximum.at(best, group, vals)
+    return vals, best
 
 
 def _pair_rows(p: ProductSmdp, pids):
@@ -498,33 +517,6 @@ def _pair_rows(p: ProductSmdp, pids):
     `edge`, one row after another in row order."""
     lens = p.row_ptr[pids + 1] - p.row_ptr[pids]
     return lens, _ranges(p.row_ptr[pids], lens)
-
-
-def _row_values(succ, prob, v) -> np.ndarray:
-    """sum_j P(j|row) v_j of every packed row, accumulated column by
-    column, followed by one -inf: the slot that `_state_rows`' padding
-    points at, so a per-state maximum over `vals[group]` never picks it.
-    The maximum is exact, so it equals `np.maximum.reduceat` over the
-    rows bit for bit."""
-    vals = np.zeros(succ.shape[1] + 1)
-    vals[-1] = -np.inf
-    rows = vals[:-1]
-    for k in range(len(succ)):
-        rows += prob[k] * v[succ[k]]
-    return vals
-
-
-def _pad(lens, flat, fill, dtype) -> np.ndarray:
-    """Consecutive rows of `flat`, of lengths `lens`, as the columns of a
-    (width, len(lens)) array padded with `fill`. The width is the longest
-    row, and at least 1, so a reduction over axis 0 is defined even when
-    there are no rows."""
-    n = len(lens)
-    col = np.repeat(np.arange(n), lens)
-    pos = np.arange(col.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    arr = np.full((int(lens.max(initial=1)), n), fill, dtype=dtype)
-    arr[pos, col] = flat
-    return arr
 
 
 def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
@@ -539,12 +531,10 @@ def policy_reach_probability(p: ProductSmdp, policy, target) -> np.ndarray:
     v_i = sum_{j in target} P(j|i) + sum_{j unknown} P(j|i) v_j is solved
     exactly by `_solve_by_components`, one strongly connected component at
     a time: memory grows with rows × successors plus the square of the
-    largest component, never with n².
+    largest component, never with n². UnknownState names the first target
+    outside the product.
     """
-    target = set(target)
-    for i in target:
-        p.check_state(i)
-    dead = np.isin(np.arange(p.n_states), list(target))
+    dead = _state_mask(p, target)
     states = np.flatnonzero(~dead)
     pids = _policy_pairs(p, policy, states)
     lens, edges = _pair_rows(p, pids)

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .product import ProductSmdp, _greedy_policy, sample_product_step
+from .product import (
+    ProductSmdp, _greedy_policy, _state_mask, sample_product_step,
+)
 
 VISIT_OFFSET = 10.0   # learning rate alpha = offset / (offset + visits)
 EPSILON = 0.3         # behavior-policy exploration
@@ -79,16 +81,17 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
     visited; afterwards the behavior policy is epsilon-greedy. An episode
     ends on entering the winning region (value 0), on entering the losing
     sink (value pinned to r_n), or at the step cap (truncated with plain
-    bootstrap). The sink rows are never updated.
+    bootstrap). The sink rows are never updated. UnknownState names the
+    first id of `w` outside the product.
     """
     rng = np.random.default_rng(schedule.seed)
     # per-state lookups, hoisted out of the update loop and read off the
-    # in-W and accepting masks; the values of a transient state's actions
-    # live in one list, in enabled order, so the greedy choice and the
+    # in-W and accepting masks; the values of a transient state's pairs
+    # live in one list, in pair-id order, so the greedy choice and the
     # bootstrap maximum are single list scans
-    w_mask = np.isin(np.arange(p.n_states), list(w))
-    acc = np.isin(np.arange(p.n_states), list(p.accepting))
-    enabled = list(map(p.m._enabled.__getitem__, p._s_of))
+    w_mask = _state_mask(p, w)
+    acc = _state_mask(p, p.accepting)
+    n_pairs = np.diff(p.pair_ptr).tolist()
     in_w, is_acc = w_mask.tolist(), acc.tolist()
     ends = (w_mask | acc).tolist()
     rewards = np.where(acc, (1 - spec.gamma_acc) * spec.r_n, 0.0).tolist()
@@ -96,7 +99,7 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
     transient = np.flatnonzero(~w_mask).tolist()
     values = [None] * p.n_states
     for i in transient:
-        values[i] = [spec.r_n if is_acc[i] else 0.0] * len(enabled[i])
+        values[i] = [spec.r_n if is_acc[i] else 0.0] * n_pairs[i]
     starts = [i for i in transient if not is_acc[i]]
     base = p.pair_ptr.tolist()
     visits = [0] * len(p.owner)
@@ -110,7 +113,7 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
             episodes += 1
             i = starts[k % len(starts)]
             cur = action_cursor[i]
-            b = cur % len(enabled[i])
+            b = cur % n_pairs[i]
             action_cursor[i] = cur + 1
             for step in range(schedule.step_cap):
                 vals = values[i]
@@ -120,13 +123,12 @@ def qlearn_transient(p: ProductSmdp, w, spec: RewardDiscountSpec,
                         b = int(rng.integers(len(vals)))
                     else:
                         b = vals.index(max(vals))
-                a = enabled[i][b]
-                j, _tau, _s2 = sample_product_step(p, i, a, rng)
+                key = base[i] + b
+                j, _tau, _s2 = sample_product_step(p, key, rng)
                 if in_w[j]:
                     target = 0.0
                 else:
                     target = rewards[j] + discounts[j] * max(values[j])
-                key = base[i] + b
                 n = visits[key]
                 visits[key] = n + 1
                 alpha = c / (c + n)
@@ -151,6 +153,7 @@ def extract_pi_tr(p: ProductSmdp, w, tq: TransientQ) -> np.ndarray:
     """Greedy positional policy on the transient states, as a policy
     array: each state outside `w` gets the pair id of its largest Q, ties
     broken toward the action listed first in the model's order; the
-    states of `w` get -1."""
-    pairs = np.flatnonzero(~np.isin(p.owner, list(w)))
+    states of `w` get -1. UnknownState names the first id of `w` outside
+    the product."""
+    pairs = np.flatnonzero(~_state_mask(p, w)[p.owner])
     return _greedy_policy(p.owner[pairs], pairs, -tq.q[pairs], p.n_states)

@@ -23,8 +23,8 @@ from .errors import (
     NonfiniteRisk, NotConverged, PolicyLeavesW,
 )
 from .product import (
-    ProductSmdp, _greedy_policy, _offsets, _pad, _pair_rows, _policy_pairs,
-    _pool_copies, _solve_by_components,
+    ProductSmdp, _greedy_policy, _offsets, _pair_rows, _policy_pairs,
+    _pool_copies, _solve_by_components, _state_mask,
 )
 
 # sweeps after which risk value iteration gives up with NotConverged
@@ -124,16 +124,17 @@ def build_risk_model(p: ProductSmdp, w, w_p, tpost, dpost,
     successors outside W (possible under estimation noise) is
     renormalized away, with one warning per such row in pair-id order;
     then the first row left with no mass raises EmptyPredictiveRow. A
-    pool's own errors come before any of these.
+    pool's own errors come before any of these, and UnknownState, naming
+    the first id of `w` outside the product, before anything.
     """
-    w = frozenset(w)
+    w = _state_mask(p, w)
     pid, firsts = _pool_copies(p, w_p)
     prob_e, risk_e = _predictive_edges(p, tpost, dpost, firsts,
                                        functional or MeanPlusSigma(1.0))
     lens, edges = _pair_rows(p, pid)
     succ, model_edge = p.succ[edges], p.edge[edges]
     pr = prob_e[model_edge]
-    inside = np.isin(np.arange(p.n_states), list(w))[succ]
+    inside = w[succ]
     kept = inside & (pr > 0.0)
     copy = np.repeat(np.arange(len(pid)), lens)
     n_kept = np.bincount(copy[kept], minlength=len(pid))
@@ -191,17 +192,17 @@ def risk_model_from_product(p: ProductSmdp, w, w_p, risk_e,
     model edge, in the order of `p.model_succ` (`true_edge_risk` gives the
     true ones): a transition's risk depends only on its model triple
     (s, a, s'), so each product transition gathers its model edge's.
+    UnknownState names the first id of `w` outside the product;
     InvalidRiskModel names the first winning pair, in pair-id order, whose
     true support leaves the region; RiskModel's own check names the first
     risk that is not finite and nonnegative.
     """
-    w = frozenset(w)
+    w = _state_mask(p, w)
     risk_e = _edge_array(p, risk_e)
     pids = np.sort(p.pair_ids(w_p))
     lens, edges = _pair_rows(p, pids)
     succ = p.succ[edges]
-    leaving = np.repeat(pids, lens)[
-        ~np.isin(np.arange(p.n_states), list(w))[succ]]
+    leaving = np.repeat(pids, lens)[~w[succ]]
     if leaving.size:
         raise InvalidRiskModel("pair ({},{}) leaves the winning region"
                                .format(*_pair(p, leaving[0])))
@@ -231,11 +232,13 @@ def _assemble(p, w, pids, lens, succ, prob, risk, gamma_r,
     """Shared core of both builders: the rows of the winning pairs with
     the ascending product pair ids `pids`, of lengths `lens`, with their
     flat successors, probabilities and risks, become a RiskModel;
-    NoAllowedAction names a winning state without a row."""
-    owned = set(p.owner[pids].tolist())
-    for i in w:
-        if i not in owned:
-            raise NoAllowedAction(f"winning state {i} has no winning pair")
+    NoAllowedAction names the first state of the mask `w` without a
+    row."""
+    rowless = w.copy()
+    rowless[p.owner[pids]] = False
+    if rowless.any():
+        raise NoAllowedAction(
+            f"winning state {np.argmax(rowless)} has no winning pair")
     return RiskModel(ids=pids, pair_ptr=p.pair_ptr, row_ptr=_offsets(lens),
                      succ=succ, prob=prob, risk=risk, gamma_r=gamma_r,
                      escaped=escaped)
@@ -258,35 +261,27 @@ def risk_value_iteration(rm: RiskModel, tol=1e-9) -> RiskQ:
     sweeps.
 
     Each sweep updates every row from the previous sweep's state minima
-    (Jacobi), as array operations over the model's rows, laid out by
-    `_pad` straight from its CSR arrays: column k holds entry k of every
-    row, so each row sums left to right as a loop over it would, and a
-    padded entry (successor 0, probability and risk 0.0) adds exactly 0.0.
-    The state minima, exact like any minimum, come from a (width, states)
-    array of each state's consecutive rows padded with +inf.
+    (Jacobi), as array operations over the model's CSR arrays: `bincount`
+    adds each row's entries in input order, so a row sums left to right
+    as a loop over it would. The state minima, exact in any order, come
+    from `minimum.at` over the rows into a +inf-filled array; states
+    without rows keep +inf there, and no row reads them.
     """
     if tol <= 0:
         raise InvalidRiskModel(f"tol must be positive, got {tol}")
     _check_risks(rm)
-    first = np.flatnonzero(np.diff(rm.owner, prepend=-1))
-    states, n = rm.owner[first], len(rm.ids)
-    # each state's rows, padded with n: the +inf slot after the last row
-    group = _pad(np.diff(first, append=n), np.arange(n), n, np.intp)
-    q_inf = np.full(n + 1, np.inf)
-    lens = np.diff(rm.row_ptr)
-    succ = _pad(lens, rm.succ, 0, np.intp)
-    prob = _pad(lens, rm.prob, 0.0, float)
-    risk = _pad(lens, rm.risk, 0.0, float)
+    n = len(rm.ids)
+    row = np.repeat(np.arange(n), np.diff(rm.row_ptr))
     q = np.zeros(n)
     best = np.zeros(len(rm.pair_ptr) - 1)
     residuals = []
     for _ in range(MAX_SWEEPS):
-        new = np.zeros(n)
-        for k in range(len(succ)):
-            new += prob[k] * (risk[k] + rm.gamma_r * best[succ[k]])
+        new = np.bincount(row, weights=rm.prob * (
+            rm.risk + rm.gamma_r * best[rm.succ]), minlength=n)
         residual = float(np.max(np.abs(new - q), initial=0.0))
-        q = q_inf[:-1] = new
-        best[states] = q_inf[group].min(axis=0)
+        q = new
+        best.fill(np.inf)
+        np.minimum.at(best, rm.owner, q)
         residuals.append(residual)
         if residual < tol:
             return RiskQ(q=q, residual=residual, iterations=len(residuals),
@@ -303,8 +298,9 @@ def extract_pi_win(rm: RiskModel, rq: RiskQ) -> np.ndarray:
 def combine_policy(p: ProductSmdp, w, pi_win, pi_tr) -> np.ndarray:
     """Case split of two policy arrays: the risk policy's choice inside
     the winning region, the reachability policy's outside it. DomainGap
-    names the first state left without a choice."""
-    combined = np.where(np.isin(np.arange(p.n_states), list(w)), pi_win, pi_tr)
+    names the first state left without a choice, UnknownState the first
+    id of `w` outside the product."""
+    combined = np.where(_state_mask(p, w), pi_win, pi_tr)
     gap = np.flatnonzero(combined < 0)
     if gap.size:
         raise DomainGap(f"state {gap[0]} has no policy entry")

@@ -232,7 +232,6 @@ class WinningLearner:
         if len(self.w) == 0:
             raise EmptyWinningCandidate("no candidate winning state at start")
         self._lo = p.pair_ptr.tolist()
-        self._enabled = list(map(p.m._enabled.__getitem__, p._s_of))
 
         # W_p^k actions per state (the paper's zero-valued ones), to detect
         # states leaving W^k in O(1)
@@ -251,8 +250,8 @@ class WinningLearner:
         # changes; the gammaln and psi values behind them per argument
         self._ent_cache = {}
         self._special = {}
-        # `_explore`'s (pair ids, actions, probabilities, `_cdf`) per
-        # state, cleared on every refresh and every removal
+        # `_explore`'s (pair ids, probabilities, `_cdf`) per state,
+        # cleared on every refresh and every removal
         self._draw_cache = {}
 
         self.episodes = 0
@@ -322,30 +321,28 @@ class WinningLearner:
         return h
 
     def _explore(self, i):
-        """Allowed pair ids at i, their actions and their exploration
-        probabilities, a softmax over posterior entropy: the one
-        computation behind the exploration policy and its draw."""
+        """Allowed pair ids at i and their exploration probabilities, a
+        softmax over the posterior entropy of each one's model pair: the
+        one computation behind the exploration policy and its draw."""
         if i not in self.w:
             raise NoAllowedAction(f"state {i} is outside the candidate region")
         pids = self._allowed(i)
-        lo, enabled = self._lo[i], self._enabled[i]
-        acts = [enabled[k - lo] for k in pids]
-        s = self.p._s_of[i]
-        return pids, acts, _softmax_probs(
-            [self._ent_score(s, a) for a in acts], TEMPERATURE, EPSILON)
+        pairs, model_at = self.p.model_pairs, self.p._model_at
+        return pids, _softmax_probs(
+            [self._ent_score(*pairs[model_at[k]]) for k in pids],
+            TEMPERATURE, EPSILON)
 
     def _sample_action(self, i):
-        """Draw the exploration policy's pair id and action at i: one
-        uniform draw on the memoized `_cdf`."""
+        """Draw the exploration policy's pair id at i: one uniform draw on
+        the memoized `_cdf`."""
         hit = self._draw_cache.get(i)
         if hit is None:
-            pids, acts, probs = self._explore(i)
-            hit = self._draw_cache[i] = (pids, acts, probs, _cdf(probs))
-        pids, acts, probs, cdf = hit
+            pids, probs = self._explore(i)
+            hit = self._draw_cache[i] = (pids, probs, _cdf(probs))
+        pids, probs, cdf = hit
         if self.cfg.debug_checks:
-            self._check_action_probs(i, acts, probs)
-        c = bisect_right(cdf, self.rng.random())
-        return pids[c], acts[c]
+            self._check_action_probs(i, pids, probs)
+        return pids[bisect_right(cdf, self.rng.random())]
 
     # --- episode loop --------------------------------------------------------
 
@@ -360,19 +357,19 @@ class WinningLearner:
     def run_episode(self):
         """One exploration episode; removes at most one pair from W_p^k."""
         cfg, p, rng = self.cfg, self.p, self.rng
-        s_of, tries, w = p._s_of, self.tries, self.w
+        pairs, model_at = p.model_pairs, p._model_at
+        tries, w = self.tries, self.w
         t0 = time.perf_counter()
         i, k = self._sample_start()
-        if k is not None:
-            a = self._enabled[i][k - self._lo[i]]
         exit_pair = None
         steps = 0
         for _ in range(cfg.step_cap):
             if k is None:
-                k, a = self._sample_action(i)
-            j, tau, model_s2 = sample_product_step(p, i, a, rng)
+                k = self._sample_action(i)
+            j, tau, model_s2 = sample_product_step(p, k, rng)
             steps += 1
-            self.store.append(s_of[i], a, model_s2, tau)
+            s, a = pairs[model_at[k]]
+            self.store.append(s, a, model_s2, tau)
             n = tries[k] = tries[k] + 1
             if n >= cfg.min_tries:
                 self._under.discard(k)
@@ -431,11 +428,11 @@ class WinningLearner:
         if len(self.store) != sum(row["steps"] for row in self.progress):
             raise AssertionError("store size differs from the steps taken")
 
-    def _check_action_probs(self, i, acts, probs):
-        """Compare the drawn action's probability vector with an uncached
+    def _check_action_probs(self, i, pids, probs):
+        """Compare the drawn pair's probability vector with an uncached
         `_explore(i)`, exactly; draws nothing. Raises AssertionError
         explicitly, so the check also runs under `python -O`."""
-        if self._explore(i)[1:] != (acts, probs):
+        if self._explore(i) != (pids, probs):
             raise AssertionError(f"action draw at state {i} differs from "
                                  "the exploration policy")
 

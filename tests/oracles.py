@@ -1037,3 +1037,15 @@ def build_risk_model_reference(p, w, w_p, tpost, dpost, functional=None,
     return risk_model(trans, risks,
                       {i: p.enabled(i) for i in range(p.n_states)},
                       gamma_r=gamma_r, escaped=escaped)
+
+
+def survival_quantile_reference(samples, q):
+    """inf { t : Pr(tau > t) < q } of the empirical distribution of
+    `samples`, by one pass over all the samples for each candidate t (0
+    and each distinct sample, ascending): the quadratic loop the sorted
+    `Empirical.survival_quantile` must match bit for bit."""
+    xs = np.asarray(samples)
+    for t in [0.0] + sorted(set(samples)):
+        if np.mean(xs > t) < q:
+            return t
+    return float(xs.max())

@@ -318,14 +318,13 @@ def test_gate8_combined_policy_never_hits_accepting(desk_pipeline):
                           gamma_r=0.9)
     pi_win = extract_pi_win(rm, risk_value_iteration(rm))
     pi = combine_policy(p, w, pi_win, desk_pipeline["pi_tr"])
-    acts = p.pair_actions(pi)
     rng = np.random.default_rng(21)
     starts = sorted(w)
     hits = 0
     for r in range(1000):
         i = starts[r % len(starts)]
         for _ in range(1000):
-            i, _, _ = sample_product_step(p, i, acts[i], rng)
+            i, _, _ = sample_product_step(p, pi[i], rng)
             if i in p.accepting:
                 hits += 1
                 break

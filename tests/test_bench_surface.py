@@ -2,16 +2,18 @@
 
 The benchmark's own smoke tests (`python3 -m pytest bench`) run it end to
 end; these check, in the package's suite, that every layer the tracer
-wraps still resolves and that the paper-learn workload still runs one
-operation, whose only tolerated planning failure is the known one. The
-benchmark's modules are loaded from their files, without writing
-bytecode next to them.
+wraps still resolves and that every workload still runs one smoke
+operation, whose only tolerated failure is paper-learn's known planning
+defect. The benchmark's modules are loaded from their files, without
+writing bytecode next to them.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -37,15 +39,18 @@ def test_every_traced_layer_resolves():
     assert missing == []
 
 
-def test_paper_learn_smoke_operation(tmp_path):
-    """Set-up and one smoke operation of paper-learn: any error other than
-    the known planning defect fails the operation, and every check holds."""
+@pytest.mark.parametrize("name", ["desk", "paper-learn", "paper-oracle"])
+def test_smoke_operation(name, tmp_path):
+    """Set-up and one smoke operation of each workload: any error other
+    than paper-learn's known planning defect fails the operation, and
+    every check holds."""
     workloads = load("workloads")
     E = importlib.import_module("smdpsynth.experiment")
-    work = workloads.PaperLearn(str(tmp_path), smoke=True)
+    work = workloads.WORKLOADS[name](str(tmp_path), smoke=True)
     work.setup(E)
     rec = work.op(E, 97)
     assert rec.checks and all(rec.checks.values())
     if rec.plan_failure is not None:
+        assert name == "paper-learn"
         assert rec.plan_failure["type"] == "EmptyPredictiveRow"
         assert workloads.KNOWN_PLAN_DEFECT in rec.plan_failure["message"]

@@ -514,14 +514,14 @@ def test_top_up_first_pass_draws_once_per_pool(preset, n_pools, monkeypatch):
     real = experiment.sample_product_step
 
     def counted(*args):
-        drawn.append(args[1:3])
+        drawn.append(args[1])
         return real(*args)
 
     monkeypatch.setattr(experiment, "sample_product_step", counted)
     top_up_observations(p, w_p, store, 0, np.random.default_rng(0))
-    assert drawn == sorted(reps.values(),
-                           key=lambda pair: (pair[0], p.enabled(pair[0])
-                                             .index(pair[1])))
+    assert drawn == p.pair_ids(sorted(
+        reps.values(), key=lambda pair: (pair[0], p.enabled(pair[0])
+                                         .index(pair[1])))).tolist()
     assert len(store) == n_pools and store.pairs() == set(reps)
     assert all(sum(successor_counts(store, *key).values()) == 1
                for key in reps)
@@ -566,7 +566,7 @@ def test_top_up_draws_through_experiment_sampler(monkeypatch):
     real = experiment.sample_product_step
 
     def counted(*args):
-        calls.append(args[1:3])
+        calls.append(args[1])
         return real(*args)
 
     monkeypatch.setattr(experiment, "sample_product_step", counted)

@@ -1,6 +1,6 @@
 """The exact oracle on flat arrays: the safety fixpoint, the greedy
-transient extraction, the padded per-state minimum and maximum, and the
-per-edge risks, against the scalar references in oracles.py."""
+transient extraction, the per-state minimum and maximum by `ufunc.at`,
+and the per-edge risks, against the scalar references in oracles.py."""
 
 import time
 
@@ -11,7 +11,7 @@ import smdpsynth.experiment as E
 from smdpsynth import build_pipeline, desk_config, paper_config
 from smdpsynth.bayes import MeanPlusSigma, risk_of
 from smdpsynth.product import (
-    _best_actions, _first_positions, _pad, _row_values, _state_rows,
+    _best_actions, _first_positions, _row_best, _state_rows,
     exact_max_reach_probability, exact_winning_region,
 )
 
@@ -88,19 +88,22 @@ def test_product_rows_never_repeat_a_successor(presets):
 
 def test_row_values_equal_np_dot_on_presets(presets):
     """The preset rows are (1.0,) or (0.5, 0.5), whose products are exact,
-    so the column-by-column sums give np.dot's value bit for bit. On
-    random rows BLAS may fuse a multiply and an add, and the two sums can
-    differ in the last bit."""
+    so the left-to-right `bincount` sums give np.dot's value bit for bit.
+    On random rows BLAS may fuse a multiply and an add, and the two sums
+    can differ in the last bit. Each state's best is its largest row."""
     products = [(p, True) for p in presets.values()] \
         + [(p, False) for p in random_products(60, seed=3)]
     for p, exact in products:
         v = np.random.default_rng(0).random(p.n_states)
         states = list(range(p.n_states))
-        pairs, succ, prob, _ = _state_rows(p, states)
-        vals = _row_values(succ, prob, v)
+        flat = _state_rows(p, states)
+        pairs = flat[0]
+        vals, best = _row_best(flat, v, p.n_states)
         rows = [product_row(p, i, a) for i, a in zip(
             p.owner[pairs].tolist(), p.pair_actions(pairs))]
-        assert vals[-1] == -np.inf and len(vals) == len(rows) + 1
+        assert len(vals) == len(rows)
+        assert best.tolist() == [max(vals[lo:hi]) for lo, hi in zip(
+            p.pair_ptr.tolist(), p.pair_ptr[1:].tolist())]
         for got, (succs, probs) in zip(vals.tolist(), rows):
             ref = float(np.dot(probs, v[list(succs)]))
             if exact:
@@ -146,6 +149,10 @@ def test_oracle_transient_policy_matches_reference(presets):
 @pytest.mark.parametrize("name, ufunc, fill", [("min", np.minimum, np.inf),
                                                ("max", np.maximum, -np.inf)])
 def test_padded_min_max_equal_reduceat(name, ufunc, fill):
+    """The sweeps' per-state extremum, `ufunc.at` of each state's rows
+    into an array filled with the extremum's identity, is `reduceat`'s
+    over the consecutive rows, byte for byte; for the maximum, so is
+    `_row_best` on rows of one entry of probability 1.0."""
     rng = np.random.default_rng(4)
     for _ in range(200):
         lens = rng.integers(1, 6, size=int(rng.integers(1, 40)))
@@ -154,9 +161,14 @@ def test_padded_min_max_equal_reduceat(name, ufunc, fill):
         members = rng.permutation(n)
         starts = np.cumsum(lens) - lens
         ref = ufunc.reduceat(values[members], starts)
-        padded = np.append(values, fill)[_pad(lens, members, n, np.intp)]
-        got = getattr(padded, name)(axis=0)
+        group = np.repeat(np.arange(len(lens)), lens)
+        got = np.full(len(lens), fill)
+        ufunc.at(got, group, values[members])
         assert got.tobytes() == ref.tobytes()
+        if name == "max":
+            rows = (np.arange(n), group, np.arange(n), members, np.ones(n))
+            assert _row_best(rows, values, len(lens))[1].tobytes() \
+                == ref.tobytes()
 
 
 def test_first_positions_equal_sorted_np_unique():

@@ -115,12 +115,13 @@ def test_lift_matches_product_rows():
 
 
 def assert_sampler_matches_reference(p, pairs, seed, draws):
-    """The same transitions, dwells and generator state after every draw."""
+    """The same transitions, dwells and generator state after every draw
+    of pair id k as the reference's of its pair (i, a)."""
     from oracles import sample_product_step_reference
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    for i, a in pairs:
+    for (i, a), k in zip(pairs, p.pair_ids(pairs).tolist()):
         for _ in range(draws):
-            assert sample_product_step(p, i, a, rng) \
+            assert sample_product_step(p, k, rng) \
                 == sample_product_step_reference(p, i, a, ref)
             assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -151,12 +152,14 @@ def test_sampler_matches_reference_on_random_products():
 
 
 def test_sampler_errors():
+    """A pair id outside the product raises UnknownState, drawing
+    nothing."""
     p = grid4_product(K=5)
     rng = np.random.default_rng(0)
-    with pytest.raises(UnknownState):
-        sample_product_step(p, p.n_states, "UL", rng)
-    with pytest.raises(ActionNotEnabled):
-        sample_product_step(p, p.initial, "nope", rng)
+    for k in (len(p.owner), -1):
+        with pytest.raises(UnknownState, match=f"^pair id {k} not in "
+                                               f"0..{len(p.owner) - 1}$"):
+            sample_product_step(p, k, rng)
     assert rng.bit_generator.state == np.random.default_rng(0) \
         .bit_generator.state
 
@@ -182,10 +185,11 @@ def mixed_dwell_product(rng):
 
 
 def test_sampler_matches_model_sampler_on_random_products():
-    """Every product draw is the model's draw from the copy's model state,
+    """Every draw of pair id k is the model's draw of k's model pair,
     lifted: the same successor, dwell and generator state after every
-    draw, Empirical dwells included, and the same typed error, drawing
-    nothing, for a bad state or action."""
+    draw, Empirical dwells included; an id outside the product raises
+    UnknownState and draws nothing, as the model sampler's typed errors
+    for a bad state or action do."""
     gen = np.random.default_rng(8)
     for seed in range(200):
         p = mixed_dwell_product(gen)
@@ -193,20 +197,20 @@ def test_sampler_matches_model_sampler_on_random_products():
         pairs = [(i, a) for i in range(p.n_states) for a in p.enabled(i)]
         for k in gen.integers(len(pairs), size=40).tolist():
             i, a = pairs[k]
-            j, tau, s2 = sample_product_step(p, i, a, rng)
+            j, tau, s2 = sample_product_step(p, k, rng)
             assert (s2, tau) == sample_step(p.m, p.states[i][0], a, ref)
             assert j == lift_reference(p, i, s2) and type(j) is int
             assert rng.bit_generator.state == ref.bit_generator.state
-        for i, s, a in [(p.n_states, p.m.n_states, "x"), (-1, -1, "x"),
-                        (0, 0, "nope")] + [
-                (i, p.states[i][0], b) for i in range(p.n_states)
+        for k in (len(pairs), -1):
+            with pytest.raises(UnknownState):
+                sample_product_step(p, k, rng)
+        # the model's sampler keeps its (state, action) arguments
+        for s, a in [(p.m.n_states, "x"), (-1, "x"), (0, "nope")] + [
+                (p.states[i][0], b) for i in range(p.n_states)
                 for b in ("y", "z") if b not in p.enabled(i)][:2]:
-            for draw, args in [(sample_product_step, (p, i, a, rng)),
-                               (sample_step, (p.m, s, a, ref))]:
-                with pytest.raises((UnknownState, ActionNotEnabled)) as err:
-                    draw(*args)
-                assert err.type is (UnknownState if a == "x"
-                                    else ActionNotEnabled)
+            with pytest.raises(UnknownState if a == "x"
+                               else ActionNotEnabled):
+                sample_step(p.m, s, a, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -713,3 +717,54 @@ def test_policy_reach_never_beats_optimum():
         assert np.all(vp <= v + 1e-9)
         best = np.maximum(best, vp)
     assert np.allclose(best, v, atol=1e-9)
+
+
+# region arguments
+
+def region_calls(p, region):
+    """Each entry point that takes a set of product states, called with
+    `region` as that set and valid other arguments."""
+    from smdpsynth import DirichletPosterior, GammaPosterior
+    from smdpsynth.reach import (
+        QLearnSchedule, RewardDiscountSpec, TransientQ, extract_pi_tr,
+        qlearn_transient,
+    )
+    from smdpsynth.risk import (
+        build_risk_model, combine_policy, risk_model_from_product,
+    )
+    _, w_p = exact_winning_region(p)
+    n_pairs, none = len(p.owner), np.full(p.n_states, -1)
+    tq = TransientQ(q=np.zeros(n_pairs), visits=np.zeros(n_pairs, int),
+                    episodes=0, updates=0, cauchy_tail=0.0)
+    return {
+        "qlearn_transient": lambda: qlearn_transient(
+            p, region, RewardDiscountSpec(),
+            QLearnSchedule(episodes=20, step_cap=20)),
+        "extract_pi_tr": lambda: extract_pi_tr(p, region, tq),
+        "combine_policy": lambda: combine_policy(p, region, none, none),
+        "exact_max_reach_probability":
+            lambda: exact_max_reach_probability(p, region),
+        "policy_reach_probability": lambda: policy_reach_probability(
+            p, policy_array(p, {}), region),
+        "build_risk_model": lambda: build_risk_model(
+            p, region, w_p, DirichletPosterior({}), GammaPosterior({})),
+        "risk_model_from_product": lambda: risk_model_from_product(
+            p, region, w_p, np.zeros(len(p.model_succ))),
+    }
+
+
+@pytest.mark.parametrize("entry", [
+    "qlearn_transient", "extract_pi_tr", "combine_policy",
+    "exact_max_reach_probability", "policy_reach_probability",
+    "build_risk_model", "risk_model_from_product"])
+@pytest.mark.parametrize("bad", [-1, "past"])
+def test_region_state_outside_the_product_raises_unknown_state(entry, bad):
+    """Every entry point that takes a set of product states converts it
+    once, and an id outside the product raises UnknownState naming it,
+    before any other check or any work."""
+    p = grid4_product(K=5)
+    w, _ = exact_winning_region(p)
+    bad = p.n_states + 5 if bad == "past" else bad
+    with pytest.raises(UnknownState, match=f"^product state {bad} not in "
+                                           f"0..{p.n_states - 1}$"):
+        region_calls(p, w | {bad})[entry]()

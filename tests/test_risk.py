@@ -560,9 +560,9 @@ def test_build_matches_reference_on_random_products():
         if not w_p:
             continue
         store = ObservationStore()
-        for i, a in w_p:
+        for (i, a), k in zip(w_p, p.pair_ids(w_p).tolist()):
             for _ in range(int(rng.integers(1, 5))):
-                _, tau, s2 = sample_product_step(p, i, a, rng)
+                _, tau, s2 = sample_product_step(p, k, rng)
                 store.append(p.states[i][0], a, s2, tau)
         tpost, dpost = update_posteriors(store, w_p, pool=pooled(p))
         out, warned = assert_same_as_reference(
@@ -954,6 +954,8 @@ def test_rollouts_under_pi_win_take_less_risk():
     pi_win = policy_dict(p, extract_pi_win(rm, rq))
     allowed = risk_actions(p, rm)
     risk = edge_risk_fn(p, true_risk(p))
+    pair_id = {(i, a): k for k, (i, a) in enumerate(zip(
+        p.owner.tolist(), p.pair_actions(np.arange(len(p.owner)))))}
 
     def rollout(policy, seed, steps=10_000):
         rng = np.random.default_rng(seed)
@@ -961,7 +963,7 @@ def test_rollouts_under_pi_win_take_less_risk():
         total = 0.0
         for _ in range(steps):
             a = policy(i, rng)
-            j, _tau, _s2 = sample_product_step(p, i, a, rng)
+            j, _tau, _s2 = sample_product_step(p, pair_id[(i, a)], rng)
             total += risk(i, a, j)
             i = j
         return total / steps

@@ -61,6 +61,24 @@ def test_empirical_resamples_recorded_values():
     assert draws == {0.25, 4.0, 7.5}
 
 
+def test_empirical_survival_quantile_matches_reference():
+    """The sorted quantile is the loop's float, compared by `.hex()`, on
+    samples with many ties and with none, at q = 1, at a tiny q and at
+    the shares themselves, where the comparison is tight."""
+    from oracles import survival_quantile_reference
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(1, 60))
+        xs = rng.exponential(2.0, n) if trial % 2 else \
+            rng.integers(0, 4, n) * 0.5
+        qs = [1.0, 5e-324, 1e-12, *rng.random(4), *(np.arange(n + 1) / n)]
+        for q in qs:
+            q = float(q)
+            got = Empirical(xs).survival_quantile(q)
+            want = survival_quantile_reference(tuple(map(float, xs)), q)
+            assert type(got) is float and got.hex() == want.hex()
+
+
 # model validation
 
 def test_rows_must_be_stochastic():

@@ -194,9 +194,9 @@ def test_learner_action_draw_matches_choice_reference():
     learner.rng = np.random.default_rng(3)
     ref = np.random.default_rng(3)
     for i in sorted(learner.w) * 5:
-        k, a = learner._sample_action(i)
+        k = learner._sample_action(i)
         dist = explore(learner, i)
-        assert a == list(dist)[choice_action_reference(dist, ref)]
+        a = list(dist)[choice_action_reference(dist, ref)]
         assert k == pid(p, i, a)
         assert learner.rng.bit_generator.state == ref.bit_generator.state
 
@@ -214,9 +214,9 @@ class CountingLearner(WinningLearner):
         return super()._explore(i)
 
     def _sample_action(self, i):
-        a = super()._sample_action(i)
-        self.draws.append((i, a))
-        return a
+        k = super()._sample_action(i)
+        self.draws.append((i, k))
+        return k
 
 
 class UnmemoizedLearner(CountingLearner):
@@ -244,9 +244,10 @@ def test_action_draw_memo_skips_recomputation_bit_identically():
     learner = CountingLearner(p, cfg)
     i = next(iter(learner.w))
     learner._sample_action(i)
-    pids, acts, probs = learner._explore(i)
-    assert learner._draw_cache[i] == (pids, acts, probs, _cdf(probs))
-    assert pids == [pid(p, i, a) for a in acts]
+    pids, probs = learner._explore(i)
+    assert learner._draw_cache[i] == (pids, probs, _cdf(probs))
+    assert pids == [k for k in range(p.pair_ptr[i], p.pair_ptr[i + 1])
+                    if k in learner.w_p]
 
     # debug_checks recompute the policy beside every draw, memoized or not
     checked = CountingLearner(p, dataclasses.replace(cfg, debug_checks=True))
@@ -322,9 +323,10 @@ def record_successors(monkeypatch):
     seen = {}
     sample = smdpsynth.winning.sample_product_step
 
-    def recorded(p, i, a, rng):
-        step = sample(p, i, a, rng)
-        seen.setdefault((i, a), set()).add(step[0])
+    def recorded(p, k, rng):
+        step = sample(p, k, rng)
+        pair = (int(p.owner[k]), p.pair_actions([k])[0])
+        seen.setdefault(pair, set()).add(step[0])
         return step
 
     monkeypatch.setattr(smdpsynth.winning, "sample_product_step", recorded)
@@ -426,7 +428,8 @@ def test_init_sets_match_nested_loop_construction():
 
 def explore(learner, i):
     """`_explore` at i as {action: probability}."""
-    return dict(zip(*learner._explore(i)[1:]))
+    pids, probs = learner._explore(i)
+    return dict(zip(learner.p.pair_actions(pids), probs))
 
 
 def test_pi_ent_prefers_unseen():
@@ -690,8 +693,8 @@ def test_debug_checks_compare_action_draw_without_drawing(monkeypatch):
     exact = learner._explore
 
     def nudged(i):
-        pids, acts, probs = exact(i)
-        return pids, acts, [float(np.nextafter(v, 2.0)) for v in probs]
+        pids, probs = exact(i)
+        return pids, [float(np.nextafter(v, 2.0)) for v in probs]
 
     monkeypatch.setattr(learner, "_explore", nudged)
     state = learner.rng.bit_generator.state
